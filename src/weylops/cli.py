@@ -1,7 +1,8 @@
 """Command line: verification sweeps and the weight-sequence tables.
 
 Exit status is 0 when every report passes, 1 when any record fails or
-errors, and 2 for unusable invocations or config files.  A JSON config file
+errors, and 2 for unusable invocations or config files: among them bounds
+out of range and a sweep that runs no checks at all.  A JSON config file
 named by --config (or the WEYLOPS_CONFIG environment variable) supplies
 defaults for any flag not given explicitly.
 """
@@ -21,6 +22,7 @@ CONFIG_ENV = "WEYLOPS_CONFIG"
 
 _INT_KEYS = ("max_n", "max_m", "max_l", "dim", "seed")
 _CONFIG_KEYS = frozenset((*_INT_KEYS, "tol", "format"))
+_LEAST = {"max_n": 0, "max_m": 0, "max_l": 0, "dim": 1}  # smallest usable bound
 
 
 class ConfigError(Exception):
@@ -134,6 +136,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fmt = _merged(args, cfg, "fmt", None) or cfg.get("format", "text")
+    bounds = {key: _merged(args, cfg, key) for key in _LEAST if hasattr(args, key)}
+    for key, value in bounds.items():
+        if value is not None and value < _LEAST[key]:
+            print(f"error: {key} must be at least {_LEAST[key]}, got {value}", file=sys.stderr)
+            return 2
 
     if args.command == "tables":
         _emit(_tables_body(_merged(args, cfg, "max_n", 16), fmt), args.output)
@@ -141,13 +148,13 @@ def main(argv: list[str] | None = None) -> int:
 
     reports = run_suite(
         args.suite,
-        max_n=_merged(args, cfg, "max_n"),
-        max_m=_merged(args, cfg, "max_m"),
-        max_l=_merged(args, cfg, "max_l"),
+        **bounds,
         tol=_merged(args, cfg, "tol"),
-        dim=_merged(args, cfg, "dim"),
         seed=_merged(args, cfg, "seed", 0),
     )
+    if not reports:
+        print(f"error: verify {args.suite} ran no checks at these bounds", file=sys.stderr)
+        return 2
     if fmt == "json":
         body = reports_to_json(reports)
     else:

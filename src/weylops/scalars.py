@@ -118,7 +118,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the Fraction it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -248,6 +249,9 @@ class CPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.degree() <= 0:
+            # a constant hashes like the scalar it equals
+            return hash(self.constant_term())
         return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self):

@@ -104,6 +104,9 @@ class RatPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.degree() <= 0:
+            # a constant hashes like the Fraction it equals
+            return hash(self.coeff(0))
         return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self):

@@ -7,7 +7,16 @@ with the single rewrite rule
 
     p^b q^a = sum_k  k! C(b,k) C(a,k) c^k  q^(a-k) p^(b-k),
 
-which follows from p q = q p + c by induction.  Since c stays formal, an
+which follows from p q = q p + c by induction (``contraction_weights``
+holds the weights).
+
+An element is stored flat, the way FLINT's fmpq_poly stores a rational
+polynomial: one map (a, b, k) -> (re, im) of integer numerators of the
+coefficient of c^k q^a p^b, over one positive denominator shared by the
+whole element.  Products, sums and ``subst_c`` run on plain integers and
+reduce by a single gcd at the end, so no Fraction is built on the hot path.
+``terms`` gives the same element as a {(a, b): CPoly} view, built on first
+use, for rendering and for the realizations.  Since c stays formal, an
 identity established here holds for every numeric value of c at once;
 ``subst_c`` specializes when a statement is only true at a particular value
 (the harmonic-oscillator conventions use c = -i, where q p - p q = i).
@@ -29,13 +38,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Union
 
 from .scalars import CPoly, CPolyLike, GaussianRational, NonDivisible, parse_cpoly
 from .sequences import RatPoly
 
 Key = tuple[int, int]  # (a, b) <-> q^a p^b
+FlatKey = tuple[int, int, int]  # (a, b, k) <-> c^k q^a p^b
 
 ElementLike = Union[int, Fraction, GaussianRational, CPoly, "WeylElement"]
 
@@ -44,28 +55,84 @@ class NonTerminatingSeries(ArithmeticError):
     """A conjugation series did not terminate within the term cap."""
 
 
+@lru_cache(maxsize=None)
+def contraction_weights(b: int, a: int) -> tuple[int, ...]:
+    """The weights k! C(b,k) C(a,k), k = 0..min(b,a), of the rewrite rule
+    p^b q^a = sum_k weight_k c^k q^(a-k) p^(b-k)."""
+    return tuple(factorial(k) * comb(b, k) * comb(a, k) for k in range(min(b, a) + 1))
+
+
+def _canonical(num: dict[FlatKey, tuple[int, int]], den: int) -> "WeylElement":
+    """The element num / den: drop zero pairs and reduce to lowest terms."""
+    num = {key: pair for key, pair in num.items() if pair[0] or pair[1]}
+    g = den
+    for re_, im in num.values():
+        if g == 1:
+            break
+        g = gcd(g, re_, im)
+    if g != 1:
+        num = {key: (re_ // g, im // g) for key, (re_, im) in num.items()}
+        den //= g
+    return WeylElement._flat(num, den)
+
+
 class WeylElement:
     """Normal-ordered element of the algebra generated by q and p.
 
-    ``terms`` maps (a, b) to the CPoly coefficient of q^a p^b and never
-    stores zero coefficients, so equality is structural.  Immutable.
+    Stored flat: ``_num`` maps (a, b, k) to the integer pair (re, im) of the
+    coefficient of c^k q^a p^b, all over the shared positive denominator
+    ``_den``.  The form is canonical (no zero pairs, gcd of ``_den`` and all
+    numerators 1), so equality is structural.  ``terms`` is the same element
+    as a {(a, b): CPoly} view, built on first use and cached, so callers must
+    not mutate it.  Immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den", "_terms")
 
     def __init__(self, terms: dict[Key, CPolyLike] | None = None):
-        clean: dict[Key, CPoly] = {}
-        if terms:
-            for (a, b), v in terms.items():
-                if a < 0 or b < 0:
-                    raise ValueError("negative operator exponent")
-                cp = CPoly.of(v)
-                if cp:
-                    clean[(a, b)] = cp
-        object.__setattr__(self, "terms", clean)
+        parts: list[tuple[FlatKey, Fraction, Fraction]] = []
+        den = 1
+        for (a, b), v in (terms or {}).items():
+            if a < 0 or b < 0:
+                raise ValueError("negative operator exponent")
+            for k, g in CPoly.of(v).coeffs.items():
+                parts.append(((a, b, k), g.re, g.im))
+                den = lcm(den, g.re.denominator, g.im.denominator)
+        # over the lcm of reduced denominators the form is already canonical
+        num = {
+            key: (re_.numerator * (den // re_.denominator), im.numerator * (den // im.denominator))
+            for key, re_, im in parts
+        }
+        self._init(num, den)
+
+    def _init(self, num: dict[FlatKey, tuple[int, int]], den: int) -> None:
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_terms", None)
+
+    @staticmethod
+    def _flat(num: dict[FlatKey, tuple[int, int]], den: int) -> "WeylElement":
+        w = object.__new__(WeylElement)
+        w._init(num, den)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
+
+    @property
+    def terms(self) -> dict[Key, CPoly]:
+        """{(a, b): CPoly coefficient of q^a p^b}, without zero coefficients."""
+        if self._terms is None:
+            den = self._den
+            grouped: dict[Key, dict[int, GaussianRational]] = {}
+            for (a, b, k), (re_, im) in self._num.items():
+                grouped.setdefault((a, b), {})[k] = GaussianRational(
+                    Fraction(re_, den), Fraction(im, den)
+                )
+            object.__setattr__(
+                self, "_terms", {key: CPoly(coeffs) for key, coeffs in grouped.items()}
+            )
+        return self._terms
 
     @staticmethod
     def of(v: ElementLike) -> "WeylElement":
@@ -77,10 +144,14 @@ class WeylElement:
 
     def __add__(self, other):
         other = WeylElement.of(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, CPoly()) + v
-        return WeylElement(out)
+        d1, d2 = self._den, other._den
+        den = d1 * d2 // gcd(d1, d2)
+        s1, s2 = den // d1, den // d2
+        out = {key: (re_ * s1, im * s1) for key, (re_, im) in self._num.items()}
+        for key, (re_, im) in other._num.items():
+            r0, i0 = out.get(key, (0, 0))
+            out[key] = (r0 + re_ * s2, i0 + im * s2)
+        return _canonical(out, den)
 
     __radd__ = __add__
 
@@ -91,20 +162,29 @@ class WeylElement:
         return WeylElement.of(other) + (-self)
 
     def __neg__(self):
-        return WeylElement({k: -v for k, v in self.terms.items()})
+        return WeylElement._flat(
+            {key: (-re_, -im) for key, (re_, im) in self._num.items()}, self._den
+        )
 
     def __mul__(self, other):
         other = WeylElement.of(other)
-        out: dict[Key, CPoly] = {}
-        for (a1, b1), v1 in self.terms.items():
-            for (a2, b2), v2 in other.terms.items():
-                coeff = v1 * v2
+        weights = contraction_weights
+        right = list(other._num.items())
+        acc_re: dict[FlatKey, int] = {}
+        acc_im: dict[FlatKey, int] = {}
+        for (a1, b1, k1), (r1, i1) in self._num.items():
+            for (a2, b2, k2), (r2, i2) in right:
+                re_ = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
+                a, b, k = a1 + a2, b1 + b2, k1 + k2
                 # p^b1 q^a2 -> sum over contractions
-                for k in range(min(b1, a2) + 1):
-                    w = coeff * CPoly.c_power(k, factorial(k) * comb(b1, k) * comb(a2, k))
-                    key = (a1 + a2 - k, b1 + b2 - k)
-                    out[key] = out.get(key, CPoly()) + w
-        return WeylElement(out)
+                for j, w in enumerate(weights(b1, a2)):
+                    key = (a - j, b - j, k + j)
+                    acc_re[key] = acc_re.get(key, 0) + re_ * w
+                    if im:
+                        acc_im[key] = acc_im.get(key, 0) + im * w
+        out = {key: (re_, acc_im.get(key, 0)) for key, re_ in acc_re.items()}
+        return _canonical(out, self._den * other._den)
 
     def __rmul__(self, other):
         # scalars commute with everything, so reuse __mul__
@@ -123,13 +203,16 @@ class WeylElement:
             other = WeylElement.of(other)
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if all(key[:2] == (0, 0) for key in self._num):
+            # a scalar hashes like the CPoly (and so the number) it equals
+            return hash(self.coefficient(0, 0))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # -- structure -------------------------------------------------------
 
@@ -141,7 +224,22 @@ class WeylElement:
 
     def subst_c(self, v) -> "WeylElement":
         """Specialize the central symbol: c -> v (a ring homomorphism)."""
-        return WeylElement({k: CPoly.of(cp.subst(v)) for k, cp in self.terms.items()})
+        v = GaussianRational.of(v)
+        dv = lcm(v.re.denominator, v.im.denominator)
+        vr, vi = v.re.numerator * (dv // v.re.denominator), v.im.numerator * (dv // v.im.denominator)
+        kmax = max((k for (_, _, k) in self._num), default=0)
+        # powers[k] = (vr + vi i)^k dv^(kmax-k): v^k over the shared dv^kmax
+        powers = [(1, 0)]
+        for _ in range(kmax):
+            pr, pi = powers[-1]
+            powers.append((pr * vr - pi * vi, pr * vi + pi * vr))
+        powers = [(pr * dv ** (kmax - k), pi * dv ** (kmax - k)) for k, (pr, pi) in enumerate(powers)]
+        out: dict[FlatKey, tuple[int, int]] = {}
+        for (a, b, k), (re_, im) in self._num.items():
+            pr, pi = powers[k]
+            r0, i0 = out.get((a, b, 0), (0, 0))
+            out[(a, b, 0)] = (r0 + re_ * pr - im * pi, i0 + re_ * pi + im * pr)
+        return _canonical(out, self._den * dv**kmax)
 
     def div_c(self, k: int = 1) -> "WeylElement":
         """Exact division of every coefficient by c^k (NonDivisible if not)."""

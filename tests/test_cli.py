@@ -117,6 +117,37 @@ def test_bad_configs_exit_2(capsys, tmp_path, payload):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "bender", "--max-n", "-1"),
+        ("verify", "pain", "--max-m", "-1"),
+        ("verify", "binomial", "--max-l", "-1"),
+        ("verify", "hermite", "--dim", "0"),
+        ("tables", "--max-n", "-1"),
+    ],
+)
+def test_bad_bounds_exit_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("payload", ['{"max_n": -1}', '{"max_l": -3}', '{"dim": 0}'])
+def test_bad_config_bounds_exit_2(capsys, tmp_path, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(payload)
+    rc, out, err = run_cli(capsys, "verify", "bender", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_without_records_exits_2(capsys):
+    rc, out, err = run_cli(capsys, "verify", "combinatorics", "--max-n", "0")
+    assert rc == 2 and out == ""
+    assert "no checks" in err
+
+
 def test_missing_config_file_exits_2(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "verify", "bender", "--config", str(tmp_path / "no.json"))
     assert rc == 2 and "cannot read config" in err

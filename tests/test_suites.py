@@ -1,5 +1,6 @@
 """Identity suites: spot instances, failure paths, and the sweep runner."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -243,3 +244,14 @@ def test_reports_serialize_deterministically():
     b = reports_to_json(run_suite("figueira"))
     assert strip(a) == strip(b)
     assert strip(a)[0]["status"] == "pass"
+
+
+def test_golden_report_stream():
+    # the behavioural contract for refactors: every record of `verify all` at
+    # default bounds, elapsed_ms blanked, sorted keys, sha256
+    records = json.loads(reports_to_json(run_suite("all")))
+    for r in records:
+        r["elapsed_ms"] = None
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert len(records) == 2649
+    assert hashlib.sha256(blob).hexdigest()[:16] == "a8c5eecd178f78aa"

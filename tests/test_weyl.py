@@ -1,7 +1,7 @@
 """Normal-ordering engine for the relation pq - qp = c."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weylops import (
     CPoly,
+    GaussianRational,
     I,
     MINUS_I,
     NonTerminatingSeries,
@@ -32,13 +33,27 @@ from weylops import (
 
 C = CPoly.c_power(1)
 
-coeffs = st.builds(
-    CPoly.c_power, st.integers(0, 2), st.fractions(min_value=-50, max_value=50, max_denominator=8)
-)
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+coeffs = st.builds(CPoly, st.dictionaries(st.integers(0, 3), gaussians, max_size=3))
 elements = st.builds(
     WeylElement,
     st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=3),
 )
+
+
+def _tower_product(x: WeylElement, y: WeylElement) -> WeylElement:
+    # reference: the product computed over CPoly coefficients, one pair of
+    # (a, b) terms at a time
+    out: dict = {}
+    for (a1, b1), v1 in x.terms.items():
+        for (a2, b2), v2 in y.terms.items():
+            coeff = v1 * v2
+            for k in range(min(b1, a2) + 1):
+                w = coeff * CPoly.c_power(k, factorial(k) * comb(b1, k) * comb(a2, k))
+                key = (a1 + a2 - k, b1 + b2 - k)
+                out[key] = out.get(key, CPoly()) + w
+    return WeylElement(out)
 
 
 def _p_fact(k):
@@ -202,3 +217,45 @@ def test_subst_evaluates_products_consistently(x, y, v):
         lhs = (x * y).subst_c(value)
         rhs = (x.subst_c(value) * y.subst_c(value)).subst_c(value)
         assert lhs == rhs
+
+
+@given(elements, elements)
+def test_product_matches_the_cpoly_tower(x, y):
+    assert x * y == _tower_product(x, y)
+
+
+@given(elements)
+def test_terms_view_round_trip(w):
+    again = WeylElement(w.terms)
+    assert again == w and hash(again) == hash(w)
+
+
+@given(elements, elements)
+def test_flat_form_is_canonical(x, y):
+    for w in (x, x * y, x + y, x - y, -x, x.subst_c(MINUS_I)):
+        pairs = list(w._num.values())
+        assert all(re_ or im for re_, im in pairs)
+        assert w._den > 0
+        assert gcd(w._den, *(n for pair in pairs for n in pair)) == 1
+
+
+@given(elements, st.one_of(rationals, gaussians))
+def test_subst_c_evaluates_each_coefficient(w, v):
+    expected = WeylElement({key: cp.subst(v) for key, cp in w.terms.items()})
+    assert w.subst_c(v) == expected
+
+
+@given(st.one_of(st.integers(-50, 50), rationals, gaussians, coeffs))
+def test_equal_values_hash_alike(x):
+    # the same value as int, Fraction, GaussianRational, CPoly, RatPoly and
+    # WeylElement, wherever that type can hold it
+    cp = CPoly.of(x)
+    forms = [x, cp, scalar(x)]
+    if cp.degree() <= 0:
+        g = cp.constant_term()
+        forms += [g, g.re, RatPoly.of(g.re)] if not g.im else [g]
+    assert all(f == x for f in forms if not isinstance(f, RatPoly))
+    for u in forms:
+        for v in forms:
+            if u == v:
+                assert hash(u) == hash(v)
