@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -146,12 +147,11 @@ def main(argv: list[str] | None = None) -> int:
         _emit(_tables_body(_merged(args, cfg, "max_n", 16), fmt), args.output)
         return 0
 
-    reports = run_suite(
-        args.suite,
-        **bounds,
-        tol=_merged(args, cfg, "tol"),
-        seed=_merged(args, cfg, "seed", 0),
-    )
+    tol = _merged(args, cfg, "tol")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        print(f"error: tol must be a finite number above 0, got {tol}", file=sys.stderr)
+        return 2
+    reports = run_suite(args.suite, **bounds, tol=tol, seed=_merged(args, cfg, "seed", 0))
     if not reports:
         print(f"error: verify {args.suite} ran no checks at these bounds", file=sys.stderr)
         return 2

@@ -12,9 +12,11 @@ H-brackets of q are exact on columns l <= D-2 (H is diagonal and never
 propagates the corruption).  A product q^a p^b is exact on columns
 l <= D-1-(a+b); comparisons stay inside those safe regions.
 
-Comparisons are relative: max |actual - expected| normalized by the
-largest |expected| entry in the comparison (values grow like (2l)^n, so
-absolute thresholds are meaningless).
+Comparisons are relative and column by column: max |actual - expected|
+over a column, normalized by that column's largest |expected| entry.
+Values grow like (2l)^n, so absolute thresholds are meaningless, and a
+single scale for the whole matrix would hide errors in the low columns.
+Only the symbolic bridge keeps one scale; ``check_symbolic_bridge`` says why.
 """
 
 from __future__ import annotations
@@ -172,10 +174,10 @@ def check_main_identity_matrix(
         ) / 2.0**n
         hn = np.diag(np.diag(mats.h_mat) ** n)
         rhs = mats.q_mat @ hn + hn @ mats.q_mat
-        cols = slice(0, dim - 1)
-        err = _rel_err(lhs[:, cols], rhs[:, cols])
-        if err > tol:
-            return f"relative error {err:.3e} (tol {tol:.1e})"
+        errs = [_rel_err(lhs[:, l], rhs[:, l]) for l in range(dim - 1)]
+        worst = max(errs)
+        if worst > tol:
+            return f"worst relative error {worst:.3e} at l={errs.index(worst)} (tol {tol:.1e})"
         return ""
 
     return run_check(
@@ -201,6 +203,11 @@ def check_symbolic_bridge(
         realized = element_to_matrix(symbolic, mats)
         native = _nested_anticomm_matrix(mats, n)
         cols = slice(0, dim - margin)  # exact for both computations
+        # One scale for all columns, unlike the other checks: the realized
+        # sum cancels large terms of opposite sign, and at column 0 its
+        # rounding error relative to the column reaches 5.6e-10 at n = 8
+        # and 1.4e-8 at n = 9, so per-column comparison would fail a
+        # correct engine from n = 9 on at the default tolerance.
         err = _rel_err(realized[:, cols], native[:, cols])
         if err > tol:
             return f"relative error {err:.3e} on columns l < {dim - margin}"

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Union
 
-from .scalars import CPoly, CPolyLike
+from .scalars import CPoly, CPolyLike, GaussianRational
 from .weyl import WeylElement
 
 XPolyLike = Union[int, Fraction, CPoly, "XPoly"]
@@ -74,13 +74,16 @@ class XPoly:
         return XPoly({k: cp * v for k, cp in self.coeffs.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CPoly)):
+        if isinstance(other, (int, Fraction, GaussianRational, CPoly)):
             other = XPoly({0: other})
         if not isinstance(other, XPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.degree() <= 0:
+            # a constant hashes like the CPoly it equals
+            return hash(self.coeff(0))
         return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self):
@@ -145,8 +148,10 @@ def validate_reordering(max_exp: int = 6, max_l: int = 8) -> None:
 
     For all monomials q^a1 p^b1 and q^a2 p^b2 with exponents <= max_exp,
     the normal-ordered product must act on x^l exactly as the composition
-    of the two factors' actions.  Raises AssertionError on any mismatch;
-    this is the build-time self-test guarding every identity suite.
+    of the two factors' actions.  Raises AssertionError on any mismatch.
+    No ``verify`` selector runs it: call it directly, as the tests and the
+    ``differential_oracle.py`` demo do, to vouch for the engine that every
+    identity suite relies on.
     """
     for a1 in range(max_exp + 1):
         for b1 in range(max_exp + 1):

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
+from itertools import product
 from math import comb, factorial
+from typing import Callable, Iterable
 
 from . import oscillator
 from .report import VerificationReport, run_check
@@ -32,6 +34,7 @@ from .sequences import (
     shifted_euler,
 )
 from .weyl import (
+    ElementLike,
     NonTerminatingSeries,
     WeylElement,
     anticommutator,
@@ -68,14 +71,6 @@ __all__ = [
     "verify_reciprocal",
     "verify_superoperators",
 ]
-
-
-def _p_over_fact(k: int) -> WeylElement:
-    return monomial(0, k, Fraction(1, factorial(k)))
-
-
-def _q_over_fact(k: int) -> WeylElement:
-    return monomial(k, 0, Fraction(1, factorial(k)))
 
 
 def _diff(label: str, lhs: WeylElement, rhs: WeylElement) -> str:
@@ -193,24 +188,21 @@ def trinomial_sum(n: int, i: int, j: int) -> int:
     return sum(comb(2 * n, 2 * k) * comb(2 * k, i) * comb(2 * n - 2 * k, j) for k in range(n + 1))
 
 
-def _expected_trinomial(n: int, i: int, j: int) -> int:
-    if i == j == n:
-        return comb(2 * n, n) * (1 + (-1) ** n) // 2
-    return comb(2 * n, i) * comb(2 * n - i, j) * 2 ** (2 * n - i - j - 1)
-
-
-def _combinatorics_witness(n: int) -> str:
-    # the closed forms below need n >= 1 (the alternating sum degenerates)
-    for s in range(2 * n + 1):
+def _closed_forms_witness(n: int, ss: Iterable[int], ijs: Iterable[tuple[int, int]]) -> str:
+    # the closed forms need n >= 1 (the alternating sum degenerates)
+    for s in ss:
         expected = 2 ** (2 * n - 1) if s in (0, 2 * n) else 0
         got = b_sum(n, s)
         if got != expected:
             return f"alternating sum at s={s}: {got} != {expected}"
-    for i in range(n + 1):
-        for j in range(n + 1):
-            got = trinomial_sum(n, i, j)
-            if got != _expected_trinomial(n, i, j):
-                return f"trinomial sum at (i,j)=({i},{j}): {got} != {_expected_trinomial(n, i, j)}"
+    for i, j in ijs:
+        if i == j == n:
+            expected = comb(2 * n, n) * (1 + (-1) ** n) // 2
+        else:
+            expected = comb(2 * n, i) * comb(2 * n - i, j) * 2 ** (2 * n - i - j - 1)
+        got = trinomial_sum(n, i, j)
+        if got != expected:
+            return f"trinomial sum at (i,j)=({i},{j}): {got} != {expected}"
     return ""
 
 
@@ -226,19 +218,123 @@ def combinatorial_sums(n: int, s: int, i: int, j: int) -> VerificationReport:
             raise ValueError("need n >= 1")
         if not (0 <= s <= 2 * n and 0 <= i <= n and 0 <= j <= n):
             raise ValueError("index out of range")
-        expected = 2 ** (2 * n - 1) if s in (0, 2 * n) else 0
-        got = b_sum(n, s)
-        if got != expected:
-            return f"alternating sum at s={s}: {got} != {expected}"
-        got = trinomial_sum(n, i, j)
-        if got != _expected_trinomial(n, i, j):
-            return f"trinomial sum at (i,j)=({i},{j}): {got} != {_expected_trinomial(n, i, j)}"
-        return ""
+        return _closed_forms_witness(n, [s], [(i, j)])
 
     return run_check("combinatorics", {"n": n, "s": s, "i": i, "j": j}, check)
 
 
-# -- scaled-monomial bracket expansions --------------------------------------
+def _all_closed_forms(n: int) -> VerificationReport:
+    ijs = list(product(range(n + 1), repeat=2))
+    witness = partial(_closed_forms_witness, n, range(2 * n + 1), ijs)
+    return run_check("combinatorics", {"n": n}, witness)
+
+
+# -- weighted bracket expansions ----------------------------------------------
+#
+# Every expansion checked here is one row of a single identity in a pair of
+# polynomials f(p), g(q):
+#
+#     lhs(f, g) = lead/c [F, G] + sum_{k >= first} c^k w_k/k! op(f^(k), g^(k))
+#
+# with F, G the antiderivatives (zero constant term) and k up to
+# min(deg f, deg g).  The monomial suites are the rows at f = p^n/n!,
+# g = q^m/m!, whose derivatives are again scaled monomials.  Brackets and
+# weights are looked up by name when a record runs, so a patched module
+# global reaches every row.
+
+_Tower = Callable[[int], WeylElement]  # k -> f^(k) as an element; k = -1 gives F
+
+_OPS = {
+    "[]": lambda x, y: commutator(x, y),
+    "{}": lambda x, y: anticommutator(x, y),
+    "*": lambda x, y: x * y,
+}
+
+
+def _b(k: int) -> Fraction:
+    """B_(k+1)/(k+1), the Bernoulli factor shared by three rows."""
+    return bernoulli_number(k + 1) / (k + 1)
+
+
+# name: (lhs, op, first k, w_k, lead, witness label per suite)
+_IDENTITIES = {
+    "euler": ("[]", "{}", 1, lambda k: -euler_zero(k), 0,
+              {"pain": "commutator expansion", "functions": "commutator via Euler weights"}),
+    "bernoulli": ("{}", "[]", 1, lambda k: 2 * _b(k), 2,
+                  {"reciprocal": "antiderivative form",
+                   "functions": "anticommutator via Bernoulli weights"}),
+    # E_k(0) = -2 (2^(k+1) - 1) B_(k+1)/(k+1) turns the "euler" row into this one
+    "scaled-bernoulli": ("[]", "{}", 1, lambda k: 2 * (2 ** (k + 1) - 1) * _b(k), 0,
+                         {"reciprocal": "scaled-Bernoulli rewriting"}),
+    "series": ("[]", "*", 1, lambda k: (-1) ** (k + 1), 0,
+               {"exp-series": "commutator series", "mccoy": "derivative expansion"}),
+    "direct": ("{}", "*", 0, lambda k: 2 if k == 0 else (-1) ** k, 0,
+               {"exp-series": "anticommutator series", "functions": "direct anticommutator expansion"}),
+    "product-bernoulli": ("*", "[]", 0, lambda k: (-1) ** (k + 1) * _b(k), 1,
+                          {"functions": "product via Bernoulli weights"}),
+    "product-euler": ("*", "{}", 0, lambda k: (-1) ** k * euler_zero(k) / 2, 0,
+                      {"functions": "product via Euler weights"}),
+}
+
+
+def _weighted_sum(pairs: Iterable[tuple[ElementLike, WeylElement]]) -> WeylElement:
+    """The sum of weight * element over (weight, element) pairs."""
+    return sum((w * x for w, x in pairs), WeylElement())
+
+
+@lru_cache(maxsize=None)
+def _c_weight(k: int, w: Fraction | int) -> WeylElement:
+    """c^k w/k! as an element.  Cached by value, so a patched weight still counts."""
+    return scalar(CPoly.c_power(k, Fraction(w) / factorial(k)))
+
+
+def _expand(
+    suite: str, rows: tuple[str, ...], f_at: _Tower, g_at: _Tower, kmax: int, /, **params
+) -> VerificationReport:
+    """One record, with parameters ``params``, checking the named rows of
+    _IDENTITIES in order.
+
+    ``f_at`` and ``g_at`` are the derivative towers of f and g, and kmax is
+    min(deg f, deg g).  The towers are built inside the record, so a bad
+    argument becomes an error record, and only as far as the rows reach.
+    Each op(f^(k), g^(k)) is built once per record; [F, G] is "[]" at k = -1.
+    """
+
+    def check() -> str:
+        fk, gk = cache(f_at), cache(g_at)
+        term = cache(lambda op, k: _OPS[op](fk(k), gk(k)))
+        for name in rows:
+            lhs, op, first, weight, lead, labels = _IDENTITIES[name]
+            rhs = _weighted_sum((_c_weight(k, weight(k)), term(op, k)) for k in range(first, kmax + 1))
+            if lead:
+                rhs = rhs + lead * term("[]", -1).div_c(1)
+            witness = _diff(labels[suite], term(lhs, 0), rhs)
+            if witness:
+                return witness
+        return ""
+
+    return run_check(suite, params, check)
+
+
+def _monomials(n: int, m: int) -> tuple[_Tower, _Tower, int]:
+    """The towers of f = p^n/n! and g = q^m/m!: f^(k) = p^(n-k)/(n-k)!."""
+    return (
+        lambda k: monomial(0, n - k, Fraction(1, factorial(n - k))),
+        lambda k: monomial(m - k, 0, Fraction(1, factorial(m - k))),
+        min(n, m),
+    )
+
+
+def _functions(f: RatPoly, g: RatPoly) -> tuple[_Tower, _Tower, int]:
+    """The towers of the polynomials f(p) and g(q)."""
+
+    def at(h: RatPoly, x: WeylElement, k: int) -> WeylElement:
+        d = h.antiderivative() if k < 0 else h
+        for _ in range(k):
+            d = d.derivative()
+        return poly_of_element(d, x)
+
+    return partial(at, f, p_op()), partial(at, g, q_op()), min(f.degree(), g.degree())
 
 
 def verify_pain(n: int, m: int) -> VerificationReport:
@@ -246,16 +342,7 @@ def verify_pain(n: int, m: int) -> VerificationReport:
 
     [p^n/n!, q^m/m!] = -sum_{k>=1} c^k E_k(0)/k! {p^(n-k)/(n-k)!, q^(m-k)/(m-k)!}
     """
-
-    def check() -> str:
-        lhs = commutator(_p_over_fact(n), _q_over_fact(m))
-        rhs = WeylElement()
-        for k in range(1, min(n, m) + 1):
-            w = CPoly.c_power(k, -euler_zero(k) / factorial(k))
-            rhs = rhs + scalar(w) * anticommutator(_p_over_fact(n - k), _q_over_fact(m - k))
-        return _diff("commutator expansion", lhs, rhs)
-
-    return run_check("pain", {"n": n, "m": m}, check)
+    return _expand("pain", ("euler",), *_monomials(n, m), n=n, m=m)
 
 
 def verify_reciprocal(n: int, m: int) -> VerificationReport:
@@ -267,28 +354,7 @@ def verify_reciprocal(n: int, m: int) -> VerificationReport:
     and separately the rewriting of the commutator expansion through
     E_k(0) = -2 (2^(k+1) - 1) B_(k+1)/(k+1).
     """
-
-    def check() -> str:
-        lhs = anticommutator(_p_over_fact(n), _q_over_fact(m))
-        lead = commutator(_p_over_fact(n + 1), _q_over_fact(m + 1))
-        rhs = scalar(2) * lead.div_c(1)
-        for k in range(1, min(n, m) + 1):
-            w = CPoly.c_power(k, 2 * bernoulli_number(k + 1) / ((k + 1) * factorial(k)))
-            rhs = rhs + scalar(w) * commutator(_p_over_fact(n - k), _q_over_fact(m - k))
-        w = _diff("antiderivative form", lhs, rhs)
-        if w:
-            return w
-        comm = commutator(_p_over_fact(n), _q_over_fact(m))
-        rhs = WeylElement()
-        for k in range(1, min(n, m) + 1):
-            w2 = CPoly.c_power(
-                k,
-                2 * (2 ** (k + 1) - 1) * bernoulli_number(k + 1) / ((k + 1) * factorial(k)),
-            )
-            rhs = rhs + scalar(w2) * anticommutator(_p_over_fact(n - k), _q_over_fact(m - k))
-        return _diff("scaled-Bernoulli rewriting", comm, rhs)
-
-    return run_check("reciprocal", {"n": n, "m": m}, check)
+    return _expand("reciprocal", ("bernoulli", "scaled-bernoulli"), *_monomials(n, m), n=n, m=m)
 
 
 def verify_exp_series(n: int, m: int) -> VerificationReport:
@@ -298,55 +364,17 @@ def verify_exp_series(n: int, m: int) -> VerificationReport:
     [p^n/n!, q^m/m!] = sum_{k>=1} (-1)^(k+1) c^k/k! p^(n-k)/(n-k)! q^(m-k)/(m-k)!
     {p^n/n!, q^m/m!} = 2 p^n/n! q^m/m! + sum_{k>=1} (-1)^k c^k/k! (same products)
     """
-
-    def check() -> str:
-        pn, qm = _p_over_fact(n), _q_over_fact(m)
-        tail = []
-        for k in range(1, min(n, m) + 1):
-            w = CPoly.c_power(k, Fraction(1, factorial(k)))
-            tail.append(scalar(w) * (_p_over_fact(n - k) * _q_over_fact(m - k)))
-        rhs = WeylElement()
-        for k, t in enumerate(tail, start=1):
-            rhs = rhs + (t if k % 2 else -t)
-        w = _diff("commutator series", commutator(pn, qm), rhs)
-        if w:
-            return w
-        rhs = scalar(2) * (pn * qm)
-        for k, t in enumerate(tail, start=1):
-            rhs = rhs + (-t if k % 2 else t)
-        return _diff("anticommutator series", anticommutator(pn, qm), rhs)
-
-    return run_check("exp-series", {"n": n, "m": m}, check)
+    return _expand("exp-series", ("series", "direct"), *_monomials(n, m), n=n, m=m)
 
 
 # -- polynomial-function expansions ------------------------------------------
-
-
-def _derivative_tower(f: RatPoly) -> list[RatPoly]:
-    tower = [f]
-    while tower[-1]:
-        tower.append(tower[-1].derivative())
-    return tower  # last entry is the zero polynomial
 
 
 def verify_mccoy(
     f: RatPoly, g: RatPoly, tag: dict | None = None
 ) -> VerificationReport:
     """[f(p), g(q)] = -sum_{k>=1} (-c)^k/k! f^(k)(p) g^(k)(q)."""
-
-    def check() -> str:
-        lhs = commutator(poly_of_element(f, p_op()), poly_of_element(g, q_op()))
-        rhs = WeylElement()
-        fk, gk = f.derivative(), g.derivative()
-        k = 1
-        while fk and gk:
-            w = CPoly.c_power(k, Fraction((-1) ** (k + 1), factorial(k)))
-            rhs = rhs + scalar(w) * poly_of_element(fk, p_op()) * poly_of_element(gk, q_op())
-            fk, gk = fk.derivative(), gk.derivative()
-            k += 1
-        return _diff("derivative expansion", lhs, rhs)
-
-    return run_check("mccoy", {"f": str(f), "g": str(g), **(tag or {})}, check)
+    return _expand("mccoy", ("series",), *_functions(f, g), f=str(f), g=str(g), **(tag or {}))
 
 
 def verify_function_identities(
@@ -363,58 +391,8 @@ def verify_function_identities(
       f g    = 1/c [F,G] - sum_{k>=0} B_(k+1)/(k+1) (-c)^k/k! [f^(k), g^(k)]
       f g    = 1/2 sum_{k>=0} E_k(0) (-c)^k/k! {f^(k), g^(k)}
     """
-
-    def check() -> str:
-        p, q = p_op(), q_op()
-        df, dg = _derivative_tower(f), _derivative_tower(g)
-        kmax = min(len(df), len(dg)) - 2
-        fk = [poly_of_element(v, p) for v in df]
-        gk = [poly_of_element(v, q) for v in dg]
-        comm, anti, prod = commutator(fk[0], gk[0]), anticommutator(fk[0], gk[0]), fk[0] * gk[0]
-        big_f = poly_of_element(f.antiderivative(), p)
-        big_g = poly_of_element(g.antiderivative(), q)
-
-        rhs = WeylElement()
-        for k in range(1, kmax + 1):
-            w = CPoly.c_power(k, -euler_zero(k) / factorial(k))
-            rhs = rhs + scalar(w) * anticommutator(fk[k], gk[k])
-        witness = _diff("commutator via Euler weights", comm, rhs)
-        if witness:
-            return witness
-
-        rhs = scalar(2) * commutator(big_f, big_g).div_c(1)
-        for k in range(1, kmax + 1):
-            w = CPoly.c_power(k, 2 * bernoulli_number(k + 1) / ((k + 1) * factorial(k)))
-            rhs = rhs + scalar(w) * commutator(fk[k], gk[k])
-        witness = _diff("anticommutator via Bernoulli weights", anti, rhs)
-        if witness:
-            return witness
-
-        rhs = scalar(2) * prod
-        for k in range(1, kmax + 1):
-            w = CPoly.c_power(k, Fraction((-1) ** k, factorial(k)))
-            rhs = rhs + scalar(w) * (fk[k] * gk[k])
-        witness = _diff("direct anticommutator expansion", anti, rhs)
-        if witness:
-            return witness
-
-        rhs = commutator(big_f, big_g).div_c(1)
-        for k in range(kmax + 1):
-            w = CPoly.c_power(
-                k, bernoulli_number(k + 1) / (k + 1) * Fraction((-1) ** (k + 1), factorial(k))
-            )
-            rhs = rhs + scalar(w) * commutator(fk[k], gk[k])
-        witness = _diff("product via Bernoulli weights", prod, rhs)
-        if witness:
-            return witness
-
-        rhs = WeylElement()
-        for k in range(kmax + 1):
-            w = CPoly.c_power(k, euler_zero(k) / 2 * Fraction((-1) ** k, factorial(k)))
-            rhs = rhs + scalar(w) * anticommutator(fk[k], gk[k])
-        return _diff("product via Euler weights", prod, rhs)
-
-    return run_check("functions", {"f": str(f), "g": str(g), **(tag or {})}, check)
+    rows = ("euler", "bernoulli", "direct", "product-bernoulli", "product-euler")
+    return _expand("functions", rows, *_functions(f, g), f=str(f), g=str(g), **(tag or {}))
 
 
 def random_poly_pair(rng: random.Random, max_degree: int = 4) -> tuple[RatPoly, RatPoly]:
@@ -508,13 +486,8 @@ def verify_figueira(h0: WeylElement, x: WeylElement) -> VerificationReport:
 
     def check() -> str:
         tower = _bracket_tower(x, h0)
-        h1 = WeylElement()
-        for n in range(1, len(tower)):
-            h1 = h1 + scalar(kappa(n) / factorial(n)) * tower[n]
-        h1 = scalar(I) * h1
-        alt = h0
-        for n in range(len(tower)):
-            alt = alt - scalar(euler_zero(n) / factorial(n)) * tower[n]
+        h1 = scalar(I) * _weighted_sum((kappa(n) / factorial(n), t) for n, t in enumerate(tower))
+        alt = h0 - _weighted_sum((euler_zero(n) / factorial(n), t) for n, t in enumerate(tower))
         witness = _diff("two correction-term constructions", h1, scalar(I) * alt)
         if witness:
             return witness
@@ -524,9 +497,7 @@ def verify_figueira(h0: WeylElement, x: WeylElement) -> VerificationReport:
         if witness:
             return witness
         direct = hadamard_conjugate(x, h0 + scalar(I) * h1, t=Fraction(1, 2))
-        umbral = WeylElement()
-        for n in range(len(tower)):
-            umbral = umbral + scalar(euler_at_half(n) / factorial(n)) * tower[n]
+        umbral = _weighted_sum((euler_at_half(n) / factorial(n), t) for n, t in enumerate(tower))
         return _diff("half-step conjugate vs umbral sum", direct, umbral)
 
     return run_check("figueira", {"h0": str(h0), "x": str(x)}, check)
@@ -600,10 +571,10 @@ def extract_convolution_coefficients(kmax: int) -> list[Fraction]:
     """
     vs = [Fraction(1)]
     for k in range(1, kmax + 1):
-        residual = commutator(_p_over_fact(k), _q_over_fact(k))
-        for j in range(1, k):
-            w = CPoly.c_power(j, vs[j] / factorial(j))
-            residual = residual - scalar(w) * anticommutator(_p_over_fact(k - j), _q_over_fact(k - j))
+        f_at, g_at, _ = _monomials(k, k)
+        residual = commutator(f_at(0), g_at(0)) - _weighted_sum(
+            (_c_weight(j, vs[j]), anticommutator(f_at(j), g_at(j))) for j in range(1, k)
+        )
         if residual.support() not in ([], [(0, 0)]):
             raise ArithmeticError(f"residual at order {k} is not scalar: {residual}")
         g = residual.coefficient(0, 0).div_c(k).constant_term()
@@ -613,25 +584,53 @@ def extract_convolution_coefficients(kmax: int) -> list[Fraction]:
 
 # -- sweep runner ---------------------------------------------------------------
 
-SELECTORS = (
-    "bender",
-    "superoperators",
-    "combinatorics",
-    "pain",
-    "reciprocal",
-    "mccoy",
-    "functions",
-    "binomial",
-    "figueira",
-    "sequences",
-    "hermite",
-)
-
 _RANDOM_CASES = 12
 
 
-def _pick(value, default):
-    return default if value is None else value
+def _grid(verify: Callable, *bounds: int) -> list[VerificationReport]:
+    """verify(i, j, ...) for every 0 <= i <= bounds[0], 0 <= j <= bounds[1], ..."""
+    return [verify(*args) for args in product(*(range(b + 1) for b in bounds))]
+
+
+def _random_cases(verify: Callable, seed: int, cases: int) -> list[VerificationReport]:
+    rng = random.Random(seed)
+    return [verify(*random_poly_pair(rng), tag={"case": idx, "seed": seed}) for idx in range(cases)]
+
+
+# selector -> its sweep.  A sweep is called with the bounds run_suite was given
+# (unset ones left out, so its own defaults apply) and ignores the others.
+_SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
+    "bender": lambda max_n=12, **_: _grid(verify_bender, max_n),
+    "superoperators": lambda max_n=8, **_: [verify_superoperators(max_n)],
+    "combinatorics": lambda max_n=8, **_: [_all_closed_forms(n) for n in range(1, max_n + 1)],
+    "pain": lambda max_n=10, max_m=10, **_: _grid(verify_pain, max_n, max_m),
+    "reciprocal": lambda max_n=10, max_m=10, **_: _grid(verify_reciprocal, max_n, max_m),
+    "mccoy": lambda max_n=10, max_m=10, seed=0, cases=_RANDOM_CASES, **_: (
+        _grid(verify_exp_series, max_n, max_m) + _random_cases(verify_mccoy, seed, cases)
+    ),
+    "functions": lambda seed=0, cases=_RANDOM_CASES, **_: [
+        verify_function_identities(RatPoly.of(1), RatPoly.x(), tag={"case": "fixed-0"}),
+        verify_function_identities(RatPoly.x(), RatPoly.x(), tag={"case": "fixed-1"}),
+        *_random_cases(verify_function_identities, seed, cases),
+    ],
+    "binomial": lambda max_n=12, max_m=12, max_l=12, **_: (
+        _grid(verify_binomial, max_m, max_n, max_l)
+    ),
+    "figueira": lambda **_: [verify_figueira(h0, x) for h0, x in standard_conjugation_fixtures()],
+    "sequences": lambda max_n=16, **_: [sequence_tables(max_n)],
+    "hermite": lambda max_n=8, dim=oscillator.DEFAULT_DIM, tol=oscillator.DEFAULT_TOL, **_: [
+        check(n, dim, tol)
+        for n in range(max_n + 1)
+        for check in (
+            oscillator.check_nested_anticomm_closed_form,
+            oscillator.check_shifted_expansions,
+            oscillator.check_main_identity_matrix,
+            oscillator.check_symbolic_bridge,
+        )
+    ],
+}
+
+SELECTORS = tuple(_SWEEPS)
 
 
 def run_suite(
@@ -650,68 +649,9 @@ def run_suite(
     Every unset bound falls back to the suite's default; ``seed`` and
     ``cases`` only affect the suites that draw random polynomial instances.
     """
+    bounds = dict(max_n=max_n, max_m=max_m, max_l=max_l, tol=tol, dim=dim, seed=seed, cases=cases)
     if name == "all":
-        out: list[VerificationReport] = []
-        for s in SELECTORS:
-            out.extend(
-                run_suite(s, max_n=max_n, max_m=max_m, max_l=max_l, tol=tol, dim=dim, seed=seed, cases=cases)
-            )
-        return out
-    if name not in SELECTORS:
+        return [r for s in SELECTORS for r in run_suite(s, **bounds)]
+    if name not in _SWEEPS:
         raise ValueError(f"unknown suite: {name!r}")
-
-    reports: list[VerificationReport] = []
-    if name == "bender":
-        for n in range(_pick(max_n, 12) + 1):
-            reports.append(verify_bender(n))
-    elif name == "superoperators":
-        reports.append(verify_superoperators(_pick(max_n, 8)))
-    elif name == "combinatorics":
-        for n in range(1, _pick(max_n, 8) + 1):
-            reports.append(run_check("combinatorics", {"n": n}, partial(_combinatorics_witness, n)))
-    elif name == "pain":
-        for n in range(_pick(max_n, 10) + 1):
-            for m in range(_pick(max_m, 10) + 1):
-                reports.append(verify_pain(n, m))
-    elif name == "reciprocal":
-        for n in range(_pick(max_n, 10) + 1):
-            for m in range(_pick(max_m, 10) + 1):
-                reports.append(verify_reciprocal(n, m))
-    elif name == "mccoy":
-        for n in range(_pick(max_n, 10) + 1):
-            for m in range(_pick(max_m, 10) + 1):
-                reports.append(verify_exp_series(n, m))
-        rng = random.Random(seed)
-        for idx in range(_pick(cases, _RANDOM_CASES)):
-            f, g = random_poly_pair(rng)
-            reports.append(verify_mccoy(f, g, tag={"case": idx, "seed": seed}))
-    elif name == "functions":
-        fixed = [
-            (RatPoly.of(1), RatPoly.x()),
-            (RatPoly.x(), RatPoly.x()),
-        ]
-        for idx, (f, g) in enumerate(fixed):
-            reports.append(verify_function_identities(f, g, tag={"case": f"fixed-{idx}"}))
-        rng = random.Random(seed)
-        for idx in range(_pick(cases, _RANDOM_CASES)):
-            f, g = random_poly_pair(rng)
-            reports.append(verify_function_identities(f, g, tag={"case": idx, "seed": seed}))
-    elif name == "binomial":
-        for m in range(_pick(max_m, 12) + 1):
-            for n in range(_pick(max_n, 12) + 1):
-                for l in range(_pick(max_l, 12) + 1):
-                    reports.append(verify_binomial(m, n, l))
-    elif name == "figueira":
-        for h0, x in standard_conjugation_fixtures():
-            reports.append(verify_figueira(h0, x))
-    elif name == "sequences":
-        reports.append(sequence_tables(_pick(max_n, 16)))
-    elif name == "hermite":
-        d = _pick(dim, oscillator.DEFAULT_DIM)
-        t = _pick(tol, oscillator.DEFAULT_TOL)
-        for n in range(_pick(max_n, 8) + 1):
-            reports.append(oscillator.check_nested_anticomm_closed_form(n, d, t))
-            reports.append(oscillator.check_shifted_expansions(n, d, t))
-            reports.append(oscillator.check_main_identity_matrix(n, d, t))
-            reports.append(oscillator.check_symbolic_bridge(n, d, t))
-    return reports
+    return _SWEEPS[name](**{k: v for k, v in bounds.items() if v is not None})

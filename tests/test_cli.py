@@ -125,6 +125,10 @@ def test_bad_configs_exit_2(capsys, tmp_path, payload):
         ("verify", "binomial", "--max-l", "-1"),
         ("verify", "hermite", "--dim", "0"),
         ("tables", "--max-n", "-1"),
+        ("verify", "hermite", "--tol", "nan"),
+        ("verify", "hermite", "--tol", "inf"),
+        ("verify", "hermite", "--tol", "0"),
+        ("verify", "hermite", "--tol", "-0.001"),
     ],
 )
 def test_bad_bounds_exit_2(capsys, argv):
@@ -133,7 +137,18 @@ def test_bad_bounds_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("payload", ['{"max_n": -1}', '{"max_l": -3}', '{"dim": 0}'])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"max_n": -1}',
+        '{"max_l": -3}',
+        '{"dim": 0}',
+        '{"tol": NaN}',
+        '{"tol": Infinity}',
+        '{"tol": 0}',
+        '{"tol": -1e-9}',
+    ],
+)
 def test_bad_config_bounds_exit_2(capsys, tmp_path, payload):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(payload)

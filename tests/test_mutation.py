@@ -11,11 +11,14 @@ identities are built by the engine alone and flip together.  Of the suites
 run here only pain and reciprocal catch it: their right-hand sides carry
 explicit powers of c, weighted by Euler and Bernoulli numbers, which do not
 flip.
+
+The matrix oracle gets the same treatment: a ladder whose H is 1% off in a
+single low entry must turn the main identity FAIL.
 """
 
 import pytest
 
-from weylops import weyl
+from weylops import oscillator, weyl
 from weylops.suites import run_suite
 
 TRUE_WEIGHTS = weyl.contraction_weights
@@ -48,3 +51,19 @@ def test_wrong_rule_fails_some_record(monkeypatch, variant):
         assert failing == {"pain", "reciprocal"}
     else:
         assert "bender" in failing
+
+
+def test_perturbed_ladder_fails_the_matrix_oracle(monkeypatch):
+    true_build = oscillator.build_operators
+
+    def perturbed(dim):
+        mats = true_build(dim)
+        h = mats.h_mat.copy()
+        h[1, 1] *= 1.01
+        return oscillator.OscillatorMatrices(dim, mats.q_mat, mats.p_mat, h)
+
+    assert oscillator.check_main_identity_matrix(8, 64).ok
+    monkeypatch.setattr(oscillator, "build_operators", perturbed)
+    report = oscillator.check_main_identity_matrix(8, 64)
+    assert report.status == "fail"
+    assert "at l=0" in report.witness

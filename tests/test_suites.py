@@ -218,13 +218,21 @@ def test_random_sweeps_are_reproducible():
     assert [r.params for r in a] == [r.params for r in b]
 
 
-def test_failing_check_is_reported_not_raised(monkeypatch):
+@pytest.mark.parametrize(
+    "weight, selectors",
+    [("euler_zero", ("pain", "functions")), ("bernoulli_number", ("reciprocal", "functions"))],
+    ids=["euler_zero", "bernoulli_number"],
+)
+def test_failing_check_is_reported_not_raised(monkeypatch, weight, selectors):
+    # a wrong weight source must fail the rows that read it, which holds only
+    # while the identity rows look their weights up when a record runs
     import weylops.suites as suites_mod
 
-    monkeypatch.setattr(suites_mod, "euler_zero", lambda k: Fraction(1, 7))
-    report = verify_pain(2, 2)
-    assert report.status == "fail"
-    assert "lhs - rhs" in report.witness
+    monkeypatch.setattr(suites_mod, weight, lambda k: Fraction(1, 7))
+    for name in selectors:
+        failed = [r for r in run_suite(name, max_n=2, max_m=2, cases=2) if not r.ok]
+        assert failed, name
+        assert all(r.status == "fail" and "lhs - rhs" in r.witness for r in failed)
 
 
 def test_error_check_is_reported_not_raised():

@@ -15,6 +15,7 @@ from weylops import (
     NonTerminatingSeries,
     RatPoly,
     WeylElement,
+    XPoly,
     anticommutator,
     commutator,
     hadamard_conjugate,
@@ -247,10 +248,10 @@ def test_subst_c_evaluates_each_coefficient(w, v):
 
 @given(st.one_of(st.integers(-50, 50), rationals, gaussians, coeffs))
 def test_equal_values_hash_alike(x):
-    # the same value as int, Fraction, GaussianRational, CPoly, RatPoly and
-    # WeylElement, wherever that type can hold it
+    # the same value as int, Fraction, GaussianRational, CPoly, RatPoly,
+    # WeylElement and XPoly, wherever that type can hold it
     cp = CPoly.of(x)
-    forms = [x, cp, scalar(x)]
+    forms = [x, cp, scalar(x), XPoly({0: x})]
     if cp.degree() <= 0:
         g = cp.constant_term()
         forms += [g, g.re, RatPoly.of(g.re)] if not g.im else [g]
