@@ -6,6 +6,11 @@ monomials.  That makes it an independent oracle for the symbolic engine --
 the reordering rule used by WeylElement multiplication is validated against
 composition of these actions (``validate_reordering``).
 
+XPoly is stored flat, as WeylElement is: integer numerators over one shared
+denominator.  ``apply_element`` reads both operands' numerators and uses
+integer falling factorials, so the action builds no Fraction and calls
+nothing of the engine's product (``contraction_weights``, ``__mul__``).
+
 Monomial closed forms (l >= n, with C(n,k) = 0 for k > n):
 
     [p^n/n!, q^m/m!] x^l = (c^n/m!) (C(m+l,n) - C(l,n)) x^(l-n+m)
@@ -15,10 +20,10 @@ Monomial closed forms (l >= n, with C(n,k) = 0 for k > n):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Union
 
-from .scalars import CPoly, CPolyLike, GaussianRational
+from .scalars import CPoly, CPolyLike, FlatTerms, GaussianRational
 from .weyl import WeylElement
 
 XPolyLike = Union[int, Fraction, CPoly, "XPoly"]
@@ -28,46 +33,38 @@ class PreconditionViolation(ValueError):
     """A closed form was requested outside its stated domain."""
 
 
-class XPoly:
-    """Polynomial in x with CPoly coefficients (the realization's carrier)."""
+class XPoly(FlatTerms):
+    """Polynomial in x with CPoly coefficients (the realization's carrier).
 
-    __slots__ = ("coeffs",)
+    Stored flat (see FlatTerms) under keys (deg, k) for c^k x^deg; ``coeffs``
+    is the {deg: CPoly} view, built on first use and cached.  Immutable.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs: dict[int, CPolyLike] | None = None):
-        clean: dict[int, CPoly] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if k < 0:
-                    raise ValueError("negative degree")
-                cp = CPoly.of(v)
-                if cp:
-                    clean[k] = cp
-        object.__setattr__(self, "coeffs", clean)
+        super().__init__({(k,): v for k, v in (coeffs or {}).items()})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("XPoly is immutable")
+    @property
+    def coeffs(self) -> dict[int, CPoly]:
+        """{deg: CPoly coefficient of x^deg}, without zero coefficients."""
+        return self._cpolys()
 
     @staticmethod
     def monomial(l: int, coeff: CPolyLike = 1) -> "XPoly":
         return XPoly({l: coeff})
 
+    @staticmethod
+    def of(v: XPolyLike) -> "XPoly":
+        return v if isinstance(v, XPoly) else XPoly({0: v})
+
     def __add__(self, other):
-        if not isinstance(other, XPoly):
-            other = XPoly({0: other})
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, CPoly()) + v
-        return XPoly(out)
+        return self._add(XPoly.of(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, XPoly):
-            other = XPoly({0: other})
-        return self + XPoly({k: -v for k, v in other.coeffs.items()})
-
-    def __neg__(self):
-        return XPoly({k: -v for k, v in self.coeffs.items()})
+        return self + (-XPoly.of(other))
 
     def scale(self, v: CPolyLike) -> "XPoly":
         v = CPoly.of(v)
@@ -75,35 +72,25 @@ class XPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, CPoly)):
-            other = XPoly({0: other})
+            other = XPoly.of(other)
         if not isinstance(other, XPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self.degree() <= 0:
             # a constant hashes like the CPoly it equals
             return hash(self.coeff(0))
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        return hash((self._den, frozenset(self._num.items())))
 
     def degree(self) -> int:
-        return max(self.coeffs, default=-1)
+        return max((deg for deg, _ in self._num), default=-1)
 
     def coeff(self, k: int) -> CPoly:
         return self.coeffs.get(k, CPoly())
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            mono = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            coeff = f"({self.coeffs[k]})"
-            parts.append(f"{coeff} * {mono}" if mono else coeff)
-        return " + ".join(parts)
+        return self._render(lambda k: "" if k == 0 else ("x" if k == 1 else f"x^{k}"))
 
     def __repr__(self):
         return f"<XPoly {self}>"
@@ -111,16 +98,17 @@ class XPoly:
 
 def apply_element(w: WeylElement, f: XPoly) -> XPoly:
     """Act with a normal-ordered element:  q^a p^b x^l = c^b l!/(l-b)! x^(l-b+a)."""
-    out: dict[int, CPoly] = {}
-    for (a, b), wcoeff in w.terms.items():
-        for l, fcoeff in f.coeffs.items():
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    right = list(f._num.items())
+    for (a, b, k1), (r1, i1) in w._num.items():
+        for (l, k2), (r2, i2) in right:
             if l < b:
                 continue  # derivative of order b kills x^l
-            k = l - b + a
-            falling = factorial(l) // factorial(l - b)
-            contribution = wcoeff * fcoeff * CPoly.c_power(b, falling)
-            out[k] = out.get(k, CPoly()) + contribution
-    return XPoly(out)
+            falling = perm(l, b)  # l!/(l-b)!
+            key = (l - b + a, k1 + k2 + b)
+            r0, i0 = out.get(key, (0, 0))
+            out[key] = (r0 + (r1 * r2 - i1 * i2) * falling, i0 + (r1 * i2 + i1 * r2) * falling)
+    return XPoly._canonical(out, w._den * f._den)
 
 
 def monomial_commutator_action(n: int, m: int, l: int) -> tuple[CPoly, int]:
@@ -153,18 +141,14 @@ def validate_reordering(max_exp: int = 6, max_l: int = 8) -> None:
     ``differential_oracle.py`` demo do, to vouch for the engine that every
     identity suite relies on.
     """
-    for a1 in range(max_exp + 1):
-        for b1 in range(max_exp + 1):
-            w1 = WeylElement({(a1, b1): 1})
-            for a2 in range(max_exp + 1):
-                for b2 in range(max_exp + 1):
-                    w2 = WeylElement({(a2, b2): 1})
-                    prod = w1 * w2
-                    for l in (0, 1, max_l):
-                        f = XPoly.monomial(l)
-                        direct = apply_element(prod, f)
-                        composed = apply_element(w1, apply_element(w2, f))
-                        if direct != composed:
-                            raise AssertionError(
-                                f"reordering mismatch at q^{a1}p^{b1} * q^{a2}p^{b2} on x^{l}"
-                            )
+    exps = [(a, b) for a in range(max_exp + 1) for b in range(max_exp + 1)]
+    ops = {e: WeylElement({e: 1}) for e in exps}
+    xs = {l: XPoly.monomial(l) for l in (0, 1, max_l)}
+    for (a1, b1), w1 in ops.items():
+        for (a2, b2), w2 in ops.items():
+            prod = w1 * w2
+            for l, f in xs.items():
+                if apply_element(prod, f) != apply_element(w1, apply_element(w2, f)):
+                    raise AssertionError(
+                        f"reordering mismatch at q^{a1}p^{b1} * q^{a2}p^{b2} on x^{l}"
+                    )

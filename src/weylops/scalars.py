@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Union
 
 Rational = Fraction
@@ -331,3 +333,100 @@ def parse_cpoly(text: str) -> CPoly:
             k = 1 if mono == "c" else int(mono.split("^")[1])
         out[k] = out.get(k, ZERO) + coeff
     return CPoly(out)
+
+
+class FlatTerms:
+    """A map {key: CPoly} stored flat, as FLINT's fmpq_poly stores a
+    rational polynomial.
+
+    ``_num`` maps (*key, k) to the integer pair (re, im) of the coefficient
+    of c^k, all over one positive denominator ``_den``.  The form is
+    canonical (no zero pairs, gcd of ``_den`` and all numerators 1), so
+    equality is structural, and arithmetic runs on plain integers with one
+    gcd at the end.  ``_cpolys()`` is the {head: CPoly} view, built on first
+    use and cached, so callers must not mutate it.  Immutable; WeylElement
+    and XPoly store their coefficients this way.
+    """
+
+    __slots__ = ("_num", "_den", "_view")
+    _head = itemgetter(0)  # the view's key for a flat key
+
+    def __init__(self, terms: dict[tuple, CPolyLike] | None = None):
+        parts = []
+        den = 1
+        for key, v in (terms or {}).items():
+            if min(key) < 0:
+                raise ValueError(f"negative exponent in {key}")
+            for k, g in CPoly.of(v).coeffs.items():
+                parts.append(((*key, k), g.re, g.im))
+                den = lcm(den, g.re.denominator, g.im.denominator)
+        # over the lcm of reduced denominators the form is already canonical
+        num = {
+            key: (re_.numerator * (den // re_.denominator), im.numerator * (den // im.denominator))
+            for key, re_, im in parts
+        }
+        self._init(num, den)
+
+    def _init(self, num: dict[tuple, tuple[int, int]], den: int) -> None:
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_view", None)
+
+    @classmethod
+    def _flat(cls, num: dict[tuple, tuple[int, int]], den: int):
+        x = object.__new__(cls)
+        x._init(num, den)
+        return x
+
+    @classmethod
+    def _canonical(cls, num: dict[tuple, tuple[int, int]], den: int):
+        """num / den without zero pairs, in lowest terms."""
+        num = {key: pair for key, pair in num.items() if pair[0] or pair[1]}
+        g = den
+        for re_, im in num.values():
+            if g == 1:
+                break
+            g = gcd(g, re_, im)
+        if g != 1:
+            num = {key: (re_ // g, im // g) for key, (re_, im) in num.items()}
+            den //= g
+        return cls._flat(num, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _add(self, other):
+        d1, d2 = self._den, other._den
+        den = lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        out = {key: (re_ * s1, im * s1) for key, (re_, im) in self._num.items()}
+        for key, (re_, im) in other._num.items():
+            r0, i0 = out.get(key, (0, 0))
+            out[key] = (r0 + re_ * s2, i0 + im * s2)
+        return self._canonical(out, den)
+
+    def __neg__(self):
+        return self._flat({key: (-re_, -im) for key, (re_, im) in self._num.items()}, self._den)
+
+    def __bool__(self):
+        return bool(self._num)
+
+    def _cpolys(self) -> dict:
+        if self._view is None:
+            den, head = self._den, self._head
+            grouped: dict = {}
+            for key, (re_, im) in self._num.items():
+                grouped.setdefault(head(key), {})[key[-1]] = GaussianRational(
+                    Fraction(re_, den), Fraction(im, den)
+                )
+            object.__setattr__(self, "_view", {h: CPoly(c) for h, c in grouped.items()})
+        return self._view
+
+    def _render(self, mono) -> str:
+        """The view's "(coeff) * mono" terms in key order, joined by " + "."""
+        view = self._cpolys()
+        parts = []
+        for key in sorted(view):
+            m = mono(key)
+            parts.append(f"({view[key]}) * {m}" if m else f"({view[key]})")
+        return " + ".join(parts) or "0"

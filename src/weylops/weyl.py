@@ -10,16 +10,16 @@ with the single rewrite rule
 which follows from p q = q p + c by induction (``contraction_weights``
 holds the weights).
 
-An element is stored flat, the way FLINT's fmpq_poly stores a rational
-polynomial: one map (a, b, k) -> (re, im) of integer numerators of the
-coefficient of c^k q^a p^b, over one positive denominator shared by the
-whole element.  Products, sums and ``subst_c`` run on plain integers and
-reduce by a single gcd at the end, so no Fraction is built on the hot path.
-``terms`` gives the same element as a {(a, b): CPoly} view, built on first
-use, for rendering and for the realizations.  Since c stays formal, an
-identity established here holds for every numeric value of c at once;
-``subst_c`` specializes when a statement is only true at a particular value
-(the harmonic-oscillator conventions use c = -i, where q p - p q = i).
+An element is stored flat (``scalars.FlatTerms``), the way FLINT's fmpq_poly
+stores a rational polynomial: integer numerators of the coefficients of
+c^k q^a p^b over one positive denominator shared by the whole element.
+Products, sums and ``subst_c`` run on plain integers and reduce by a single
+gcd at the end, so no Fraction is built on the hot path; ``terms`` is the
+{(a, b): CPoly} view that rendering and the realizations read.  Since c
+stays formal, an identity established here holds for every numeric value of
+c at once; ``subst_c`` specializes when a statement is only true at a
+particular value (the harmonic-oscillator conventions use c = -i, where
+q p - p q = i).
 
 Bracket conventions:
 
@@ -39,10 +39,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
+from operator import itemgetter
 from typing import Iterable, Union
 
-from .scalars import CPoly, CPolyLike, GaussianRational, NonDivisible, parse_cpoly
+from .scalars import CPoly, CPolyLike, FlatTerms, GaussianRational, NonDivisible, parse_cpoly
 from .sequences import RatPoly
 
 Key = tuple[int, int]  # (a, b) <-> q^a p^b
@@ -62,77 +63,21 @@ def contraction_weights(b: int, a: int) -> tuple[int, ...]:
     return tuple(factorial(k) * comb(b, k) * comb(a, k) for k in range(min(b, a) + 1))
 
 
-def _canonical(num: dict[FlatKey, tuple[int, int]], den: int) -> "WeylElement":
-    """The element num / den: drop zero pairs and reduce to lowest terms."""
-    num = {key: pair for key, pair in num.items() if pair[0] or pair[1]}
-    g = den
-    for re_, im in num.values():
-        if g == 1:
-            break
-        g = gcd(g, re_, im)
-    if g != 1:
-        num = {key: (re_ // g, im // g) for key, (re_, im) in num.items()}
-        den //= g
-    return WeylElement._flat(num, den)
-
-
-class WeylElement:
+class WeylElement(FlatTerms):
     """Normal-ordered element of the algebra generated by q and p.
 
-    Stored flat: ``_num`` maps (a, b, k) to the integer pair (re, im) of the
-    coefficient of c^k q^a p^b, all over the shared positive denominator
-    ``_den``.  The form is canonical (no zero pairs, gcd of ``_den`` and all
-    numerators 1), so equality is structural.  ``terms`` is the same element
-    as a {(a, b): CPoly} view, built on first use and cached, so callers must
-    not mutate it.  Immutable.
+    Stored flat (see FlatTerms) under keys (a, b, k) for c^k q^a p^b;
+    ``terms`` is the {(a, b): CPoly} view, built on first use and cached, so
+    callers must not mutate it.  Immutable.
     """
 
-    __slots__ = ("_num", "_den", "_terms")
-
-    def __init__(self, terms: dict[Key, CPolyLike] | None = None):
-        parts: list[tuple[FlatKey, Fraction, Fraction]] = []
-        den = 1
-        for (a, b), v in (terms or {}).items():
-            if a < 0 or b < 0:
-                raise ValueError("negative operator exponent")
-            for k, g in CPoly.of(v).coeffs.items():
-                parts.append(((a, b, k), g.re, g.im))
-                den = lcm(den, g.re.denominator, g.im.denominator)
-        # over the lcm of reduced denominators the form is already canonical
-        num = {
-            key: (re_.numerator * (den // re_.denominator), im.numerator * (den // im.denominator))
-            for key, re_, im in parts
-        }
-        self._init(num, den)
-
-    def _init(self, num: dict[FlatKey, tuple[int, int]], den: int) -> None:
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_terms", None)
-
-    @staticmethod
-    def _flat(num: dict[FlatKey, tuple[int, int]], den: int) -> "WeylElement":
-        w = object.__new__(WeylElement)
-        w._init(num, den)
-        return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
+    __slots__ = ()
+    _head = itemgetter(0, 1)
 
     @property
     def terms(self) -> dict[Key, CPoly]:
         """{(a, b): CPoly coefficient of q^a p^b}, without zero coefficients."""
-        if self._terms is None:
-            den = self._den
-            grouped: dict[Key, dict[int, GaussianRational]] = {}
-            for (a, b, k), (re_, im) in self._num.items():
-                grouped.setdefault((a, b), {})[k] = GaussianRational(
-                    Fraction(re_, den), Fraction(im, den)
-                )
-            object.__setattr__(
-                self, "_terms", {key: CPoly(coeffs) for key, coeffs in grouped.items()}
-            )
-        return self._terms
+        return self._cpolys()
 
     @staticmethod
     def of(v: ElementLike) -> "WeylElement":
@@ -143,15 +88,7 @@ class WeylElement:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = WeylElement.of(other)
-        d1, d2 = self._den, other._den
-        den = d1 * d2 // gcd(d1, d2)
-        s1, s2 = den // d1, den // d2
-        out = {key: (re_ * s1, im * s1) for key, (re_, im) in self._num.items()}
-        for key, (re_, im) in other._num.items():
-            r0, i0 = out.get(key, (0, 0))
-            out[key] = (r0 + re_ * s2, i0 + im * s2)
-        return _canonical(out, den)
+        return self._add(WeylElement.of(other))
 
     __radd__ = __add__
 
@@ -160,11 +97,6 @@ class WeylElement:
 
     def __rsub__(self, other):
         return WeylElement.of(other) + (-self)
-
-    def __neg__(self):
-        return WeylElement._flat(
-            {key: (-re_, -im) for key, (re_, im) in self._num.items()}, self._den
-        )
 
     def __mul__(self, other):
         other = WeylElement.of(other)
@@ -184,7 +116,7 @@ class WeylElement:
                     if im:
                         acc_im[key] = acc_im.get(key, 0) + im * w
         out = {key: (re_, acc_im.get(key, 0)) for key, re_ in acc_re.items()}
-        return _canonical(out, self._den * other._den)
+        return WeylElement._canonical(out, self._den * other._den)
 
     def __rmul__(self, other):
         # scalars commute with everything, so reuse __mul__
@@ -211,9 +143,6 @@ class WeylElement:
             return hash(self.coefficient(0, 0))
         return hash((self._den, frozenset(self._num.items())))
 
-    def __bool__(self):
-        return bool(self._num)
-
     # -- structure -------------------------------------------------------
 
     def coefficient(self, a: int, b: int) -> CPoly:
@@ -239,28 +168,16 @@ class WeylElement:
             pr, pi = powers[k]
             r0, i0 = out.get((a, b, 0), (0, 0))
             out[(a, b, 0)] = (r0 + re_ * pr - im * pi, i0 + re_ * pi + im * pr)
-        return _canonical(out, self._den * dv**kmax)
+        return WeylElement._canonical(out, self._den * dv**kmax)
 
     def div_c(self, k: int = 1) -> "WeylElement":
         """Exact division of every coefficient by c^k (NonDivisible if not)."""
         return WeylElement({key: cp.div_c(k) for key, cp in self.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms):
-            mono = " ".join(
-                tok
-                for tok in (
-                    "" if a == 0 else ("q" if a == 1 else f"q^{a}"),
-                    "" if b == 0 else ("p" if b == 1 else f"p^{b}"),
-                )
-                if tok
-            )
-            coeff = f"({self.terms[(a, b)]})"
-            parts.append(f"{coeff} * {mono}" if mono else coeff)
-        return " + ".join(parts)
+        return self._render(
+            lambda ab: " ".join(s if e == 1 else f"{s}^{e}" for s, e in zip("qp", ab) if e)
+        )
 
     def __repr__(self):
         return f"<WeylElement {self}>"

@@ -12,13 +12,19 @@ run here only pain and reciprocal catch it: their right-hand sides carry
 explicit powers of c, weighted by Euler and Bernoulli numbers, which do not
 flip.
 
-The matrix oracle gets the same treatment: a ladder whose H is 1% off in a
-single low entry must turn the main identity FAIL.
+Both independent oracles must catch every variant too: the differential
+realization through ``validate_reordering``, the matrix realization through
+the symbolic bridge, which realizes the engine's {q,H}_n at c = -i.
+
+The matrix oracle gets the same treatment: a ladder whose H (or p) is 1% off
+in a single low entry must turn the main identity (or the bridge) FAIL.
 """
+
+import dataclasses
 
 import pytest
 
-from weylops import oscillator, weyl
+from weylops import oscillator, realization, weyl
 from weylops.suites import run_suite
 
 TRUE_WEIGHTS = weyl.contraction_weights
@@ -53,17 +59,39 @@ def test_wrong_rule_fails_some_record(monkeypatch, variant):
         assert "bender" in failing
 
 
-def test_perturbed_ladder_fails_the_matrix_oracle(monkeypatch):
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_wrong_rule_fails_both_oracles(monkeypatch, variant):
+    monkeypatch.setattr(weyl, "contraction_weights", VARIANTS[variant])
+    with pytest.raises(AssertionError, match="reordering mismatch"):
+        realization.validate_reordering()
+    for n in range(1, 5):
+        assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
+
+
+def _perturbed_build(monkeypatch, name, *entries):
+    """Patch build_operators so that the named matrix is 1% off at entries."""
     true_build = oscillator.build_operators
 
     def perturbed(dim):
         mats = true_build(dim)
-        h = mats.h_mat.copy()
-        h[1, 1] *= 1.01
-        return oscillator.OscillatorMatrices(dim, mats.q_mat, mats.p_mat, h)
+        m = getattr(mats, name).copy()
+        for ij in entries:
+            m[ij] *= 1.01
+        return dataclasses.replace(mats, **{name: m})
 
-    assert oscillator.check_main_identity_matrix(8, 64).ok
     monkeypatch.setattr(oscillator, "build_operators", perturbed)
+
+
+def test_perturbed_p_ladder_fails_the_bridge(monkeypatch):
+    assert all(oscillator.check_symbolic_bridge(n, 64).ok for n in range(1, 5))
+    _perturbed_build(monkeypatch, "p_mat", (1, 2), (2, 1))
+    for n in range(1, 5):
+        assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
+
+
+def test_perturbed_ladder_fails_the_matrix_oracle(monkeypatch):
+    assert oscillator.check_main_identity_matrix(8, 64).ok
+    _perturbed_build(monkeypatch, "h_mat", (1, 1))
     report = oscillator.check_main_identity_matrix(8, 64)
     assert report.status == "fail"
     assert "at l=0" in report.witness

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weylops import (
     CPoly,
+    GaussianRational,
+    MINUS_I,
+    WeylElement,
     build_operators,
     element_to_matrix,
     hamiltonian,
@@ -16,6 +21,7 @@ from weylops import (
     scalar,
 )
 from weylops.oscillator import (
+    _tower_sums,
     check_main_identity_matrix,
     check_nested_anticomm_closed_form,
     check_shifted_expansions,
@@ -100,3 +106,67 @@ def test_checks_are_sensitive_to_loose_tolerance_only():
     # proving the checks actually measure something
     report = check_main_identity_matrix(8, tol=0.0)
     assert report.status == "fail"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+@pytest.mark.parametrize("check", [check_nested_anticomm_closed_form, check_main_identity_matrix])
+def test_overflowed_matrix_fails(check):
+    # (2l)^120 overflows at dim 256; every comparison with NaN is false, so
+    # only an explicit finiteness test keeps such a record from passing
+    report = check(120, 256)
+    assert report.status == "fail"
+    assert "non-finite" in report.witness
+
+
+# -- parity with the dense realization these paths replaced ------------------
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+coeffs = st.builds(CPoly, st.dictionaries(st.integers(0, 3), gaussians, max_size=3))
+elements = st.builds(
+    WeylElement,
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=3),
+)
+
+
+def _dense_element_to_matrix(w, mats):
+    # reference: one dense Q^a @ P^b product per term
+    out = np.zeros((mats.dim, mats.dim), dtype=complex)
+    for (a, b), coeff in w.terms.items():
+        g = coeff.subst(MINUS_I)
+        qa = np.linalg.matrix_power(mats.q_mat, a)
+        pb = np.linalg.matrix_power(mats.p_mat, b)
+        out += complex(float(g.re), float(g.im)) * (qa @ pb)
+    return out
+
+
+def _dense_tower(mats, n):
+    # reference: {x, H} = x @ H + H @ x with dense products
+    x = mats.q_mat
+    tower = [x]
+    for _ in range(n):
+        x = x @ mats.h_mat + mats.h_mat @ x
+        tower.append(x)
+    return tower
+
+
+def _close(new, old):
+    return np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+
+@given(elements)
+def test_banded_realization_matches_dense_products(w):
+    mats = build_operators(DIM)
+    assert _close(element_to_matrix(w, mats), _dense_element_to_matrix(w, mats))
+
+
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=9))
+def test_elementwise_tower_matches_dense_brackets(weights):
+    mats = build_operators(DIM)
+    tower = _dense_tower(mats, len(weights) - 1)
+    (got,) = _tower_sums(mats, weights)
+    expected = sum(wk * x for wk, x in zip(weights, tower))
+    if any(weights):
+        assert _close(got, expected)
+    else:
+        assert not got.any()

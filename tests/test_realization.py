@@ -1,7 +1,7 @@
 """Differential realization p = c d/dx, q = x, as an independent oracle."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given
@@ -109,3 +109,33 @@ def test_realization_is_faithful(w):
 def test_action_is_multiplicative(x, y, l):
     f = XPoly.monomial(l)
     assert apply_element(x * y, f) == apply_element(x, apply_element(y, f))
+
+
+def _tower_apply(w: WeylElement, f: XPoly) -> XPoly:
+    # reference: the action computed over CPoly coefficients
+    out: dict = {}
+    for (a, b), wcoeff in w.terms.items():
+        for l, fcoeff in f.coeffs.items():
+            if l < b:
+                continue
+            contribution = wcoeff * fcoeff * CPoly.c_power(b, factorial(l) // factorial(l - b))
+            out[l - b + a] = out.get(l - b + a, CPoly()) + contribution
+    return XPoly(out)
+
+
+xpolys = st.builds(XPoly, st.dictionaries(st.integers(0, 6), coeffs, max_size=3))
+
+
+@given(elements, xpolys)
+def test_action_matches_the_cpoly_tower(w, f):
+    assert apply_element(w, f) == _tower_apply(w, f)
+
+
+@given(xpolys, xpolys)
+def test_xpoly_flat_form_is_canonical(f, g):
+    for h in (f, f + g, f - g, -f, apply_element(q_op(), f)):
+        pairs = list(h._num.values())
+        assert all(re_ or im for re_, im in pairs)
+        assert h._den > 0
+        assert gcd(h._den, *(n for pair in pairs for n in pair)) == 1
+        assert XPoly(h.coeffs) == h and hash(XPoly(h.coeffs)) == hash(h)
