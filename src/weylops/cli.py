@@ -2,9 +2,10 @@
 
 Exit status is 0 when every report passes, 1 when any record fails or
 errors, and 2 for unusable invocations or config files: among them bounds
-out of range and a sweep that runs no checks at all.  A JSON config file
-named by --config (or the WEYLOPS_CONFIG environment variable) supplies
-defaults for any flag not given explicitly.
+out of range (a dim too small for the hermite checks up to max_n too) and
+a sweep that runs no checks at all.  A JSON config file named by --config
+(or the WEYLOPS_CONFIG environment variable) supplies defaults for any flag
+not given explicitly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import os
 import sys
 
+from . import oscillator
 from .report import reports_to_json
 from .sequences import bernoulli_number, euler_zero, kappa, lam
 from .suites import SELECTORS, run_suite
@@ -23,7 +25,8 @@ CONFIG_ENV = "WEYLOPS_CONFIG"
 
 _INT_KEYS = ("max_n", "max_m", "max_l", "dim", "seed")
 _CONFIG_KEYS = frozenset((*_INT_KEYS, "tol", "format"))
-_LEAST = {"max_n": 0, "max_m": 0, "max_l": 0, "dim": 1}  # smallest usable bound
+# smallest usable bound; the hermite sweep needs a larger dim as max_n grows
+_LEAST = {"max_n": 0, "max_m": 0, "max_l": 0, "dim": oscillator.min_dim(0)}
 
 
 class ConfigError(Exception):
@@ -147,6 +150,16 @@ def main(argv: list[str] | None = None) -> int:
         _emit(_tables_body(_merged(args, cfg, "max_n", 16), fmt), args.output)
         return 0
 
+    if args.suite in ("hermite", "all"):
+        max_n = oscillator.DEFAULT_MAX_N if bounds["max_n"] is None else bounds["max_n"]
+        dim = oscillator.DEFAULT_DIM if bounds["dim"] is None else bounds["dim"]
+        if dim < oscillator.min_dim(max_n):
+            print(
+                f"error: dim must be at least {oscillator.min_dim(max_n)} for the hermite"
+                f" checks up to max_n {max_n}, got {dim}",
+                file=sys.stderr,
+            )
+            return 2
     tol = _merged(args, cfg, "tol")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         print(f"error: tol must be a finite number above 0, got {tol}", file=sys.stderr)

@@ -39,6 +39,16 @@ from .weyl import WeylElement, hamiltonian, nested_anticommutator, q_op
 
 DEFAULT_DIM = 64
 DEFAULT_TOL = 1e-9
+DEFAULT_MAX_N = 8  # the hermite sweep's default highest order
+
+
+def min_dim(max_n: int) -> int:
+    """The least dim at which every hermite check up to order max_n runs.
+
+    The symbolic bridge is the tightest: {q,H}_n has margin 2n + 1 and needs
+    three exact columns beyond it.  At n = 0 this is also build_operators' 4.
+    """
+    return 2 * max_n + 4
 
 
 @dataclass(frozen=True)
@@ -193,10 +203,10 @@ def check_symbolic_bridge(n: int, dim: int, tol: float) -> str:
     This couples the exact engine to the floating realization, so neither
     oracle is trusted alone.
     """
+    if dim < min_dim(n):
+        raise ValueError(f"need dim >= {min_dim(n)}")
     symbolic = nested_anticommutator(q_op(), hamiltonian(), n)
     margin = safe_margin(symbolic)
-    if dim < margin + 3:
-        raise ValueError("need dim >= margin + 3")
     mats = build_operators(dim)
     realized = element_to_matrix(symbolic, mats)
     (native,) = _tower_sums(mats, [0] * n + [1])

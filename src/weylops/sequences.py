@@ -16,55 +16,130 @@ results are exact and reproducible:
                           0, -E_n(0) (n > 0) and 2^n E_n(1/2).
 
 The polynomials are returned as ``RatPoly``: immutable sparse polynomials
-over Fraction in one commuting variable.  ``RatPoly.coeffs`` maps degree to
-coefficient and never stores zeros.
+over Q in one commuting variable, stored flat as integer numerators over one
+shared positive denominator.  ``RatPoly.coeffs`` is a cached {degree:
+Fraction} view over those numerators and never holds zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Union
+from math import comb, gcd, lcm
+from typing import Iterable, Union
 
 RatPolyLike = Union[int, Fraction, "RatPoly"]
 
 
 class RatPoly:
-    """Sparse polynomial over Q in one commuting variable."""
+    """Sparse polynomial over Q in one commuting variable.
 
-    __slots__ = ("coeffs",)
+    Stored flat, as FLINT's fmpq_poly stores one: ``_num`` maps degree to an
+    integer numerator over one positive denominator ``_den``.  The form is
+    canonical (no zero numerators, gcd of ``_den`` and all numerators 1), so
+    equality is structural, and arithmetic runs on plain integers with one
+    gcd at the end.  ``coeffs`` is the {degree: Fraction} view, built on
+    first use and cached, so callers must not mutate it.  Immutable.
+    """
+
+    __slots__ = ("_num", "_den", "_view")
 
     def __init__(self, coeffs: dict[int, int | Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if k < 0:
-                    raise ValueError("negative degree")
-                f = Fraction(v)
-                if f:
-                    clean[k] = f
-        object.__setattr__(self, "coeffs", clean)
+        parts = []
+        den = 1
+        for k, v in (coeffs or {}).items():
+            if k < 0:
+                raise ValueError("negative degree")
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            if v:
+                parts.append((k, v.numerator, v.denominator))
+                den = lcm(den, v.denominator)
+        # over the lcm of reduced denominators the form is already canonical
+        self._init({k: n * (den // d) for k, n, d in parts}, den)
+
+    def _init(self, num: dict[int, int], den: int) -> None:
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_view", None)
+
+    @staticmethod
+    def _flat(num: dict[int, int], den: int) -> "RatPoly":
+        x = object.__new__(RatPoly)
+        x._init(num, den)
+        return x
+
+    @staticmethod
+    def _canonical(num: dict[int, int], den: int) -> "RatPoly":
+        """num / den without zero numerators, in lowest terms."""
+        num = {k: v for k, v in num.items() if v}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+        return RatPoly._flat(num, den)
+
+    def _scaled(self, a: int, b: int) -> "RatPoly":
+        """self * a/b for a/b in lowest terms, b > 0.
+
+        Canonical without a final gcd: self is canonical and a/b reduced, so
+        once gcd(a, _den) and gcd(b, numerators) are divided out no prime
+        divides the new denominator and every new numerator.
+        """
+        if not a:
+            return RatPoly._flat({}, 1)
+        g1 = gcd(a, self._den)
+        g2 = gcd(b, *self._num.values()) if b != 1 else 1
+        s = a // g1
+        return RatPoly._flat(
+            {k: v // g2 * s for k, v in self._num.items()}, self._den // g1 * (b // g2)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        if self._view is None:
+            den = self._den
+            object.__setattr__(self, "_view", {k: Fraction(v, den) for k, v in self._num.items()})
+        return self._view
 
     @staticmethod
     def of(v: RatPolyLike) -> "RatPoly":
         if isinstance(v, RatPoly):
             return v
-        return RatPoly({0: Fraction(v)})
+        return RatPoly({0: v})
 
     @staticmethod
     def x() -> "RatPoly":
-        return RatPoly({1: 1})
+        return RatPoly._flat({1: 1}, 1)
+
+    @staticmethod
+    def weighted_sum(pairs: Iterable[tuple[int, "RatPoly"]]) -> "RatPoly":
+        """sum of w * P over (w, P) pairs with integer weights w, in one pass:
+        one lcm of the denominators, one accumulation, one canonical step."""
+        pairs = [(w, p) for w, p in pairs if w]
+        # a list, not a generator: star-args built from a generator are
+        # resized tuples that pile up in the tuple free list (0.4 MB of peak
+        # RSS over the default binomial sweep)
+        den = lcm(*[p._den for _, p in pairs])
+        out: dict[int, int] = {}
+        for w, p in pairs:
+            s = w * (den // p._den)
+            for k, v in p._num.items():
+                out[k] = out.get(k, 0) + s * v
+        return RatPoly._canonical(out, den)
 
     def __add__(self, other):
         other = RatPoly.of(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return RatPoly(out)
+        d1, d2 = self._den, other._den
+        den = lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        out = {k: v * s1 for k, v in self._num.items()}
+        for k, v in other._num.items():
+            out[k] = out.get(k, 0) + v * s2
+        return RatPoly._canonical(out, den)
 
     __radd__ = __add__
 
@@ -75,23 +150,25 @@ class RatPoly:
         return RatPoly.of(other) + (-self)
 
     def __neg__(self):
-        return RatPoly({k: -v for k, v in self.coeffs.items()})
+        return RatPoly._flat({k: -v for k, v in self._num.items()}, self._den)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         other = RatPoly.of(other)
-        out: dict[int, Fraction] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
+        out: dict[int, int] = {}
+        for k1, v1 in self._num.items():
+            for k2, v2 in other._num.items():
                 k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return RatPoly(out)
+                out[k] = out.get(k, 0) + v1 * v2
+        return RatPoly._canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = RatPoly.of(1)
+        out = RatPoly._flat({0: 1}, 1)
         for _ in range(n):
             out = out * self
         return out
@@ -101,43 +178,47 @@ class RatPoly:
             other = RatPoly.of(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self.degree() <= 0:
             # a constant hashes like the Fraction it equals
             return hash(self.coeff(0))
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def degree(self) -> int:
-        return max(self.coeffs, default=-1)
+        return max(self._num, default=-1)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
+        return Fraction(self._num.get(k, 0), self._den)
 
     def __call__(self, v: Fraction | int) -> Fraction:
+        # Horner on integers: at v = a/b, b^d P(v) = sum_k num_k a^k b^(d-k) / den
         v = Fraction(v)
-        acc = Fraction(0)
-        for k, coeff in self.coeffs.items():
-            acc += coeff * v**k
-        return acc
+        a, b = v.numerator, v.denominator
+        d = max(self.degree(), 0)
+        acc = 0
+        for k in range(d, -1, -1):
+            acc = acc * a + self._num.get(k, 0) * b ** (d - k)
+        return Fraction(acc, self._den * b**d)
 
     def compose(self, inner: "RatPoly") -> "RatPoly":
         """Substitute ``inner`` for the variable."""
-        acc = RatPoly()
-        for k, coeff in self.coeffs.items():
-            acc = acc + RatPoly.of(coeff) * inner**k
-        return acc
+        inner = RatPoly.of(inner)
+        powers = (inner**k for k in self._num)
+        return RatPoly.weighted_sum(zip(self._num.values(), powers))._scaled(1, self._den)
 
     def derivative(self) -> "RatPoly":
-        return RatPoly({k - 1: k * v for k, v in self.coeffs.items() if k})
+        return RatPoly._canonical({k - 1: k * v for k, v in self._num.items() if k}, self._den)
 
     def antiderivative(self) -> "RatPoly":
         """The antiderivative with zero constant term."""
-        return RatPoly({k + 1: v / (k + 1) for k, v in self.coeffs.items()})
+        m = lcm(*[k + 1 for k in self._num])
+        num = {k + 1: v * (m // (k + 1)) for k, v in self._num.items()}
+        return RatPoly._canonical(num, self._den * m)
 
     def __str__(self):
         if not self.coeffs:

@@ -430,24 +430,22 @@ def verify_binomial(m: int, n: int, l: int, euler_version: bool = True) -> Verif
     """
 
     def check() -> str:
-        kmax = min(m, n)
-        lhs = RatPoly({k: comb(m, k) * comb(m - k + l, n - k) for k in range(kmax + 1)})
-        rhs = RatPoly()
-        for k in range(kmax + 1):
-            rhs = rhs + comb(m, k) * comb(l, n - k) * _z1_power(k)
+        ks = range(min(m, n) + 1)
+        lw = [comb(m, k) * comb(m - k + l, n - k) for k in ks]
+        rw = [comb(m, k) * comb(l, n - k) for k in ks]
+        lhs = RatPoly(dict(enumerate(lw)))
+        rhs = RatPoly.weighted_sum(zip(rw, map(_z1_power, ks)))
         if lhs != rhs:
             return f"plain version: ({lhs}) != ({rhs})"
-        for j in range(kmax + 1):
+        for j in ks:
             target = comb(m - j + l, n - j)
             got = sum(comb(m - j, k) * comb(l, n - j - k) for k in range(min(m - j, n - j) + 1))
             if got != target:
                 return f"Vandermonde convolution at j={j}: {got} != {target}"
         if not euler_version:
             return ""
-        lhs_e, rhs_e = RatPoly(), RatPoly()
-        for k in range(kmax + 1):
-            lhs_e = lhs_e + comb(m, k) * comb(m - k + l, n - k) * euler_polynomial(k)
-            rhs_e = rhs_e + comb(m, k) * comb(l, n - k) * _euler_of_shifted(k)
+        lhs_e = RatPoly.weighted_sum(zip(lw, map(euler_polynomial, ks)))
+        rhs_e = RatPoly.weighted_sum(zip(rw, map(_euler_of_shifted, ks)))
         if lhs_e != rhs_e:
             return f"Euler version: ({lhs_e}) != ({rhs_e})"
         return ""
@@ -597,6 +595,21 @@ def _random_cases(verify: Callable, seed: int, cases: int) -> list[VerificationR
     return [verify(*random_poly_pair(rng), tag={"case": idx, "seed": seed}) for idx in range(cases)]
 
 
+def _hermite(
+    max_n: int = oscillator.DEFAULT_MAX_N,
+    dim: int = oscillator.DEFAULT_DIM,
+    tol: float = oscillator.DEFAULT_TOL,
+    **_,
+) -> list[VerificationReport]:
+    checks = (
+        oscillator.check_nested_anticomm_closed_form,
+        oscillator.check_shifted_expansions,
+        oscillator.check_main_identity_matrix,
+        oscillator.check_symbolic_bridge,
+    )
+    return [check(n, dim, tol) for n in range(max_n + 1) for check in checks]
+
+
 # selector -> its sweep.  A sweep is called with the bounds run_suite was given
 # (unset ones left out, so its own defaults apply) and ignores the others.
 _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
@@ -618,16 +631,7 @@ _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
     ),
     "figueira": lambda **_: [verify_figueira(h0, x) for h0, x in standard_conjugation_fixtures()],
     "sequences": lambda max_n=16, **_: [sequence_tables(max_n)],
-    "hermite": lambda max_n=8, dim=oscillator.DEFAULT_DIM, tol=oscillator.DEFAULT_TOL, **_: [
-        check(n, dim, tol)
-        for n in range(max_n + 1)
-        for check in (
-            oscillator.check_nested_anticomm_closed_form,
-            oscillator.check_shifted_expansions,
-            oscillator.check_main_identity_matrix,
-            oscillator.check_symbolic_bridge,
-        )
-    ],
+    "hermite": _hermite,
 }
 
 SELECTORS = tuple(_SWEEPS)

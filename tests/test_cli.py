@@ -129,6 +129,11 @@ def test_bad_configs_exit_2(capsys, tmp_path, payload):
         ("verify", "hermite", "--tol", "inf"),
         ("verify", "hermite", "--tol", "0"),
         ("verify", "hermite", "--tol", "-0.001"),
+        # below the dim the hermite sweep needs: 4, and 2 max_n + 4 for the bridge
+        ("verify", "hermite", "--dim", "3", "--max-n", "1"),
+        ("verify", "hermite", "--dim", "6", "--max-n", "2"),
+        ("verify", "all", "--dim", "7", "--max-n", "2"),
+        ("verify", "hermite", "--max-n", "31"),  # default dim 64
     ],
 )
 def test_bad_bounds_exit_2(capsys, argv):
@@ -147,14 +152,24 @@ def test_bad_bounds_exit_2(capsys, argv):
         '{"tol": Infinity}',
         '{"tol": 0}',
         '{"tol": -1e-9}',
+        '{"dim": 3}',
+        '{"dim": 6, "max_n": 2}',
+        '{"max_n": 31}',
     ],
 )
 def test_bad_config_bounds_exit_2(capsys, tmp_path, payload):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(payload)
-    rc, out, err = run_cli(capsys, "verify", "bender", "--config", str(cfg))
+    rc, out, err = run_cli(capsys, "verify", "all", "--config", str(cfg))
     assert rc == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("max_n, dim", [(0, 4), (2, 8)])
+def test_hermite_at_its_least_dim_passes(capsys, max_n, dim):
+    rc, out, _ = run_cli(capsys, "verify", "hermite", "--dim", str(dim), "--max-n", str(max_n))
+    assert rc == 0
+    assert out.count("[PASS ]") == 4 * (max_n + 1)
 
 
 def test_verify_without_records_exits_2(capsys):

@@ -18,13 +18,18 @@ the symbolic bridge, which realizes the engine's {q,H}_n at c = -i.
 
 The matrix oracle gets the same treatment: a ladder whose H (or p) is 1% off
 in a single low entry must turn the main identity (or the bridge) FAIL.
+
+The binomial sweep builds its two sides independently, so a wrong shifted
+basis ((z+1)^k or E_k(z+1)) or a RatPoly kernel that mishandles a rational
+scalar must turn its records FAIL as well.
 """
 
 import dataclasses
 
 import pytest
 
-from weylops import oscillator, realization, weyl
+from weylops import oscillator, realization, sequences, suites, weyl
+from weylops.sequences import RatPoly, euler_polynomial
 from weylops.suites import run_suite
 
 TRUE_WEIGHTS = weyl.contraction_weights
@@ -95,3 +100,47 @@ def test_perturbed_ladder_fails_the_matrix_oracle(monkeypatch):
     report = oscillator.check_main_identity_matrix(8, 64)
     assert report.status == "fail"
     assert "at l=0" in report.witness
+
+
+TRUE_SCALED = RatPoly._scaled
+
+BINOMIAL_VARIANTS = {
+    # z^k in place of (z+1)^k
+    "unshifted-power": (suites, "_z1_power", lambda k: RatPoly({k: 1}), "plain version"),
+    # E_k(z) in place of E_k(z+1)
+    "unshifted-euler": (suites, "_euler_of_shifted", euler_polynomial, "Euler version"),
+    # p * (a/b) computed as p * a: compose, hence E_k(z+1), loses its 1/den
+    "scalar-drops-denominator": (
+        RatPoly, "_scaled", lambda self, a, b: TRUE_SCALED(self, a, 1), "Euler version"
+    ),
+}
+
+
+@pytest.fixture
+def fresh_caches():
+    """Cached polynomials built under a patch must not outlive it."""
+    caches = (suites._z1_power, suites._euler_of_shifted, sequences.euler_polynomial)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def _binomial_failures() -> list:
+    reports = run_suite("binomial", max_n=3, max_m=3, max_l=3)
+    assert len(reports) == 64
+    return [r for r in reports if r.status == "fail"]
+
+
+def test_true_binomial_helpers_pass(fresh_caches):
+    assert _binomial_failures() == []
+
+
+@pytest.mark.parametrize("variant", sorted(BINOMIAL_VARIANTS))
+def test_binomial_mutant_fails_records(monkeypatch, fresh_caches, variant):
+    owner, name, wrong, label = BINOMIAL_VARIANTS[variant]
+    monkeypatch.setattr(owner, name, wrong)
+    failing = _binomial_failures()
+    assert failing
+    assert all(r.witness.startswith(f"{label}: (") for r in failing)

@@ -5,9 +5,11 @@ directly with Fraction coefficients, never from the recurrences under test.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weylops import (
     RatPoly,
@@ -198,3 +200,178 @@ def test_ratpoly_basics():
         RatPoly({-1: 1})
     with pytest.raises(ValueError):
         p ** -1
+
+
+# -- the flat RatPoly against the Fraction-dict one it replaced ----------------
+
+
+class RefPoly:
+    """Reference: the sparse polynomial over Fraction that RatPoly used to be."""
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v}
+
+    @staticmethod
+    def of(v):
+        return v if isinstance(v, RefPoly) else RefPoly({0: v})
+
+    def __add__(self, other):
+        other = RefPoly.of(other)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, Fraction(0)) + v
+        return RefPoly(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-RefPoly.of(other))
+
+    def __rsub__(self, other):
+        return RefPoly.of(other) + (-self)
+
+    def __neg__(self):
+        return RefPoly({k: -v for k, v in self.coeffs.items()})
+
+    def __mul__(self, other):
+        other = RefPoly.of(other)
+        out = {}
+        for k1, v1 in self.coeffs.items():
+            for k2, v2 in other.coeffs.items():
+                out[k1 + k2] = out.get(k1 + k2, Fraction(0)) + v1 * v2
+        return RefPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = RefPoly.of(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly.of(other)
+        return self.coeffs == other.coeffs
+
+    def __call__(self, v):
+        return sum((c * Fraction(v) ** k for k, c in self.coeffs.items()), Fraction(0))
+
+    def compose(self, inner):
+        acc = RefPoly()
+        for k, c in self.coeffs.items():
+            acc = acc + RefPoly.of(c) * inner**k
+        return acc
+
+    def derivative(self):
+        return RefPoly({k - 1: k * v for k, v in self.coeffs.items() if k})
+
+    def antiderivative(self):
+        return RefPoly({k + 1: v / (k + 1) for k, v in self.coeffs.items()})
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k in sorted(self.coeffs, reverse=True):
+            v = self.coeffs[k]
+            mono = "x" if k == 1 else f"x^{k}"
+            if k == 0:
+                parts.append(str(v))
+            elif v in (1, -1):
+                parts.append(mono if v == 1 else f"-{mono}")
+            else:
+                parts.append(f"{v}*{mono}")
+        out = parts[0]
+        for p in parts[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+scalars = st.one_of(st.integers(-30, 30), rationals)
+coeff_maps = st.dictionaries(st.integers(0, 6), scalars, max_size=5)
+
+
+def _agree(flat: RatPoly, ref: RefPoly) -> None:
+    assert flat.coeffs == ref.coeffs
+    assert str(flat) == str(ref)
+    assert flat.degree() == max(ref.coeffs, default=-1)
+
+
+def _canonical(poly: RatPoly) -> bool:
+    return (
+        poly._den > 0
+        and gcd(poly._den, *poly._num.values()) == 1
+        and all(poly._num.values())
+        and (poly._num or poly._den == 1)
+    )
+
+
+@given(coeff_maps, coeff_maps, scalars)
+def test_arithmetic_matches_the_fraction_dict_reference(a, b, s):
+    x, y, rx, ry = RatPoly(a), RatPoly(b), RefPoly(a), RefPoly(b)
+    _agree(x, rx)
+    for flat, ref in (
+        (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx),
+        (x + s, rx + s), (s + x, s + rx), (x - s, rx - s), (s - x, s - rx),
+        (x * s, rx * s), (s * x, s * rx),
+    ):
+        _agree(flat, ref)
+        assert _canonical(flat)
+
+
+@given(coeff_maps, coeff_maps, st.integers(0, 4), rationals)
+def test_calculus_matches_the_fraction_dict_reference(a, b, n, v):
+    x, y, rx, ry = RatPoly(a), RatPoly(b), RefPoly(a), RefPoly(b)
+    for flat, ref in (
+        (x**n, rx**n),
+        (x.compose(y), rx.compose(ry)),
+        (x.derivative(), rx.derivative()),
+        (x.antiderivative(), rx.antiderivative()),
+    ):
+        _agree(flat, ref)
+        assert _canonical(flat)
+    assert x(v) == rx(v)
+    assert x(0) == rx(0)
+
+
+@given(coeff_maps, coeff_maps, scalars)
+def test_equality_and_hash_match_the_reference(a, b, s):
+    x, y = RatPoly(a), RatPoly(b)
+    assert (x == y) == (RefPoly(a) == RefPoly(b))
+    assert (x == s) == (RefPoly(a) == s)
+    if x == y:
+        assert hash(x) == hash(y)
+    z = x + y - y
+    assert z == x and hash(z) == hash(x)
+    assert RatPoly(x.coeffs) == x and hash(RatPoly(x.coeffs)) == hash(x)
+    # a constant hashes like the Fraction it equals, however it was built
+    for const in (RatPoly.of(s), x - x + s, RatPoly({0: s}) * 1):
+        assert const == s and hash(const) == hash(Fraction(s))
+
+
+@given(st.lists(st.tuples(st.integers(-40, 40), coeff_maps), max_size=6))
+def test_weighted_sum_matches_pairwise_sums(pairs):
+    flat = RatPoly.weighted_sum((w, RatPoly(c)) for w, c in pairs)
+    pairwise = RatPoly()
+    for w, c in pairs:
+        pairwise = pairwise + w * RatPoly(c)
+    assert flat == pairwise and _canonical(flat)
+    _agree(flat, sum((w * RefPoly(c) for w, c in pairs), RefPoly()))
+
+
+def test_canonical_form():
+    p = RatPoly({3: Fraction(4, 6), 1: Fraction(-2, 4), 0: 0})
+    assert (p._num, p._den) == ({3: 4, 1: -3}, 6)
+    assert (RatPoly()._num, RatPoly()._den) == ({}, 1)
+    for zero in (p - p, p * 0, 0 * p, p * RatPoly(), RatPoly.weighted_sum([]), RatPoly.of(0)):
+        assert (zero._num, zero._den) == ({}, 1) and not zero and zero.degree() == -1
+    assert ((-3 * p)._num, (-3 * p)._den) == ({3: -4, 1: 3}, 2)
+    q = p * Fraction(-3, 4)
+    assert (q._num, q._den) == ({3: -4, 1: 3}, 8) and _canonical(q)
+    assert (p * Fraction(3, 2))._den == 4
+    half = RatPoly({1: Fraction(1, 2)})
+    assert ((half + half)._num, (half + half)._den) == ({1: 1}, 1)
+    with pytest.raises(AttributeError):
+        p._den = 1
