@@ -8,7 +8,7 @@ other up: the symbolic normal-ordering engine, the shift action on
 polynomials, and truncated oscillator matrices over numpy.
 """
 
-from .report import ERROR, FAIL, PASS, VerificationReport, reports_to_json, run_check
+from .report import reports_to_json
 from .scalars import (
     CPoly,
     GaussianRational,
@@ -16,7 +16,6 @@ from .scalars import (
     MINUS_I,
     NonDivisible,
     ONE,
-    Rational,
     ZERO,
     format_rational,
     parse_cpoly,
@@ -62,13 +61,11 @@ from .realization import (
     validate_reordering,
 )
 from .oscillator import (
-    OscillatorMatrices,
     build_operators,
     element_to_matrix,
     safe_margin,
 )
 from .suites import (
-    SELECTORS,
     b_sum,
     combinatorial_sums,
     extract_convolution_coefficients,

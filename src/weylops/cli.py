@@ -2,10 +2,10 @@
 
 Exit status is 0 when every report passes, 1 when any record fails or
 errors, and 2 for unusable invocations or config files: among them bounds
-out of range (a dim too small for the hermite checks up to max_n too) and
-a sweep that runs no checks at all.  A JSON config file named by --config
-(or the WEYLOPS_CONFIG environment variable) supplies defaults for any flag
-not given explicitly.
+out of range (a dim too small for the hermite checks up to max_n too), a
+sweep that runs no checks at all and an --output path that cannot be
+written.  A JSON config file named by --config (or the WEYLOPS_CONFIG
+environment variable) supplies defaults for any flag not given explicitly.
 """
 
 from __future__ import annotations
@@ -100,14 +100,21 @@ def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None):
     return cfg.get(key, default)
 
 
-def _emit(body: str, path: str | None) -> None:
+def _emit(body: str, path: str | None) -> bool:
+    """Write body to path, or to stdout; False, with an error on stderr, if
+    path cannot be written."""
     if not body.endswith("\n"):
         body += "\n"
     if path is None:
         sys.stdout.write(body)
-    else:
+        return True
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(body)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _tables_body(max_n: int, fmt: str) -> str:
@@ -147,8 +154,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     if args.command == "tables":
-        _emit(_tables_body(_merged(args, cfg, "max_n", 16), fmt), args.output)
-        return 0
+        return 0 if _emit(_tables_body(_merged(args, cfg, "max_n", 16), fmt), args.output) else 2
 
     if args.suite in ("hermite", "all"):
         max_n = oscillator.DEFAULT_MAX_N if bounds["max_n"] is None else bounds["max_n"]
@@ -172,7 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         body = reports_to_json(reports)
     else:
         body = "\n".join(r.render() for r in reports)
-    _emit(body, args.output)
+    if not _emit(body, args.output):
+        return 2
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -86,10 +86,14 @@ def _tri_mul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 def element_to_matrix(w: WeylElement, mats: OscillatorMatrices) -> np.ndarray:
     """Realize a symbolic element at c = -i.  Exact only on columns
     l <= dim-1-max(a+b) over the element's support."""
-    rows: dict[int, dict[int, complex]] = {}  # a -> {b: z_ab}
-    for (a, b), coeff in w.terms.items():
-        g = coeff.subst(MINUS_I)
-        rows.setdefault(a, {})[b] = complex(float(g.re), float(g.im))
+    at = w.subst_c(MINUS_I)
+    parts: dict[int, dict[int, list]] = {}  # a -> {b: numerators of z_ab's re, im}
+    for (a, b, _, i), n in at._num.items():
+        parts.setdefault(a, {}).setdefault(b, [0, 0])[i] = n
+    den = at._den
+    rows = {
+        a: {b: complex(re / den, im / den) for b, (re, im) in row.items()} for a, row in parts.items()
+    }
     powers = [np.eye(mats.dim, dtype=complex)]  # p^b
     for _ in range(max((b for row in rows.values() for b in row), default=0)):
         powers.append(_tri_mul(mats.p_mat, powers[-1]))
@@ -102,7 +106,7 @@ def element_to_matrix(w: WeylElement, mats: OscillatorMatrices) -> np.ndarray:
 
 
 def safe_margin(w: WeylElement) -> int:
-    return max((a + b for (a, b) in w.terms), default=0)
+    return max((a + b for (a, b, _, _) in w._num), default=0)
 
 
 def _tower_sums(mats: OscillatorMatrices, *rows: list) -> list[np.ndarray]:

@@ -6,8 +6,9 @@ monomials.  That makes it an independent oracle for the symbolic engine --
 the reordering rule used by WeylElement multiplication is validated against
 composition of these actions (``validate_reordering``).
 
-XPoly is stored flat, as WeylElement is: integer numerators over one shared
-denominator.  ``apply_element`` reads both operands' numerators and uses
+XPoly is stored flat, as WeylElement is: the integer numerator of
+c^k i^i x^deg under the key (deg, k, i), over one shared denominator.
+``apply_element`` reads both operands' numerators, applies i^2 = -1 and uses
 integer falling factorials, so the action builds no Fraction and calls
 nothing of the engine's product (``contraction_weights``, ``__mul__``).
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, perm
+from operator import itemgetter
 from typing import Union
 
 from .scalars import CPoly, CPolyLike, FlatTerms, GaussianRational
@@ -36,14 +38,15 @@ class PreconditionViolation(ValueError):
 class XPoly(FlatTerms):
     """Polynomial in x with CPoly coefficients (the realization's carrier).
 
-    Stored flat (see FlatTerms) under keys (deg, k) for c^k x^deg; ``coeffs``
-    is the {deg: CPoly} view, built on first use and cached.  Immutable.
+    Stored flat (see FlatTerms) under keys (deg, k, i) for c^k i^i x^deg;
+    ``coeffs`` is the {deg: CPoly} view, built on first use and cached.
+    Immutable.
     """
 
     __slots__ = ()
-
-    def __init__(self, coeffs: dict[int, CPolyLike] | None = None):
-        super().__init__({(k,): v for k, v in (coeffs or {}).items()})
+    _head = itemgetter(0)
+    _lifts = (int, Fraction, GaussianRational, CPoly)
+    _key = staticmethod(lambda deg, k, i: (deg, k, i))
 
     @property
     def coeffs(self) -> dict[int, CPoly]:
@@ -58,33 +61,12 @@ class XPoly(FlatTerms):
     def of(v: XPolyLike) -> "XPoly":
         return v if isinstance(v, XPoly) else XPoly({0: v})
 
-    def __add__(self, other):
-        return self._add(XPoly.of(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-XPoly.of(other))
-
     def scale(self, v: CPolyLike) -> "XPoly":
-        v = CPoly.of(v)
-        return XPoly({k: cp * v for k, cp in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, CPoly)):
-            other = XPoly.of(other)
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self):
-        if self.degree() <= 0:
-            # a constant hashes like the CPoly it equals
-            return hash(self.coeff(0))
-        return hash((self._den, frozenset(self._num.items())))
+        """Multiply by a central scalar: the action of the scalar element."""
+        return apply_element(WeylElement.of(v), self)
 
     def degree(self) -> int:
-        return max((deg for deg, _ in self._num), default=-1)
+        return max((deg for deg, _, _ in self._num), default=-1)
 
     def coeff(self, k: int) -> CPoly:
         return self.coeffs.get(k, CPoly())
@@ -98,16 +80,15 @@ class XPoly(FlatTerms):
 
 def apply_element(w: WeylElement, f: XPoly) -> XPoly:
     """Act with a normal-ordered element:  q^a p^b x^l = c^b l!/(l-b)! x^(l-b+a)."""
-    out: dict[tuple[int, int], tuple[int, int]] = {}
+    out: dict[tuple[int, int, int], int] = {}
     right = list(f._num.items())
-    for (a, b, k1), (r1, i1) in w._num.items():
-        for (l, k2), (r2, i2) in right:
+    for (a, b, k1, i1), n1 in w._num.items():
+        for (l, k2, i2), n2 in right:
             if l < b:
                 continue  # derivative of order b kills x^l
-            falling = perm(l, b)  # l!/(l-b)!
-            key = (l - b + a, k1 + k2 + b)
-            r0, i0 = out.get(key, (0, 0))
-            out[key] = (r0 + (r1 * r2 - i1 * i2) * falling, i0 + (r1 * i2 + i1 * r2) * falling)
+            n = n1 * n2 * perm(l, b)  # l!/(l-b)!
+            key = (l - b + a, k1 + k2 + b, i1 ^ i2)
+            out[key] = out.get(key, 0) + (-n if i1 & i2 else n)  # i^2 = -1
     return XPoly._canonical(out, w._den * f._den)
 
 

@@ -1,19 +1,25 @@
-"""Exact scalar arithmetic: Gaussian rationals and polynomials in c.
+"""Exact scalars, and the one flat store behind every exact value.
 
-The coefficient tower used everywhere in this package is
+The identities live over Q(i)[c]: polynomials in the central symbol c with
+Gaussian-rational coefficients.  Normal ordering of products injects powers
+of c, and keeping c formal means an identity checked once holds for every
+numeric specialization of c simultaneously.
 
-    Rational          -- fractions.Fraction (arbitrary precision, lowest terms)
-    GaussianRational  -- a + b*i with rational a, b
-    CPoly             -- sparse polynomial in the central symbol c over
-                         GaussianRational
+Every exact value of the package is stored the way FLINT's fmpq_poly stores
+a rational polynomial: one map ``key -> int`` of integer numerators over one
+positive denominator, in lowest terms (``FlatTerms``).  For values over
+Q(i)[c] a key ends in (k, i): the power of c and the power (0 or 1) of the
+imaginary unit, and every product applies i^2 = -1.  The keys are
 
-CPoly is the coefficient ring of the operator algebra: normal ordering of
-products injects powers of c, and keeping c formal means an identity checked
-once holds for every numeric specialization of c simultaneously.
+    CPoly                   (k, i)        c^k i^i
+    weyl.WeylElement        (a, b, k, i)  c^k i^i q^a p^b
+    realization.XPoly       (deg, k, i)   c^k i^i x^deg
+    sequences.RatPoly       deg           x^deg (rational, no c)
 
-All values are immutable and kept in canonical form (fractions in lowest
-terms, no stored zero coefficients), so equality is plain structural
-equality.
+so arithmetic runs on plain integers with one gcd at the end, and equality
+is structural.  ``GaussianRational`` (a + b*i with Fraction parts) is the
+boundary type: parsing, rendering, the cached ``coeffs``/``terms`` views and
+the value of ``CPoly.subst``.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -21,10 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Union
-
-Rational = Fraction
+from typing import Iterable, Union
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
@@ -172,120 +175,277 @@ def parse_gaussian(text: str) -> GaussianRational:
 CPolyLike = Union[int, Fraction, GaussianRational, "CPoly"]
 
 
-class CPoly:
-    """Sparse polynomial in the commutation symbol c over GaussianRational.
+def _parts(v: CPolyLike) -> list[tuple[int, int, int, int]]:
+    """(k, i, numerator, denominator) of each nonzero part c^k i^i n/d of v."""
+    if isinstance(v, CPoly):
+        return [(k, i, n, v._den) for (k, i), n in v._num.items()]
+    if isinstance(v, GaussianRational):
+        return [(0, i, x.numerator, x.denominator) for i, x in enumerate((v.re, v.im)) if x]
+    v = Fraction(v)
+    return [(0, 0, v.numerator, v.denominator)] if v else []
 
-    Canonical form: the coefficient map never stores zeros, so equality is
-    map equality.  Instances are immutable.
+
+_set = object.__setattr__  # FlatTerms are immutable: only this sets their fields
+
+
+class FlatTerms:
+    """Integer numerators ``_num: {key: int}`` over one positive denominator
+    ``_den``, as FLINT's fmpq_poly stores a rational polynomial.
+
+    The form is canonical (no zero numerators, gcd of ``_den`` and all
+    numerators 1, zero is ``({}, 1)``), so equality is structural.  The
+    constructor takes ``{head: number or CPoly}`` and each subclass says how
+    a head and a part c^k i^i make a key (``_key``).  ``_view`` caches the
+    subclass's coefficient view.  Immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den", "_view")
+    _lifts: tuple = ()  # the types that __eq__ lifts through ``of``
+    _key = staticmethod(lambda head, k, i: (*head, k, i))
 
-    def __init__(self, coeffs: dict[int, ScalarLike] | None = None):
-        clean: dict[int, GaussianRational] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if k < 0:
-                    raise ValueError("negative power of c")
-                g = GaussianRational.of(v)
-                if g:
-                    clean[k] = g
-        object.__setattr__(self, "coeffs", clean)
+    @staticmethod
+    def _scalar_key(key):
+        """The (k, i) of a key without q, p or x; None for any other key."""
+        return None if any(key[:-2]) else key[-2:]
+
+    def __init__(self, terms: dict | None = None):
+        parts = []
+        make_key = self._key
+        for h, v in (terms or {}).items():
+            if (min(h) if isinstance(h, tuple) else h) < 0:
+                raise ValueError(f"negative exponent in {h}")
+            if isinstance(v, (int, Fraction)):  # the common case, without a call
+                if v:
+                    parts.append((make_key(h, 0, 0), v.numerator, v.denominator))
+            else:
+                parts += [(make_key(h, k, i), n, d) for k, i, n, d in _parts(v)]
+        den = lcm(*[d for _, _, d in parts])
+        # canonical as it stands, since the parts of each value are in lowest
+        # terms over its denominator, unless two parts share a key
+        num = {key: n * (den // d) for key, n, d in parts}
+        if len(num) < len(parts):
+            num = {}
+            for key, n, d in parts:
+                num[key] = num.get(key, 0) + n * (den // d)
+            canon = self._canonical(num, den)
+            num, den = canon._num, canon._den
+        _set(self, "_num", num)
+        _set(self, "_den", den)
+        _set(self, "_view", None)
+
+    @classmethod
+    def _flat(cls, num: dict, den: int):
+        x = object.__new__(cls)
+        _set(x, "_num", num)
+        _set(x, "_den", den)
+        _set(x, "_view", None)
+        return x
+
+    @classmethod
+    def _canonical(cls, num: dict, den: int):
+        """num / den without zero numerators, in lowest terms."""
+        num = {key: n for key, n in num.items() if n}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: n // g for key, n in num.items()}
+            den //= g
+        return cls._flat(num, den)
+
+    def _scaled(self, a: int, b: int):
+        """self * a/b for a/b in lowest terms, b > 0.
+
+        Canonical without a final gcd: self is canonical and a/b reduced, so
+        once gcd(a, _den) and gcd(b, numerators) are divided out no prime
+        divides the new denominator and every new numerator.
+        """
+        if not a:
+            return self._flat({}, 1)
+        g1 = gcd(a, self._den)
+        g2 = gcd(b, *self._num.values()) if b != 1 else 1
+        s = a // g1
+        num = {key: n // g2 * s for key, n in self._num.items()}
+        return self._flat(num, self._den // g1 * (b // g2))
+
+    @classmethod
+    def weighted_sum(cls, pairs: Iterable[tuple[int, "FlatTerms"]]):
+        """sum of w * x over (w, x) pairs with integer weights w, in one pass:
+        one lcm of the denominators, one accumulation, one canonical step."""
+        pairs = [(w, x) for w, x in pairs if w]
+        # a list, not a generator: star-args built from a generator are
+        # resized tuples that pile up in the tuple free list (0.4 MB of peak
+        # RSS over the default binomial sweep)
+        den = lcm(*[x._den for _, x in pairs])
+        out: dict = {}
+        for w, x in pairs:
+            s = w * (den // x._den)
+            for key, n in x._num.items():
+                out[key] = out.get(key, 0) + s * n
+        return cls._canonical(out, den)
 
     def __setattr__(self, name, value):
-        raise AttributeError("CPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        other = self.of(other)
+        d1, d2 = self._den, other._den
+        den = lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        out = {key: n * s1 for key, n in self._num.items()}
+        for key, n in other._num.items():
+            out[key] = out.get(key, 0) + n * s2
+        return self._canonical(out, den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-self.of(other))
+
+    def __rsub__(self, other):
+        return self.of(other) + (-self)
+
+    def __neg__(self):
+        return self._flat({key: -n for key, n in self._num.items()}, self._den)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self.of(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, self._lifts):
+            other = self.of(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self):
+        # a value equal to a CPoly hashes like it, and a constant like the
+        # number it equals, whatever the class
+        scalar = {self._scalar_key(key): n for key, n in self._num.items()}
+        if None in scalar:
+            return hash((self._den, frozenset(self._num.items())))
+        if any(k for k, _ in scalar):
+            return hash((self._den, frozenset(scalar.items())))
+        return hash(GaussianRational(*(Fraction(scalar.get((0, i), 0), self._den) for i in (0, 1))))
+
+    def __bool__(self):
+        return bool(self._num)
+
+    def div_c(self, k: int = 1):
+        """Exact division by c^k; raises NonDivisible if lower powers remain."""
+        if any(key[-2] < k for key in self._num):
+            raise NonDivisible(f"{self} is not divisible by c^{k}")
+        num = {(*key[:-2], key[-2] - k, key[-1]): n for key, n in self._num.items()}
+        return self._flat(num, self._den)
+
+    def _at_c(self, v: ScalarLike) -> tuple[dict, int]:
+        """Numerators and denominator of self at c = v, every k set to 0;
+        not reduced."""
+        at = CPoly.of(v)
+        if at.degree() > 0:
+            raise ValueError(f"c can only be set to a number, not {at}")
+        dv = at._den
+        kmax = max((key[-2] for key in self._num), default=0)
+        # powers[k]: {i: numerator} of v^k over dv^kmax
+        powers = [{0: dv**kmax}]
+        for _ in range(kmax):
+            nxt: dict[int, int] = {}
+            for i1, n1 in powers[-1].items():
+                for (_, i2), n2 in at._num.items():
+                    nxt[i1 ^ i2] = nxt.get(i1 ^ i2, 0) + (-n1 * n2 if i1 & i2 else n1 * n2)
+            powers.append({i: n // dv for i, n in nxt.items()})
+        out: dict = {}
+        for key, n in self._num.items():
+            i1 = key[-1]
+            for i2, p in powers[key[-2]].items():
+                at_key = (*key[:-2], 0, i1 ^ i2)
+                out[at_key] = out.get(at_key, 0) + (-n * p if i1 & i2 else n * p)
+        return out, self._den * dv**kmax
+
+    def _cpolys(self) -> dict:
+        """The {head: CPoly} view, built on first use and cached."""
+        if self._view is None:
+            grouped: dict = {}
+            for key, n in self._num.items():
+                grouped.setdefault(self._head(key), {})[key[-2:]] = n
+            view = {head: CPoly._canonical(num, self._den) for head, num in grouped.items()}
+            _set(self, "_view", view)
+        return self._view
+
+    def _render(self, mono) -> str:
+        """The view's "(coeff) * mono" terms in key order, joined by " + "."""
+        view = self._cpolys()
+        parts = []
+        for key in sorted(view):
+            m = mono(key)
+            parts.append(f"({view[key]}) * {m}" if m else f"({view[key]})")
+        return " + ".join(parts) or "0"
+
+
+class CPoly(FlatTerms):
+    """Sparse polynomial in the commutation symbol c over the Gaussian
+    rationals: the empty-head case of FlatTerms, under keys (k, i).
+
+    ``CPoly({k: number})``; ``coeffs`` is the {k: GaussianRational} view,
+    built on first use and cached, so callers must not mutate it.
+    """
+
+    __slots__ = ()
+    _lifts = (int, Fraction, GaussianRational)
+    _key = staticmethod(lambda k0, k, i: (k0 + k, i))
+    # perfbench's tracer wraps these through the class's own __dict__
+    __add__ = __radd__ = FlatTerms.__add__
 
     @staticmethod
     def of(x: CPolyLike) -> "CPoly":
         if isinstance(x, CPoly):
             return x
-        return CPoly({0: GaussianRational.of(x)})
+        return CPoly({0: x})
 
     @staticmethod
     def c_power(k: int, coeff: ScalarLike = 1) -> "CPoly":
         """The monomial coeff * c^k."""
         return CPoly({k: coeff})
 
-    def __add__(self, other):
-        other = CPoly.of(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + v
-        return CPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-CPoly.of(other))
-
-    def __rsub__(self, other):
-        return CPoly.of(other) + (-self)
-
-    def __neg__(self):
-        return CPoly({k: -v for k, v in self.coeffs.items()})
+    @property
+    def coeffs(self) -> dict[int, GaussianRational]:
+        """{k: coefficient of c^k}, without zero coefficients."""
+        if self._view is None:
+            parts: dict[int, list] = {}
+            for (k, i), n in self._num.items():
+                parts.setdefault(k, [0, 0])[i] = Fraction(n, self._den)
+            _set(self, "_view", {k: GaussianRational(*p) for k, p in parts.items()})
+        return self._view
 
     def __mul__(self, other):
         other = CPoly.of(other)
-        out: dict[int, GaussianRational] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, ZERO) + v1 * v2
-        return CPoly(out)
+        right = list(other._num.items())
+        out: dict[tuple[int, int], int] = {}
+        for (k1, i1), n1 in self._num.items():
+            for (k2, i2), n2 in right:
+                key = (k1 + k2, i1 ^ i2)
+                out[key] = out.get(key, 0) + (-n1 * n2 if i1 & i2 else n1 * n2)
+        return CPoly._canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = CPoly.of(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = CPoly.of(other)
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if self.degree() <= 0:
-            # a constant hashes like the scalar it equals
-            return hash(self.constant_term())
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def degree(self) -> int:
         """Degree in c; -1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
+        return max((k for k, _ in self._num), default=-1)
 
     def subst(self, v: ScalarLike) -> GaussianRational:
         """Evaluate at c = v.  A ring homomorphism CPoly -> Q(i)."""
-        v = GaussianRational.of(v)
-        acc = ZERO
-        for k, coeff in self.coeffs.items():
-            term = coeff
-            for _ in range(k):
-                term = term * v
-            acc = acc + term
-        return acc
-
-    def div_c(self, k: int = 1) -> "CPoly":
-        """Exact division by c^k; raises NonDivisible if low-order terms remain."""
-        low = [d for d in self.coeffs if d < k]
-        if low:
-            raise NonDivisible(f"{self} is not divisible by c^{k}")
-        return CPoly({d - k: v for d, v in self.coeffs.items()})
+        num, den = self._at_c(v)
+        return GaussianRational(Fraction(num.get((0, 0), 0), den), Fraction(num.get((0, 1), 0), den))
 
     def constant_term(self) -> GaussianRational:
         return self.coeffs.get(0, ZERO)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._num:
             return "0"
         parts = []
         for k in sorted(self.coeffs):
@@ -333,100 +493,3 @@ def parse_cpoly(text: str) -> CPoly:
             k = 1 if mono == "c" else int(mono.split("^")[1])
         out[k] = out.get(k, ZERO) + coeff
     return CPoly(out)
-
-
-class FlatTerms:
-    """A map {key: CPoly} stored flat, as FLINT's fmpq_poly stores a
-    rational polynomial.
-
-    ``_num`` maps (*key, k) to the integer pair (re, im) of the coefficient
-    of c^k, all over one positive denominator ``_den``.  The form is
-    canonical (no zero pairs, gcd of ``_den`` and all numerators 1), so
-    equality is structural, and arithmetic runs on plain integers with one
-    gcd at the end.  ``_cpolys()`` is the {head: CPoly} view, built on first
-    use and cached, so callers must not mutate it.  Immutable; WeylElement
-    and XPoly store their coefficients this way.
-    """
-
-    __slots__ = ("_num", "_den", "_view")
-    _head = itemgetter(0)  # the view's key for a flat key
-
-    def __init__(self, terms: dict[tuple, CPolyLike] | None = None):
-        parts = []
-        den = 1
-        for key, v in (terms or {}).items():
-            if min(key) < 0:
-                raise ValueError(f"negative exponent in {key}")
-            for k, g in CPoly.of(v).coeffs.items():
-                parts.append(((*key, k), g.re, g.im))
-                den = lcm(den, g.re.denominator, g.im.denominator)
-        # over the lcm of reduced denominators the form is already canonical
-        num = {
-            key: (re_.numerator * (den // re_.denominator), im.numerator * (den // im.denominator))
-            for key, re_, im in parts
-        }
-        self._init(num, den)
-
-    def _init(self, num: dict[tuple, tuple[int, int]], den: int) -> None:
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_view", None)
-
-    @classmethod
-    def _flat(cls, num: dict[tuple, tuple[int, int]], den: int):
-        x = object.__new__(cls)
-        x._init(num, den)
-        return x
-
-    @classmethod
-    def _canonical(cls, num: dict[tuple, tuple[int, int]], den: int):
-        """num / den without zero pairs, in lowest terms."""
-        num = {key: pair for key, pair in num.items() if pair[0] or pair[1]}
-        g = den
-        for re_, im in num.values():
-            if g == 1:
-                break
-            g = gcd(g, re_, im)
-        if g != 1:
-            num = {key: (re_ // g, im // g) for key, (re_, im) in num.items()}
-            den //= g
-        return cls._flat(num, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _add(self, other):
-        d1, d2 = self._den, other._den
-        den = lcm(d1, d2)
-        s1, s2 = den // d1, den // d2
-        out = {key: (re_ * s1, im * s1) for key, (re_, im) in self._num.items()}
-        for key, (re_, im) in other._num.items():
-            r0, i0 = out.get(key, (0, 0))
-            out[key] = (r0 + re_ * s2, i0 + im * s2)
-        return self._canonical(out, den)
-
-    def __neg__(self):
-        return self._flat({key: (-re_, -im) for key, (re_, im) in self._num.items()}, self._den)
-
-    def __bool__(self):
-        return bool(self._num)
-
-    def _cpolys(self) -> dict:
-        if self._view is None:
-            den, head = self._den, self._head
-            grouped: dict = {}
-            for key, (re_, im) in self._num.items():
-                grouped.setdefault(head(key), {})[key[-1]] = GaussianRational(
-                    Fraction(re_, den), Fraction(im, den)
-                )
-            object.__setattr__(self, "_view", {h: CPoly(c) for h, c in grouped.items()})
-        return self._view
-
-    def _render(self, mono) -> str:
-        """The view's "(coeff) * mono" terms in key order, joined by " + "."""
-        view = self._cpolys()
-        parts = []
-        for key in sorted(view):
-            m = mono(key)
-            parts.append(f"({view[key]}) * {m}" if m else f"({view[key]})")
-        return " + ".join(parts) or "0"

@@ -25,78 +25,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
-from typing import Iterable, Union
+from math import comb, lcm
+from typing import Union
+
+from .scalars import FlatTerms
 
 RatPolyLike = Union[int, Fraction, "RatPoly"]
 
 
-class RatPoly:
+class RatPoly(FlatTerms):
     """Sparse polynomial over Q in one commuting variable.
 
-    Stored flat, as FLINT's fmpq_poly stores one: ``_num`` maps degree to an
-    integer numerator over one positive denominator ``_den``.  The form is
-    canonical (no zero numerators, gcd of ``_den`` and all numerators 1), so
-    equality is structural, and arithmetic runs on plain integers with one
-    gcd at the end.  ``coeffs`` is the {degree: Fraction} view, built on
-    first use and cached, so callers must not mutate it.  Immutable.
+    Stored flat (see ``scalars.FlatTerms``) under keys deg for x^deg, with no
+    c and no i.  ``coeffs`` is the {degree: Fraction} view, built on first
+    use and cached, so callers must not mutate it.  Immutable.
     """
 
-    __slots__ = ("_num", "_den", "_view")
-
-    def __init__(self, coeffs: dict[int, int | Fraction] | None = None):
-        parts = []
-        den = 1
-        for k, v in (coeffs or {}).items():
-            if k < 0:
-                raise ValueError("negative degree")
-            if not isinstance(v, (int, Fraction)):
-                v = Fraction(v)
-            if v:
-                parts.append((k, v.numerator, v.denominator))
-                den = lcm(den, v.denominator)
-        # over the lcm of reduced denominators the form is already canonical
-        self._init({k: n * (den // d) for k, n, d in parts}, den)
-
-    def _init(self, num: dict[int, int], den: int) -> None:
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_view", None)
+    __slots__ = ()
+    _lifts = (int, Fraction)
+    _scalar_key = staticmethod(lambda deg: None if deg else (0, 0))
+    # perfbench's tracer wraps these through the class's own __dict__
+    __add__ = __radd__ = FlatTerms.__add__
+    __sub__, __rsub__ = FlatTerms.__sub__, FlatTerms.__rsub__
+    __neg__, __pow__ = FlatTerms.__neg__, FlatTerms.__pow__
+    __eq__, __hash__ = FlatTerms.__eq__, FlatTerms.__hash__
 
     @staticmethod
-    def _flat(num: dict[int, int], den: int) -> "RatPoly":
-        x = object.__new__(RatPoly)
-        x._init(num, den)
-        return x
-
-    @staticmethod
-    def _canonical(num: dict[int, int], den: int) -> "RatPoly":
-        """num / den without zero numerators, in lowest terms."""
-        num = {k: v for k, v in num.items() if v}
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {k: v // g for k, v in num.items()}
-            den //= g
-        return RatPoly._flat(num, den)
-
-    def _scaled(self, a: int, b: int) -> "RatPoly":
-        """self * a/b for a/b in lowest terms, b > 0.
-
-        Canonical without a final gcd: self is canonical and a/b reduced, so
-        once gcd(a, _den) and gcd(b, numerators) are divided out no prime
-        divides the new denominator and every new numerator.
-        """
-        if not a:
-            return RatPoly._flat({}, 1)
-        g1 = gcd(a, self._den)
-        g2 = gcd(b, *self._num.values()) if b != 1 else 1
-        s = a // g1
-        return RatPoly._flat(
-            {k: v // g2 * s for k, v in self._num.items()}, self._den // g1 * (b // g2)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
+    def _key(deg: int, k: int, i: int) -> int:
+        if k or i:
+            raise TypeError("a RatPoly coefficient must be rational")
+        return deg
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
@@ -115,43 +73,6 @@ class RatPoly:
     def x() -> "RatPoly":
         return RatPoly._flat({1: 1}, 1)
 
-    @staticmethod
-    def weighted_sum(pairs: Iterable[tuple[int, "RatPoly"]]) -> "RatPoly":
-        """sum of w * P over (w, P) pairs with integer weights w, in one pass:
-        one lcm of the denominators, one accumulation, one canonical step."""
-        pairs = [(w, p) for w, p in pairs if w]
-        # a list, not a generator: star-args built from a generator are
-        # resized tuples that pile up in the tuple free list (0.4 MB of peak
-        # RSS over the default binomial sweep)
-        den = lcm(*[p._den for _, p in pairs])
-        out: dict[int, int] = {}
-        for w, p in pairs:
-            s = w * (den // p._den)
-            for k, v in p._num.items():
-                out[k] = out.get(k, 0) + s * v
-        return RatPoly._canonical(out, den)
-
-    def __add__(self, other):
-        other = RatPoly.of(other)
-        d1, d2 = self._den, other._den
-        den = lcm(d1, d2)
-        s1, s2 = den // d1, den // d2
-        out = {k: v * s1 for k, v in self._num.items()}
-        for k, v in other._num.items():
-            out[k] = out.get(k, 0) + v * s2
-        return RatPoly._canonical(out, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-RatPoly.of(other))
-
-    def __rsub__(self, other):
-        return RatPoly.of(other) + (-self)
-
-    def __neg__(self):
-        return RatPoly._flat({k: -v for k, v in self._num.items()}, self._den)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other.numerator, other.denominator)
@@ -164,30 +85,6 @@ class RatPoly:
         return RatPoly._canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = RatPoly._flat({0: 1}, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly.of(other)
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self):
-        if self.degree() <= 0:
-            # a constant hashes like the Fraction it equals
-            return hash(self.coeff(0))
-        return hash((self._den, frozenset(self._num.items())))
-
-    def __bool__(self):
-        return bool(self._num)
 
     def degree(self) -> int:
         return max(self._num, default=-1)

@@ -11,9 +11,10 @@ which follows from p q = q p + c by induction (``contraction_weights``
 holds the weights).
 
 An element is stored flat (``scalars.FlatTerms``), the way FLINT's fmpq_poly
-stores a rational polynomial: integer numerators of the coefficients of
-c^k q^a p^b over one positive denominator shared by the whole element.
-Products, sums and ``subst_c`` run on plain integers and reduce by a single
+stores a rational polynomial: the integer numerator of c^k i^i q^a p^b
+under the key (a, b, k, i), with i the power (0 or 1) of the imaginary unit,
+over one positive denominator shared by the whole element.  Products, sums
+and ``subst_c`` run on plain integers, apply i^2 = -1 and reduce by a single
 gcd at the end, so no Fraction is built on the hot path; ``terms`` is the
 {(a, b): CPoly} view that rendering and the realizations read.  Since c
 stays formal, an identity established here holds for every numeric value of
@@ -39,15 +40,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .scalars import CPoly, CPolyLike, FlatTerms, GaussianRational, NonDivisible, parse_cpoly
+from .scalars import CPoly, CPolyLike, FlatTerms, GaussianRational, parse_cpoly
 from .sequences import RatPoly
 
 Key = tuple[int, int]  # (a, b) <-> q^a p^b
-FlatKey = tuple[int, int, int]  # (a, b, k) <-> c^k q^a p^b
+FlatKey = tuple[int, int, int, int]  # (a, b, k, i) <-> c^k i^i q^a p^b
 
 ElementLike = Union[int, Fraction, GaussianRational, CPoly, "WeylElement"]
 
@@ -66,13 +67,17 @@ def contraction_weights(b: int, a: int) -> tuple[int, ...]:
 class WeylElement(FlatTerms):
     """Normal-ordered element of the algebra generated by q and p.
 
-    Stored flat (see FlatTerms) under keys (a, b, k) for c^k q^a p^b;
+    Stored flat (see FlatTerms) under keys (a, b, k, i) for c^k i^i q^a p^b;
     ``terms`` is the {(a, b): CPoly} view, built on first use and cached, so
     callers must not mutate it.  Immutable.
     """
 
     __slots__ = ()
     _head = itemgetter(0, 1)
+    _lifts = (int, Fraction, GaussianRational, CPoly)
+    # perfbench's tracer wraps these through the class's own __dict__
+    __add__ = __radd__ = FlatTerms.__add__
+    __pow__ = FlatTerms.__pow__
 
     @property
     def terms(self) -> dict[Key, CPoly]:
@@ -83,67 +88,26 @@ class WeylElement(FlatTerms):
     def of(v: ElementLike) -> "WeylElement":
         if isinstance(v, WeylElement):
             return v
-        return WeylElement({(0, 0): CPoly.of(v)})
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other):
-        return self._add(WeylElement.of(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-WeylElement.of(other))
-
-    def __rsub__(self, other):
-        return WeylElement.of(other) + (-self)
+        return WeylElement({(0, 0): v})
 
     def __mul__(self, other):
         other = WeylElement.of(other)
         weights = contraction_weights
         right = list(other._num.items())
-        acc_re: dict[FlatKey, int] = {}
-        acc_im: dict[FlatKey, int] = {}
-        for (a1, b1, k1), (r1, i1) in self._num.items():
-            for (a2, b2, k2), (r2, i2) in right:
-                re_ = r1 * r2 - i1 * i2
-                im = r1 * i2 + i1 * r2
-                a, b, k = a1 + a2, b1 + b2, k1 + k2
+        acc: dict[FlatKey, int] = {}
+        for (a1, b1, k1, i1), n1 in self._num.items():
+            for (a2, b2, k2, i2), n2 in right:
+                n = -n1 * n2 if i1 & i2 else n1 * n2  # i^2 = -1
+                a, b, k, i = a1 + a2, b1 + b2, k1 + k2, i1 ^ i2
                 # p^b1 q^a2 -> sum over contractions
                 for j, w in enumerate(weights(b1, a2)):
-                    key = (a - j, b - j, k + j)
-                    acc_re[key] = acc_re.get(key, 0) + re_ * w
-                    if im:
-                        acc_im[key] = acc_im.get(key, 0) + im * w
-        out = {key: (re_, acc_im.get(key, 0)) for key, re_ in acc_re.items()}
-        return WeylElement._canonical(out, self._den * other._den)
+                    key = (a - j, b - j, k + j, i)
+                    acc[key] = acc.get(key, 0) + n * w
+        return WeylElement._canonical(acc, self._den * other._den)
 
     def __rmul__(self, other):
         # scalars commute with everything, so reuse __mul__
         return WeylElement.of(other) * self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = WeylElement.of(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, CPoly)):
-            other = WeylElement.of(other)
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self):
-        if all(key[:2] == (0, 0) for key in self._num):
-            # a scalar hashes like the CPoly (and so the number) it equals
-            return hash(self.coefficient(0, 0))
-        return hash((self._den, frozenset(self._num.items())))
-
-    # -- structure -------------------------------------------------------
 
     def coefficient(self, a: int, b: int) -> CPoly:
         return self.terms.get((a, b), CPoly())
@@ -153,26 +117,7 @@ class WeylElement(FlatTerms):
 
     def subst_c(self, v) -> "WeylElement":
         """Specialize the central symbol: c -> v (a ring homomorphism)."""
-        v = GaussianRational.of(v)
-        dv = lcm(v.re.denominator, v.im.denominator)
-        vr, vi = v.re.numerator * (dv // v.re.denominator), v.im.numerator * (dv // v.im.denominator)
-        kmax = max((k for (_, _, k) in self._num), default=0)
-        # powers[k] = (vr + vi i)^k dv^(kmax-k): v^k over the shared dv^kmax
-        powers = [(1, 0)]
-        for _ in range(kmax):
-            pr, pi = powers[-1]
-            powers.append((pr * vr - pi * vi, pr * vi + pi * vr))
-        powers = [(pr * dv ** (kmax - k), pi * dv ** (kmax - k)) for k, (pr, pi) in enumerate(powers)]
-        out: dict[FlatKey, tuple[int, int]] = {}
-        for (a, b, k), (re_, im) in self._num.items():
-            pr, pi = powers[k]
-            r0, i0 = out.get((a, b, 0), (0, 0))
-            out[(a, b, 0)] = (r0 + re_ * pr - im * pi, i0 + re_ * pi + im * pr)
-        return WeylElement._canonical(out, self._den * dv**kmax)
-
-    def div_c(self, k: int = 1) -> "WeylElement":
-        """Exact division of every coefficient by c^k (NonDivisible if not)."""
-        return WeylElement({key: cp.div_c(k) for key, cp in self.terms.items()})
+        return WeylElement._canonical(*self._at_c(v))
 
     def __str__(self):
         return self._render(
@@ -195,7 +140,7 @@ def p_op(b: int = 1) -> WeylElement:
 
 
 def scalar(v: CPolyLike) -> WeylElement:
-    return WeylElement.of(CPoly.of(v))
+    return WeylElement.of(v)
 
 
 def monomial(a: int, b: int, coeff: CPolyLike = 1) -> WeylElement:
@@ -294,10 +239,7 @@ def hadamard_conjugate(
 def poly_of_element(poly: RatPoly, w: ElementLike) -> WeylElement:
     """Evaluate a rational polynomial at an algebra element."""
     w = WeylElement.of(w)
-    acc = WeylElement()
-    for k, coeff in poly.coeffs.items():
-        acc = acc + scalar(coeff) * w**k
-    return acc
+    return WeylElement.weighted_sum((n, w**k) for k, n in poly._num.items())._scaled(1, poly._den)
 
 
 # -- rendering / parsing ----------------------------------------------------

@@ -183,6 +183,17 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     assert rc == 2 and "cannot read config" in err
 
 
+@pytest.mark.parametrize("command", [("verify", "sequences"), ("tables",)], ids=["verify", "tables"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, command, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    rc, out, err = run_cli(capsys, *command, "--output", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_failures_exit_1(capsys, monkeypatch):
     import weylops.suites as suites_mod
 

@@ -1,14 +1,17 @@
 """Differential realization p = c d/dx, q = x, as an independent oracle."""
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import RefCPoly, is_canonical
 
 from weylops import (
     CPoly,
+    GaussianRational,
+    I,
     PreconditionViolation,
     WeylElement,
     XPoly,
@@ -112,15 +115,16 @@ def test_action_is_multiplicative(x, y, l):
 
 
 def _tower_apply(w: WeylElement, f: XPoly) -> XPoly:
-    # reference: the action computed over CPoly coefficients
+    # reference: the action computed over Fraction-dict coefficients (RefCPoly)
     out: dict = {}
     for (a, b), wcoeff in w.terms.items():
         for l, fcoeff in f.coeffs.items():
             if l < b:
                 continue
-            contribution = wcoeff * fcoeff * CPoly.c_power(b, factorial(l) // factorial(l - b))
-            out[l - b + a] = out.get(l - b + a, CPoly()) + contribution
-    return XPoly(out)
+            contribution = RefCPoly.of_cpoly(wcoeff) * RefCPoly.of_cpoly(fcoeff)
+            contribution = contribution * RefCPoly.c_power(b, factorial(l) // factorial(l - b))
+            out[l - b + a] = out.get(l - b + a, RefCPoly()) + contribution
+    return XPoly({deg: v.to_cpoly() for deg, v in out.items()})
 
 
 xpolys = st.builds(XPoly, st.dictionaries(st.integers(0, 6), coeffs, max_size=3))
@@ -131,11 +135,36 @@ def test_action_matches_the_cpoly_tower(w, f):
     assert apply_element(w, f) == _tower_apply(w, f)
 
 
+# Gaussian coefficients put the i bit on both sides of the action; rationals
+# drawn as n/d from integers, which is cheaper than st.fractions
+small_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+gaussian_coeffs = st.builds(
+    CPoly.c_power, st.integers(0, 2), st.builds(GaussianRational, small_rationals, small_rationals)
+)
+gaussian_elements = st.builds(
+    WeylElement,
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), gaussian_coeffs, max_size=3),
+)
+gaussian_xpolys = st.builds(XPoly, st.dictionaries(st.integers(0, 6), gaussian_coeffs, max_size=3))
+
+
+@given(gaussian_elements, gaussian_elements, gaussian_xpolys)
+def test_gaussian_action_matches_the_tower(x, y, f):
+    assert apply_element(x, f) == _tower_apply(x, f)
+    assert apply_element(x * y, f) == apply_element(x, apply_element(y, f))
+
+
 @given(xpolys, xpolys)
 def test_xpoly_flat_form_is_canonical(f, g):
-    for h in (f, f + g, f - g, -f, apply_element(q_op(), f)):
-        pairs = list(h._num.values())
-        assert all(re_ or im for re_, im in pairs)
-        assert h._den > 0
-        assert gcd(h._den, *(n for pair in pairs for n in pair)) == 1
+    # int numerators, none zero, gcd 1 with the denominator, an i bit in
+    # {0, 1}: for polynomials and their CPoly coefficient views
+    i_op = monomial(1, 1, I)
+    for h in (f, f + g, f - g, -f, apply_element(q_op(), f), apply_element(i_op, apply_element(i_op, f))):
+        assert is_canonical(h)
+        assert all(is_canonical(cp) for cp in h.coeffs.values())
         assert XPoly(h.coeffs) == h and hash(XPoly(h.coeffs)) == hash(h)
+
+
+def test_i_squared_is_minus_one():
+    assert apply_element(monomial(1, 0, I), XPoly.monomial(1, I)) == -XPoly.monomial(2)
+    assert XPoly.monomial(3, I).scale(I) == -XPoly.monomial(3)

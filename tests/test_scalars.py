@@ -1,10 +1,12 @@
-"""Scalar tower: Fraction -> GaussianRational -> CPoly."""
+"""Exact scalars: GaussianRational, and the flat CPoly against its Fraction-dict
+reference."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import RefCPoly, is_canonical
 
 from weylops import (
     CPoly,
@@ -131,3 +133,75 @@ def test_cpoly_ring(u, v):
 @given(cpolys)
 def test_cpoly_parse_round_trip(u):
     assert parse_cpoly(str(u)) == u
+
+
+def test_i_squared_is_minus_one():
+    i = CPoly.of(I)
+    assert i * i == -1
+    assert CPoly.c_power(1, I).subst(I) == -1
+    assert CPoly.c_power(3, I).subst(I) == 1  # i * i^3
+    assert (CPoly.c_power(1, I) * CPoly.c_power(1, I)).subst(1) == -1
+
+
+# -- the flat CPoly against the Fraction-dict one it replaced -----------------
+
+# rationals drawn as n/d from integers, which is cheaper than st.fractions
+flat_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+flat_numbers = st.one_of(
+    st.integers(-60, 60), flat_rationals, st.builds(GaussianRational, flat_rationals, flat_rationals)
+)
+cmaps = st.dictionaries(st.integers(0, 4), flat_numbers, max_size=4)
+
+
+def _agree(flat: CPoly, ref: RefCPoly) -> None:
+    assert is_canonical(flat)
+    assert flat.coeffs == ref.coeffs
+    assert str(flat) == str(ref)
+    assert flat.degree() == ref.degree()
+    assert flat.constant_term() == ref.constant_term()
+
+
+@given(cmaps, cmaps, flat_numbers, st.integers(0, 3))
+def test_cpoly_arithmetic_matches_the_reference(a, b, s, n):
+    x, y, rx, ry = CPoly(a), CPoly(b), RefCPoly(a), RefCPoly(b)
+    _agree(x, rx)
+    cases = [
+        (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx), (x**n, rx**n),
+        (x + s, rx + s), (x - s, rx - s), (x * s, rx * s),
+    ]
+    if not isinstance(s, GaussianRational):  # GaussianRational's own operators take numbers only
+        cases += [(s + x, s + rx), (s - x, s - rx), (s * x, s * rx)]
+    for flat, ref in cases:
+        _agree(flat, ref)
+
+
+@given(cmaps, flat_numbers, st.integers(0, 3))
+def test_cpoly_subst_and_div_c_match_the_reference(a, v, k):
+    x, rx = CPoly(a), RefCPoly(a)
+    assert x.subst(v) == rx.subst(v)
+    assert x.subst(I) == rx.subst(I)
+    try:
+        expected = rx.div_c(k)
+    except ArithmeticError:
+        with pytest.raises(NonDivisible):
+            x.div_c(k)
+    else:
+        _agree(x.div_c(k), expected)
+
+
+@given(cmaps, cmaps, flat_numbers)
+def test_cpoly_equality_hash_and_parsing_match_the_reference(a, b, s):
+    x, y = CPoly(a), CPoly(b)
+    assert (x == y) == (RefCPoly(a) == RefCPoly(b))
+    assert (x == s) == (RefCPoly(a) == s)
+    if x == y:
+        assert hash(x) == hash(y)
+    z = x + y - y
+    assert z == x and hash(z) == hash(x)
+    assert CPoly(x.coeffs) == x and hash(CPoly(x.coeffs)) == hash(x)
+    # a constant hashes like the number it equals, as the reference does
+    if x.degree() <= 0:
+        assert hash(x) == hash(RefCPoly(a)) == hash(x.constant_term())
+    for const in (CPoly.of(s), x - x + s):
+        assert const == s and hash(const) == hash(GaussianRational.of(s))
+    assert parse_cpoly(str(x)) == x

@@ -1,11 +1,12 @@
 """Normal-ordering engine for the relation pq - qp = c."""
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import RefCPoly, is_canonical
 
 from weylops import (
     CPoly,
@@ -44,17 +45,17 @@ elements = st.builds(
 
 
 def _tower_product(x: WeylElement, y: WeylElement) -> WeylElement:
-    # reference: the product computed over CPoly coefficients, one pair of
-    # (a, b) terms at a time
+    # reference: the product computed over Fraction-dict coefficients
+    # (RefCPoly), one pair of (a, b) terms at a time
     out: dict = {}
     for (a1, b1), v1 in x.terms.items():
         for (a2, b2), v2 in y.terms.items():
-            coeff = v1 * v2
+            coeff = RefCPoly.of_cpoly(v1) * RefCPoly.of_cpoly(v2)
             for k in range(min(b1, a2) + 1):
-                w = coeff * CPoly.c_power(k, factorial(k) * comb(b1, k) * comb(a2, k))
+                w = coeff * RefCPoly.c_power(k, factorial(k) * comb(b1, k) * comb(a2, k))
                 key = (a1 + a2 - k, b1 + b2 - k)
-                out[key] = out.get(key, CPoly()) + w
-    return WeylElement(out)
+                out[key] = out.get(key, RefCPoly()) + w
+    return WeylElement({key: v.to_cpoly() for key, v in out.items()})
 
 
 def _p_fact(k):
@@ -231,13 +232,24 @@ def test_terms_view_round_trip(w):
     assert again == w and hash(again) == hash(w)
 
 
-@given(elements, elements)
-def test_flat_form_is_canonical(x, y):
-    for w in (x, x * y, x + y, x - y, -x, x.subst_c(MINUS_I)):
-        pairs = list(w._num.values())
-        assert all(re_ or im for re_, im in pairs)
-        assert w._den > 0
-        assert gcd(w._den, *(n for pair in pairs for n in pair)) == 1
+@given(elements, elements, coeffs, coeffs)
+def test_flat_form_is_canonical(x, y, u, v):
+    # int numerators, none zero, gcd 1 with the denominator, an i bit in
+    # {0, 1}: for elements, their CPoly coefficient views, and CPolys
+    for w in (x, x * y, x + y, x - y, -x, x.subst_c(MINUS_I), x.subst_c(I), (x * C).div_c()):
+        assert is_canonical(w)
+        assert all(is_canonical(cp) for cp in w.terms.values())
+    for cp in (u, u * v, u + v, u - v, -u, u**2, (C * u).div_c(), CPoly.of(u.subst(I))):
+        assert is_canonical(cp)
+
+
+def test_i_squared_is_minus_one():
+    i = scalar(I)
+    assert i * i == scalar(-1)
+    assert monomial(1, 0, I) * monomial(0, 1, I) == -(q_op() * p_op())
+    # through a contraction: (i p)(i q) = -(q p + c)
+    assert monomial(0, 1, I) * monomial(1, 0, I) == -(q_op() * p_op()) - scalar(C)
+    assert scalar(C * I).subst_c(I) == scalar(-1)
 
 
 @given(elements, st.one_of(rationals, gaussians))
