@@ -5,7 +5,8 @@ The package keeps every computation over the Gaussian rationals with the
 central symbol c formal, so identity checks are equalities of normal forms,
 not floating-point comparisons.  Three independent realizations back each
 other up: the symbolic normal-ordering engine, the shift action on
-polynomials, and truncated oscillator matrices over numpy.
+polynomials, and truncated oscillator matrices over numpy, which only the
+hermite sweep and the matrix API (loaded on first use) import.
 """
 
 from .report import reports_to_json
@@ -60,11 +61,6 @@ from .realization import (
     monomial_commutator_action,
     validate_reordering,
 )
-from .oscillator import (
-    build_operators,
-    element_to_matrix,
-    safe_margin,
-)
 from .suites import (
     b_sum,
     combinatorial_sums,
@@ -86,3 +82,14 @@ from .suites import (
 )
 
 __version__ = "0.1.0"
+
+_MATRIX_API = ("build_operators", "element_to_matrix", "safe_margin")
+
+
+def __getattr__(name: str):
+    # the matrix API loads numpy, so it is imported on first use (PEP 562)
+    if name in _MATRIX_API:
+        from . import oscillator
+
+        return getattr(oscillator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,0 +1,15 @@
+"""Default bounds of the hermite sweep, free of numpy: the command line
+checks them without loading the matrix oracle."""
+
+DEFAULT_DIM = 64
+DEFAULT_TOL = 1e-9
+DEFAULT_MAX_N = 8  # the hermite sweep's default highest order
+
+
+def min_dim(max_n: int) -> int:
+    """The least dim at which every hermite check up to order max_n runs.
+
+    The symbolic bridge is the tightest: {q,H}_n has margin 2n + 1 and needs
+    three exact columns beyond it.  At n = 0 this is also build_operators' 4.
+    """
+    return 2 * max_n + 4

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from . import oscillator
+from .bounds import DEFAULT_DIM, DEFAULT_MAX_N, min_dim
 from .report import reports_to_json
 from .sequences import bernoulli_number, euler_zero, kappa, lam
 from .suites import SELECTORS, run_suite
@@ -26,7 +26,7 @@ CONFIG_ENV = "WEYLOPS_CONFIG"
 _INT_KEYS = ("max_n", "max_m", "max_l", "dim", "seed")
 _CONFIG_KEYS = frozenset((*_INT_KEYS, "tol", "format"))
 # smallest usable bound; the hermite sweep needs a larger dim as max_n grows
-_LEAST = {"max_n": 0, "max_m": 0, "max_l": 0, "dim": oscillator.min_dim(0)}
+_LEAST = {"max_n": 0, "max_m": 0, "max_l": 0, "dim": min_dim(0)}
 
 
 class ConfigError(Exception):
@@ -157,11 +157,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if _emit(_tables_body(_merged(args, cfg, "max_n", 16), fmt), args.output) else 2
 
     if args.suite in ("hermite", "all"):
-        max_n = oscillator.DEFAULT_MAX_N if bounds["max_n"] is None else bounds["max_n"]
-        dim = oscillator.DEFAULT_DIM if bounds["dim"] is None else bounds["dim"]
-        if dim < oscillator.min_dim(max_n):
+        max_n = DEFAULT_MAX_N if bounds["max_n"] is None else bounds["max_n"]
+        dim = DEFAULT_DIM if bounds["dim"] is None else bounds["dim"]
+        if dim < min_dim(max_n):
             print(
-                f"error: dim must be at least {oscillator.min_dim(max_n)} for the hermite"
+                f"error: dim must be at least {min_dim(max_n)} for the hermite"
                 f" checks up to max_n {max_n}, got {dim}",
                 file=sys.stderr,
             )

@@ -12,11 +12,13 @@ H-brackets of q are exact on columns l <= D-2 (H is diagonal and never
 propagates the corruption).  A product q^a p^b is exact on columns
 l <= D-1-(a+b); comparisons stay inside those safe regions.
 
-No dense matrix product is formed, so every step costs O(D^2): H is
-diagonal, so {x, H} = x H + H x = x * (h_i + h_j) elementwise, and an
-element sum z_ab q^a p^b is Horner in q over the powers p^b, each step one
-tridiagonal multiply.  The bands are read from the matrices
-``build_operators`` returns, so a perturbed ladder reaches every check.
+No dense matrix product is formed.  H is diagonal, so {x, H} = x H + H x
+= x * (h_i + h_j) elementwise, in O(D^2).  An element sum z_ab q^a p^b,
+with s = max(a+b), is Horner in q over the powers p^b, all held as their
+2s + 1 diagonals, so each step is one tridiagonal multiply in O(sD) and the
+dense D x D result is written once at the end.  The three bands of q and p
+are read from the matrices ``build_operators`` returns, so a perturbed
+ladder reaches every check.
 
 Comparisons are relative and column by column: max |actual - expected|
 over a column, normalized by that column's largest |expected| entry.
@@ -33,22 +35,10 @@ from math import comb
 
 import numpy as np
 
+from .bounds import DEFAULT_DIM, DEFAULT_TOL, min_dim
 from .report import VerificationReport, run_check
 from .scalars import MINUS_I
 from .weyl import WeylElement, hamiltonian, nested_anticommutator, q_op
-
-DEFAULT_DIM = 64
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_N = 8  # the hermite sweep's default highest order
-
-
-def min_dim(max_n: int) -> int:
-    """The least dim at which every hermite check up to order max_n runs.
-
-    The symbolic bridge is the tightest: {q,H}_n has margin 2n + 1 and needs
-    three exact columns beyond it.  At n = 0 this is also build_operators' 4.
-    """
-    return 2 * max_n + 4
 
 
 @dataclass(frozen=True)
@@ -75,11 +65,13 @@ def _operators(n: int, dim: int) -> OscillatorMatrices:
     return build_operators(dim)
 
 
-def _tri_mul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """t @ x for a tridiagonal t, read off its three bands."""
-    out = np.diagonal(t)[:, None] * x
-    out[:-1] += np.diagonal(t, 1)[:, None] * x[1:]
-    out[1:] += np.diagonal(t, -1)[:, None] * x[:-1]
+def _band_mul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """t @ x for a tridiagonal t, read off its three bands, and x held as its
+    stacked diagonals -s..s: row s + d holds x[r, r + d] at position r, and
+    0 where r + d falls outside the matrix.  Diagonals beyond s are dropped."""
+    out = np.diagonal(t) * x
+    out[1:, :-1] += np.diagonal(t, 1) * x[:-1, 1:]  # t[r, r+1] x[r+1, r+d]: diagonal d-1
+    out[:-1, 1:] += np.diagonal(t, -1) * x[1:, :-1]  # t[r, r-1] x[r-1, r+d]: diagonal d+1
     return out
 
 
@@ -87,21 +79,26 @@ def element_to_matrix(w: WeylElement, mats: OscillatorMatrices) -> np.ndarray:
     """Realize a symbolic element at c = -i.  Exact only on columns
     l <= dim-1-max(a+b) over the element's support."""
     at = w.subst_c(MINUS_I)
-    parts: dict[int, dict[int, list]] = {}  # a -> {b: numerators of z_ab's re, im}
+    # every p^b and every Horner step q^(a'-a) p^b below has at most s
+    # diagonals on either side, and is multiplied only while it has fewer
+    s = safe_margin(at)
+    z = np.zeros((s + 1, s + 1), dtype=complex)  # z[a, b]: the coefficient of q^a p^b
     for (a, b, _, i), n in at._num.items():
-        parts.setdefault(a, {}).setdefault(b, [0, 0])[i] = n
-    den = at._den
-    rows = {
-        a: {b: complex(re / den, im / den) for b, (re, im) in row.items()} for a, row in parts.items()
-    }
-    powers = [np.eye(mats.dim, dtype=complex)]  # p^b
-    for _ in range(max((b for row in rows.values() for b in row), default=0)):
-        powers.append(_tri_mul(mats.p_mat, powers[-1]))
+        z[a, b] += n / at._den * (1j if i else 1)
+    powers = np.zeros((s + 1, 2 * s + 1, mats.dim), dtype=complex)  # p^b
+    powers[0, s] = 1
+    for b in range(s):
+        powers[b + 1] = _band_mul(mats.p_mat, powers[b])
+    acc = np.zeros_like(powers[0])
+    for row in z[::-1]:  # Horner in q: acc = q acc + sum_b z_ab p^b
+        acc = _band_mul(mats.q_mat, acc)
+        for b in np.flatnonzero(row):
+            acc += row[b] * powers[b]
+    r = np.broadcast_to(np.arange(mats.dim), acc.shape)
+    c = r + np.arange(-s, s + 1)[:, None]  # the column of each stored entry
+    inside = (c >= 0) & (c < mats.dim)
     out = np.zeros((mats.dim, mats.dim), dtype=complex)
-    for a in range(max(rows, default=0), -1, -1):
-        out = _tri_mul(mats.q_mat, out)  # Horner: out = q out + sum_b z_ab p^b
-        for b, z in rows.get(a, {}).items():
-            out += z * powers[b]
+    out[r[inside], c[inside]] = acc[inside]
     return out
 
 

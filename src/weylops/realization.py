@@ -25,7 +25,7 @@ from math import comb, factorial, perm
 from operator import itemgetter
 from typing import Union
 
-from .scalars import CPoly, CPolyLike, FlatTerms, GaussianRational
+from .scalars import CPoly, CPolyLike, CTerms, GaussianRational
 from .weyl import WeylElement
 
 XPolyLike = Union[int, Fraction, CPoly, "XPoly"]
@@ -35,7 +35,7 @@ class PreconditionViolation(ValueError):
     """A closed form was requested outside its stated domain."""
 
 
-class XPoly(FlatTerms):
+class XPoly(CTerms):
     """Polynomial in x with CPoly coefficients (the realization's carrier).
 
     Stored flat (see FlatTerms) under keys (deg, k, i) for c^k i^i x^deg;

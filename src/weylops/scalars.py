@@ -17,15 +17,18 @@ imaginary unit, and every product applies i^2 = -1.  The keys are
     sequences.RatPoly       deg           x^deg (rational, no c)
 
 so arithmetic runs on plain integers with one gcd at the end, and equality
-is structural.  ``GaussianRational`` (a + b*i with Fraction parts) is the
-boundary type: parsing, rendering, the cached ``coeffs``/``terms`` views and
-the value of ``CPoly.subst``.  All values are immutable.
+is structural.  The first three share ``CTerms``, what keys ending in
+(k, i) allow: division by c (``div_c``), setting c to a number and the CPoly
+views.  ``GaussianRational`` (a + b*i with Fraction parts) is the boundary
+type: parsing, rendering, the cached ``coeffs``/``terms`` views and the
+value of ``CPoly.subst``.  All values are immutable.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
 from typing import Iterable, Union
 
@@ -53,6 +56,21 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
 
 
+def _lifting(op):
+    """``op`` on its operand lifted by the class's ``of``, or NotImplemented if
+    ``of`` cannot lift it, so that Python asks the operand's reflected method."""
+
+    @wraps(op)
+    def method(self, other):
+        try:
+            other = self.of(other)
+        except TypeError:
+            return NotImplemented
+        return op(self, other)
+
+    return method
+
+
 class GaussianRational:
     """Exact complex number a + b*i with rational real and imaginary parts."""
 
@@ -71,21 +89,22 @@ class GaussianRational:
             return x
         return GaussianRational(x)
 
+    @_lifting
     def __add__(self, other):
-        other = GaussianRational.of(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_lifting
     def __sub__(self, other):
-        other = GaussianRational.of(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
+    @_lifting
     def __rsub__(self, other):
-        return GaussianRational.of(other) - self
+        return other - self
 
+    @_lifting
     def __mul__(self, other):
-        other = GaussianRational.of(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -109,11 +128,13 @@ class GaussianRational:
             raise ZeroDivisionError("inverse of 0 in Q(i)")
         return GaussianRational(self.re / n, -self.im / n)
 
+    @_lifting
     def __truediv__(self, other):
-        return self * GaussianRational.of(other).inverse()
+        return self * other.inverse()
 
+    @_lifting
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) * self.inverse()
+        return other * self.inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -195,18 +216,13 @@ class FlatTerms:
     The form is canonical (no zero numerators, gcd of ``_den`` and all
     numerators 1, zero is ``({}, 1)``), so equality is structural.  The
     constructor takes ``{head: number or CPoly}`` and each subclass says how
-    a head and a part c^k i^i make a key (``_key``).  ``_view`` caches the
-    subclass's coefficient view.  Immutable.
+    a head and a part c^k i^i make a key (``_key``), and which (k, i) a key
+    of a constant stands for (``_scalar_key``, for ``__hash__``).  ``_view``
+    caches the subclass's coefficient view.  Immutable.
     """
 
     __slots__ = ("_num", "_den", "_view")
     _lifts: tuple = ()  # the types that __eq__ lifts through ``of``
-    _key = staticmethod(lambda head, k, i: (*head, k, i))
-
-    @staticmethod
-    def _scalar_key(key):
-        """The (k, i) of a key without q, p or x; None for any other key."""
-        return None if any(key[:-2]) else key[-2:]
 
     def __init__(self, terms: dict | None = None):
         parts = []
@@ -285,8 +301,8 @@ class FlatTerms:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @_lifting
     def __add__(self, other):
-        other = self.of(other)
         d1, d2 = self._den, other._den
         den = lcm(d1, d2)
         s1, s2 = den // d1, den // d2
@@ -297,11 +313,13 @@ class FlatTerms:
 
     __radd__ = __add__
 
+    @_lifting
     def __sub__(self, other):
-        return self + (-self.of(other))
+        return self + (-other)
 
+    @_lifting
     def __rsub__(self, other):
-        return self.of(other) + (-self)
+        return other + (-self)
 
     def __neg__(self):
         return self._flat({key: -n for key, n in self._num.items()}, self._den)
@@ -333,6 +351,19 @@ class FlatTerms:
 
     def __bool__(self):
         return bool(self._num)
+
+
+class CTerms(FlatTerms):
+    """FlatTerms over Q(i)[c], whose keys end in (k, i): what CPoly,
+    WeylElement and XPoly share beyond the core, and a RatPoly lacks."""
+
+    __slots__ = ()
+    _key = staticmethod(lambda head, k, i: (*head, k, i))
+
+    @staticmethod
+    def _scalar_key(key):
+        """The (k, i) of a key without q, p or x; None for any other key."""
+        return None if any(key[:-2]) else key[-2:]
 
     def div_c(self, k: int = 1):
         """Exact division by c^k; raises NonDivisible if lower powers remain."""
@@ -385,7 +416,7 @@ class FlatTerms:
         return " + ".join(parts) or "0"
 
 
-class CPoly(FlatTerms):
+class CPoly(CTerms):
     """Sparse polynomial in the commutation symbol c over the Gaussian
     rationals: the empty-head case of FlatTerms, under keys (k, i).
 
@@ -420,8 +451,8 @@ class CPoly(FlatTerms):
             _set(self, "_view", {k: GaussianRational(*p) for k, p in parts.items()})
         return self._view
 
+    @_lifting
     def __mul__(self, other):
-        other = CPoly.of(other)
         right = list(other._num.items())
         out: dict[tuple[int, int], int] = {}
         for (k1, i1), n1 in self._num.items():

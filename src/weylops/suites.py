@@ -20,7 +20,7 @@ from itertools import product
 from math import comb, factorial
 from typing import Callable, Iterable
 
-from . import oscillator
+from .bounds import DEFAULT_DIM, DEFAULT_MAX_N, DEFAULT_TOL
 from .report import VerificationReport, run_check
 from .scalars import CPoly, I, MINUS_I
 from .sequences import (
@@ -596,11 +596,13 @@ def _random_cases(verify: Callable, seed: int, cases: int) -> list[VerificationR
 
 
 def _hermite(
-    max_n: int = oscillator.DEFAULT_MAX_N,
-    dim: int = oscillator.DEFAULT_DIM,
-    tol: float = oscillator.DEFAULT_TOL,
+    max_n: int = DEFAULT_MAX_N,
+    dim: int = DEFAULT_DIM,
+    tol: float = DEFAULT_TOL,
     **_,
 ) -> list[VerificationReport]:
+    from . import oscillator  # numpy, loaded only when a hermite check runs
+
     checks = (
         oscillator.check_nested_anticomm_closed_form,
         oscillator.check_shifted_expansions,

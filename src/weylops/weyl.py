@@ -44,7 +44,7 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .scalars import CPoly, CPolyLike, FlatTerms, GaussianRational, parse_cpoly
+from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, GaussianRational, parse_cpoly
 from .sequences import RatPoly
 
 Key = tuple[int, int]  # (a, b) <-> q^a p^b
@@ -64,7 +64,7 @@ def contraction_weights(b: int, a: int) -> tuple[int, ...]:
     return tuple(factorial(k) * comb(b, k) * comb(a, k) for k in range(min(b, a) + 1))
 
 
-class WeylElement(FlatTerms):
+class WeylElement(CTerms):
     """Normal-ordered element of the algebra generated by q and p.
 
     Stored flat (see FlatTerms) under keys (a, b, k, i) for c^k i^i q^a p^b;

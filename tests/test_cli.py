@@ -223,13 +223,63 @@ def test_module_entry_point():
     assert "kappa_n" in proc.stdout
 
 
-@pytest.mark.skipif(shutil.which("weylops") is None, reason="script not on PATH")
-def test_console_script():
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(
+            ["weylops"],
+            marks=pytest.mark.skipif(shutil.which("weylops") is None, reason="script not on PATH"),
+            id="script",
+        ),
+        pytest.param([sys.executable, "-m", "weylops"], id="module"),
+    ],
+)
+def test_console_script(command):
     proc = subprocess.run(
-        ["weylops", "verify", "bender", "--max-n", "3"],
+        [*command, "verify", "bender", "--max-n", "3"],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0
     assert proc.stdout.count("[PASS ]") == 4
+
+
+# Run in a child: this process has numpy loaded already.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from weylops.cli import main
+facts = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    facts["codes"] = [
+        main(["verify", "bender", "--max-n", "3"]),
+        main(["verify", "binomial", "--max-n", "2", "--max-m", "2", "--max-l", "2"]),
+    ]
+    facts["numpy_after_exact_sweeps"] = "numpy" in sys.modules
+    facts["codes"].append(main(["verify", "hermite", "--max-n", "0", "--dim", "4"]))
+facts["numpy_after_hermite"] = "numpy" in sys.modules
+import weylops
+from weylops import element_to_matrix, safe_margin
+facts["dim"] = weylops.build_operators(4).dim
+facts["margin"] = safe_margin(weylops.hamiltonian())
+try:
+    weylops.no_such_name
+except AttributeError as exc:
+    facts["unknown"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+def test_only_the_hermite_sweep_loads_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    assert facts["codes"] == [0, 0, 0]
+    assert facts["numpy_after_exact_sweeps"] is False
+    assert facts["numpy_after_hermite"] is True
+    # the matrix API stays importable from the package
+    assert facts["dim"] == 4
+    assert facts["margin"] == 2
+    assert facts["unknown"] == "module 'weylops' has no attribute 'no_such_name'"

@@ -16,8 +16,9 @@ Both independent oracles must catch every variant too: the differential
 realization through ``validate_reordering``, the matrix realization through
 the symbolic bridge, which realizes the engine's {q,H}_n at c = -i.
 
-The matrix oracle gets the same treatment: a ladder whose H (or p) is 1% off
-in a single low entry must turn the main identity (or the bridge) FAIL.
+The matrix oracle gets the same treatment: a ladder whose H (or p, or q) is
+1% off in a single low entry must turn the main identity (or the bridge)
+FAIL.
 
 The binomial sweep builds its two sides independently, so a wrong shifted
 basis ((z+1)^k or E_k(z+1)) or a RatPoly kernel that mishandles a rational
@@ -90,6 +91,17 @@ def _perturbed_build(monkeypatch, name, *entries):
 def test_perturbed_p_ladder_fails_the_bridge(monkeypatch):
     assert all(oscillator.check_symbolic_bridge(n, 64).ok for n in range(1, 5))
     _perturbed_build(monkeypatch, "p_mat", (1, 2), (2, 1))
+    for n in range(1, 5):
+        assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
+
+
+def test_perturbed_q_ladder_fails_the_bridge(monkeypatch):
+    # The realization's Horner step multiplies by the bands of the q it is
+    # given.  At n = 0 both sides are that q, so the bridge still passes;
+    # from n = 1 on the perturbed q no longer satisfies pq - qp = -i.
+    assert all(oscillator.check_symbolic_bridge(n, 64).ok for n in range(5))
+    _perturbed_build(monkeypatch, "q_mat", (1, 2), (2, 1))
+    assert oscillator.check_symbolic_bridge(0, 64).ok
     for n in range(1, 5):
         assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
 

@@ -1,6 +1,7 @@
 """Exact scalars: GaussianRational, and the flat CPoly against its Fraction-dict
 reference."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from weylops import (
     parse_gaussian,
     parse_rational,
 )
+from weylops.weyl import monomial, q_op
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -135,6 +137,21 @@ def test_cpoly_parse_round_trip(u):
     assert parse_cpoly(str(u)) == u
 
 
+def test_an_operand_a_class_cannot_lift_goes_to_the_other_side():
+    # each operator answers NotImplemented, so Python asks the reflected one
+    c = CPoly.c_power(1)
+    assert I * q_op() == q_op() * I == monomial(1, 0, I)
+    assert I + c == c + I == CPoly({0: I, 1: 1})
+    assert I - c == -(c - I)
+    assert c * q_op() == q_op() * c == monomial(1, 0, c)
+    assert c + q_op() == q_op() + c
+    assert c - q_op() == -(q_op() - c)
+    for left, right in ((object(), I), (I, object()), (object(), c), (c, object())):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(left, right)
+
+
 def test_i_squared_is_minus_one():
     i = CPoly.of(I)
     assert i * i == -1
@@ -169,8 +186,7 @@ def test_cpoly_arithmetic_matches_the_reference(a, b, s, n):
         (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx), (x**n, rx**n),
         (x + s, rx + s), (x - s, rx - s), (x * s, rx * s),
     ]
-    if not isinstance(s, GaussianRational):  # GaussianRational's own operators take numbers only
-        cases += [(s + x, s + rx), (s - x, s - rx), (s * x, s * rx)]
+    cases += [(s + x, s + rx), (s - x, s - rx), (s * x, s * rx)]
     for flat, ref in cases:
         _agree(flat, ref)
 

@@ -202,6 +202,15 @@ def test_ratpoly_basics():
         p ** -1
 
 
+def test_ratpoly_has_no_c():
+    # division by c and c = v belong to the values over Q(i)[c], whose keys
+    # end in (k, i); a RatPoly's keys are bare degrees
+    for name in ("div_c", "_at_c"):
+        assert not hasattr(RatPoly.x(), name)
+    with pytest.raises(AttributeError):
+        RatPoly.x().div_c()
+
+
 # -- the flat RatPoly against the Fraction-dict one it replaced ----------------
 
 

@@ -236,7 +236,7 @@ def test_terms_view_round_trip(w):
 def test_flat_form_is_canonical(x, y, u, v):
     # int numerators, none zero, gcd 1 with the denominator, an i bit in
     # {0, 1}: for elements, their CPoly coefficient views, and CPolys
-    for w in (x, x * y, x + y, x - y, -x, x.subst_c(MINUS_I), x.subst_c(I), (x * C).div_c()):
+    for w in (x, x * y, x + y, x - y, -x, x.subst_c(MINUS_I), x.subst_c(I), (C * x).div_c()):
         assert is_canonical(w)
         assert all(is_canonical(cp) for cp in w.terms.values())
     for cp in (u, u * v, u + v, u - v, -u, u**2, (C * u).div_c(), CPoly.of(u.subst(I))):
