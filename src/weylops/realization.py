@@ -92,24 +92,25 @@ def apply_element(w: WeylElement, f: XPoly) -> XPoly:
     return XPoly._canonical(out, w._den * f._den)
 
 
+def _monomial_action(n: int, m: int, l: int, sign: int) -> tuple[CPoly, int]:
+    if l < n:
+        raise PreconditionViolation(f"closed form needs l >= n, got l={l}, n={n}")
+    coeff = CPoly.c_power(n, Fraction(comb(m + l, n) + sign * comb(l, n), factorial(m)))
+    return coeff, l - n + m
+
+
 def monomial_commutator_action(n: int, m: int, l: int) -> tuple[CPoly, int]:
     """Closed form of  [p^n/n!, q^m/m!]  on x^l: (coefficient, degree).
 
     Valid for l >= n (the closed form's stated domain); raises
     PreconditionViolation below it.
     """
-    if l < n:
-        raise PreconditionViolation(f"closed form needs l >= n, got l={l}, n={n}")
-    coeff = CPoly.c_power(n, Fraction(comb(m + l, n) - comb(l, n), factorial(m)))
-    return coeff, l - n + m
+    return _monomial_action(n, m, l, -1)
 
 
 def monomial_anticommutator_action(n: int, m: int, l: int) -> tuple[CPoly, int]:
     """Closed form of  {p^n/n!, q^m/m!}  on x^l: (coefficient, degree)."""
-    if l < n:
-        raise PreconditionViolation(f"closed form needs l >= n, got l={l}, n={n}")
-    coeff = CPoly.c_power(n, Fraction(comb(m + l, n) + comb(l, n), factorial(m)))
-    return coeff, l - n + m
+    return _monomial_action(n, m, l, 1)
 
 
 def validate_reordering(max_exp: int = 6, max_l: int = 8) -> None:

@@ -11,17 +11,18 @@ positive denominator, in lowest terms (``FlatTerms``).  For values over
 Q(i)[c] a key ends in (k, i): the power of c and the power (0 or 1) of the
 imaginary unit, and every product applies i^2 = -1.  The keys are
 
+    GaussianRational        (0, i)        i^i
     CPoly                   (k, i)        c^k i^i
     weyl.WeylElement        (a, b, k, i)  c^k i^i q^a p^b
     realization.XPoly       (deg, k, i)   c^k i^i x^deg
     sequences.RatPoly       deg           x^deg (rational, no c)
 
 so arithmetic runs on plain integers with one gcd at the end, and equality
-is structural.  The first three share ``CTerms``, what keys ending in
-(k, i) allow: division by c (``div_c``), setting c to a number and the CPoly
-views.  ``GaussianRational`` (a + b*i with Fraction parts) is the boundary
-type: parsing, rendering, the cached ``coeffs``/``terms`` views and the
-value of ``CPoly.subst``.  All values are immutable.
+is structural.  GaussianRational and CPoly share one product kernel.  CPoly
+and the next two share ``CTerms``, what keys ending in (k, i) allow:
+division by c (``div_c``), setting c to a number and the CPoly views.
+Only int, Fraction and these classes enter the exact algebra: a float or a
+string raises TypeError.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -71,139 +72,14 @@ def _lifting(op):
     return method
 
 
-class GaussianRational:
-    """Exact complex number a + b*i with rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def of(x: ScalarLike) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(x)
-
-    @_lifting
-    def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    @_lifting
-    def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    @_lifting
-    def __rsub__(self, other):
-        return other - self
-
-    @_lifting
-    def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 + b^2 (multiplicative)."""
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    @_lifting
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    @_lifting
-    def __rtruediv__(self, other):
-        return other * self.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        # a real value hashes like the Fraction it equals
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def as_rational(self) -> Fraction:
-        if self.im:
-            raise ValueError(f"{self} has a nonzero imaginary part")
-        return self.re
-
-    def __str__(self):
-        if not self.im:
-            return format_rational(self.re)
-        imag = f"{format_rational(abs(self.im))}*i"
-        if not self.re:
-            return imag if self.im > 0 else f"-{imag}"
-        sign = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{imag}"
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-MINUS_I = GaussianRational(0, -1)
-
-_GAUSS_BOTH_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)\*i$")
-_GAUSS_IMAG_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\*i$")
-
-
-def parse_gaussian(text: str) -> GaussianRational:
-    """Parse the rendering grammar: "a", "b*i" or "a+b*i" (also "a-b*i")."""
-    s = text.strip().replace(" ", "")
-    m = _GAUSS_BOTH_RE.match(s)
-    if m:
-        return GaussianRational(parse_rational(m.group(1)), parse_rational(m.group(2)))
-    m = _GAUSS_IMAG_RE.match(s)
-    if m:
-        return GaussianRational(0, parse_rational(m.group(1)))
-    return GaussianRational(parse_rational(s))
-
-
-CPolyLike = Union[int, Fraction, GaussianRational, "CPoly"]
+CPolyLike = Union[int, Fraction, "GaussianRational", "CPoly"]
 
 
 def _parts(v: CPolyLike) -> list[tuple[int, int, int, int]]:
-    """(k, i, numerator, denominator) of each nonzero part c^k i^i n/d of v."""
-    if isinstance(v, CPoly):
+    """(k, i, numerator, denominator) of each part c^k i^i n/d of v."""
+    if isinstance(v, (CPoly, GaussianRational)):
         return [(k, i, n, v._den) for (k, i), n in v._num.items()]
-    if isinstance(v, GaussianRational):
-        return [(0, i, x.numerator, x.denominator) for i, x in enumerate((v.re, v.im)) if x]
-    v = Fraction(v)
-    return [(0, 0, v.numerator, v.denominator)] if v else []
+    raise TypeError(f"not an exact scalar: {v!r}")
 
 
 _set = object.__setattr__  # FlatTerms are immutable: only this sets their fields
@@ -347,10 +223,118 @@ class FlatTerms:
             return hash((self._den, frozenset(self._num.items())))
         if any(k for k, _ in scalar):
             return hash((self._den, frozenset(scalar.items())))
-        return hash(GaussianRational(*(Fraction(scalar.get((0, i), 0), self._den) for i in (0, 1))))
+        re, im = (Fraction(scalar.get((0, i), 0), self._den) for i in (0, 1))
+        return hash((re, im)) if im else hash(re)
 
     def __bool__(self):
         return bool(self._num)
+
+
+@_lifting
+def _ki_mul(self, other):
+    """The product of two (k, i) stores, CPoly's or GaussianRational's."""
+    right = list(other._num.items())
+    out: dict[tuple[int, int], int] = {}
+    for (k1, i1), n1 in self._num.items():
+        for (k2, i2), n2 in right:
+            key = (k1 + k2, i1 ^ i2)
+            out[key] = out.get(key, 0) + (-n1 * n2 if i1 & i2 else n1 * n2)
+    return self._canonical(out, self._den * other._den)
+
+
+class GaussianRational(FlatTerms):
+    """Exact complex number a + b*i with rational real and imaginary parts:
+    the degree-0 case of CPoly's store, under keys (0, i), with Fraction
+    views ``re`` and ``im``.  Immutable.
+    """
+
+    __slots__ = ()
+    _lifts = (int, Fraction)
+    _scalar_key = staticmethod(lambda key: key)
+    # perfbench's tracer counts these through the class's own __dict__
+    __add__ = __radd__ = FlatTerms.__add__
+    __mul__ = __rmul__ = _ki_mul
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        super().__init__({0: re, 1: im})
+
+    @staticmethod
+    def _key(i: int, k: int, j: int) -> tuple[int, int]:
+        if k or j:
+            raise TypeError("the parts of a GaussianRational must be rational")
+        return (0, i)
+
+    @staticmethod
+    def of(x: ScalarLike) -> "GaussianRational":
+        if not isinstance(x, (GaussianRational, int, Fraction)):
+            raise TypeError(f"cannot lift {x!r} to a GaussianRational")
+        return x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+    re = property(lambda self: Fraction(self._num.get((0, 0), 0), self._den))
+    im = property(lambda self: Fraction(self._num.get((0, 1), 0), self._den))
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+    def norm(self) -> Fraction:
+        """Field norm a^2 + b^2 (multiplicative)."""
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self) -> "GaussianRational":
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of 0 in Q(i)")
+        return GaussianRational(self.re / n, -self.im / n)
+
+    @_lifting
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    @_lifting
+    def __rtruediv__(self, other):
+        return other * self.inverse()
+
+    @property
+    def is_real(self) -> bool:
+        return (0, 1) not in self._num
+
+    def as_rational(self) -> Fraction:
+        if not self.is_real:
+            raise ValueError(f"{self} has a nonzero imaginary part")
+        return self.re
+
+    def __str__(self):
+        if not self.im:
+            return format_rational(self.re)
+        imag = f"{format_rational(abs(self.im))}*i"
+        if not self.re:
+            return imag if self.im > 0 else f"-{imag}"
+        sign = "+" if self.im > 0 else "-"
+        return f"{format_rational(self.re)}{sign}{imag}"
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
+MINUS_I = GaussianRational(0, -1)
+
+_GAUSS_BOTH_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)\*i$")
+_GAUSS_IMAG_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\*i$")
+
+
+def parse_gaussian(text: str) -> GaussianRational:
+    """Parse the rendering grammar: "a", "b*i" or "a+b*i" (also "a-b*i")."""
+    s = text.strip().replace(" ", "")
+    m = _GAUSS_BOTH_RE.match(s)
+    if m:
+        return GaussianRational(parse_rational(m.group(1)), parse_rational(m.group(2)))
+    m = _GAUSS_IMAG_RE.match(s)
+    if m:
+        return GaussianRational(0, parse_rational(m.group(1)))
+    return GaussianRational(parse_rational(s))
 
 
 class CTerms(FlatTerms):
@@ -367,6 +351,8 @@ class CTerms(FlatTerms):
 
     def div_c(self, k: int = 1):
         """Exact division by c^k; raises NonDivisible if lower powers remain."""
+        if k < 0:
+            raise ValueError("negative power")
         if any(key[-2] < k for key in self._num):
             raise NonDivisible(f"{self} is not divisible by c^{k}")
         num = {(*key[:-2], key[-2] - k, key[-1]): n for key, n in self._num.items()}
@@ -378,23 +364,19 @@ class CTerms(FlatTerms):
         at = CPoly.of(v)
         if at.degree() > 0:
             raise ValueError(f"c can only be set to a number, not {at}")
-        dv = at._den
         kmax = max((key[-2] for key in self._num), default=0)
-        # powers[k]: {i: numerator} of v^k over dv^kmax
-        powers = [{0: dv**kmax}]
+        den = at._den**kmax  # a multiple of the denominator of every v^k
+        powers = [CPoly.of(1)]
         for _ in range(kmax):
-            nxt: dict[int, int] = {}
-            for i1, n1 in powers[-1].items():
-                for (_, i2), n2 in at._num.items():
-                    nxt[i1 ^ i2] = nxt.get(i1 ^ i2, 0) + (-n1 * n2 if i1 & i2 else n1 * n2)
-            powers.append({i: n // dv for i, n in nxt.items()})
+            powers.append(powers[-1] * at)
         out: dict = {}
         for key, n in self._num.items():
-            i1 = key[-1]
-            for i2, p in powers[key[-2]].items():
+            i1, power = key[-1], powers[key[-2]]
+            s = n * (den // power._den)
+            for (_, i2), p in power._num.items():
                 at_key = (*key[:-2], 0, i1 ^ i2)
-                out[at_key] = out.get(at_key, 0) + (-n * p if i1 & i2 else n * p)
-        return out, self._den * dv**kmax
+                out[at_key] = out.get(at_key, 0) + (-s * p if i1 & i2 else s * p)
+        return out, self._den * den
 
     def _cpolys(self) -> dict:
         """The {head: CPoly} view, built on first use and cached."""
@@ -429,6 +411,7 @@ class CPoly(CTerms):
     _key = staticmethod(lambda k0, k, i: (k0 + k, i))
     # perfbench's tracer wraps these through the class's own __dict__
     __add__ = __radd__ = FlatTerms.__add__
+    __mul__ = __rmul__ = _ki_mul
 
     @staticmethod
     def of(x: CPolyLike) -> "CPoly":
@@ -445,23 +428,12 @@ class CPoly(CTerms):
     def coeffs(self) -> dict[int, GaussianRational]:
         """{k: coefficient of c^k}, without zero coefficients."""
         if self._view is None:
-            parts: dict[int, list] = {}
+            grouped: dict[int, dict] = {}
             for (k, i), n in self._num.items():
-                parts.setdefault(k, [0, 0])[i] = Fraction(n, self._den)
-            _set(self, "_view", {k: GaussianRational(*p) for k, p in parts.items()})
+                grouped.setdefault(k, {})[(0, i)] = n
+            view = {k: GaussianRational._canonical(num, self._den) for k, num in grouped.items()}
+            _set(self, "_view", view)
         return self._view
-
-    @_lifting
-    def __mul__(self, other):
-        right = list(other._num.items())
-        out: dict[tuple[int, int], int] = {}
-        for (k1, i1), n1 in self._num.items():
-            for (k2, i2), n2 in right:
-                key = (k1 + k2, i1 ^ i2)
-                out[key] = out.get(key, 0) + (-n1 * n2 if i1 & i2 else n1 * n2)
-        return CPoly._canonical(out, self._den * other._den)
-
-    __rmul__ = __mul__
 
     def degree(self) -> int:
         """Degree in c; -1 for the zero polynomial."""
@@ -469,28 +441,21 @@ class CPoly(CTerms):
 
     def subst(self, v: ScalarLike) -> GaussianRational:
         """Evaluate at c = v.  A ring homomorphism CPoly -> Q(i)."""
-        num, den = self._at_c(v)
-        return GaussianRational(Fraction(num.get((0, 0), 0), den), Fraction(num.get((0, 1), 0), den))
+        return GaussianRational._canonical(*self._at_c(v))
 
     def constant_term(self) -> GaussianRational:
         return self.coeffs.get(0, ZERO)
 
     def __str__(self):
-        if not self._num:
-            return "0"
         parts = []
-        for k in sorted(self.coeffs):
-            g = self.coeffs[k]
+        for k, g in sorted(self.coeffs.items()):
+            tok = str(g) if g.is_real else f"({g})"
             if k == 0:
-                parts.append(f"({g})" if g.im else str(g))
+                parts.append(tok)
             else:
                 mono = "c" if k == 1 else f"c^{k}"
-                if g == ONE:
-                    parts.append(mono)
-                else:
-                    tok = f"({g})" if g.im else str(g)
-                    parts.append(f"{tok}*{mono}")
-        return " + ".join(parts)
+                parts.append(mono if g == ONE else f"{tok}*{mono}")
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"CPoly({{{', '.join(f'{k}: {v}' for k, v in sorted(self.coeffs.items()))}}})"

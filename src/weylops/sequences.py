@@ -76,7 +76,10 @@ class RatPoly(FlatTerms):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other.numerator, other.denominator)
-        other = RatPoly.of(other)
+        try:
+            other = RatPoly.of(other)
+        except TypeError:
+            return NotImplemented
         out: dict[int, int] = {}
         for k1, v1 in self._num.items():
             for k2, v2 in other._num.items():

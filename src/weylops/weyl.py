@@ -44,7 +44,7 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, GaussianRational, parse_cpoly
+from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, GaussianRational, _lifting, parse_cpoly
 from .sequences import RatPoly
 
 Key = tuple[int, int]  # (a, b) <-> q^a p^b
@@ -90,8 +90,8 @@ class WeylElement(CTerms):
             return v
         return WeylElement({(0, 0): v})
 
+    @_lifting
     def __mul__(self, other):
-        other = WeylElement.of(other)
         weights = contraction_weights
         right = list(other._num.items())
         acc: dict[FlatKey, int] = {}
@@ -105,9 +105,10 @@ class WeylElement(CTerms):
                     acc[key] = acc.get(key, 0) + n * w
         return WeylElement._canonical(acc, self._den * other._den)
 
+    @_lifting
     def __rmul__(self, other):
         # scalars commute with everything, so reuse __mul__
-        return WeylElement.of(other) * self
+        return other * self
 
     def coefficient(self, a: int, b: int) -> CPoly:
         return self.terms.get((a, b), CPoly())

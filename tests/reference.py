@@ -1,35 +1,144 @@
 """Test references that stay independent of the flat coefficient core.
 
-``RefCPoly`` is the Fraction-dict polynomial in c over GaussianRational that
-``weylops.CPoly`` used to be.  The parity tests compare the flat CPoly
-against it, and the engine's and the realization's tower references compute
-their coefficients with it, so none of them runs on the code under test.
+``RefGaussian`` is the Fraction-pair complex number that
+``weylops.GaussianRational`` used to be, and ``RefCPoly`` the Fraction-dict
+polynomial in c over it that ``weylops.CPoly`` used to be.  The parity tests
+compare the flat classes against them, and the engine's and the
+realization's tower references compute their coefficients with them, so none
+of them runs on the code under test.  Values cross over only at the
+boundary: ``RefGaussian.of`` reads a GaussianRational's ``re`` and ``im``,
+``RefCPoly.of_cpoly`` reads a CPoly's ``coeffs`` and ``to_cpoly`` builds
+one.
 """
 
+from fractions import Fraction
 from math import gcd
 
 from weylops import CPoly, GaussianRational
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
+
+class RefGaussian:
+    """Reference: exact complex number a + b*i as a pair of Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefGaussian is immutable")
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, RefGaussian):
+            return x
+        if isinstance(x, GaussianRational):
+            return RefGaussian(x.re, x.im)
+        if isinstance(x, (int, Fraction)):
+            return RefGaussian(x)
+        raise TypeError(f"not an exact scalar: {x!r}")
+
+    def to_gaussian(self) -> GaussianRational:
+        return GaussianRational(self.re, self.im)
+
+    def __add__(self, other):
+        other = RefGaussian.of(other)
+        return RefGaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = RefGaussian.of(other)
+        return RefGaussian(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return RefGaussian.of(other) - self
+
+    def __mul__(self, other):
+        other = RefGaussian.of(other)
+        return RefGaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return RefGaussian(-self.re, -self.im)
+
+    def conjugate(self):
+        return RefGaussian(self.re, -self.im)
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of 0 in Q(i)")
+        return RefGaussian(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * RefGaussian.of(other).inverse()
+
+    def __rtruediv__(self, other):
+        return RefGaussian.of(other) * self.inverse()
+
+    def __eq__(self, other):
+        try:
+            other = RefGaussian.of(other)
+        except TypeError:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        # a real value hashes like the Fraction it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    @property
+    def is_real(self):
+        return self.im == 0
+
+    def as_rational(self):
+        if self.im:
+            raise ValueError(f"{self} has a nonzero imaginary part")
+        return self.re
+
+    def __str__(self):
+        # str(Fraction) omits a denominator of 1, as the rendering grammar does
+        if not self.im:
+            return str(self.re)
+        imag = f"{abs(self.im)}*i"
+        if not self.re:
+            return imag if self.im > 0 else f"-{imag}"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{imag}"
+
+
+ZERO = RefGaussian(0)
+ONE = RefGaussian(1)
 
 
 class RefCPoly:
-    """Reference: sparse polynomial in c over GaussianRational, as a dict."""
+    """Reference: sparse polynomial in c over RefGaussian, as a dict."""
 
     def __init__(self, coeffs=None):
         clean = {}
         for k, v in (coeffs or {}).items():
             if k < 0:
                 raise ValueError("negative power of c")
-            g = GaussianRational.of(v)
+            g = RefGaussian.of(v)
             if g:
                 clean[k] = g
         self.coeffs = clean
 
     @staticmethod
     def of(x):
-        return x if isinstance(x, RefCPoly) else RefCPoly({0: GaussianRational.of(x)})
+        return x if isinstance(x, RefCPoly) else RefCPoly({0: RefGaussian.of(x)})
 
     @staticmethod
     def c_power(k, coeff=1):
@@ -40,7 +149,7 @@ class RefCPoly:
         return RefCPoly(cp.coeffs)
 
     def to_cpoly(self) -> CPoly:
-        return CPoly(self.coeffs)
+        return CPoly({k: g.to_gaussian() for k, g in self.coeffs.items()})
 
     def __add__(self, other):
         other = RefCPoly.of(other)
@@ -95,7 +204,7 @@ class RefCPoly:
         return max(self.coeffs, default=-1)
 
     def subst(self, v):
-        v = GaussianRational.of(v)
+        v = RefGaussian.of(v)
         acc = ZERO
         for k, coeff in self.coeffs.items():
             term = coeff

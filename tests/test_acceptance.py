@@ -38,11 +38,12 @@ def _sweep(name: str, expected: int, failures: list[str], **kwargs) -> None:
     failures.extend(r.render() for r in reports if not r.ok)
 
 
-def test_criterion_1_cli_entry_point():
+def test_criterion_1_cli_entry_point(child_env):
     failures: list[str] = []
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "weylops", "verify", "bender", "--max-n", "6"],
+        env=child_env,
         capture_output=True,
         text=True,
         timeout=60,

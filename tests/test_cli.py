@@ -212,9 +212,10 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "weylops", "tables", "--max-n", "2"],
+        env=child_env,
         capture_output=True,
         text=True,
         timeout=120,
@@ -234,9 +235,10 @@ def test_module_entry_point():
         pytest.param([sys.executable, "-m", "weylops"], id="module"),
     ],
 )
-def test_console_script(command):
+def test_console_script(command, child_env):
     proc = subprocess.run(
         [*command, "verify", "bender", "--max-n", "3"],
+        env=child_env,
         capture_output=True,
         text=True,
         timeout=120,
@@ -270,9 +272,13 @@ print(json.dumps(facts))
 """
 
 
-def test_only_the_hermite_sweep_loads_numpy():
+def test_only_the_hermite_sweep_loads_numpy(child_env):
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _NUMPY_PROBE],
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)

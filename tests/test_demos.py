@@ -1,6 +1,5 @@
 """Every shipped demo runs to completion at its real bounds."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +15,9 @@ def test_all_demos_are_collected():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_0(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    env.pop("WEYLOPS_CONFIG", None)
+def test_demo_exits_0(demo, tmp_path, child_env):
+    child_env.pop("WEYLOPS_CONFIG", None)
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(demo)], cwd=tmp_path, env=child_env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,5 +1,5 @@
-"""Exact scalars: GaussianRational, and the flat CPoly against its Fraction-dict
-reference."""
+"""Exact scalars: GaussianRational and the flat CPoly against their
+Fraction-pair and Fraction-dict references."""
 
 import operator
 from fractions import Fraction
@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference import RefCPoly, is_canonical
+from reference import RefCPoly, RefGaussian, is_canonical
 
 from weylops import (
     CPoly,
@@ -16,6 +16,9 @@ from weylops import (
     MINUS_I,
     NonDivisible,
     ONE,
+    RatPoly,
+    WeylElement,
+    XPoly,
     ZERO,
     format_rational,
     parse_cpoly,
@@ -119,6 +122,19 @@ def test_cpoly_div_c():
         CPoly({0: 1, 1: 1}).div_c()
 
 
+@pytest.mark.parametrize(
+    "value",
+    [CPoly.c_power(1), q_op() * CPoly.c_power(1), XPoly.monomial(2), CPoly()],
+    ids=["CPoly", "WeylElement", "XPoly", "zero"],
+)
+def test_div_c_rejects_a_negative_power(value):
+    # division by c^-k would multiply by c^k
+    with pytest.raises(ValueError, match="negative power"):
+        value.div_c(-1)
+    with pytest.raises(ValueError, match="negative power"):
+        value.div_c(-2)
+
+
 @given(cpolys, cpolys, gaussians)
 def test_cpoly_subst_is_ring_homomorphism(u, v, w):
     assert (u + v).subst(w) == u.subst(w) + v.subst(w)
@@ -152,6 +168,36 @@ def test_an_operand_a_class_cannot_lift_goes_to_the_other_side():
                 op(left, right)
 
 
+# one value of each class that holds exact scalars, and how to build one
+# from a coefficient
+_VALUE_CLASSES = {
+    "GaussianRational": (GaussianRational, I),
+    "CPoly": (lambda v: CPoly({0: v}), CPoly.c_power(1)),
+    "WeylElement": (lambda v: WeylElement({(0, 0): v}), q_op()),
+    "XPoly": (lambda v: XPoly({0: v}), XPoly.monomial(1)),
+    "RatPoly": (lambda v: RatPoly({0: v}), RatPoly.x()),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", "abc"])
+@pytest.mark.parametrize("cls", sorted(_VALUE_CLASSES))
+def test_only_exact_scalars_enter_the_algebra(cls, bad):
+    # a float or a string is no exact scalar: constructors raise TypeError,
+    # operators answer NotImplemented and Python raises its own TypeError
+    make, value = _VALUE_CLASSES[cls]
+    with pytest.raises(TypeError):
+        make(bad)
+    with pytest.raises(TypeError):
+        type(value).of(bad)
+    unsupported = "unsupported operand" if isinstance(bad, float) else None
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError, match=unsupported):
+            op(value, bad)
+        with pytest.raises(TypeError, match=unsupported):
+            op(bad, value)
+    assert value != bad
+
+
 def test_i_squared_is_minus_one():
     i = CPoly.of(I)
     assert i * i == -1
@@ -172,6 +218,7 @@ cmaps = st.dictionaries(st.integers(0, 4), flat_numbers, max_size=4)
 
 def _agree(flat: CPoly, ref: RefCPoly) -> None:
     assert is_canonical(flat)
+    assert all(is_canonical(g) for g in flat.coeffs.values())
     assert flat.coeffs == ref.coeffs
     assert str(flat) == str(ref)
     assert flat.degree() == ref.degree()
@@ -221,3 +268,51 @@ def test_cpoly_equality_hash_and_parsing_match_the_reference(a, b, s):
     for const in (CPoly.of(s), x - x + s):
         assert const == s and hash(const) == hash(GaussianRational.of(s))
     assert parse_cpoly(str(x)) == x
+
+
+# -- GaussianRational on the flat core against the Fraction pair it replaced ---
+
+flat_pairs = st.tuples(flat_rationals, flat_rationals)
+plain_numbers = st.one_of(st.integers(-60, 60), flat_rationals)
+
+
+def _agree_gaussian(flat: GaussianRational, ref: RefGaussian) -> None:
+    assert type(flat) is GaussianRational and is_canonical(flat)
+    assert (flat.re, flat.im) == (ref.re, ref.im)
+    assert flat == ref.to_gaussian() and hash(flat) == hash(ref)
+    assert str(flat) == str(ref)
+    assert flat.is_real == ref.is_real
+    assert flat.norm() == ref.norm()
+    assert flat.conjugate() == ref.conjugate().to_gaussian()
+    if ref.is_real:
+        assert flat.as_rational() == ref.as_rational()
+    else:
+        with pytest.raises(ValueError):
+            flat.as_rational()
+    if ref:
+        assert flat.inverse() == ref.inverse().to_gaussian()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            flat.inverse()
+
+
+@given(flat_pairs, flat_pairs, plain_numbers)
+def test_gaussian_matches_the_reference(a, b, s):
+    x, y, rx, ry = GaussianRational(*a), GaussianRational(*b), RefGaussian(*a), RefGaussian(*b)
+    cases = [
+        (x, rx), (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx),
+        (x.conjugate(), rx.conjugate()),
+        (x + s, rx + s), (x - s, rx - s), (x * s, rx * s),
+        (s + x, s + rx), (s - x, s - rx), (s * x, s * rx),
+    ]
+    cases += [(x / y, rx / ry)] if ry else []
+    cases += [(x / s, rx / s)] if s else []
+    cases += [(s / x, s / rx)] if rx else []
+    for flat, ref in cases:
+        _agree_gaussian(flat, ref)
+    assert (x == y) == (rx == ry)
+    assert (x == s) == (rx == s) == (s == x)
+    if x == y:
+        assert hash(x) == hash(y)
+    if x == s:
+        assert hash(x) == hash(s)

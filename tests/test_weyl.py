@@ -235,12 +235,16 @@ def test_terms_view_round_trip(w):
 @given(elements, elements, coeffs, coeffs)
 def test_flat_form_is_canonical(x, y, u, v):
     # int numerators, none zero, gcd 1 with the denominator, an i bit in
-    # {0, 1}: for elements, their CPoly coefficient views, and CPolys
+    # {0, 1}: for elements, their CPoly coefficient views, CPolys and
+    # GaussianRationals
     for w in (x, x * y, x + y, x - y, -x, x.subst_c(MINUS_I), x.subst_c(I), (C * x).div_c()):
         assert is_canonical(w)
         assert all(is_canonical(cp) for cp in w.terms.values())
     for cp in (u, u * v, u + v, u - v, -u, u**2, (C * u).div_c(), CPoly.of(u.subst(I))):
         assert is_canonical(cp)
+    # GaussianRational values: the coefficient view and values at c = number
+    for g in (*u.coeffs.values(), u.constant_term(), u.subst(I), u.subst(MINUS_I)):
+        assert is_canonical(g)
 
 
 def test_i_squared_is_minus_one():
