@@ -146,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fmt = _merged(args, cfg, "fmt", None) or cfg.get("format", "text")
+    fmt = args.fmt or cfg.get("format", "text")
     bounds = {key: _merged(args, cfg, key) for key in _LEAST if hasattr(args, key)}
     for key, value in bounds.items():
         if value is not None and value < _LEAST[key]:

@@ -22,13 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, perm
-from operator import itemgetter
-from typing import Union
 
-from .scalars import CPoly, CPolyLike, CTerms, GaussianRational
+from .scalars import CPoly, CPolyLike, CTerms
 from .weyl import WeylElement
-
-XPolyLike = Union[int, Fraction, CPoly, "XPoly"]
 
 
 class PreconditionViolation(ValueError):
@@ -44,35 +40,23 @@ class XPoly(CTerms):
     """
 
     __slots__ = ()
-    _head = itemgetter(0)
-    _lifts = (int, Fraction, GaussianRational, CPoly)
     _key = staticmethod(lambda deg, k, i: (deg, k, i))
 
     @property
     def coeffs(self) -> dict[int, CPoly]:
         """{deg: CPoly coefficient of x^deg}, without zero coefficients."""
-        return self._cpolys()
+        return self._grouped(lambda key: (key[0], key[1:]), CPoly)
 
     @staticmethod
     def monomial(l: int, coeff: CPolyLike = 1) -> "XPoly":
         return XPoly({l: coeff})
 
-    @staticmethod
-    def of(v: XPolyLike) -> "XPoly":
-        return v if isinstance(v, XPoly) else XPoly({0: v})
-
     def scale(self, v: CPolyLike) -> "XPoly":
         """Multiply by a central scalar: the action of the scalar element."""
         return apply_element(WeylElement.of(v), self)
 
-    def degree(self) -> int:
-        return max((deg for deg, _, _ in self._num), default=-1)
-
-    def coeff(self, k: int) -> CPoly:
-        return self.coeffs.get(k, CPoly())
-
     def __str__(self):
-        return self._render(lambda k: "" if k == 0 else ("x" if k == 1 else f"x^{k}"))
+        return self._render(self.coeffs, lambda k: "" if k == 0 else ("x" if k == 1 else f"x^{k}"))
 
     def __repr__(self):
         return f"<XPoly {self}>"

@@ -20,9 +20,12 @@ imaginary unit, and every product applies i^2 = -1.  The keys are
 so arithmetic runs on plain integers with one gcd at the end, and equality
 is structural.  GaussianRational and CPoly share one product kernel.  CPoly
 and the next two share ``CTerms``, what keys ending in (k, i) allow:
-division by c (``div_c``), setting c to a number and the CPoly views.
-Only int, Fraction and these classes enter the exact algebra: a float or a
-string raises TypeError.  All values are immutable.
+division by c (``div_c``), setting c to a number and the coefficient views.
+Every operator, ``==`` included, lifts its operand by one rule, ``of``: a
+number, or a CPoly or GaussianRational the class can hold, becomes a
+constant (GaussianRational lifts numbers only), and an operand ``of`` cannot
+lift gets NotImplemented.  Only int, Fraction and these classes enter the
+exact algebra: a float or a string raises TypeError.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class FlatTerms:
     """
 
     __slots__ = ("_num", "_den", "_view")
-    _lifts: tuple = ()  # the types that __eq__ lifts through ``of``
+    _unit = 0  # the head of a constant, for ``of``
 
     def __init__(self, terms: dict | None = None):
         parts = []
@@ -124,6 +127,12 @@ class FlatTerms:
         _set(self, "_num", num)
         _set(self, "_den", den)
         _set(self, "_view", None)
+
+    @classmethod
+    def of(cls, x):
+        """x as a value of this class: a number, or a CPoly or GaussianRational
+        the class can hold, becomes a constant; TypeError for anything else."""
+        return x if isinstance(x, cls) else cls({cls._unit: x})
 
     @classmethod
     def _flat(cls, num: dict, den: int):
@@ -208,11 +217,8 @@ class FlatTerms:
             out = out * self
         return out
 
+    @_lifting
     def __eq__(self, other):
-        if isinstance(other, self._lifts):
-            other = self.of(other)
-        if type(other) is not type(self):
-            return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
@@ -249,7 +255,6 @@ class GaussianRational(FlatTerms):
     """
 
     __slots__ = ()
-    _lifts = (int, Fraction)
     _scalar_key = staticmethod(lambda key: key)
     # perfbench's tracer counts these through the class's own __dict__
     __add__ = __radd__ = FlatTerms.__add__
@@ -378,19 +383,20 @@ class CTerms(FlatTerms):
                 out[at_key] = out.get(at_key, 0) + (-s * p if i1 & i2 else s * p)
         return out, self._den * den
 
-    def _cpolys(self) -> dict:
-        """The {head: CPoly} view, built on first use and cached."""
+    def _grouped(self, split, part) -> dict:
+        """The {head: coefficient} view, built on first use and cached;
+        ``split(key)`` is the head and the key in the ``part`` coefficient."""
         if self._view is None:
             grouped: dict = {}
             for key, n in self._num.items():
-                grouped.setdefault(self._head(key), {})[key[-2:]] = n
-            view = {head: CPoly._canonical(num, self._den) for head, num in grouped.items()}
+                head, rest = split(key)
+                grouped.setdefault(head, {})[rest] = n
+            view = {head: part._canonical(num, self._den) for head, num in grouped.items()}
             _set(self, "_view", view)
         return self._view
 
-    def _render(self, mono) -> str:
+    def _render(self, view: dict, mono) -> str:
         """The view's "(coeff) * mono" terms in key order, joined by " + "."""
-        view = self._cpolys()
         parts = []
         for key in sorted(view):
             m = mono(key)
@@ -407,17 +413,10 @@ class CPoly(CTerms):
     """
 
     __slots__ = ()
-    _lifts = (int, Fraction, GaussianRational)
     _key = staticmethod(lambda k0, k, i: (k0 + k, i))
     # perfbench's tracer wraps these through the class's own __dict__
     __add__ = __radd__ = FlatTerms.__add__
     __mul__ = __rmul__ = _ki_mul
-
-    @staticmethod
-    def of(x: CPolyLike) -> "CPoly":
-        if isinstance(x, CPoly):
-            return x
-        return CPoly({0: x})
 
     @staticmethod
     def c_power(k: int, coeff: ScalarLike = 1) -> "CPoly":
@@ -427,13 +426,7 @@ class CPoly(CTerms):
     @property
     def coeffs(self) -> dict[int, GaussianRational]:
         """{k: coefficient of c^k}, without zero coefficients."""
-        if self._view is None:
-            grouped: dict[int, dict] = {}
-            for (k, i), n in self._num.items():
-                grouped.setdefault(k, {})[(0, i)] = n
-            view = {k: GaussianRational._canonical(num, self._den) for k, num in grouped.items()}
-            _set(self, "_view", view)
-        return self._view
+        return self._grouped(lambda key: (key[0], (0, key[1])), GaussianRational)
 
     def degree(self) -> int:
         """Degree in c; -1 for the zero polynomial."""

@@ -13,7 +13,7 @@ results are exact and reproducible:
 * ``euler_number(n)``     E_n = 2^n E_n(1/2),
 * ``bernoulli_number(n)`` B_n, from sum_{k<=n} C(n+1,k) B_k = 0 (B_1 = -1/2),
 * ``kappa(n)``/``lam(n)`` the commutator-expansion coefficient sequences
-                          0, -E_n(0) (n > 0) and 2^n E_n(1/2).
+                          0, -E_n(0) (n > 0) and E_n (``lam`` is ``euler_number``).
 
 The polynomials are returned as ``RatPoly``: immutable sparse polynomials
 over Q in one commuting variable, stored flat as integer numerators over one
@@ -26,11 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Union
 
 from .scalars import FlatTerms
-
-RatPolyLike = Union[int, Fraction, "RatPoly"]
 
 
 class RatPoly(FlatTerms):
@@ -42,7 +39,6 @@ class RatPoly(FlatTerms):
     """
 
     __slots__ = ()
-    _lifts = (int, Fraction)
     _scalar_key = staticmethod(lambda deg: None if deg else (0, 0))
     # perfbench's tracer wraps these through the class's own __dict__
     __add__ = __radd__ = FlatTerms.__add__
@@ -62,12 +58,6 @@ class RatPoly(FlatTerms):
             den = self._den
             object.__setattr__(self, "_view", {k: Fraction(v, den) for k, v in self._num.items()})
         return self._view
-
-    @staticmethod
-    def of(v: RatPolyLike) -> "RatPoly":
-        if isinstance(v, RatPoly):
-            return v
-        return RatPoly({0: v})
 
     @staticmethod
     def x() -> "RatPoly":
@@ -97,7 +87,8 @@ class RatPoly(FlatTerms):
 
     def __call__(self, v: Fraction | int) -> Fraction:
         # Horner on integers: at v = a/b, b^d P(v) = sum_k num_k a^k b^(d-k) / den
-        v = Fraction(v)
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"not an exact scalar: {v!r}")
         a, b = v.numerator, v.denominator
         d = max(self.degree(), 0)
         acc = 0
@@ -226,6 +217,4 @@ def kappa(n: int) -> Fraction:
     return -euler_zero(n)
 
 
-def lam(n: int) -> Fraction:
-    """Coefficient of the symmetric nested-commutator expansion: 2^n E_n(1/2)."""
-    return 2**n * euler_at_half(n)
+lam = euler_number  # 2^n E_n(1/2), the symmetric nested-commutator expansion's weights

@@ -35,9 +35,9 @@ from .sequences import (
 )
 from .weyl import (
     ElementLike,
-    NonTerminatingSeries,
     WeylElement,
     anticommutator,
+    bracket_tower,
     commutator,
     hadamard_conjugate,
     hamiltonian,
@@ -456,17 +456,6 @@ def verify_binomial(m: int, n: int, l: int, euler_version: bool = True) -> Verif
 # -- similarity-transform closure ---------------------------------------------
 
 
-def _bracket_tower(x: WeylElement, h0: WeylElement, cap: int = 64) -> list[WeylElement]:
-    """[h0, [x,h0], [x,[x,h0]], ...] until the bracket vanishes."""
-    tower = [h0]
-    for _ in range(cap):
-        nxt = commutator(x, tower[-1])
-        if not nxt:
-            return tower
-        tower.append(nxt)
-    raise NonTerminatingSeries(f"iterated bracket still nonzero after {cap} steps")
-
-
 def verify_figueira(h0: WeylElement, x: WeylElement) -> VerificationReport:
     """Closure identities for the pair (h0, x) with ad_x nilpotent on h0.
 
@@ -483,7 +472,7 @@ def verify_figueira(h0: WeylElement, x: WeylElement) -> VerificationReport:
     """
 
     def check() -> str:
-        tower = _bracket_tower(x, h0)
+        tower = bracket_tower(x, h0)
         h1 = scalar(I) * _weighted_sum((kappa(n) / factorial(n), t) for n, t in enumerate(tower))
         alt = h0 - _weighted_sum((euler_zero(n) / factorial(n), t) for n, t in enumerate(tower))
         witness = _diff("two correction-term constructions", h1, scalar(I) * alt)

@@ -28,11 +28,12 @@ Bracket conventions:
     anticommutator    {x, y}   = x y + y x
     nested, right     [x, y]_n = [[x, y]_(n-1), y],   [x, y]_0 = x
                       {x, y}_n = {{x, y}_(n-1), y},   {x, y}_0 = x
-    nested, left      ad_power(x, w, n) = [x, [x, ... [x, w]]]
+    nested, left      left_nested_commutator(w, x, n) = [x, [x, ... [x, w]]]
 
-``exp_conjugate(x, w)`` sums the Hadamard series  e^x w e^-x =
-sum ad_power(x, w, n) / n!  and is exact whenever ad_x is nilpotent on w;
-otherwise it raises NonTerminatingSeries.
+``bracket_tower(x, w)`` lists ad_x^n w = [x, [x, ... [x, w]]] for n = 0, 1, ...
+until a bracket vanishes, and ``hadamard_conjugate(x, w, t)`` is its t^n/n!
+weighted sum, the Hadamard series e^(tx) w e^(-tx), exact whenever ad_x is
+nilpotent on w; otherwise both raise NonTerminatingSeries.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import itemgetter
 from typing import Iterable, Union
 
 from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, GaussianRational, _lifting, parse_cpoly
@@ -73,8 +73,7 @@ class WeylElement(CTerms):
     """
 
     __slots__ = ()
-    _head = itemgetter(0, 1)
-    _lifts = (int, Fraction, GaussianRational, CPoly)
+    _unit = (0, 0)
     # perfbench's tracer wraps these through the class's own __dict__
     __add__ = __radd__ = FlatTerms.__add__
     __pow__ = FlatTerms.__pow__
@@ -82,13 +81,7 @@ class WeylElement(CTerms):
     @property
     def terms(self) -> dict[Key, CPoly]:
         """{(a, b): CPoly coefficient of q^a p^b}, without zero coefficients."""
-        return self._cpolys()
-
-    @staticmethod
-    def of(v: ElementLike) -> "WeylElement":
-        if isinstance(v, WeylElement):
-            return v
-        return WeylElement({(0, 0): v})
+        return self._grouped(lambda key: (key[:2], key[2:]), CPoly)
 
     @_lifting
     def __mul__(self, other):
@@ -122,6 +115,7 @@ class WeylElement(CTerms):
 
     def __str__(self):
         return self._render(
+            self.terms,
             lambda ab: " ".join(s if e == 1 else f"{s}^{e}" for s, e in zip("qp", ab) if e)
         )
 
@@ -166,26 +160,25 @@ def anticommutator(x: ElementLike, y: ElementLike) -> WeylElement:
     return x * y + y * x
 
 
-def nested_commutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement:
-    """[x, y]_n = [[x, y]_(n-1), y] with [x, y]_0 = x."""
+def _iterate(step, w: WeylElement, n: int) -> WeylElement:
+    """step applied n times to w."""
     if n < 0:
         raise ValueError("negative nesting depth")
-    out = WeylElement.of(x)
-    y = WeylElement.of(y)
     for _ in range(n):
-        out = commutator(out, y)
-    return out
+        w = step(w)
+    return w
+
+
+def nested_commutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement:
+    """[x, y]_n = [[x, y]_(n-1), y] with [x, y]_0 = x."""
+    y = WeylElement.of(y)
+    return _iterate(lambda w: commutator(w, y), WeylElement.of(x), n)
 
 
 def nested_anticommutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement:
     """{x, y}_n = {{x, y}_(n-1), y} with {x, y}_0 = x."""
-    if n < 0:
-        raise ValueError("negative nesting depth")
-    out = WeylElement.of(x)
     y = WeylElement.of(y)
-    for _ in range(n):
-        out = anticommutator(out, y)
-    return out
+    return _iterate(lambda w: anticommutator(w, y), WeylElement.of(x), n)
 
 
 def shifted_nested_anticomm(a: CPolyLike, n: int) -> WeylElement:
@@ -206,35 +199,36 @@ def shifted_nested_anticomm(a: CPolyLike, n: int) -> WeylElement:
 
 def left_nested_commutator(h: ElementLike, x: ElementLike, n: int) -> WeylElement:
     """Left-iterated bracket  [x, [x, ... [x, h]]]  (n brackets)."""
-    if n < 0:
-        raise ValueError("negative nesting depth")
     x = WeylElement.of(x)
-    out = WeylElement.of(h)
-    for _ in range(n):
-        out = commutator(x, out)
-    return out
+    return _iterate(lambda w: commutator(x, w), WeylElement.of(h), n)
+
+
+def bracket_tower(x: WeylElement, w: WeylElement, cap: int = 64) -> list[WeylElement]:
+    """[w, [x,w], [x,[x,w]], ...] until the bracket vanishes; raises
+    NonTerminatingSeries if it is still nonzero after ``cap`` brackets."""
+    tower = [w]
+    for _ in range(cap):
+        nxt = commutator(x, tower[-1])
+        if not nxt:
+            return tower
+        tower.append(nxt)
+    raise NonTerminatingSeries(f"iterated bracket still nonzero after {cap} steps")
 
 
 def hadamard_conjugate(
     x: ElementLike, w: ElementLike, t: Fraction | int = 1, max_terms: int = 64
 ) -> WeylElement:
-    """e^(t x) w e^(-t x) = sum_n t^n/n! [x,[x,...[x,w]]], exact when finite.
+    """e^(t x) w e^(-t x) = sum_n t^n/n! [x,[x,...[x,w]]], exact when finite:
+    the t^n/n! weighted sum of ``bracket_tower(x, w, max_terms)``.
 
     Raises NonTerminatingSeries if ad_x is not nilpotent on w within
     ``max_terms`` brackets.
     """
-    x = WeylElement.of(x)
-    t = Fraction(t)
-    term = WeylElement.of(w)
-    acc = term
-    for n in range(1, max_terms + 1):
-        term = commutator(x, term)
-        if not term:
-            return acc
-        acc = acc + scalar(t**n / factorial(n)) * term
-    raise NonTerminatingSeries(
-        f"conjugation series still has nonzero terms after {max_terms} brackets"
-    )
+    if not isinstance(t, (int, Fraction)):
+        raise TypeError(f"not an exact scalar: {t!r}")
+    tower = bracket_tower(WeylElement.of(x), WeylElement.of(w), max_terms)
+    weighted = (scalar(Fraction(t**n, factorial(n))) * term for n, term in enumerate(tower[1:], 1))
+    return sum(weighted, tower[0])
 
 
 def poly_of_element(poly: RatPoly, w: ElementLike) -> WeylElement:

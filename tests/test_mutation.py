@@ -23,6 +23,11 @@ FAIL.
 The binomial sweep builds its two sides independently, so a wrong shifted
 basis ((z+1)^k or E_k(z+1)) or a RatPoly kernel that mishandles a rational
 scalar must turn its records FAIL as well.
+
+So must the closure and weight-table sweeps: a bracket tower ad_x^n h0 that
+stops one bracket early in the suite's umbral sums turns every figueira
+record FAIL (hadamard_conjugate still sums weyl's true tower), and a wrong
+kappa_5 fails the sequences record.
 """
 
 import dataclasses
@@ -156,3 +161,33 @@ def test_binomial_mutant_fails_records(monkeypatch, fresh_caches, variant):
     failing = _binomial_failures()
     assert failing
     assert all(r.witness.startswith(f"{label}: (") for r in failing)
+
+
+TRUE_TOWER = weyl.bracket_tower
+TRUE_KAPPA = sequences.kappa
+
+CLOSURE_VARIANTS = {
+    # ad_x^n h0 without its last nonzero bracket, in the suite's umbral sums
+    "short-tower": (
+        "bracket_tower", lambda x, w, cap=64: TRUE_TOWER(x, w, cap)[:-1], "figueira",
+        ("half-step conjugate vs umbral sum: ", "pseudo-symmetry relation: "),
+    ),
+    "doubled-kappa-5": (
+        "kappa", lambda n: TRUE_KAPPA(n) * (2 if n == 5 else 1), "sequences",
+        ("kappa_5 = 1, expected 1/2",),
+    ),
+}
+
+
+def test_true_closure_helpers_pass():
+    reports = run_suite("figueira") + run_suite("sequences")
+    assert len(reports) == 5 and all(r.ok for r in reports)
+
+
+@pytest.mark.parametrize("variant", sorted(CLOSURE_VARIANTS))
+def test_closure_mutant_fails_every_record(monkeypatch, variant):
+    name, wrong, suite, witnesses = CLOSURE_VARIANTS[variant]
+    monkeypatch.setattr(suites, name, wrong)
+    reports = run_suite(suite)
+    assert reports and all(r.status == "fail" for r in reports)
+    assert all(r.witness.startswith(witnesses) for r in reports)

@@ -25,7 +25,7 @@ from weylops import (
     parse_gaussian,
     parse_rational,
 )
-from weylops.weyl import monomial, q_op
+from weylops.weyl import hadamard_conjugate, monomial, p_op, q_op
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -113,6 +113,10 @@ def test_cpoly_structure():
     assert not CPoly()
     with pytest.raises(ValueError):
         CPoly({-1: 1})
+    # two parts under one key are merged, and the merged form is canonical
+    for merged, value in ((CPoly({0: CPoly.c_power(1), 1: 2}), CPoly.c_power(1, 3)),
+                          (CPoly({0: CPoly.c_power(1), 1: -1}), 0)):
+        assert merged == value and is_canonical(merged)
 
 
 def test_cpoly_div_c():
@@ -179,7 +183,10 @@ _VALUE_CLASSES = {
 }
 
 
-@pytest.mark.parametrize("bad", [0.1, "1/2", "abc"])
+_NOT_EXACT = [0.1, "1/2", "abc"]
+
+
+@pytest.mark.parametrize("bad", _NOT_EXACT)
 @pytest.mark.parametrize("cls", sorted(_VALUE_CLASSES))
 def test_only_exact_scalars_enter_the_algebra(cls, bad):
     # a float or a string is no exact scalar: constructors raise TypeError,
@@ -196,6 +203,48 @@ def test_only_exact_scalars_enter_the_algebra(cls, bad):
         with pytest.raises(TypeError, match=unsupported):
             op(bad, value)
     assert value != bad
+
+
+@pytest.mark.parametrize("bad", _NOT_EXACT)
+def test_only_exact_scalars_are_evaluation_points(bad):
+    # a polynomial's argument and a conjugation's t are exact scalars too
+    with pytest.raises(TypeError):
+        RatPoly.x()(bad)
+    with pytest.raises(TypeError):
+        hadamard_conjugate(p_op(), q_op(), t=bad)
+    assert RatPoly.x()(Fraction(1, 3)) == Fraction(1, 3)
+    assert hadamard_conjugate(p_op(), q_op(), t=2) == q_op() + CPoly.c_power(1, 2)
+
+
+def _constants() -> list:
+    # 0, 1, -1/2, i and 1/2 + i as int or Fraction and as a constant of each
+    # class that can hold it (a RatPoly holds no i)
+    numbers = [0, 1, Fraction(-1, 2), I, GaussianRational(Fraction(1, 2), 1)]
+    out = [v for v in numbers if not isinstance(v, GaussianRational)]
+    for v in numbers:
+        for _, value in _VALUE_CLASSES.values():
+            try:
+                out.append(type(value).of(v))
+            except TypeError:
+                pass
+    return out
+
+
+def test_equality_agrees_with_subtraction():
+    # == lifts what - lifts: two values are equal exactly when their
+    # difference is defined and zero, and equal values hash alike
+    values = _constants()
+    assert len(values) == 26
+    for a in values:
+        for b in values:
+            try:
+                diff = a - b
+            except TypeError:
+                assert a != b and not a == b, (a, b)
+            else:
+                assert (a == b) == (not diff) == (not a != b), (a, b)
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
 
 
 def test_i_squared_is_minus_one():
