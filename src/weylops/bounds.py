@@ -1,5 +1,5 @@
-"""Default bounds of the hermite sweep, free of numpy: the command line
-checks them without loading the matrix oracle."""
+"""Default bounds of the hermite sweep, free of numpy: ``run_suite`` checks
+them without loading the matrix oracle."""
 
 DEFAULT_DIM = 64
 DEFAULT_TOL = 1e-9
@@ -12,4 +12,4 @@ def min_dim(max_n: int) -> int:
     The symbolic bridge is the tightest: {q,H}_n has margin 2n + 1 and needs
     three exact columns beyond it.  At n = 0 this is also build_operators' 4.
     """
-    return 2 * max_n + 4
+    return (2 * max_n + 1) + 3

@@ -25,7 +25,8 @@ over a column, normalized by that column's largest |expected| entry.
 Values grow like (2l)^n, so absolute thresholds are meaningless, and a
 single scale for the whole matrix would hide errors in the low columns.
 Only the symbolic bridge keeps one scale; ``check_symbolic_bridge`` says why.
-A non-finite error (an overflowed matrix) fails the record.
+A non-finite error (an overflowed matrix) fails the record, and so does any
+error against a NaN tol.  Every check needs dim >= ``bounds.min_dim(n)``.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ def build_operators(dim: int) -> OscillatorMatrices:
 
 
 def _operators(n: int, dim: int) -> OscillatorMatrices:
-    if dim < n + 4:
-        raise ValueError("need dim >= n + 4")
+    """The matrices at dim, if dim is enough for every hermite check of order n."""
+    if dim < min_dim(n):
+        raise ValueError(f"need dim >= {min_dim(n)}")
     return build_operators(dim)
 
 
@@ -135,7 +137,7 @@ def _verdict(actual: np.ndarray, expected: np.ndarray, tol: float, scale=None) -
     l = int(np.argmax(errs))  # the first NaN, if there is one
     if not np.isfinite(errs[l]):
         return f"non-finite relative error {errs[l]} at l={l}"
-    if errs[l] > tol:
+    if not errs[l] <= tol:  # not "errs[l] > tol", which is False for a NaN tol
         return f"worst relative error {errs[l]:.3e} at l={l} (tol {tol:.1e})"
     return ""
 
@@ -204,11 +206,9 @@ def check_symbolic_bridge(n: int, dim: int, tol: float) -> str:
     This couples the exact engine to the floating realization, so neither
     oracle is trusted alone.
     """
-    if dim < min_dim(n):
-        raise ValueError(f"need dim >= {min_dim(n)}")
+    mats = _operators(n, dim)
     symbolic = nested_anticommutator(q_op(), hamiltonian(), n)
     margin = safe_margin(symbolic)
-    mats = build_operators(dim)
     realized = element_to_matrix(symbolic, mats)
     (native,) = _tower_sums(mats, [0] * n + [1])
     cols = slice(0, dim - margin)  # exact for both computations

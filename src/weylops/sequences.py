@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .scalars import FlatTerms
+from .scalars import FlatTerms, _lifting
 
 
 class RatPoly(FlatTerms):
@@ -63,13 +63,8 @@ class RatPoly(FlatTerms):
     def x() -> "RatPoly":
         return RatPoly._flat({1: 1}, 1)
 
+    @_lifting
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
-        try:
-            other = RatPoly.of(other)
-        except TypeError:
-            return NotImplemented
         out: dict[int, int] = {}
         for k1, v1 in self._num.items():
             for k2, v2 in other._num.items():
@@ -155,6 +150,8 @@ def euler_zero(n: int) -> Fraction:
 @lru_cache(maxsize=None)
 def euler_polynomial(n: int) -> RatPoly:
     """E_n(x) = sum_{k=0}^{n} C(n,k) E_k(0) x^(n-k)."""
+    if n < 0:
+        raise ValueError("negative index")
     return RatPoly({n - k: comb(n, k) * euler_zero(k) for k in range(n + 1)})
 
 

@@ -4,7 +4,8 @@ Each ``verify_*`` function checks one identity family on a concrete instance
 and returns a :class:`VerificationReport`; failures never raise, the report
 carries a witness string describing the first mismatch instead.  ``run_suite``
 sweeps a named family over its default (or configured) parameter ranges and
-is what the command line drives.
+is what the command line drives; it is also where the bounds of a sweep are
+checked, so a sweep called from Python refuses what the command line refuses.
 
 Identities that only hold for the specialization c = -i (the ones involving
 the quadratic element H = (p^2 + q^2)/2) are compared after ``subst_c``;
@@ -17,10 +18,10 @@ import random
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, isfinite
 from typing import Callable, Iterable
 
-from .bounds import DEFAULT_DIM, DEFAULT_MAX_N, DEFAULT_TOL
+from .bounds import DEFAULT_DIM, DEFAULT_MAX_N, DEFAULT_TOL, min_dim
 from .report import VerificationReport, run_check
 from .scalars import CPoly, I, MINUS_I
 from .sequences import (
@@ -643,10 +644,26 @@ def run_suite(
 
     Every unset bound falls back to the suite's default; ``seed`` and
     ``cases`` only affect the suites that draw random polynomial instances.
+    Bounds out of range raise ValueError before any check runs: a negative
+    max_n, max_m or max_l, a tol that is not a finite number above 0, a dim
+    below min_dim(0) or, for "hermite" and "all", below min_dim of the
+    hermite sweep's max_n.  A sweep that runs no checks raises it too.
     """
-    bounds = dict(max_n=max_n, max_m=max_m, max_l=max_l, tol=tol, dim=dim, seed=seed, cases=cases)
-    if name == "all":
-        return [r for s in SELECTORS for r in run_suite(s, **bounds)]
-    if name not in _SWEEPS:
+    if name != "all" and name not in _SWEEPS:
         raise ValueError(f"unknown suite: {name!r}")
-    return _SWEEPS[name](**{k: v for k, v in bounds.items() if v is not None})
+    bounds = dict(max_n=max_n, max_m=max_m, max_l=max_l, tol=tol, dim=dim, seed=seed, cases=cases)
+    for key, least in (("max_n", 0), ("max_m", 0), ("max_l", 0), ("dim", min_dim(0))):
+        if bounds[key] is not None and bounds[key] < least:
+            raise ValueError(f"{key} must be at least {least}, got {bounds[key]}")
+    n, d = (DEFAULT_MAX_N if max_n is None else max_n), (DEFAULT_DIM if dim is None else dim)
+    if name in ("hermite", "all") and d < min_dim(n):
+        raise ValueError(
+            f"dim must be at least {min_dim(n)} for the hermite checks up to max_n {n}, got {d}"
+        )
+    if tol is not None and not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number above 0, got {tol}")
+    given = {k: v for k, v in bounds.items() if v is not None}
+    reports = [r for s in (SELECTORS if name == "all" else (name,)) for r in _SWEEPS[s](**given)]
+    if not reports:
+        raise ValueError(f"{name} ran no checks at these bounds")
+    return reports

@@ -8,11 +8,15 @@ realization's tower references compute their coefficients with them, so none
 of them runs on the code under test.  Values cross over only at the
 boundary: ``RefGaussian.of`` reads a GaussianRational's ``re`` and ``im``,
 ``RefCPoly.of_cpoly`` reads a CPoly's ``coeffs`` and ``to_cpoly`` builds
-one.
+one.  ``rationals_within`` is the strategy of bounded rationals that the
+property tests draw their scalars from.
 """
 
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd
+
+from hypothesis import strategies as st
 
 from weylops import CPoly, GaussianRational
 
@@ -248,3 +252,17 @@ def is_canonical(value) -> bool:
         and (bool(nums) or value._den == 1)
         and all(key[-1] in (0, 1) for key in value._num if isinstance(key, tuple))
     )
+
+
+def rationals_within(bound: int, max_den: int):
+    """The values of st.fractions(-bound, bound, max_denominator=max_den),
+    drawn as Fraction(n, d) from integers, which is cheaper.  d is drawn
+    first and n within bound * d, so no draw is filtered out."""
+    return st.integers(1, max_den).flatmap(partial(_over, bound))
+
+
+@cache
+def _over(bound: int, d: int):
+    """n/d for |n| <= bound * d; built once per d, since a strategy built
+    afresh at every draw would cost more than the filter it saves."""
+    return st.integers(-bound * d, bound * d).map(lambda n: Fraction(n, d))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import rationals_within
 from weylops import (
     CPoly,
     GaussianRational,
@@ -101,6 +102,32 @@ def test_check_functions_report_errors_for_small_dim():
     assert "dim" in report.witness
 
 
+ALL_CHECKS = [
+    check_nested_anticomm_closed_form,
+    check_shifted_expansions,
+    check_main_identity_matrix,
+    check_symbolic_bridge,
+]
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS)
+def test_every_check_needs_min_dim(check):
+    # min_dim(3) = 10: dim 9 would do for the ladder checks alone, but every
+    # check of the sweep takes the bridge's bound
+    report = check(3, dim=9)
+    assert report.status == "error"
+    assert "need dim >= 10" in report.witness
+    assert check(3, dim=10).ok
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS)
+def test_nan_tolerance_fails_every_check(check):
+    # every comparison with NaN is false, so "err > tol" would pass blindly
+    report = check(3, 16, float("nan"))
+    assert report.status == "fail"
+    assert "(tol nan)" in report.witness
+
+
 def test_checks_are_sensitive_to_loose_tolerance_only():
     # near-zero tolerance must flag the inevitable rounding noise at high n,
     # proving the checks actually measure something
@@ -120,7 +147,7 @@ def test_overflowed_matrix_fails(check):
 
 # -- parity with the dense realization these paths replaced ------------------
 
-rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
+rationals = rationals_within(30, 6)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 coeffs = st.builds(CPoly, st.dictionaries(st.integers(0, 3), gaussians, max_size=3))
 elements = st.builds(

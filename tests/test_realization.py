@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference import RefCPoly, is_canonical
+from reference import RefCPoly, is_canonical, rationals_within
 
 from weylops import (
     CPoly,
@@ -92,9 +92,7 @@ def test_commutator_expansion_without_the_engine():
                 assert lhs_coeff == rhs
 
 
-coeffs = st.builds(
-    CPoly.c_power, st.integers(0, 2), st.fractions(min_value=-30, max_value=30, max_denominator=6)
-)
+coeffs = st.builds(CPoly.c_power, st.integers(0, 2), rationals_within(30, 6))
 elements = st.builds(
     WeylElement,
     st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=3),

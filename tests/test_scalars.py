@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference import RefCPoly, RefGaussian, is_canonical
+from reference import RefCPoly, RefGaussian, is_canonical, rationals_within
 
 from weylops import (
     CPoly,
@@ -27,7 +27,7 @@ from weylops import (
 )
 from weylops.weyl import hadamard_conjugate, monomial, p_op, q_op
 
-rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+rationals = rationals_within(10**6, 10**4)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 cpolys = st.builds(
     CPoly,

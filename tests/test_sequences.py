@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import rationals_within
 from weylops import (
     RatPoly,
     bernoulli_number,
@@ -188,6 +189,27 @@ def test_lambda_equals_euler_numbers():
         assert lam(n) == euler_number(n)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        euler_zero,
+        euler_polynomial,
+        euler_at_half,
+        euler_number,
+        bernoulli_number,
+        solve_midpoint,
+        shifted_euler,
+        kappa,
+        pytest.param(lam, id="lam"),
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_negative_index_raises(fn):
+    # not the zero polynomial, nor a float 0.0 out of 2**-1 * 0
+    with pytest.raises(ValueError, match="negative index"):
+        fn(-1)
+
+
 def test_ratpoly_basics():
     p = RatPoly({2: 1, 0: -3})
     assert p(2) == 1
@@ -195,6 +217,11 @@ def test_ratpoly_basics():
     assert p.derivative() == 2 * X
     assert p.antiderivative() == Fraction(1, 3) * X**3 - 3 * X
     assert p.antiderivative().coeff(0) == 0
+    # numbers on either side of * are lifted like every other operand
+    assert X * Fraction(1, 2) == RatPoly({1: Fraction(1, 2)})
+    assert 3 * X == X * 3 == RatPoly({1: 3})
+    with pytest.raises(TypeError):
+        X * 0.5
     assert str(RatPoly({1: -1, 0: Fraction(1, 2)})) == "-x + 1/2"
     with pytest.raises(ValueError):
         RatPoly({-1: 1})
@@ -297,7 +324,7 @@ class RefPoly:
         return out
 
 
-rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+rationals = rationals_within(30, 12)
 scalars = st.one_of(st.integers(-30, 30), rationals)
 coeff_maps = st.dictionaries(st.integers(0, 6), scalars, max_size=5)
 

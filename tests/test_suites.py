@@ -186,6 +186,67 @@ def test_run_suite_counts_and_ordering():
     assert len(run_suite("hermite", max_n=2)) == 12
 
 
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The suites of the records run from now on, counted at both run_checks."""
+    import weylops.oscillator as oscillator
+    import weylops.suites as suites_mod
+
+    calls = []
+    for module in (suites_mod, oscillator):
+        real = module.run_check
+        monkeypatch.setattr(
+            module, "run_check", lambda suite, *args, real=real: calls.append(suite) or real(suite, *args)
+        )
+    return calls
+
+
+# the bad bounds of tests/test_cli.py::test_bad_bounds_exit_2, and two on "all"
+_BAD_BOUNDS = [
+    ("bender", {"max_n": -1}),
+    ("pain", {"max_m": -1}),
+    ("binomial", {"max_l": -1}),
+    ("all", {"max_l": -3}),
+    ("hermite", {"dim": 0}),
+    ("hermite", {"tol": float("nan")}),
+    ("hermite", {"tol": float("inf")}),
+    ("hermite", {"tol": 0}),
+    ("hermite", {"tol": -0.001}),
+    ("all", {"tol": float("nan")}),
+    ("hermite", {"dim": 3, "max_n": 1}),
+    ("hermite", {"dim": 6, "max_n": 2}),
+    ("all", {"dim": 7, "max_n": 2}),
+    ("hermite", {"max_n": 31}),  # default dim 64
+]
+
+
+@pytest.mark.parametrize(
+    "name, bounds",
+    _BAD_BOUNDS,
+    ids=[f"{name}-" + ",".join(f"{k}={v}" for k, v in b.items()) for name, b in _BAD_BOUNDS],
+)
+def test_run_suite_refuses_bad_bounds_before_any_check(check_calls, name, bounds):
+    with pytest.raises(ValueError, match="must be"):
+        run_suite(name, **bounds)
+    assert check_calls == []
+
+
+def test_run_suite_refuses_a_sweep_without_checks(check_calls):
+    with pytest.raises(ValueError, match="no checks"):
+        run_suite("combinatorics", max_n=0)
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite("no-such-suite")
+    assert check_calls == []
+
+
+def test_run_suite_all_at_zero_bounds_still_runs(check_calls):
+    # combinatorics has no check at max_n 0, but the sweep as a whole has
+    reports = run_suite("all", max_n=0, max_m=0, max_l=0, cases=0)
+    assert reports and all(r.ok for r in reports)
+    assert len(check_calls) == len(reports)
+    assert "combinatorics" not in check_calls and "hermite" in check_calls
+
+
 def test_run_suite_all_with_tight_bounds():
     reports = run_suite("all", max_n=2, max_m=2, max_l=2, cases=2)
     assert len(reports) == 83

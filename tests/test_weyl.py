@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference import RefCPoly, is_canonical
+from reference import RefCPoly, is_canonical, rationals_within
 
 from weylops import (
     CPoly,
@@ -36,14 +36,7 @@ from weylops import (
 C = CPoly.c_power(1)
 
 
-def _rationals(bound: int, max_den: int):
-    """The values of st.fractions(-bound, bound, max_denominator=max_den),
-    drawn as Fraction(n, d) from integers, which is cheaper."""
-    n = st.integers(-bound * max_den, bound * max_den)
-    return st.builds(Fraction, n, st.integers(1, max_den)).filter(lambda x: abs(x) <= bound)
-
-
-rationals = _rationals(50, 8)
+rationals = rationals_within(50, 8)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 coeffs = st.builds(CPoly, st.dictionaries(st.integers(0, 3), gaussians, max_size=3))
 elements = st.builds(
@@ -219,7 +212,7 @@ def test_parse_round_trip(w):
     assert parse_element(str(w)) == w
 
 
-@given(elements, elements, _rationals(20, 6))
+@given(elements, elements, rationals_within(20, 6))
 def test_subst_evaluates_products_consistently(x, y, v):
     # subst_c only evaluates coefficients; reordering inside a product inserts
     # fresh powers of c, so the product of specialized factors needs one more
