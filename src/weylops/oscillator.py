@@ -12,13 +12,16 @@ H-brackets of q are exact on columns l <= D-2 (H is diagonal and never
 propagates the corruption).  A product q^a p^b is exact on columns
 l <= D-1-(a+b); comparisons stay inside those safe regions.
 
-No dense matrix product is formed.  H is diagonal, so {x, H} = x H + H x
-= x * (h_i + h_j) elementwise, in O(D^2).  An element sum z_ab q^a p^b,
-with s = max(a+b), is Horner in q over the powers p^b, all held as their
-2s + 1 diagonals, so each step is one tridiagonal multiply in O(sD) and the
-dense D x D result is written once at the end.  The three bands of q and p
-are read from the matrices ``build_operators`` returns, so a perturbed
-ladder reaches every check.
+No dense matrix product is formed.  Each {q,H}_k, ladder and side of the
+main identity lies on q's two off-diagonals and is held by column, as the
+(2, D) array of m[l-1, l] over m[l+1, l] (0 outside the matrix).  H is
+diagonal, so {x, H} = x H + H x multiplies it by the pair sums
+h_(l-1) + h_l over h_(l+1) + h_l: the tower to order n costs O(nD).  An
+element sum z_ab q^a p^b, with s = max(a+b), is Horner in q over the powers
+p^b, all held as their 2s + 1 diagonals: each step is one tridiagonal
+multiply in O(sD), and the dense result is written once.  q and p come
+from ``build_operators``, so a perturbed ladder reaches every check; a q
+with an entry off its two off-diagonals is an ERROR record.
 
 Comparisons are relative and column by column: max |actual - expected|
 over a column, normalized by that column's largest |expected| entry.
@@ -62,8 +65,8 @@ def build_operators(dim: int) -> OscillatorMatrices:
 
 def _operators(n: int, dim: int) -> OscillatorMatrices:
     """The matrices at dim, if dim is enough for every hermite check of order n."""
-    if dim < min_dim(n):
-        raise ValueError(f"need dim >= {min_dim(n)}")
+    if n < 0 or dim < min_dim(n):
+        raise ValueError(f"need n >= 0, got {n}" if n < 0 else f"need dim >= {min_dim(n)}")
     return build_operators(dim)
 
 
@@ -108,11 +111,28 @@ def safe_margin(w: WeylElement) -> int:
     return max((a + b for (a, b, _, _) in w._num), default=0)
 
 
+def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The column form of the matrix whose column l is  lo[l] e_(l-1) + hi[l] e_(l+1)."""
+    return np.stack([np.append(0, lo[1:]), np.append(hi[:-1], 0)])
+
+
+def _columns(q: np.ndarray) -> np.ndarray:
+    """q in column form.  An entry off its two off-diagonals raises ValueError."""
+    x = np.stack([np.append(0, np.diagonal(q, 1)), np.append(np.diagonal(q, -1), 0)])
+    if np.count_nonzero(q) > np.count_nonzero(x):
+        raise ValueError("q has a nonzero entry off its two off-diagonals")
+    return x
+
+
+def _pair_sums(h: np.ndarray) -> np.ndarray:
+    """{x, H} / x in column form, for H = diag(h)."""
+    return _ladder(np.roll(h, 1) + h, np.roll(h, -1) + h)  # h_(l-1) + h_l, h_(l+1) + h_l
+
+
 def _tower_sums(mats: OscillatorMatrices, *rows: list) -> list[np.ndarray]:
-    """sum_k row[k] {q,H}_k for each row of weights, building the tower once."""
-    h = np.diagonal(mats.h_mat)
-    s = h[:, None] + h[None, :]  # {x, H} = x * s
-    x = mats.q_mat
+    """sum_k row[k] {q,H}_k in column form for each row of weights, one tower."""
+    s = _pair_sums(np.diagonal(mats.h_mat))
+    x = _columns(mats.q_mat)
     sums = [np.zeros_like(x) for _ in rows]
     for k in range(len(rows[0])):
         if k:
@@ -121,11 +141,6 @@ def _tower_sums(mats: OscillatorMatrices, *rows: list) -> list[np.ndarray]:
             if row[k]:
                 acc += row[k] * x
     return sums
-
-
-def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The matrix whose column l is  lo[l] e_(l-1) + hi[l] e_(l+1)."""
-    return np.diag(lo[1:], 1) + np.diag(hi[:-1], -1)
 
 
 def _verdict(actual: np.ndarray, expected: np.ndarray, tol: float, scale=None) -> str:
@@ -194,8 +209,7 @@ def check_main_identity_matrix(n: int, dim: int, tol: float) -> str:
     mats = _operators(n, dim)
     (lhs,) = _tower_sums(mats, [comb(n, k) * (1 + (-1) ** (n - k)) for k in range(n + 1)])
     lhs /= 2.0**n
-    hn = np.diagonal(mats.h_mat) ** n
-    rhs = mats.q_mat * (hn[:, None] + hn[None, :])  # q H^n + H^n q, H diagonal
+    rhs = _columns(mats.q_mat) * _pair_sums(np.diagonal(mats.h_mat) ** n)  # q H^n + H^n q
     return _verdict(lhs[:, :-1], rhs[:, :-1], tol)
 
 
@@ -210,7 +224,8 @@ def check_symbolic_bridge(n: int, dim: int, tol: float) -> str:
     symbolic = nested_anticommutator(q_op(), hamiltonian(), n)
     margin = safe_margin(symbolic)
     realized = element_to_matrix(symbolic, mats)
-    (native,) = _tower_sums(mats, [0] * n + [1])
+    (band,) = _tower_sums(mats, [0] * n + [1])
+    native = np.diag(band[0, 1:], 1) + np.diag(band[1, :-1], -1)
     cols = slice(0, dim - margin)  # exact for both computations
     # One scale for all columns, unlike the other checks: the realized sum
     # cancels large terms of opposite sign, and at column 0 its rounding

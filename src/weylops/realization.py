@@ -110,11 +110,12 @@ def validate_reordering(max_exp: int = 6, max_l: int = 8) -> None:
     exps = [(a, b) for a in range(max_exp + 1) for b in range(max_exp + 1)]
     ops = {e: WeylElement({e: 1}) for e in exps}
     xs = {l: XPoly.monomial(l) for l in (0, 1, max_l)}
+    acted = {(e, l): apply_element(w, f) for e, w in ops.items() for l, f in xs.items()}
     for (a1, b1), w1 in ops.items():
         for (a2, b2), w2 in ops.items():
             prod = w1 * w2
             for l, f in xs.items():
-                if apply_element(prod, f) != apply_element(w1, apply_element(w2, f)):
+                if apply_element(prod, f) != apply_element(w1, acted[(a2, b2), l]):
                     raise AssertionError(
                         f"reordering mismatch at q^{a1}p^{b1} * q^{a2}p^{b2} on x^{l}"
                     )

@@ -645,14 +645,16 @@ def run_suite(
     Every unset bound falls back to the suite's default; ``seed`` and
     ``cases`` only affect the suites that draw random polynomial instances.
     Bounds out of range raise ValueError before any check runs: a negative
-    max_n, max_m or max_l, a tol that is not a finite number above 0, a dim
-    below min_dim(0) or, for "hermite" and "all", below min_dim of the
+    max_n, max_m, max_l or cases, a tol that is not a finite number above 0,
+    a dim below min_dim(0) or, for "hermite" and "all", below min_dim of the
     hermite sweep's max_n.  A sweep that runs no checks raises it too.
     """
     if name != "all" and name not in _SWEEPS:
         raise ValueError(f"unknown suite: {name!r}")
     bounds = dict(max_n=max_n, max_m=max_m, max_l=max_l, tol=tol, dim=dim, seed=seed, cases=cases)
-    for key, least in (("max_n", 0), ("max_m", 0), ("max_l", 0), ("dim", min_dim(0))):
+    for key, least in (
+        ("max_n", 0), ("max_m", 0), ("max_l", 0), ("cases", 0), ("dim", min_dim(0))
+    ):
         if bounds[key] is not None and bounds[key] < least:
             raise ValueError(f"{key} must be at least {least}, got {bounds[key]}")
     n, d = (DEFAULT_MAX_N if max_n is None else max_n), (DEFAULT_DIM if dim is None else dim)

@@ -16,9 +16,10 @@ Both independent oracles must catch every variant too: the differential
 realization through ``validate_reordering``, the matrix realization through
 the symbolic bridge, which realizes the engine's {q,H}_n at c = -i.
 
-The matrix oracle gets the same treatment: a ladder whose H (or p, or q) is
-1% off in a single low entry must turn the main identity (or the bridge)
-FAIL.
+The matrix oracle gets the same treatment: a ladder 1% off in a single low
+entry must turn records FAIL (the main identity and the closed forms for H
+or q, the bridge for p or q), and a q with an entry off its two
+off-diagonals must keep every hermite check from passing.
 
 The binomial sweep builds its two sides independently, so a wrong shifted
 basis ((z+1)^k or E_k(z+1)) or a RatPoly kernel that mishandles a rational
@@ -80,14 +81,15 @@ def test_wrong_rule_fails_both_oracles(monkeypatch, variant):
 
 
 def _perturbed_build(monkeypatch, name, *entries):
-    """Patch build_operators so that the named matrix is 1% off at entries."""
+    """Patch build_operators so that the named matrix is 1% off at entries,
+    or 0.01 at an entry that is 0."""
     true_build = oscillator.build_operators
 
     def perturbed(dim):
         mats = true_build(dim)
         m = getattr(mats, name).copy()
         for ij in entries:
-            m[ij] *= 1.01
+            m[ij] = m[ij] * 1.01 if m[ij] else 0.01
         return dataclasses.replace(mats, **{name: m})
 
     monkeypatch.setattr(oscillator, "build_operators", perturbed)
@@ -117,6 +119,40 @@ def test_perturbed_ladder_fails_the_matrix_oracle(monkeypatch):
     report = oscillator.check_main_identity_matrix(8, 64)
     assert report.status == "fail"
     assert "at l=0" in report.witness
+
+
+CLOSED_FORMS = [oscillator.check_nested_anticomm_closed_form, oscillator.check_shifted_expansions]
+
+
+@pytest.mark.parametrize("check", CLOSED_FORMS)
+@pytest.mark.parametrize(
+    "name, entries, first",
+    # H enters the tower only from {q,H}_1 on
+    [("q_mat", [(1, 2), (2, 1)], 0), ("h_mat", [(1, 1)], 1)],
+)
+def test_perturbed_ladder_fails_the_closed_forms(monkeypatch, check, name, entries, first):
+    assert all(check(n, 64).ok for n in range(5))
+    _perturbed_build(monkeypatch, name, *entries)
+    assert all(check(n, 64).ok for n in range(first))
+    for n in range(first, 5):
+        assert check(n, 64).status == "fail"
+
+
+ALL_HERMITE = CLOSED_FORMS + [
+    oscillator.check_main_identity_matrix,
+    oscillator.check_symbolic_bridge,
+]
+
+
+@pytest.mark.parametrize("check", ALL_HERMITE)
+def test_q_off_its_ladder_never_passes(monkeypatch, check):
+    # the checks hold q by its two off-diagonals, so they must refuse a q
+    # they cannot carry instead of passing it blindly
+    _perturbed_build(monkeypatch, "q_mat", (3, 3))
+    for n in range(5):
+        report = check(n, 64)
+        assert report.status == "error"
+        assert "off its two off-diagonals" in report.witness
 
 
 TRUE_SCALED = RatPoly._scaled

@@ -121,6 +121,14 @@ def test_every_check_needs_min_dim(check):
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS)
+def test_negative_order_is_an_error(check):
+    # the ladder checks would compare l^(n+1/2) at n = -1 and report a false FAIL
+    report = check(-1)
+    assert report.status == "error"
+    assert "need n >= 0, got -1" in report.witness
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS)
 def test_nan_tolerance_fails_every_check(check):
     # every comparison with NaN is false, so "err > tol" would pass blindly
     report = check(3, 16, float("nan"))
@@ -168,13 +176,22 @@ def _dense_element_to_matrix(w, mats):
 
 
 def _dense_tower(mats, n):
-    # reference: {x, H} = x @ H + H @ x with dense products
+    # reference: the tower on D x D matrices, {x, H} = x * (h_i + h_j)
+    # elementwise, each step checked against the products x @ H + H @ x
+    h = np.diagonal(mats.h_mat)
     x = mats.q_mat
     tower = [x]
     for _ in range(n):
-        x = x @ mats.h_mat + mats.h_mat @ x
+        y = x * (h[:, None] + h[None, :])
+        assert _close(y, x @ mats.h_mat + mats.h_mat @ x)
+        x = y
         tower.append(x)
     return tower
+
+
+def _column_view(m):
+    # m[l-1, l] over m[l+1, l], 0 outside the matrix
+    return np.stack([np.append(0, np.diagonal(m, 1)), np.append(np.diagonal(m, -1), 0)])
 
 
 def _close(new, old):
@@ -189,11 +206,11 @@ def test_banded_realization_matches_dense_products(w):
 
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=9))
 def test_elementwise_tower_matches_dense_brackets(weights):
+    # the column form does the dense tower's arithmetic entry for entry, so
+    # it must agree bitwise, and the dense sums hold nothing it drops
     mats = build_operators(DIM)
     tower = _dense_tower(mats, len(weights) - 1)
     (got,) = _tower_sums(mats, weights)
     expected = sum(wk * x for wk, x in zip(weights, tower))
-    if any(weights):
-        assert _close(got, expected)
-    else:
-        assert not got.any()
+    assert (got == _column_view(expected)).all()
+    assert np.count_nonzero(expected) == np.count_nonzero(_column_view(expected))

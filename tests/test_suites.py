@@ -201,7 +201,8 @@ def check_calls(monkeypatch):
     return calls
 
 
-# the bad bounds of tests/test_cli.py::test_bad_bounds_exit_2, and two on "all"
+# the bad bounds of tests/test_cli.py::test_bad_bounds_exit_2, two on "all",
+# and a negative cases, which the CLI has no option for
 _BAD_BOUNDS = [
     ("bender", {"max_n": -1}),
     ("pain", {"max_m": -1}),
@@ -217,6 +218,7 @@ _BAD_BOUNDS = [
     ("hermite", {"dim": 6, "max_n": 2}),
     ("all", {"dim": 7, "max_n": 2}),
     ("hermite", {"max_n": 31}),  # default dim 64
+    ("functions", {"cases": -3}),
 ]
 
 
