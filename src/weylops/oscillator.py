@@ -19,9 +19,11 @@ diagonal, so {x, H} = x H + H x multiplies it by the pair sums
 h_(l-1) + h_l over h_(l+1) + h_l: the tower to order n costs O(nD).  An
 element sum z_ab q^a p^b, with s = max(a+b), is Horner in q over the powers
 p^b, all held as their 2s + 1 diagonals: each step is one tridiagonal
-multiply in O(sD), and the dense result is written once.  q and p come
-from ``build_operators``, so a perturbed ladder reaches every check; a q
-with an entry off its two off-diagonals is an ERROR record.
+multiply in O(sD), and the dense result is written once.
+``build_operators`` builds each dim's matrices once, read-only, and the
+checks read only band views cached per instance: a ladder record allocates
+nothing of size D^2, a perturbed ladder still reaches every check, and a
+q, p or H with an entry off the bands read is an ERROR record.
 
 Comparisons are relative and column by column: max |actual - expected|
 over a column, normalized by that column's largest |expected| entry.
@@ -35,6 +37,7 @@ error against a NaN tol.  Every check needs dim >= ``bounds.min_dim(n)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -45,21 +48,50 @@ from .scalars import MINUS_I
 from .weyl import WeylElement, hamiltonian, nested_anticommutator, q_op
 
 
+def _bands(m: np.ndarray, name: str, offsets: tuple, where: str) -> list[np.ndarray]:
+    """m's diagonals at offsets, as read-only views; ValueError if m is nonzero elsewhere."""
+    bands = [np.diagonal(m, k) for k in offsets]
+    if np.count_nonzero(m) > sum(map(np.count_nonzero, bands)):
+        raise ValueError(f"{name} has a nonzero entry {where}")
+    return bands
+
+
 @dataclass(frozen=True)
 class OscillatorMatrices:
+    """q, p and H at dim; a ``dataclasses.replace`` copy caches its own band views."""
+
     dim: int
     q_mat: np.ndarray
     p_mat: np.ndarray
     h_mat: np.ndarray
 
+    @cached_property
+    def q_cols(self) -> np.ndarray:  # q in column form
+        up, down = _bands(self.q_mat, "q", (1, -1), "off its two off-diagonals")
+        x = np.stack([np.append(0, up), np.append(down, 0)])
+        x.flags.writeable = False
+        return x
 
+    @cached_property
+    def h_diag(self) -> np.ndarray:
+        return _bands(self.h_mat, "H", (0,), "off its diagonal")[0]
+
+    @cached_property
+    def tridiagonal(self) -> tuple[list[np.ndarray], ...]:  # q's and p's diagonals 0, 1, -1
+        ladders = (("q", self.q_mat), ("p", self.p_mat))
+        return tuple(_bands(m, name, (0, 1, -1), "beyond its three bands") for name, m in ladders)
+
+
+@lru_cache(maxsize=4)
 def build_operators(dim: int) -> OscillatorMatrices:
+    """The matrices at dim, built once per dim and shared, so read-only."""
     if dim < 4:
         raise ValueError("need dim >= 4")
     w = np.sqrt(np.arange(1, dim) / 2.0) + 0j
     q = np.diag(1j * w, 1) - np.diag(1j * w, -1)
     p = np.diag(w, 1) + np.diag(w, -1)
     h = np.diag(np.arange(dim) + (0.5 + 0j))
+    q.flags.writeable = p.flags.writeable = h.flags.writeable = False
     return OscillatorMatrices(dim, q, p, h)
 
 
@@ -70,19 +102,21 @@ def _operators(n: int, dim: int) -> OscillatorMatrices:
     return build_operators(dim)
 
 
-def _band_mul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """t @ x for a tridiagonal t, read off its three bands, and x held as its
+def _band_mul(t: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """t @ x for a tridiagonal t as its diagonals 0, 1, -1, and x held as its
     stacked diagonals -s..s: row s + d holds x[r, r + d] at position r, and
     0 where r + d falls outside the matrix.  Diagonals beyond s are dropped."""
-    out = np.diagonal(t) * x
-    out[1:, :-1] += np.diagonal(t, 1) * x[:-1, 1:]  # t[r, r+1] x[r+1, r+d]: diagonal d-1
-    out[:-1, 1:] += np.diagonal(t, -1) * x[1:, :-1]  # t[r, r-1] x[r-1, r+d]: diagonal d+1
+    out = t[0] * x
+    out[1:, :-1] += t[1] * x[:-1, 1:]  # t[r, r+1] x[r+1, r+d]: diagonal d-1
+    out[:-1, 1:] += t[2] * x[1:, :-1]  # t[r, r-1] x[r-1, r+d]: diagonal d+1
     return out
 
 
 def element_to_matrix(w: WeylElement, mats: OscillatorMatrices) -> np.ndarray:
     """Realize a symbolic element at c = -i.  Exact only on columns
-    l <= dim-1-max(a+b) over the element's support."""
+    l <= dim-1-max(a+b) over the element's support.  A q or p with a
+    nonzero entry beyond its three bands raises ValueError."""
+    q, p = mats.tridiagonal
     at = w.subst_c(MINUS_I)
     # every p^b and every Horner step q^(a'-a) p^b below has at most s
     # diagonals on either side, and is multiplied only while it has fewer
@@ -93,10 +127,10 @@ def element_to_matrix(w: WeylElement, mats: OscillatorMatrices) -> np.ndarray:
     powers = np.zeros((s + 1, 2 * s + 1, mats.dim), dtype=complex)  # p^b
     powers[0, s] = 1
     for b in range(s):
-        powers[b + 1] = _band_mul(mats.p_mat, powers[b])
+        powers[b + 1] = _band_mul(p, powers[b])
     acc = np.zeros_like(powers[0])
     for row in z[::-1]:  # Horner in q: acc = q acc + sum_b z_ab p^b
-        acc = _band_mul(mats.q_mat, acc)
+        acc = _band_mul(q, acc)
         for b in np.flatnonzero(row):
             acc += row[b] * powers[b]
     r = np.broadcast_to(np.arange(mats.dim), acc.shape)
@@ -116,14 +150,6 @@ def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.stack([np.append(0, lo[1:]), np.append(hi[:-1], 0)])
 
 
-def _columns(q: np.ndarray) -> np.ndarray:
-    """q in column form.  An entry off its two off-diagonals raises ValueError."""
-    x = np.stack([np.append(0, np.diagonal(q, 1)), np.append(np.diagonal(q, -1), 0)])
-    if np.count_nonzero(q) > np.count_nonzero(x):
-        raise ValueError("q has a nonzero entry off its two off-diagonals")
-    return x
-
-
 def _pair_sums(h: np.ndarray) -> np.ndarray:
     """{x, H} / x in column form, for H = diag(h)."""
     return _ladder(np.roll(h, 1) + h, np.roll(h, -1) + h)  # h_(l-1) + h_l, h_(l+1) + h_l
@@ -131,8 +157,7 @@ def _pair_sums(h: np.ndarray) -> np.ndarray:
 
 def _tower_sums(mats: OscillatorMatrices, *rows: list) -> list[np.ndarray]:
     """sum_k row[k] {q,H}_k in column form for each row of weights, one tower."""
-    s = _pair_sums(np.diagonal(mats.h_mat))
-    x = _columns(mats.q_mat)
+    s, x = _pair_sums(mats.h_diag), mats.q_cols
     sums = [np.zeros_like(x) for _ in rows]
     for k in range(len(rows[0])):
         if k:
@@ -143,7 +168,7 @@ def _tower_sums(mats: OscillatorMatrices, *rows: list) -> list[np.ndarray]:
     return sums
 
 
-def _verdict(actual: np.ndarray, expected: np.ndarray, tol: float, scale=None) -> str:
+def _verdict(actual: np.ndarray, expected: np.ndarray | float, tol: float, scale=None) -> str:
     """Worst column error: max |actual - expected| over the column, relative
     to that column's largest |expected| entry, or to ``scale`` if given."""
     if scale is None:
@@ -179,9 +204,8 @@ def check_nested_anticomm_closed_form(n: int, dim: int, tol: float) -> str:
     mats = _operators(n, dim)
     (x,) = _tower_sums(mats, [0] * n + [1])
     l = np.arange(dim, dtype=float)
-    expected = _ladder(
-        1j * 2 ** (n - 0.5) * l ** (n + 0.5), -1j * 2 ** (n - 0.5) * (l + 1) ** (n + 0.5)
-    )
+    a = 1j * 2 ** (n - 0.5)
+    expected = _ladder(a * l ** (n + 0.5), -a * (l + 1) ** (n + 0.5))
     return _verdict(x[:, :-1], expected[:, :-1], tol)
 
 
@@ -209,7 +233,7 @@ def check_main_identity_matrix(n: int, dim: int, tol: float) -> str:
     mats = _operators(n, dim)
     (lhs,) = _tower_sums(mats, [comb(n, k) * (1 + (-1) ** (n - k)) for k in range(n + 1)])
     lhs /= 2.0**n
-    rhs = _columns(mats.q_mat) * _pair_sums(np.diagonal(mats.h_mat) ** n)  # q H^n + H^n q
+    rhs = mats.q_cols * _pair_sums(mats.h_diag**n)  # q H^n + H^n q
     return _verdict(lhs[:, :-1], rhs[:, :-1], tol)
 
 
@@ -225,12 +249,14 @@ def check_symbolic_bridge(n: int, dim: int, tol: float) -> str:
     margin = safe_margin(symbolic)
     realized = element_to_matrix(symbolic, mats)
     (band,) = _tower_sums(mats, [0] * n + [1])
-    native = np.diag(band[0, 1:], 1) + np.diag(band[1, :-1], -1)
+    l = np.arange(1, dim)  # realized - native, in place on q's two off-diagonals
+    realized[l - 1, l] -= band[0, 1:]
+    realized[l, l - 1] -= band[1, :-1]
     cols = slice(0, dim - margin)  # exact for both computations
     # One scale for all columns, unlike the other checks: the realized sum
     # cancels large terms of opposite sign, and at column 0 its rounding
     # error relative to the column reaches 4.4e-11 at n = 8 and 8.8e-9 at
     # n = 9, so per-column comparison would fail a correct engine from n = 9
     # on at the default tolerance.
-    scale = np.max(np.abs(native[:, cols]))
-    return _verdict(realized[:, cols], native[:, cols], tol, scale)
+    scale = np.max(np.abs(band[:, cols]))
+    return _verdict(realized[:, cols], 0, tol, scale)

@@ -19,7 +19,8 @@ the symbolic bridge, which realizes the engine's {q,H}_n at c = -i.
 The matrix oracle gets the same treatment: a ladder 1% off in a single low
 entry must turn records FAIL (the main identity and the closed forms for H
 or q, the bridge for p or q), and a q with an entry off its two
-off-diagonals must keep every hermite check from passing.
+off-diagonals, a p with one beyond its three bands or an H with one off its
+diagonal must keep every hermite check that reads that matrix from passing.
 
 The binomial sweep builds its two sides independently, so a wrong shifted
 basis ((z+1)^k or E_k(z+1)) or a RatPoly kernel that mishandles a rational
@@ -153,6 +154,26 @@ def test_q_off_its_ladder_never_passes(monkeypatch, check):
         report = check(n, 64)
         assert report.status == "error"
         assert "off its two off-diagonals" in report.witness
+
+
+@pytest.mark.parametrize("check", ALL_HERMITE)
+def test_h_off_its_diagonal_never_passes(monkeypatch, check):
+    # every check reads H by its diagonal alone, so it must refuse an H
+    # with more, instead of dropping the rest
+    _perturbed_build(monkeypatch, "h_mat", (0, 1), (3, 9))
+    for n in range(5):
+        report = check(n, 64)
+        assert report.status == "error"
+        assert "H has a nonzero entry off its diagonal" in report.witness
+
+
+def test_p_off_its_bands_never_passes(monkeypatch):
+    # only the bridge reads p, by its three bands
+    _perturbed_build(monkeypatch, "p_mat", (0, 5), (7, 0))
+    for n in range(5):
+        report = oscillator.check_symbolic_bridge(n, 64)
+        assert report.status == "error"
+        assert "p has a nonzero entry beyond its three bands" in report.witness
 
 
 TRUE_SCALED = RatPoly._scaled
