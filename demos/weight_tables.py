@@ -13,6 +13,7 @@ from weylops import (
     bernoulli_number,
     euler_polynomial,
     euler_zero,
+    extract_convolution_coefficients,
     kappa,
     lam,
     sequence_tables,
@@ -47,6 +48,12 @@ print(f"\ndefining relation E_n(x) + E_n(x+1) = 2 x^n holds at x = {x} for n <= 
 # the same polynomials fall out of a triangular solve that never sees E_k(0)
 assert all(solve_midpoint(n) == euler_polynomial(n) for n in range(13))
 print("triangular midpoint solve reproduces the Appell construction for n <= 12")
+
+# kappa also falls out of the operators: peeling the weights v_k off
+# [p^k/k!, q^k/k!] = sum_j c^j v_j/j! {p^(k-j)/(k-j)!, q^(k-j)/(k-j)!} gives kappa_k
+vs = extract_convolution_coefficients(12)
+assert vs == [1] + [kappa(k) for k in range(1, 13)]
+print("weights extracted from [p^k/k!, q^k/k!] are kappa_k for k <= 12")
 
 # the binomial bridge lambda_n = 1 - sum_m 2^m C(n,m) kappa_m, plus parity
 # and low-order value checks, all live in one report

@@ -19,9 +19,6 @@ from .scalars import (
     ONE,
     ZERO,
     format_rational,
-    parse_cpoly,
-    parse_gaussian,
-    parse_rational,
 )
 from .sequences import (
     RatPoly,
@@ -47,7 +44,6 @@ from .weyl import (
     nested_anticommutator,
     nested_commutator,
     p_op,
-    parse_element,
     poly_of_element,
     q_op,
     scalar,
@@ -63,7 +59,6 @@ from .realization import (
 )
 from .suites import (
     b_sum,
-    combinatorial_sums,
     extract_convolution_coefficients,
     random_poly_pair,
     run_suite,

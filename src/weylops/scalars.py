@@ -30,7 +30,6 @@ exact algebra: a float or a string raises TypeError.  All values are immutable.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
@@ -48,16 +47,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-
-
-def parse_rational(text: str) -> Fraction:
-    m = _RATIONAL_RE.match(text.strip())
-    if m is None:
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
 
 
 def _lifting(op):
@@ -278,27 +267,6 @@ class GaussianRational(FlatTerms):
     re = property(lambda self: Fraction(self._num.get((0, 0), 0), self._den))
     im = property(lambda self: Fraction(self._num.get((0, 1), 0), self._den))
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 + b^2 (multiplicative)."""
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    @_lifting
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    @_lifting
-    def __rtruediv__(self, other):
-        return other * self.inverse()
-
     @property
     def is_real(self) -> bool:
         return (0, 1) not in self._num
@@ -325,22 +293,6 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 MINUS_I = GaussianRational(0, -1)
-
-_GAUSS_BOTH_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)\*i$")
-_GAUSS_IMAG_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\*i$")
-
-
-def parse_gaussian(text: str) -> GaussianRational:
-    """Parse the rendering grammar: "a", "b*i" or "a+b*i" (also "a-b*i")."""
-    s = text.strip().replace(" ", "")
-    m = _GAUSS_BOTH_RE.match(s)
-    if m:
-        return GaussianRational(parse_rational(m.group(1)), parse_rational(m.group(2)))
-    m = _GAUSS_IMAG_RE.match(s)
-    if m:
-        return GaussianRational(0, parse_rational(m.group(1)))
-    return GaussianRational(parse_rational(s))
-
 
 class CTerms(FlatTerms):
     """FlatTerms over Q(i)[c], whose keys end in (k, i): what CPoly,
@@ -453,32 +405,3 @@ class CPoly(CTerms):
     def __repr__(self):
         return f"CPoly({{{', '.join(f'{k}: {v}' for k, v in sorted(self.coeffs.items()))}}})"
 
-
-_CPOLY_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>\((?P<inner>[^)]*)\)|[+-]?\d+(?:/\d+)?)(?:\*(?P<mono1>c(?:\^\d+)?))?"
-    r"|(?P<mono2>c(?:\^\d+)?))$"
-)
-
-
-def parse_cpoly(text: str) -> CPoly:
-    """Parse the rendering grammar of CPoly (terms joined by " + ")."""
-    s = text.strip()
-    if s == "0":
-        return CPoly()
-    out: dict[int, GaussianRational] = {}
-    for term in s.split(" + "):
-        m = _CPOLY_TERM_RE.match(term.strip().replace(" ", ""))
-        if m is None:
-            raise ValueError(f"bad CPoly term: {term!r}")
-        if m.group("mono2"):
-            coeff = ONE
-            mono = m.group("mono2")
-        else:
-            raw = m.group("inner") if m.group("inner") is not None else m.group("coeff")
-            coeff = parse_gaussian(raw)
-            mono = m.group("mono1")
-        k = 0
-        if mono:
-            k = 1 if mono == "c" else int(mono.split("^")[1])
-        out[k] = out.get(k, ZERO) + coeff
-    return CPoly(out)

@@ -38,13 +38,12 @@ nilpotent on w; otherwise both raise NonTerminatingSeries.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Union
+from typing import Union
 
-from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, GaussianRational, _lifting, parse_cpoly
+from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, GaussianRational, _lifting
 from .sequences import RatPoly
 
 Key = tuple[int, int]  # (a, b) <-> q^a p^b
@@ -236,51 +235,3 @@ def poly_of_element(poly: RatPoly, w: ElementLike) -> WeylElement:
     w = WeylElement.of(w)
     return WeylElement.weighted_sum((n, w**k) for k, n in poly._num.items())._scaled(1, poly._den)
 
-
-# -- rendering / parsing ----------------------------------------------------
-
-_TERM_RE = re.compile(
-    r"^\((?P<coeff>.+)\)(?: \* (?:(?P<qm>q(?:\^\d+)?))?\s*(?:(?P<pm>p(?:\^\d+)?))?)?$"
-)
-
-
-def _split_top(s: str, sep: str = " + ") -> Iterable[str]:
-    # split on sep at paren depth 0 only
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and s.startswith(sep, i):
-            yield s[start:i]
-            i += len(sep)
-            start = i
-            continue
-        i += 1
-    yield s[start:]
-
-
-def _parse_exp(tok: str | None) -> int:
-    if not tok:
-        return 0
-    return 1 if "^" not in tok else int(tok.split("^")[1])
-
-
-def parse_element(text: str) -> WeylElement:
-    """Inverse of str(): parse "(coeff) * q^a p^b" terms joined by " + "."""
-    s = text.strip()
-    if s == "0":
-        return WeylElement()
-    out: dict[Key, CPoly] = {}
-    for piece in _split_top(s):
-        m = _TERM_RE.match(piece.strip())
-        if m is None:
-            raise ValueError(f"bad element term: {piece!r}")
-        key = (_parse_exp(m.group("qm")), _parse_exp(m.group("pm")))
-        coeff = parse_cpoly(m.group("coeff"))
-        out[key] = out.get(key, CPoly()) + coeff
-    return WeylElement(out)

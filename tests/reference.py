@@ -71,24 +71,6 @@ class RefGaussian:
     def __neg__(self):
         return RefGaussian(-self.re, -self.im)
 
-    def conjugate(self):
-        return RefGaussian(self.re, -self.im)
-
-    def norm(self):
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return RefGaussian(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * RefGaussian.of(other).inverse()
-
-    def __rtruediv__(self, other):
-        return RefGaussian.of(other) * self.inverse()
-
     def __eq__(self, other):
         try:
             other = RefGaussian.of(other)

@@ -21,9 +21,6 @@ from weylops import (
     XPoly,
     ZERO,
     format_rational,
-    parse_cpoly,
-    parse_gaussian,
-    parse_rational,
 )
 from weylops.weyl import hadamard_conjugate, monomial, p_op, q_op
 
@@ -40,18 +37,11 @@ def test_rational_examples():
     assert Fraction(-17, 8) * -1 == Fraction(17, 8)
     assert format_rational(Fraction(-17, 8)) == "-17/8"
     assert format_rational(Fraction(6, 2)) == "3"
-    assert parse_rational("-17/8") == Fraction(-17, 8)
-    assert parse_rational(" 3 ") == 3
-    with pytest.raises(ValueError):
-        parse_rational("1.5")
 
 
 def test_gaussian_examples():
     assert I * I == -1
     assert GaussianRational(1, 2) * GaussianRational(3, -1) == GaussianRational(5, 5)
-    assert GaussianRational(1, 1) / I == GaussianRational(1, -1)
-    assert GaussianRational(3, 4).norm() == 25
-    assert GaussianRational(3, 4).conjugate() == GaussianRational(3, -4)
     assert MINUS_I == -I
     assert ONE - 1 == ZERO
 
@@ -62,8 +52,6 @@ def test_gaussian_real_accessors():
     assert not I.is_real
     with pytest.raises(ValueError):
         I.as_rational()
-    with pytest.raises(ZeroDivisionError):
-        ZERO.inverse()
 
 
 def test_gaussian_is_immutable():
@@ -77,23 +65,6 @@ def test_gaussian_ring_axioms(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
-
-
-@given(gaussians, gaussians)
-def test_gaussian_norm_multiplicative(x, y):
-    assert (x * y).norm() == x.norm() * y.norm()
-
-
-@given(gaussians)
-def test_gaussian_inverse(x):
-    if x:
-        assert x * x.inverse() == ONE
-        assert (1 / x) * x == ONE
-
-
-@given(gaussians)
-def test_gaussian_parse_round_trip(x):
-    assert parse_gaussian(str(x)) == x
 
 
 def test_cpoly_subst_examples():
@@ -150,11 +121,6 @@ def test_cpoly_ring(u, v):
     assert u + v == v + u
     assert u * v == v * u
     assert u - u == CPoly()
-
-
-@given(cpolys)
-def test_cpoly_parse_round_trip(u):
-    assert parse_cpoly(str(u)) == u
 
 
 def test_an_operand_a_class_cannot_lift_goes_to_the_other_side():
@@ -316,7 +282,7 @@ def test_cpoly_equality_hash_and_parsing_match_the_reference(a, b, s):
         assert hash(x) == hash(RefCPoly(a)) == hash(x.constant_term())
     for const in (CPoly.of(s), x - x + s):
         assert const == s and hash(const) == hash(GaussianRational.of(s))
-    assert parse_cpoly(str(x)) == x
+    assert str(x) == str(RefCPoly(a))
 
 
 # -- GaussianRational on the flat core against the Fraction pair it replaced ---
@@ -331,18 +297,11 @@ def _agree_gaussian(flat: GaussianRational, ref: RefGaussian) -> None:
     assert flat == ref.to_gaussian() and hash(flat) == hash(ref)
     assert str(flat) == str(ref)
     assert flat.is_real == ref.is_real
-    assert flat.norm() == ref.norm()
-    assert flat.conjugate() == ref.conjugate().to_gaussian()
     if ref.is_real:
         assert flat.as_rational() == ref.as_rational()
     else:
         with pytest.raises(ValueError):
             flat.as_rational()
-    if ref:
-        assert flat.inverse() == ref.inverse().to_gaussian()
-    else:
-        with pytest.raises(ZeroDivisionError):
-            flat.inverse()
 
 
 @given(flat_pairs, flat_pairs, plain_numbers)
@@ -350,13 +309,9 @@ def test_gaussian_matches_the_reference(a, b, s):
     x, y, rx, ry = GaussianRational(*a), GaussianRational(*b), RefGaussian(*a), RefGaussian(*b)
     cases = [
         (x, rx), (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx),
-        (x.conjugate(), rx.conjugate()),
         (x + s, rx + s), (x - s, rx - s), (x * s, rx * s),
         (s + x, s + rx), (s - x, s - rx), (s * x, s * rx),
     ]
-    cases += [(x / y, rx / ry)] if ry else []
-    cases += [(x / s, rx / s)] if s else []
-    cases += [(s / x, s / rx)] if rx else []
     for flat, ref in cases:
         _agree_gaussian(flat, ref)
     assert (x == y) == (rx == ry)

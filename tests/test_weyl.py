@@ -26,7 +26,6 @@ from weylops import (
     nested_anticommutator,
     nested_commutator,
     p_op,
-    parse_element,
     poly_of_element,
     q_op,
     scalar,
@@ -39,10 +38,8 @@ C = CPoly.c_power(1)
 rationals = rationals_within(50, 8)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 coeffs = st.builds(CPoly, st.dictionaries(st.integers(0, 3), gaussians, max_size=3))
-elements = st.builds(
-    WeylElement,
-    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=3),
-)
+term_maps = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=3)
+elements = st.builds(WeylElement, term_maps)
 
 
 def _tower_product(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -207,9 +204,17 @@ def test_brackets_decompose_products(x, y):
     assert commutator(x, y) + anticommutator(x, y) == scalar(2) * (x * y)
 
 
-@given(elements)
-def test_parse_round_trip(w):
-    assert parse_element(str(w)) == w
+@given(term_maps)
+def test_str_matches_the_reference_rendering(terms):
+    # every nonzero term, in (a, b) order, as "(coeff) * q^a p^b" with the
+    # coefficient rendered by RefCPoly, joined by " + "
+    parts = []
+    for (a, b), v in sorted(terms.items()):
+        mono = " ".join(s if e == 1 else f"{s}^{e}" for s, e in (("q", a), ("p", b)) if e)
+        coeff = RefCPoly.of_cpoly(v)
+        if coeff:
+            parts.append(f"({coeff}) * {mono}" if mono else f"({coeff})")
+    assert str(WeylElement(terms)) == (" + ".join(parts) or "0")
 
 
 @given(elements, elements, rationals_within(20, 6))
