@@ -2,8 +2,8 @@
 in disguise.
 
 Write {x, y} = xy + yx and iterate: {q, H}_0 = q, {q, H}_(n+1) = {{q, H}_n, H}.
-In the algebra with pq - qp = -i (substitute c = -i after expanding), the
-n-fold bracket collapses to a single anticommutator with a polynomial of H:
+In the algebra with pq - qp = -i the n-fold bracket collapses to a single
+anticommutator with a polynomial of H:
 
     2^(-n) {q, H}_n = 1/2 {q, E_n(H + 1/2)}
 
@@ -12,13 +12,24 @@ and the two half-shifted variants
     2^(-n) {q, H - 1/2}_n = 1/2 {q, E_n(H)}
     2^(-n) [ ({q,H} - 1)_n + ({q,H} + 1)_n ] = {q, H^n}.
 
-Everything below is exact rational/Gaussian-rational arithmetic; no floats.
+The algebra is graded (q and p of weight 1, c of weight 2), so with c formal
+the same statements hold once each constant carries a power of u = ic, which
+is 1 at c = -i.  With E_n(x + 1/2) = sum_m e_(n,m) x^m and
+E_n(x) = sum_m f_(n,m) x^m:
+
+    2^(-n) {q, H}_n = 1/2 {q, sum_m e_(n,m) u^(n-m) H^m}
+    2^(-n) {q, H - u/2}_n = 1/2 {q, sum_m f_(n,m) u^(n-m) H^m}
+    2^(-n) [ ({q,H} - u)_n + ({q,H} + u)_n ] = {q, H^n}.
+
+Everything below is exact rational/Gaussian-rational arithmetic in c; no floats.
 """
 
 from fractions import Fraction
 
 from weylops import (
-    MINUS_I,
+    CPoly,
+    I,
+    WeylElement,
     anticommutator,
     euler_polynomial,
     hamiltonian,
@@ -32,34 +43,46 @@ from weylops import (
 )
 
 q, h = q_op(), hamiltonian()
+u = CPoly.c_power(1, I)  # u = ic, so u = 1 at c = -i
+half = scalar(Fraction(1, 2))
+
+
+def homogenized(poly, n):
+    """sum_m a_m u^(n-m) H^m for poly = sum_m a_m x^m."""
+    return sum((scalar(u ** (n - m) * a) * h**m for m, a in poly.coeffs.items()), WeylElement())
+
 
 print("{q, H}_n in normal order (symbolic c):")
 for n in range(4):
     print(f"  n={n}:  {nested_anticommutator(q, h, n)}")
 
-print("\nmain collapse at c = -i:")
+print("\nmain collapse with c formal:")
 for n in range(9):
     lhs = scalar(Fraction(1, 2**n)) * nested_anticommutator(q, h, n)
-    rhs = scalar(Fraction(1, 2)) * anticommutator(q, poly_of_element(shifted_euler(n), h))
-    match = lhs.subst_c(MINUS_I) == rhs.subst_c(MINUS_I)
-    print(f"  n={n}:  2^-n {{q,H}}_n == 1/2 {{q, E_n(H+1/2)}}   {'ok' if match else 'MISMATCH'}")
-    assert match
+    rhs = half * anticommutator(q, homogenized(shifted_euler(n), n))
+    assert lhs == rhs
+    print(f"  n={n}:  2^-n {{q,H}}_n == 1/2 {{q, sum_m e_nm u^(n-m) H^m}}   ok")
 
-print("\nhalf-shifted variant at c = -i:")
+print("\nhalf-shifted variant with c formal:")
 for n in range(9):
-    lhs = scalar(Fraction(1, 2**n)) * nested_anticommutator(q, h - scalar(Fraction(1, 2)), n)
-    rhs = scalar(Fraction(1, 2)) * anticommutator(q, poly_of_element(euler_polynomial(n), h))
-    assert lhs.subst_c(MINUS_I) == rhs.subst_c(MINUS_I)
-print("  2^-n {q, H-1/2}_n == 1/2 {q, E_n(H)}  for n <= 8")
+    lhs = scalar(Fraction(1, 2**n)) * nested_anticommutator(q, h - half * u, n)
+    rhs = half * anticommutator(q, homogenized(euler_polynomial(n), n))
+    assert lhs == rhs
+print("  2^-n {q, H-u/2}_n == 1/2 {q, sum_m f_nm u^(n-m) H^m}  for n <= 8")
 
-print("\ntwo-shift average at c = -i:")
+print("\ntwo-shift average with c formal:")
 for n in range(9):
-    lhs = scalar(Fraction(1, 2**n)) * (
-        shifted_nested_anticomm(-1, n) + shifted_nested_anticomm(1, n)
-    )
-    rhs = anticommutator(q, h**n)
-    assert lhs.subst_c(MINUS_I) == rhs.subst_c(MINUS_I)
-print("  2^-n [({q,H}-1)_n + ({q,H}+1)_n] == {q, H^n}  for n <= 8")
+    average = shifted_nested_anticomm(-u, n) + shifted_nested_anticomm(u, n)
+    assert scalar(Fraction(1, 2**n)) * average == anticommutator(q, h**n)
+print("  2^-n [({q,H}-u)_n + ({q,H}+u)_n] == {q, H^n}  for n <= 8")
+
+# the u = 1 form is a statement about c = -i only: with c formal it fails
+n = 2
+lhs = scalar(Fraction(1, 2**n)) * nested_anticommutator(q, h, n)
+rhs = half * anticommutator(q, poly_of_element(shifted_euler(n), h))
+assert lhs != rhs
+print("\nthe u = 1 form with c formal, which holds only where c^2 = -1:")
+print(f"  2^-2 {{q,H}}_2 - 1/2 {{q, E_2(H+1/2)}} = {lhs - rhs}")
 
 # the packaged check bundles all three forms into one report per n
 print()

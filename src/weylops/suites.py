@@ -7,19 +7,19 @@ sweeps a named family over its default (or configured) parameter ranges and
 is what the command line drives; it is also where the bounds of a sweep are
 checked, so a sweep called from Python refuses what the command line refuses.
 
-The ``bender`` and ``superoperators`` records (the ones involving the
-quadratic element H = (p^2 + q^2)/2) are compared after ``subst_c`` at
-c = -i by choice, not because the identities need it.  The algebra is graded
-(q and p of weight 1, c of weight 2), so they hold with c formal once each
-constant carries a power of u = ic, which is 1 at c = -i:
+Every symbolic record is compared with c formal.  The ``bender`` identities
+are stated in the source for [q, p] = i; the algebra is graded (q and p of
+weight 1, c of weight 2), so they hold with c formal once each constant
+carries a power of u = ic, which is 1 at c = -i:
 
   2^-n {q, H}_n                    = 1/2 {q, sum_m e_(n,m) u^(n-m) H^m}
   2^-n {q, H - u/2}_n              = 1/2 {q, sum_m f_(n,m) u^(n-m) H^m}
   2^-n [({q,H}-u)_n + ({q,H}+u)_n] = {q, H^n}
 
-with E_n(x + 1/2) = sum_m e_(n,m) x^m and E_n(x) = sum_m f_(n,m) x^m, and
-the superoperators' even-order cross sum holds with c formal as it stands.
-Everything else is checked with c kept formal, which is strictly stronger.
+with H = (p^2 + q^2)/2, E_n(x + 1/2) = sum_m e_(n,m) x^m and
+E_n(x) = sum_m f_(n,m) x^m, and the superoperators' even-order cross sum
+holds with c formal as it stands.  Only the matrix realization sets c to a
+number.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 
 from .bounds import DEFAULT_DIM, DEFAULT_MAX_N, DEFAULT_TOL, min_dim
 from .report import VerificationReport, run_check
-from .scalars import CPoly, I, MINUS_I
+from .scalars import CPoly, I
 from .sequences import (
     RatPoly,
     bernoulli_number,
@@ -83,43 +83,50 @@ __all__ = [
 ]
 
 
-def _diff(label: str, lhs: WeylElement, rhs: WeylElement) -> str:
-    d = lhs - rhs
-    return "" if not d else f"{label}: lhs - rhs = {d}"
+def _diff(*forms: tuple[str, WeylElement, WeylElement]) -> str:
+    """The witness of the first (label, lhs, rhs) form whose sides differ; "" if none."""
+    for label, lhs, rhs in forms:
+        d = lhs - rhs
+        if d:
+            return f"{label}: lhs - rhs = {d}"
+    return ""
+
+
+def _orders(**orders: int) -> None:
+    for name, v in orders.items():
+        if v < 0:
+            raise ValueError(f"need {name} >= 0, got {v}")
 
 
 # -- symmetrized powers of H -------------------------------------------------
 
 
+def _euler_rhs(poly: RatPoly, n: int) -> WeylElement:
+    """1/2 {q, sum_m a_m u^(n-m) H^m} for poly = sum_m a_m x^m, with u = ic."""
+    u, h = CPoly.c_power(1, I), hamiltonian()
+    s = _weighted_sum((scalar(u ** (n - m) * (a / 2)), h**m) for m, a in poly.coeffs.items())
+    return anticommutator(q_op(), s)
+
+
 def verify_bender(n: int) -> VerificationReport:
-    """Nested anticommutators of q with H against Euler polynomials of H.
-
-    Three equivalent statements are checked at c = -i:
-
-      2^-n {q, H}_n                    = 1/2 {q, E_n(H + 1/2)}
-      2^-n {q, H - 1/2}_n              = 1/2 {q, E_n(H)}
-      2^-n [({q,H}-1)_n + ({q,H}+1)_n] = {q, H^n}
-
-    where ({q,H}+a)_n is the binomial resummation of the nested brackets.
+    """Nested anticommutators of q with H against Euler polynomials of H: the
+    three forms of the module docstring, with c formal, where ({q,H}+a)_n is
+    the binomial resummation of the nested brackets.  At c = -i, where u = 1,
+    the first is the source's  2^-n {q, H}_n = 1/2 {q, E_n(H + 1/2)}.
     """
 
     def check() -> str:
-        q, h = q_op(), hamiltonian()
-        half = Fraction(1, 2)
+        _orders(n=n)
+        q, h, u = q_op(), hamiltonian(), CPoly.c_power(1, I)
         norm = scalar(Fraction(1, 2**n))
-        lhs = (norm * nested_anticommutator(q, h, n)).subst_c(MINUS_I)
-        rhs = scalar(half) * anticommutator(q, poly_of_element(shifted_euler(n), h))
-        w = _diff("shifted-argument form", lhs, rhs.subst_c(MINUS_I))
-        if w:
-            return w
-        lhs = (norm * nested_anticommutator(q, h - half, n)).subst_c(MINUS_I)
-        rhs = scalar(half) * anticommutator(q, poly_of_element(euler_polynomial(n), h))
-        w = _diff("centered form", lhs, rhs.subst_c(MINUS_I))
-        if w:
-            return w
-        lhs = norm * (shifted_nested_anticomm(-1, n) + shifted_nested_anticomm(1, n))
-        rhs = anticommutator(q, h**n)
-        return _diff("plus/minus average", lhs.subst_c(MINUS_I), rhs.subst_c(MINUS_I))
+        shifted = nested_anticommutator(q, h, n)
+        centered = nested_anticommutator(q, h - u * Fraction(1, 2), n)
+        plus_minus = shifted_nested_anticomm(-u, n) + shifted_nested_anticomm(u, n)
+        return _diff(
+            ("shifted-argument form", norm * shifted, _euler_rhs(shifted_euler(n), n)),
+            ("centered form", norm * centered, _euler_rhs(euler_polynomial(n), n)),
+            ("plus/minus average", norm * plus_minus, anticommutator(q, h**n)),
+        )
 
     return run_check("bender", {"n": n}, check)
 
@@ -133,20 +140,15 @@ def verify_superoperators(max_k: int) -> VerificationReport:
         (A + B)^k q = 2^k q H^k        (A - B)^k q = (-2)^k H^k q,
 
     both exact in c.  A and B commute.  Finally the even-order binomial cross
-    sums are checked at c = -i:
+    sums, also exact in c:
 
         sum_k C(2n,2k) B^(2k) A^(2n-2k) q = 2^(2n-1) {q, H^(2n)}.
     """
 
     def check() -> str:
+        _orders(max_k=max_k)
         q, h = q_op(), hamiltonian()
-
-        def a_map(w: WeylElement) -> WeylElement:
-            return commutator(w, h)
-
-        def b_map(w: WeylElement) -> WeylElement:
-            return anticommutator(w, h)
-
+        a_map, b_map = partial(commutator, y=h), partial(anticommutator, y=h)
         a_pow, b_pow = [q], [q]
         for _ in range(max_k):
             a_pow.append(a_map(a_pow[-1]))
@@ -174,7 +176,7 @@ def verify_superoperators(max_k: int) -> VerificationReport:
                     w = b_map(w)
                 total = total + scalar(comb(order, 2 * k)) * w
             expected = scalar(Fraction(2) ** (order - 1)) * anticommutator(q, h**order)
-            if total.subst_c(MINUS_I) != expected.subst_c(MINUS_I):
+            if total != expected:
                 return f"binomial cross sum fails at order {order}"
         return ""
 
@@ -198,26 +200,25 @@ def trinomial_sum(n: int, i: int, j: int) -> int:
     return sum(comb(2 * n, 2 * k) * comb(2 * k, i) * comb(2 * n - 2 * k, j) for k in range(n + 1))
 
 
-def _closed_forms_witness(n: int) -> str:
-    # the closed forms need n >= 1 (the alternating sum degenerates)
-    for s in range(2 * n + 1):
-        expected = 2 ** (2 * n - 1) if s in (0, 2 * n) else 0
-        got = b_sum(n, s)
-        if got != expected:
-            return f"alternating sum at s={s}: {got} != {expected}"
-    for i, j in product(range(n + 1), repeat=2):
-        if i == j == n:
-            expected = comb(2 * n, n) * (1 + (-1) ** n) // 2
-        else:
-            expected = comb(2 * n, i) * comb(2 * n - i, j) * 2 ** (2 * n - i - j - 1)
-        got = trinomial_sum(n, i, j)
-        if got != expected:
-            return f"trinomial sum at (i,j)=({i},{j}): {got} != {expected}"
-    return ""
+def _closed_forms(n: int) -> VerificationReport:
+    def check() -> str:
+        # the closed forms need n >= 1 (the alternating sum degenerates)
+        for s in range(2 * n + 1):
+            expected = 2 ** (2 * n - 1) if s in (0, 2 * n) else 0
+            got = b_sum(n, s)
+            if got != expected:
+                return f"alternating sum at s={s}: {got} != {expected}"
+        for i, j in product(range(n + 1), repeat=2):
+            if i == j == n:
+                expected = comb(2 * n, n) * (1 + (-1) ** n) // 2
+            else:
+                expected = comb(2 * n, i) * comb(2 * n - i, j) * 2 ** (2 * n - i - j - 1)
+            got = trinomial_sum(n, i, j)
+            if got != expected:
+                return f"trinomial sum at (i,j)=({i},{j}): {got} != {expected}"
+        return ""
 
-
-def _all_closed_forms(n: int) -> VerificationReport:
-    return run_check("combinatorics", {"n": n}, partial(_closed_forms_witness, n))
+    return run_check("combinatorics", {"n": n}, check)
 
 
 # -- weighted bracket expansions ----------------------------------------------
@@ -299,7 +300,7 @@ def _expand(
             rhs = _weighted_sum((_c_weight(k, weight(k)), term(op, k)) for k in range(first, kmax + 1))
             if lead:
                 rhs = rhs + lead * term("[]", -1).div_c(1)
-            witness = _diff(labels[suite], term(lhs, 0), rhs)
+            witness = _diff((labels[suite], term(lhs, 0), rhs))
             if witness:
                 return witness
         return ""
@@ -421,6 +422,7 @@ def verify_binomial(m: int, n: int, l: int, euler_version: bool = True) -> Verif
     """
 
     def check() -> str:
+        _orders(m=m, n=n, l=l)
         ks = range(min(m, n) + 1)
         lw = [comb(m, k) * comb(m - k + l, n - k) for k in ks]
         rw = [comb(m, k) * comb(l, n - k) for k in ks]
@@ -466,17 +468,15 @@ def verify_figueira(h0: WeylElement, x: WeylElement) -> VerificationReport:
         tower = bracket_tower(x, h0)
         h1 = scalar(I) * _weighted_sum((kappa(n) / factorial(n), t) for n, t in enumerate(tower))
         alt = h0 - _weighted_sum((euler_zero(n) / factorial(n), t) for n, t in enumerate(tower))
-        witness = _diff("two correction-term constructions", h1, scalar(I) * alt)
-        if witness:
-            return witness
         lhs = h0 - hadamard_conjugate(x, h0)
         rhs = scalar(I) * (h1 + hadamard_conjugate(x, h1))
-        witness = _diff("pseudo-symmetry relation", lhs, rhs)
-        if witness:
-            return witness
         direct = hadamard_conjugate(x, h0 + scalar(I) * h1, t=Fraction(1, 2))
         umbral = _weighted_sum((euler_at_half(n) / factorial(n), t) for n, t in enumerate(tower))
-        return _diff("half-step conjugate vs umbral sum", direct, umbral)
+        return _diff(
+            ("two correction-term constructions", h1, scalar(I) * alt),
+            ("pseudo-symmetry relation", lhs, rhs),
+            ("half-step conjugate vs umbral sum", direct, umbral),
+        )
 
     return run_check("figueira", {"h0": str(h0), "x": str(x)}, check)
 
@@ -510,6 +510,7 @@ def sequence_tables(max_n: int) -> VerificationReport:
     params = {"N": max_n, "kappa": kappas, "lambda": lambdas}
 
     def check() -> str:
+        _orders(max_n=max_n)
         known_kappa = {
             1: Fraction(1, 2),
             3: Fraction(-1, 4),
@@ -597,7 +598,7 @@ def _hermite(
 _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
     "bender": lambda max_n=12, **_: _grid(verify_bender, max_n),
     "superoperators": lambda max_n=8, **_: [verify_superoperators(max_n)],
-    "combinatorics": lambda max_n=8, **_: [_all_closed_forms(n) for n in range(1, max_n + 1)],
+    "combinatorics": lambda max_n=8, **_: [_closed_forms(n) for n in range(1, max_n + 1)],
     "pain": lambda max_n=10, max_m=10, **_: _grid(verify_pain, max_n, max_m),
     "reciprocal": lambda max_n=10, max_m=10, **_: _grid(verify_reciprocal, max_n, max_m),
     "mccoy": lambda max_n=10, max_m=10, seed=0, cases=_RANDOM_CASES, **_: (

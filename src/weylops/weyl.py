@@ -18,9 +18,8 @@ and ``subst_c`` run on plain integers, apply i^2 = -1 and reduce by a single
 gcd at the end, so no Fraction is built on the hot path; ``terms`` is the
 {(a, b): CPoly} view that rendering and the realizations read.  Since c
 stays formal, an identity established here holds for every numeric value of
-c at once; ``subst_c`` specializes when a statement is only true at a
-particular value (the harmonic-oscillator conventions use c = -i, where
-q p - p q = i).
+c at once.  ``subst_c`` sets c to a number; its use is the matrix
+realization (``oscillator``), which works at c = -i, where q p - p q = i.
 
 Bracket conventions:
 

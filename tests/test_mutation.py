@@ -6,11 +6,13 @@ reruns bender, pain and reciprocal on small bounds.  monkeypatch puts the
 true helper back afterwards.
 
 The sign flip (-1)^k amounts to replacing c by -c in every product.  bender
-and superoperators stay PASS under it, because both sides of each of their
-identities are built by the engine alone and flip together.  Of the suites
-run here only pain and reciprocal catch it: their right-hand sides carry
-explicit powers of c, weighted by Euler and Bernoulli numbers, which do not
-flip.
+stays PASS under it although its right-hand sides carry explicit powers of
+u = ic: c -> -c maps each of its three forms to the same form with u -> -u,
+which holds as well.  The shifted form has only even powers of u, the
+centered form follows from E_n(1+x) = (-1)^n E_n(-x), and the plus/minus
+form is symmetric in +-u.  Of the suites run here only pain and reciprocal
+catch it: their right-hand sides carry explicit powers of c, weighted by
+Euler and Bernoulli numbers, which do not flip.
 
 Both independent oracles must catch every variant too: the differential
 realization through ``validate_reordering``, the matrix realization through
@@ -30,13 +32,20 @@ So must the closure and weight-table sweeps: a bracket tower ad_x^n h0 that
 stops one bracket early in the suite's umbral sums turns every figueira
 record FAIL (hadamard_conjugate still sums weyl's true tower), and a wrong
 kappa_5 fails the sequences record.
+
+bender and superoperators are decided with c formal, so they must not lean
+on ``subst_c``: with it raising they still PASS (only the symbolic bridge,
+which realizes the engine at c = -i, errs), and with it returning zero a
+perturbed Euler coefficient or a shift specialized to u = 1 still FAILs.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from weylops import oscillator, realization, sequences, suites, weyl
+from weylops.scalars import MINUS_I, CPoly
 from weylops.sequences import RatPoly, euler_polynomial
 from weylops.suites import run_suite
 
@@ -248,3 +257,46 @@ def test_closure_mutant_fails_every_record(monkeypatch, variant):
     reports = run_suite(suite)
     assert reports and all(r.status == "fail" for r in reports)
     assert all(r.witness.startswith(witnesses) for r in reports)
+
+
+def test_formal_suites_do_not_need_subst_c(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("subst_c called")
+
+    monkeypatch.setattr(weyl.WeylElement, "subst_c", refuse)
+    assert [r.status for r in run_suite("bender", max_n=6)] == ["pass"] * 7
+    assert suites.verify_superoperators(8).ok
+    for n in range(1, 5):
+        report = oscillator.check_symbolic_bridge(n, 64)
+        assert report.status == "error"
+        assert "subst_c called" in report.witness
+
+
+EULER_WEIGHTS = {"shifted_euler": "shifted-argument form", "euler_polynomial": "centered form"}
+
+
+@pytest.mark.parametrize("blind_subst_c", [False, True], ids=["true-subst_c", "zero-subst_c"])
+@pytest.mark.parametrize("name", sorted(EULER_WEIGHTS))
+def test_perturbed_euler_coefficient_fails_bender(monkeypatch, name, blind_subst_c):
+    # e_(n,0) or f_(n,0) off by 1/3, for every n >= 1 (at n = 0 there is no m < n);
+    # a subst_c that returns zero must not hide it
+    true_poly = getattr(suites, name)
+    perturbed = lambda n: true_poly(n) + Fraction(1, 3) if n else true_poly(n)
+    monkeypatch.setattr(suites, name, perturbed)
+    if blind_subst_c:
+        monkeypatch.setattr(weyl.WeylElement, "subst_c", lambda self, v: weyl.WeylElement())
+    reports = run_suite("bender", max_n=6)
+    assert [r.status for r in reports] == ["pass"] + ["fail"] * 6
+    assert all(r.witness.startswith(f"{EULER_WEIGHTS[name]}: ") for r in reports[1:])
+
+
+def test_shift_specialized_to_u_1_fails_bender(monkeypatch):
+    # ({q,H} +- 1)_n in place of ({q,H} +- u)_n: equal at c = -i only, and the
+    # shift enters the plus/minus average from n = 2 on
+    true_shifted = suites.shifted_nested_anticomm
+    monkeypatch.setattr(
+        suites, "shifted_nested_anticomm", lambda a, n: true_shifted(CPoly.of(a).subst(MINUS_I), n)
+    )
+    reports = run_suite("bender", max_n=6)
+    assert [r.status for r in reports] == ["pass"] * 2 + ["fail"] * 5
+    assert all(r.witness.startswith("plus/minus average: ") for r in reports[2:])

@@ -303,6 +303,25 @@ def test_error_check_is_reported_not_raised():
     assert report.witness.startswith("ZeroDivisionError")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_bender(-1), "need n >= 0, got -1"),
+        (lambda: verify_superoperators(-1), "need max_k >= 0, got -1"),
+        (lambda: sequence_tables(-1), "need max_n >= 0, got -1"),
+        (lambda: verify_binomial(-1, 0, 0), "need m >= 0, got -1"),
+        (lambda: verify_binomial(2, -1, 0), "need n >= 0, got -1"),
+        (lambda: verify_binomial(0, 0, -1), "need l >= 0, got -1"),
+    ],
+    ids=["bender", "superoperators", "sequences", "binomial-m", "binomial-n", "binomial-l"],
+)
+def test_negative_order_is_an_error(call, message):
+    # with no order to check, these would report a PASS having checked nothing
+    report = call()
+    assert report.status == "error"
+    assert report.witness == f"ValueError: {message}"
+
+
 def test_reports_serialize_deterministically():
     def strip(blob: str):
         records = json.loads(blob)
