@@ -71,7 +71,9 @@ def _parts(v: CPolyLike) -> list[tuple[int, int, int, int]]:
     """(k, i, numerator, denominator) of each part c^k i^i n/d of v."""
     if isinstance(v, (CPoly, GaussianRational)):
         return [(k, i, n, v._den) for (k, i), n in v._num.items()]
-    raise TypeError(f"not an exact scalar: {v!r}")
+    # the type only: _lifting swallows this error, and rendering a large
+    # operand would cost more than the product it falls back to
+    raise TypeError(f"not an exact scalar: {type(v).__name__}")
 
 
 _set = object.__setattr__  # FlatTerms are immutable: only this sets their fields
@@ -261,7 +263,7 @@ class GaussianRational(FlatTerms):
     @staticmethod
     def of(x: ScalarLike) -> "GaussianRational":
         if not isinstance(x, (GaussianRational, int, Fraction)):
-            raise TypeError(f"cannot lift {x!r} to a GaussianRational")
+            raise TypeError(f"cannot lift a {type(x).__name__} to a GaussianRational")
         return x if isinstance(x, GaussianRational) else GaussianRational(x)
 
     re = property(lambda self: Fraction(self._num.get((0, 0), 0), self._den))

@@ -101,11 +101,48 @@ def _orders(**orders: int) -> None:
 # -- symmetrized powers of H -------------------------------------------------
 
 
-def _euler_rhs(poly: RatPoly, n: int) -> WeylElement:
+class _Towers:
+    """{q,H}_k, {q,H-u/2}_k and H^k for k = 0, 1, ..., grown one level at a
+    time, so a sweep over n brackets each level once.  One holder serves one
+    sweep and dies with it; the brackets are looked up by name as it grows."""
+
+    def __init__(self):
+        h, u = hamiltonian(), CPoly.c_power(1, I)
+        self._h, self._centered_h = h, h - u * Fraction(1, 2)
+        self.shifted, self.centered, self.h_pow = [q_op()], [q_op()], [scalar(1)]
+
+    def upto(self, n: int) -> _Towers:
+        while len(self.shifted) <= n:
+            self.shifted.append(nested_anticommutator(self.shifted[-1], self._h, 1))
+            self.centered.append(nested_anticommutator(self.centered[-1], self._centered_h, 1))
+            self.h_pow.append(self.h_pow[-1] * self._h)
+        return self
+
+
+def _euler_rhs(poly: RatPoly, n: int, h_pow: list[WeylElement]) -> WeylElement:
     """1/2 {q, sum_m a_m u^(n-m) H^m} for poly = sum_m a_m x^m, with u = ic."""
-    u, h = CPoly.c_power(1, I), hamiltonian()
-    s = _weighted_sum((scalar(u ** (n - m) * (a / 2)), h**m) for m, a in poly.coeffs.items())
+    u = CPoly.c_power(1, I)
+    s = _weighted_sum((scalar(u ** (n - m) * (a / 2)), h_pow[m]) for m, a in poly.coeffs.items())
     return anticommutator(q_op(), s)
+
+
+def _bender(n: int, towers: _Towers) -> VerificationReport:
+    """verify_bender(n), reading its brackets from ``towers``, which the
+    record grows to level n first: its time pays for the levels it adds."""
+
+    def check() -> str:
+        _orders(n=n)
+        t = towers.upto(n)
+        u = CPoly.c_power(1, I)
+        norm = scalar(Fraction(1, 2**n))
+        plus_minus = shifted_nested_anticomm(-u, n, t.shifted) + shifted_nested_anticomm(u, n, t.shifted)
+        return _diff(
+            ("shifted-argument form", norm * t.shifted[n], _euler_rhs(shifted_euler(n), n, t.h_pow)),
+            ("centered form", norm * t.centered[n], _euler_rhs(euler_polynomial(n), n, t.h_pow)),
+            ("plus/minus average", norm * plus_minus, anticommutator(q_op(), t.h_pow[n])),
+        )
+
+    return run_check("bender", {"n": n}, check)
 
 
 def verify_bender(n: int) -> VerificationReport:
@@ -114,21 +151,7 @@ def verify_bender(n: int) -> VerificationReport:
     the binomial resummation of the nested brackets.  At c = -i, where u = 1,
     the first is the source's  2^-n {q, H}_n = 1/2 {q, E_n(H + 1/2)}.
     """
-
-    def check() -> str:
-        _orders(n=n)
-        q, h, u = q_op(), hamiltonian(), CPoly.c_power(1, I)
-        norm = scalar(Fraction(1, 2**n))
-        shifted = nested_anticommutator(q, h, n)
-        centered = nested_anticommutator(q, h - u * Fraction(1, 2), n)
-        plus_minus = shifted_nested_anticomm(-u, n) + shifted_nested_anticomm(u, n)
-        return _diff(
-            ("shifted-argument form", norm * shifted, _euler_rhs(shifted_euler(n), n)),
-            ("centered form", norm * centered, _euler_rhs(euler_polynomial(n), n)),
-            ("plus/minus average", norm * plus_minus, anticommutator(q, h**n)),
-        )
-
-    return run_check("bender", {"n": n}, check)
+    return _bender(n, _Towers())
 
 
 def verify_superoperators(max_k: int) -> VerificationReport:
@@ -149,33 +172,36 @@ def verify_superoperators(max_k: int) -> VerificationReport:
         _orders(max_k=max_k)
         q, h = q_op(), hamiltonian()
         a_map, b_map = partial(commutator, y=h), partial(anticommutator, y=h)
-        a_pow, b_pow = [q], [q]
+        a_pow, b_pow, h_pow = [q], [q], [scalar(1)]
         for _ in range(max_k):
             a_pow.append(a_map(a_pow[-1]))
             b_pow.append(b_map(b_pow[-1]))
-        s = d = q
+            h_pow.append(h_pow[-1] * h)
+        s = d = nested = anti = q  # at each k: (A+B)^k q, (A-B)^k q, [q,H]_k and {q,H}_k
         for k in range(max_k + 1):
-            if a_pow[k] != nested_commutator(q, h, k):
+            if k:
+                s, d = a_map(s) + b_map(s), a_map(d) - b_map(d)
+                nested, anti = nested_commutator(nested, h, 1), nested_anticommutator(anti, h, 1)
+            if a_pow[k] != nested:
                 return f"A^{k} q disagrees with the nested commutator"
-            if b_pow[k] != nested_anticommutator(q, h, k):
+            if b_pow[k] != anti:
                 return f"B^{k} q disagrees with the nested anticommutator"
-            if s != scalar(Fraction(2**k)) * q * h**k:
+            if s != scalar(Fraction(2**k)) * q * h_pow[k]:
                 return f"(A+B)^{k} q != 2^{k} q H^{k}"
-            if d != scalar(Fraction((-2) ** k)) * h**k * q:
+            if d != scalar(Fraction((-2) ** k)) * h_pow[k] * q:
                 return f"(A-B)^{k} q != (-2)^{k} H^{k} q"
-            s = a_map(s) + b_map(s)
-            d = a_map(d) - b_map(d)
         if a_map(b_map(q)) != b_map(a_map(q)):
             return "A and B do not commute on q"
+        ba = [b_pow] + [[w] for w in a_pow[1:]]  # ba[i][m] = B^m A^i q, grown as needed
         for j in range(max_k // 2 + 1):
             order = 2 * j
             total = WeylElement()
             for k in range(j + 1):
-                w = a_pow[order - 2 * k]
-                for _ in range(2 * k):
-                    w = b_map(w)
-                total = total + scalar(comb(order, 2 * k)) * w
-            expected = scalar(Fraction(2) ** (order - 1)) * anticommutator(q, h**order)
+                chain = ba[order - 2 * k]
+                while len(chain) <= 2 * k:
+                    chain.append(b_map(chain[-1]))
+                total = total + scalar(comb(order, 2 * k)) * chain[2 * k]
+            expected = scalar(Fraction(2) ** (order - 1)) * anticommutator(q, h_pow[order])
             if total != expected:
                 return f"binomial cross sum fails at order {order}"
         return ""
@@ -596,7 +622,7 @@ def _hermite(
 # selector -> its sweep.  A sweep is called with the bounds run_suite was given
 # (unset ones left out, so its own defaults apply) and ignores the others.
 _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
-    "bender": lambda max_n=12, **_: _grid(verify_bender, max_n),
+    "bender": lambda max_n=12, **_: _grid(partial(_bender, towers=_Towers()), max_n),
     "superoperators": lambda max_n=8, **_: [verify_superoperators(max_n)],
     "combinatorics": lambda max_n=8, **_: [_closed_forms(n) for n in range(1, max_n + 1)],
     "pain": lambda max_n=10, max_m=10, **_: _grid(verify_pain, max_n, max_m),

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Union
+from typing import Sequence, Union
 
 from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, GaussianRational, _lifting
 from .sequences import RatPoly
@@ -179,20 +179,23 @@ def nested_anticommutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement
     return _iterate(lambda w: anticommutator(w, y), WeylElement.of(x), n)
 
 
-def shifted_nested_anticomm(a: CPolyLike, n: int) -> WeylElement:
+def shifted_nested_anticomm(
+    a: CPolyLike, n: int, tower: Sequence[WeylElement] | None = None
+) -> WeylElement:
     """The symbolic binomial  ({q,H} + a)_n = sum_k C(n,k) a^(n-k) {q,H}_k.
 
     Convention {q,H}_0 = q.  For a central a this equals {q, H + a/2}_n,
     which is what makes the symmetrized power identities tractable.
+    ``tower`` holds {q,H}_k for k = 0..n (or further) already built, so
+    nothing is bracketed; without it the n brackets up to {q,H}_n are built.
     """
-    acc = WeylElement()
+    if tower is None:
+        h = hamiltonian()
+        tower = [q_op()]
+        for _ in range(n):
+            tower.append(anticommutator(tower[-1], h))
     a = CPoly.of(a)
-    term = q_op()
-    h = hamiltonian()
-    for k in range(n + 1):
-        acc = acc + scalar(a ** (n - k) * comb(n, k)) * term
-        term = anticommutator(term, h)
-    return acc
+    return sum((scalar(a ** (n - k) * comb(n, k)) * tower[k] for k in range(n + 1)), WeylElement())
 
 
 def left_nested_commutator(h: ElementLike, x: ElementLike, n: int) -> WeylElement:

@@ -37,6 +37,16 @@ bender and superoperators are decided with c formal, so they must not lean
 on ``subst_c``: with it raising they still PASS (only the symbolic bridge,
 which realizes the engine at c = -i, errs), and with it returning zero a
 perturbed Euler coefficient or a shift specialized to u = 1 still FAILs.
+
+superoperators has failure branches of its own: the dropped-k1 and
+k-plus-1-factorial rules fail it at (A-B)^2 q (sign-of-c does not, every one
+of its identities being even in c), and a nested commutator or
+anticommutator that nests one level too deep fails it at A^1 q or B^1 q,
+since its references advance one level per k.
+
+A bender sweep grows one bracket tower for all its records, so a second
+sweep under a patched Euler polynomial or bracket must decide every record
+as a fresh verify_bender(n) does: nothing the first sweep built survives it.
 """
 
 import dataclasses
@@ -295,8 +305,60 @@ def test_shift_specialized_to_u_1_fails_bender(monkeypatch):
     # shift enters the plus/minus average from n = 2 on
     true_shifted = suites.shifted_nested_anticomm
     monkeypatch.setattr(
-        suites, "shifted_nested_anticomm", lambda a, n: true_shifted(CPoly.of(a).subst(MINUS_I), n)
+        suites,
+        "shifted_nested_anticomm",
+        lambda a, n, *tower: true_shifted(CPoly.of(a).subst(MINUS_I), n, *tower),
     )
     reports = run_suite("bender", max_n=6)
     assert [r.status for r in reports] == ["pass"] * 2 + ["fail"] * 5
     assert all(r.witness.startswith("plus/minus average: ") for r in reports[2:])
+
+
+@pytest.mark.parametrize("variant", ["dropped-k1", "k-plus-1-factorial"])
+def test_wrong_rule_fails_superoperators(monkeypatch, variant):
+    # sign-of-c passes: every superoperator identity is even in c
+    monkeypatch.setattr(weyl, "contraction_weights", VARIANTS[variant])
+    report = suites.verify_superoperators(6)
+    assert report.status == "fail"
+    assert report.witness == "(A-B)^2 q != (-2)^2 H^2 q"
+
+
+@pytest.mark.parametrize(
+    "name, witness",
+    [
+        ("nested_commutator", "A^1 q disagrees with the nested commutator"),
+        ("nested_anticommutator", "B^1 q disagrees with the nested anticommutator"),
+    ],
+    ids=["nested_commutator", "nested_anticommutator"],
+)
+def test_nested_bracket_one_level_deep_fails_superoperators(monkeypatch, name, witness):
+    # the references advance one level per k, so a bracket that nests once too
+    # often is caught at k = 1
+    true_nested = getattr(suites, name)
+    monkeypatch.setattr(suites, name, lambda x, y, n: true_nested(x, y, n + 1))
+    report = suites.verify_superoperators(6)
+    assert report.status == "fail"
+    assert report.witness == witness
+
+
+TRUE_SHIFTED_EULER = suites.shifted_euler
+TRUE_NESTED_ANTICOMMUTATOR = suites.nested_anticommutator
+
+STALE_STATE_PATCHES = {
+    # e_(n,0) off by 1/3: the right-hand side must be read anew
+    "shifted_euler": lambda n: TRUE_SHIFTED_EULER(n) + Fraction(1, 3) if n else TRUE_SHIFTED_EULER(n),
+    # a bracket that nests once too often: the towers must be built anew
+    "nested_anticommutator": lambda x, y, n: TRUE_NESTED_ANTICOMMUTATOR(x, y, n + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALE_STATE_PATCHES))
+def test_a_bender_sweep_leaves_no_state_behind(monkeypatch, name):
+    # what a clean sweep built must not reach the next one: after a patch,
+    # the sweep decides every record as a fresh verify_bender(n) does
+    assert all(r.ok for r in run_suite("bender", max_n=6))
+    monkeypatch.setattr(suites, name, STALE_STATE_PATCHES[name])
+    swept = run_suite("bender", max_n=6)
+    assert [r.status for r in swept] == ["pass"] + ["fail"] * 6
+    direct = [suites.verify_bender(n) for n in range(7)]
+    assert [(r.status, r.witness) for r in swept] == [(r.status, r.witness) for r in direct]

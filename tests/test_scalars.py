@@ -22,7 +22,7 @@ from weylops import (
     ZERO,
     format_rational,
 )
-from weylops.weyl import hadamard_conjugate, monomial, p_op, q_op
+from weylops.weyl import hadamard_conjugate, hamiltonian, monomial, p_op, q_op, scalar
 
 rationals = rationals_within(10**6, 10**4)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -136,6 +136,19 @@ def test_an_operand_a_class_cannot_lift_goes_to_the_other_side():
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(TypeError, match="unsupported operand"):
                 op(left, right)
+
+
+@pytest.mark.parametrize("left", [CPoly.c_power(1, I), I], ids=["CPoly", "GaussianRational"])
+def test_a_scalar_on_the_left_falls_back_without_rendering_the_element(monkeypatch, left):
+    # the TypeError that sends the product to WeylElement.__rmul__ names the
+    # operand's type only: rendering H^12 would cost more than the product
+    h12 = hamiltonian() ** 12
+
+    def refuse(self):
+        raise AssertionError("WeylElement rendered")
+
+    monkeypatch.setattr(WeylElement, "__str__", refuse)
+    assert left * h12 == scalar(left) * h12
 
 
 # one value of each class that holds exact scalars, and how to build one

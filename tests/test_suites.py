@@ -13,6 +13,7 @@ from weylops import (
     I,
     MINUS_I,
     RatPoly,
+    WeylElement,
     anticommutator,
     b_sum,
     commutator,
@@ -344,3 +345,32 @@ def test_golden_report_stream():
     blob = json.dumps(records, sort_keys=True).encode()
     assert len(records) == 2649
     assert hashlib.sha256(blob).hexdigest()[:16] == "a8c5eecd178f78aa"
+
+
+# (engine products, term pairs) at default bounds, with a little room: a
+# sweep that rebuilt its brackets per record (1,599 / 57,139 for bender,
+# 494 / 8,056 for superoperators) would exceed them several times over
+WORK_CEILINGS = {"bender": (480, 17_000), "superoperators": (250, 4_400)}
+
+
+@pytest.mark.parametrize("suite", sorted(WORK_CEILINGS))
+def test_sweep_work_stays_under_its_ceiling(monkeypatch, suite):
+    # counts the work, times nothing: term pairs are the (a, b) terms of the
+    # left factor times those of the right, as perfbench's tracer counts them
+    true_mul = WeylElement.__mul__
+    work = [0, 0]
+
+    def counted(self, other):
+        try:
+            right = WeylElement.of(other)
+        except TypeError:
+            return NotImplemented
+        work[0] += 1
+        work[1] += len(self.terms) * len(right.terms)
+        return true_mul(self, right)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    reports = run_suite("bender") if suite == "bender" else [verify_superoperators(8)]
+    assert all(r.ok for r in reports)
+    products, pairs = WORK_CEILINGS[suite]
+    assert work[0] <= products and work[1] <= pairs, work

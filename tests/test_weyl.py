@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference import RefCPoly, is_canonical, rationals_within
 
+from weylops import weyl
 from weylops import (
     CPoly,
     GaussianRational,
@@ -134,6 +135,27 @@ def test_shifted_resummation_recentres_the_argument():
             assert shifted_nested_anticomm(a, n) == nested_anticommutator(
                 q_op(), shifted, n
             )
+
+
+def test_shifted_resummation_brackets_only_up_to_n(monkeypatch):
+    # n brackets {q,H}_1 .. {q,H}_n without a tower, none with one
+    true_anticommutator = weyl.anticommutator
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return true_anticommutator(x, y)
+
+    monkeypatch.setattr(weyl, "anticommutator", counted)
+    tower = [nested_anticommutator(q_op(), hamiltonian(), k) for k in range(7)]
+    for n in range(7):
+        for a in (1, C):
+            calls.clear()
+            built = shifted_nested_anticomm(a, n)
+            assert len(calls) == n
+            calls.clear()
+            assert shifted_nested_anticomm(a, n, tower) == built
+            assert calls == []
 
 
 def test_quadratic_brackets_at_minus_i():
