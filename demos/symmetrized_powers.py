@@ -49,7 +49,7 @@ half = scalar(Fraction(1, 2))
 
 def homogenized(poly, n):
     """sum_m a_m u^(n-m) H^m for poly = sum_m a_m x^m."""
-    return sum((scalar(u ** (n - m) * a) * h**m for m, a in poly.coeffs.items()), WeylElement())
+    return WeylElement.weighted_sum((u ** (n - m) * a, h**m) for m, a in poly.coeffs.items())
 
 
 print("{q, H}_n in normal order (symbolic c):")

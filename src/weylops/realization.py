@@ -51,10 +51,6 @@ class XPoly(CTerms):
     def monomial(l: int, coeff: CPolyLike = 1) -> "XPoly":
         return XPoly({l: coeff})
 
-    def scale(self, v: CPolyLike) -> "XPoly":
-        """Multiply by a central scalar: the action of the scalar element."""
-        return apply_element(WeylElement.of(v), self)
-
     def __str__(self):
         return self._render(self.coeffs, lambda k: "" if k == 0 else ("x" if k == 1 else f"x^{k}"))
 

@@ -21,6 +21,9 @@ so arithmetic runs on plain integers with one gcd at the end, and equality
 is structural.  GaussianRational and CPoly share one product kernel.  CPoly
 and the next two share ``CTerms``, what keys ending in (k, i) allow:
 division by c (``div_c``), setting c to a number and the coefficient views.
+``weighted_sum`` forms every linear combination in one pass: its weights are
+ints or Fractions, and for CTerms also CPolys or GaussianRationals, whose
+parts c^k i^i shift each key's k and i.
 Every operator, ``==`` included, lifts its operand by one rule, ``of``: a
 number, or a CPoly or GaussianRational the class can hold, becomes a
 constant (GaussianRational lifts numbers only), and an operand ``of`` cannot
@@ -143,35 +146,40 @@ class FlatTerms:
             den //= g
         return cls._flat(num, den)
 
-    def _scaled(self, a: int, b: int):
-        """self * a/b for a/b in lowest terms, b > 0.
-
-        Canonical without a final gcd: self is canonical and a/b reduced, so
-        once gcd(a, _den) and gcd(b, numerators) are divided out no prime
-        divides the new denominator and every new numerator.
-        """
-        if not a:
-            return self._flat({}, 1)
-        g1 = gcd(a, self._den)
-        g2 = gcd(b, *self._num.values()) if b != 1 else 1
-        s = a // g1
-        num = {key: n // g2 * s for key, n in self._num.items()}
-        return self._flat(num, self._den // g1 * (b // g2))
-
     @classmethod
-    def weighted_sum(cls, pairs: Iterable[tuple[int, "FlatTerms"]]):
-        """sum of w * x over (w, x) pairs with integer weights w, in one pass:
-        one lcm of the denominators, one accumulation, one canonical step."""
-        pairs = [(w, x) for w, x in pairs if w]
+    def weighted_sum(cls, pairs: Iterable[tuple[CPolyLike, "FlatTerms"]]):
+        """sum of w * x over (w, x) pairs in one pass: one lcm, one
+        accumulation, one canonical step.  A weight is an int, a Fraction, a
+        GaussianRational or a CPoly; each part c^k i^i n/d of it raises the
+        power of c of every key of x by k and multiplies its i by i^i.  Only
+        CTerms take c or i: RatPoly and GaussianRational refuse them with
+        TypeError, as their constructors do."""
+        terms = []  # (x's numerators, k, i, n, d * x's denominator) per part c^k i^i n/d
+        for w, x in pairs:
+            if type(w) is int:  # the common case, without a call
+                if w:
+                    terms.append((x._num, 0, 0, w, x._den))
+            elif isinstance(w, (int, Fraction)):
+                terms.append((x._num, 0, 0, w.numerator, w.denominator * x._den))
+            else:
+                for k, i, n, d in _parts(w):
+                    cls._key(cls._unit, k, i)  # raises where a key cannot hold c^k i^i
+                    terms.append((x._num, k, i, n, d * x._den))
         # a list, not a generator: star-args built from a generator are
         # resized tuples that pile up in the tuple free list (0.4 MB of peak
         # RSS over the default binomial sweep)
-        den = lcm(*[x._den for _, x in pairs])
+        den = lcm(*[e for _, _, _, _, e in terms])
         out: dict = {}
-        for w, x in pairs:
-            s = w * (den // x._den)
-            for key, n in x._num.items():
-                out[key] = out.get(key, 0) + s * n
+        for num, k, i, n, e in terms:
+            s = n * (den // e)
+            if k or i:
+                for key, m in num.items():
+                    j = key[-1]
+                    key = (*key[:-2], key[-2] + k, j ^ i)
+                    out[key] = out.get(key, 0) + (-s * m if j & i else s * m)
+            else:
+                for key, m in num.items():
+                    out[key] = out.get(key, 0) + s * m
         return cls._canonical(out, den)
 
     def __setattr__(self, name, value):
@@ -317,25 +325,16 @@ class CTerms(FlatTerms):
         num = {(*key[:-2], key[-2] - k, key[-1]): n for key, n in self._num.items()}
         return self._flat(num, self._den)
 
-    def _at_c(self, v: ScalarLike) -> tuple[dict, int]:
-        """Numerators and denominator of self at c = v, every k set to 0;
-        not reduced."""
+    def _at_c(self, v: ScalarLike):
+        """self at c = v: the sum of v^k times the part of self in c^k, with
+        every k set to 0."""
         at = CPoly.of(v)
         if at.degree() > 0:
             raise ValueError(f"c can only be set to a number, not {at}")
-        kmax = max((key[-2] for key in self._num), default=0)
-        den = at._den**kmax  # a multiple of the denominator of every v^k
-        powers = [CPoly.of(1)]
-        for _ in range(kmax):
-            powers.append(powers[-1] * at)
-        out: dict = {}
+        by_k: dict = {}
         for key, n in self._num.items():
-            i1, power = key[-1], powers[key[-2]]
-            s = n * (den // power._den)
-            for (_, i2), p in power._num.items():
-                at_key = (*key[:-2], 0, i1 ^ i2)
-                out[at_key] = out.get(at_key, 0) + (-s * p if i1 & i2 else s * p)
-        return out, self._den * den
+            by_k.setdefault(key[-2], {})[(*key[:-2], 0, key[-1])] = n
+        return self.weighted_sum((at**k, self._flat(num, self._den)) for k, num in by_k.items())
 
     def _grouped(self, split, part) -> dict:
         """The {head: coefficient} view, built on first use and cached;
@@ -388,7 +387,8 @@ class CPoly(CTerms):
 
     def subst(self, v: ScalarLike) -> GaussianRational:
         """Evaluate at c = v.  A ring homomorphism CPoly -> Q(i)."""
-        return GaussianRational._canonical(*self._at_c(v))
+        at_c = self._at_c(v)  # keys (0, i), as a GaussianRational's
+        return GaussianRational._flat(at_c._num, at_c._den)
 
     def constant_term(self) -> GaussianRational:
         return self.coeffs.get(0, ZERO)

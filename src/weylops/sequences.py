@@ -94,8 +94,7 @@ class RatPoly(FlatTerms):
     def compose(self, inner: "RatPoly") -> "RatPoly":
         """Substitute ``inner`` for the variable."""
         inner = RatPoly.of(inner)
-        powers = (inner**k for k in self._num)
-        return RatPoly.weighted_sum(zip(self._num.values(), powers))._scaled(1, self._den)
+        return RatPoly.weighted_sum((a, inner**k) for k, a in self.coeffs.items())
 
     def derivative(self) -> "RatPoly":
         return RatPoly._canonical({k - 1: k * v for k, v in self._num.items() if k}, self._den)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import product
 from math import comb, factorial, isfinite
-from typing import Callable, Iterable
+from typing import Callable
 
 from .bounds import DEFAULT_DIM, DEFAULT_MAX_N, DEFAULT_TOL, min_dim
 from .report import VerificationReport, run_check
@@ -45,7 +45,6 @@ from .sequences import (
     shifted_euler,
 )
 from .weyl import (
-    ElementLike,
     WeylElement,
     anticommutator,
     bracket_tower,
@@ -122,7 +121,7 @@ class _Towers:
 def _euler_rhs(poly: RatPoly, n: int, h_pow: list[WeylElement]) -> WeylElement:
     """1/2 {q, sum_m a_m u^(n-m) H^m} for poly = sum_m a_m x^m, with u = ic."""
     u = CPoly.c_power(1, I)
-    s = _weighted_sum((scalar(u ** (n - m) * (a / 2)), h_pow[m]) for m, a in poly.coeffs.items())
+    s = WeylElement.weighted_sum((u ** (n - m) * (a / 2), h_pow[m]) for m, a in poly.coeffs.items())
     return anticommutator(q_op(), s)
 
 
@@ -192,15 +191,15 @@ def verify_superoperators(max_k: int) -> VerificationReport:
                 return f"(A-B)^{k} q != (-2)^{k} H^{k} q"
         if a_map(b_map(q)) != b_map(a_map(q)):
             return "A and B do not commute on q"
-        ba = [b_pow] + [[w] for w in a_pow[1:]]  # ba[i][m] = B^m A^i q, grown as needed
-        for j in range(max_k // 2 + 1):
-            order = 2 * j
-            total = WeylElement()
-            for k in range(j + 1):
-                chain = ba[order - 2 * k]
-                while len(chain) <= 2 * k:
-                    chain.append(b_map(chain[-1]))
-                total = total + scalar(comb(order, 2 * k)) * chain[2 * k]
+        top = max_k - max_k % 2  # the highest even order
+        ba = {0: b_pow} | {i: [a_pow[i]] for i in range(2, top + 1, 2)}  # ba[i][m] = B^m A^i q
+        for i, chain in ba.items():
+            while len(chain) <= top - i:
+                chain.append(b_map(chain[-1]))
+        for order in range(0, top + 1, 2):
+            total = WeylElement.weighted_sum(
+                (comb(order, m), ba[order - m][m]) for m in range(0, order + 1, 2)
+            )
             expected = scalar(Fraction(2) ** (order - 1)) * anticommutator(q, h_pow[order])
             if total != expected:
                 return f"binomial cross sum fails at order {order}"
@@ -295,15 +294,10 @@ _IDENTITIES = {
 }
 
 
-def _weighted_sum(pairs: Iterable[tuple[ElementLike, WeylElement]]) -> WeylElement:
-    """The sum of weight * element over (weight, element) pairs."""
-    return sum((w * x for w, x in pairs), WeylElement())
-
-
 @lru_cache(maxsize=None)
-def _c_weight(k: int, w: Fraction | int) -> WeylElement:
-    """c^k w/k! as an element.  Cached by value, so a patched weight still counts."""
-    return scalar(CPoly.c_power(k, Fraction(w) / factorial(k)))
+def _c_weight(k: int, w: Fraction | int) -> CPoly:
+    """c^k w/k!.  Cached by value, so a patched weight still counts."""
+    return CPoly.c_power(k, Fraction(w) / factorial(k))
 
 
 def _expand(
@@ -323,9 +317,10 @@ def _expand(
         term = cache(lambda op, k: _OPS[op](fk(k), gk(k)))
         for name in rows:
             lhs, op, first, weight, lead, labels = _IDENTITIES[name]
-            rhs = _weighted_sum((_c_weight(k, weight(k)), term(op, k)) for k in range(first, kmax + 1))
+            pairs = [(_c_weight(k, weight(k)), term(op, k)) for k in range(first, kmax + 1)]
             if lead:
-                rhs = rhs + lead * term("[]", -1).div_c(1)
+                pairs.append((lead, term("[]", -1).div_c(1)))
+            rhs = WeylElement.weighted_sum(pairs)
             witness = _diff((labels[suite], term(lhs, 0), rhs))
             if witness:
                 return witness
@@ -492,14 +487,17 @@ def verify_figueira(h0: WeylElement, x: WeylElement) -> VerificationReport:
 
     def check() -> str:
         tower = bracket_tower(x, h0)
-        h1 = scalar(I) * _weighted_sum((kappa(n) / factorial(n), t) for n, t in enumerate(tower))
-        alt = h0 - _weighted_sum((euler_zero(n) / factorial(n), t) for n, t in enumerate(tower))
+
+        def series(weight):  # the (weight(n)/n!, ad_x^n h0) pairs
+            return [(weight(n) / factorial(n), t) for n, t in enumerate(tower)]
+        h1 = WeylElement.weighted_sum((I * w, t) for w, t in series(kappa))
+        i_alt = WeylElement.weighted_sum([(I, h0)] + [(-I * w, t) for w, t in series(euler_zero)])
         lhs = h0 - hadamard_conjugate(x, h0)
-        rhs = scalar(I) * (h1 + hadamard_conjugate(x, h1))
-        direct = hadamard_conjugate(x, h0 + scalar(I) * h1, t=Fraction(1, 2))
-        umbral = _weighted_sum((euler_at_half(n) / factorial(n), t) for n, t in enumerate(tower))
+        rhs = WeylElement.weighted_sum([(I, h1), (I, hadamard_conjugate(x, h1))])
+        direct = hadamard_conjugate(x, WeylElement.weighted_sum([(1, h0), (I, h1)]), t=Fraction(1, 2))
+        umbral = WeylElement.weighted_sum(series(euler_at_half))
         return _diff(
-            ("two correction-term constructions", h1, scalar(I) * alt),
+            ("two correction-term constructions", h1, i_alt),
             ("pseudo-symmetry relation", lhs, rhs),
             ("half-step conjugate vs umbral sum", direct, umbral),
         )
@@ -577,7 +575,7 @@ def extract_convolution_coefficients(kmax: int) -> list[Fraction]:
     vs = [Fraction(1)]
     for k in range(1, kmax + 1):
         f_at, g_at, _ = _monomials(k, k)
-        residual = commutator(f_at(0), g_at(0)) - _weighted_sum(
+        residual = commutator(f_at(0), g_at(0)) - WeylElement.weighted_sum(
             (_c_weight(j, vs[j]), anticommutator(f_at(j), g_at(j))) for j in range(1, k)
         )
         if residual.support() not in ([], [(0, 0)]):

@@ -15,11 +15,13 @@ stores a rational polynomial: the integer numerator of c^k i^i q^a p^b
 under the key (a, b, k, i), with i the power (0 or 1) of the imaginary unit,
 over one positive denominator shared by the whole element.  Products, sums
 and ``subst_c`` run on plain integers, apply i^2 = -1 and reduce by a single
-gcd at the end, so no Fraction is built on the hot path; ``terms`` is the
-{(a, b): CPoly} view that rendering and the realizations read.  Since c
-stays formal, an identity established here holds for every numeric value of
-c at once.  ``subst_c`` sets c to a number; its use is the matrix
-realization (``oscillator``), which works at c = -i, where q p - p q = i.
+gcd at the end, so no Fraction is built on the hot path.  A linear
+combination with number or CPoly weights is one ``weighted_sum``, with no
+product by a scalar element.  ``terms`` is the {(a, b): CPoly} view that
+rendering and the realizations read.  Since c stays formal, an identity
+established here holds for every numeric value of c at once.  ``subst_c``
+sets c to a number; its use is the matrix realization (``oscillator``),
+which works at c = -i, where q p - p q = i.
 
 Bracket conventions:
 
@@ -109,7 +111,7 @@ class WeylElement(CTerms):
 
     def subst_c(self, v) -> "WeylElement":
         """Specialize the central symbol: c -> v (a ring homomorphism)."""
-        return WeylElement._canonical(*self._at_c(v))
+        return self._at_c(v)
 
     def __str__(self):
         return self._render(
@@ -195,7 +197,7 @@ def shifted_nested_anticomm(
         for _ in range(n):
             tower.append(anticommutator(tower[-1], h))
     a = CPoly.of(a)
-    return sum((scalar(a ** (n - k) * comb(n, k)) * tower[k] for k in range(n + 1)), WeylElement())
+    return WeylElement.weighted_sum((a ** (n - k) * comb(n, k), tower[k]) for k in range(n + 1))
 
 
 def left_nested_commutator(h: ElementLike, x: ElementLike, n: int) -> WeylElement:
@@ -228,12 +230,11 @@ def hadamard_conjugate(
     if not isinstance(t, (int, Fraction)):
         raise TypeError(f"not an exact scalar: {t!r}")
     tower = bracket_tower(WeylElement.of(x), WeylElement.of(w), max_terms)
-    weighted = (scalar(Fraction(t**n, factorial(n))) * term for n, term in enumerate(tower[1:], 1))
-    return sum(weighted, tower[0])
+    return WeylElement.weighted_sum((Fraction(t**n, factorial(n)), term) for n, term in enumerate(tower))
 
 
 def poly_of_element(poly: RatPoly, w: ElementLike) -> WeylElement:
     """Evaluate a rational polynomial at an algebra element."""
     w = WeylElement.of(w)
-    return WeylElement.weighted_sum((n, w**k) for k, n in poly._num.items())._scaled(1, poly._den)
+    return WeylElement.weighted_sum((a, w**k) for k, a in poly.coeffs.items())
 

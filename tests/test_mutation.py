@@ -24,9 +24,12 @@ or q, the bridge for p or q), and a q with an entry off its two
 off-diagonals, a p with one beyond its three bands or an H with one off its
 diagonal must keep every hermite check that reads that matrix from passing.
 
+Every identity is a weighted sum, formed by ``weighted_sum``: a kernel that
+drops its weights' powers of c must turn bender and pain records FAIL.
+
 The binomial sweep builds its two sides independently, so a wrong shifted
-basis ((z+1)^k or E_k(z+1)) or a RatPoly kernel that mishandles a rational
-scalar must turn its records FAIL as well.
+basis ((z+1)^k or E_k(z+1)) or a RatPoly ``weighted_sum`` that drops its
+weights' denominators must turn its records FAIL as well.
 
 So must the closure and weight-table sweeps: a bracket tower ad_x^n h0 that
 stops one bracket early in the suite's umbral sums turns every figueira
@@ -89,6 +92,19 @@ def test_wrong_rule_fails_some_record(monkeypatch, variant):
         assert failing == {"pain", "reciprocal"}
     else:
         assert "bender" in failing
+
+
+TRUE_ELEMENT_SUM = weyl.WeylElement.weighted_sum
+
+
+def test_weights_without_their_power_of_c_fail_records(monkeypatch):
+    # each CPoly weight of WeylElement.weighted_sum taken at c = 1: bender's
+    # u^(n-m) and (+-u)^(n-k), and pain's c^k E_k(0)/k!, lose their c^k
+    def c_dropped(pairs):
+        return TRUE_ELEMENT_SUM((w.subst(1) if isinstance(w, CPoly) else w, x) for w, x in pairs)
+
+    monkeypatch.setattr(weyl.WeylElement, "weighted_sum", staticmethod(c_dropped))
+    assert {"bender", "pain"} <= _failing_suites()
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -195,16 +211,20 @@ def test_p_off_its_bands_never_passes(monkeypatch):
         assert "p has a nonzero entry beyond its three bands" in report.witness
 
 
-TRUE_SCALED = RatPoly._scaled
+TRUE_RAT_SUM = RatPoly.weighted_sum
 
 BINOMIAL_VARIANTS = {
     # z^k in place of (z+1)^k
     "unshifted-power": (suites, "_z1_power", lambda k: RatPoly({k: 1}), "plain version"),
     # E_k(z) in place of E_k(z+1)
     "unshifted-euler": (suites, "_euler_of_shifted", euler_polynomial, "Euler version"),
-    # p * (a/b) computed as p * a: compose, hence E_k(z+1), loses its 1/den
+    # each weight a/b of RatPoly.weighted_sum read as a: compose, which
+    # weights by the coefficients of E_k, hence E_k(z+1), loses them
     "scalar-drops-denominator": (
-        RatPoly, "_scaled", lambda self, a, b: TRUE_SCALED(self, a, 1), "Euler version"
+        RatPoly,
+        "weighted_sum",
+        staticmethod(lambda pairs: TRUE_RAT_SUM((Fraction(w).numerator, x) for w, x in pairs)),
+        "Euler version",
     ),
 }
 

@@ -387,7 +387,7 @@ def test_equality_and_hash_match_the_reference(a, b, s):
         assert const == s and hash(const) == hash(Fraction(s))
 
 
-@given(st.lists(st.tuples(st.integers(-40, 40), coeff_maps), max_size=6))
+@given(st.lists(st.tuples(st.one_of(st.integers(-40, 40), rationals), coeff_maps), max_size=6))
 def test_weighted_sum_matches_pairwise_sums(pairs):
     flat = RatPoly.weighted_sum((w, RatPoly(c)) for w, c in pairs)
     pairwise = RatPoly()

@@ -349,8 +349,18 @@ def test_golden_report_stream():
 
 # (engine products, term pairs) at default bounds, with a little room: a
 # sweep that rebuilt its brackets per record (1,599 / 57,139 for bender,
-# 494 / 8,056 for superoperators) would exceed them several times over
-WORK_CEILINGS = {"bender": (480, 17_000), "superoperators": (250, 4_400)}
+# 494 / 8,056 for superoperators) would exceed them several times over, and
+# one that scaled its brackets by scalar elements instead of weighting them
+# in weighted_sum (463 / 16,545 for bender, 234 / 4,252 for superoperators,
+# 1,397 / 1,727 for pain, 3,157 / 3,982 for reciprocal, 2,040 / 4,266 for
+# mccoy) would exceed them too
+WORK_CEILINGS = {
+    "bender": (190, 11_500),
+    "superoperators": (225, 4_200),
+    "pain": (1_050, 1_050),
+    "reciprocal": (2_350, 2_350),
+    "mccoy": (1_180, 1_360),
+}
 
 
 @pytest.mark.parametrize("suite", sorted(WORK_CEILINGS))
@@ -370,7 +380,7 @@ def test_sweep_work_stays_under_its_ceiling(monkeypatch, suite):
         return true_mul(self, right)
 
     monkeypatch.setattr(WeylElement, "__mul__", counted)
-    reports = run_suite("bender") if suite == "bender" else [verify_superoperators(8)]
+    reports = run_suite(suite)
     assert all(r.ok for r in reports)
     products, pairs = WORK_CEILINGS[suite]
     assert work[0] <= products and work[1] <= pairs, work

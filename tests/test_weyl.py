@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import RefCPoly, is_canonical, rationals_within
 
@@ -283,6 +283,30 @@ def test_i_squared_is_minus_one():
     # through a contraction: (i p)(i q) = -(q p + c)
     assert monomial(0, 1, I) * monomial(1, 0, I) == -(q_op() * p_op()) - scalar(C)
     assert scalar(C * I).subst_c(I) == scalar(-1)
+
+
+weights = st.one_of(st.integers(-20, 20), rationals, gaussians, coeffs)
+xpolys = st.builds(XPoly, st.dictionaries(st.integers(0, 4), coeffs, max_size=3))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(weights, elements), max_size=4), st.lists(st.tuples(weights, xpolys), max_size=4))
+def test_weighted_sum_matches_scalar_products(element_pairs, poly_pairs):
+    # int, Fraction, GaussianRational and CPoly weights, with parts in i and c:
+    # against engine products with scalar elements, and against XPolys whose
+    # coefficients are multiplied as CPolys
+    flat = WeylElement.weighted_sum(element_pairs)
+    assert flat == sum((w * x for w, x in element_pairs), WeylElement()) and is_canonical(flat)
+    flat = XPoly.weighted_sum(poly_pairs)
+    scaled = (XPoly({deg: w * cp for deg, cp in f.coeffs.items()}) for w, f in poly_pairs)
+    assert flat == sum(scaled, XPoly()) and is_canonical(flat)
+
+
+def test_ratpoly_weighted_sum_refuses_c_and_i():
+    for w in (CPoly.c_power(1), I, CPoly.c_power(0, I)):
+        with pytest.raises(TypeError, match="must be rational"):
+            RatPoly.weighted_sum([(w, RatPoly.x())])
+    assert RatPoly.weighted_sum([(CPoly.of(Fraction(1, 2)), RatPoly.x())]) == RatPoly({1: Fraction(1, 2)})
 
 
 @given(elements, st.one_of(rationals, gaussians))
