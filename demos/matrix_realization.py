@@ -13,15 +13,8 @@ trustworthy on columns l <= dim-1-s (``safe_margin``).
 
 import numpy as np
 
-from weylops import (
-    build_operators,
-    element_to_matrix,
-    hamiltonian,
-    nested_anticommutator,
-    q_op,
-    run_suite,
-    safe_margin,
-)
+from weylops import hamiltonian, nested_anticommutator, q_op, run_suite
+from weylops.oscillator import build_operators, element_to_matrix, safe_margin
 
 DIM = 64
 mats = build_operators(DIM)

@@ -5,8 +5,10 @@ The package keeps every computation over the Gaussian rationals with the
 central symbol c formal, so identity checks are equalities of normal forms,
 not floating-point comparisons.  Three independent realizations back each
 other up: the symbolic normal-ordering engine, the shift action on
-polynomials, and truncated oscillator matrices over numpy, which only the
-hermite sweep and the matrix API (loaded on first use) import.
+polynomials, and truncated oscillator matrices over numpy.  Only the
+hermite sweep loads numpy; the matrix API (``build_operators``,
+``element_to_matrix``, ``safe_margin``) is imported from
+``weylops.oscillator``.
 """
 
 from .report import reports_to_json
@@ -77,14 +79,3 @@ from .suites import (
 )
 
 __version__ = "0.1.0"
-
-_MATRIX_API = ("build_operators", "element_to_matrix", "safe_margin")
-
-
-def __getattr__(name: str):
-    # the matrix API loads numpy, so it is imported on first use (PEP 562)
-    if name in _MATRIX_API:
-        from . import oscillator
-
-        return getattr(oscillator, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -199,11 +199,11 @@ class FlatTerms:
 
     @_lifting
     def __sub__(self, other):
-        return self + (-other)
+        return self.weighted_sum([(1, self), (-1, other)])
 
     @_lifting
     def __rsub__(self, other):
-        return other + (-self)
+        return self.weighted_sum([(1, other), (-1, self)])
 
     def __neg__(self):
         return self._flat({key: -n for key, n in self._num.items()}, self._den)

@@ -20,6 +20,11 @@ with H = (p^2 + q^2)/2, E_n(x + 1/2) = sum_m e_(n,m) x^m and
 E_n(x) = sum_m f_(n,m) x^m, and the superoperators' even-order cross sum
 holds with c formal as it stands.  Only the matrix realization sets c to a
 number.
+
+Both suites build their brackets and powers of H as chains x, step(x), ...,
+each level once per sweep.  Every right-hand side is one weighted sum, with
+{q, H^m} taken as q H^m + H^m q, so nothing is multiplied by a constant and
+bender compares {q, H}_n with 2^n times the right-hand sides above.
 """
 
 from __future__ import annotations
@@ -53,33 +58,11 @@ from .weyl import (
     hamiltonian,
     monomial,
     nested_anticommutator,
-    nested_commutator,
     p_op,
     poly_of_element,
     q_op,
-    scalar,
     shifted_nested_anticomm,
 )
-
-__all__ = [
-    "SELECTORS",
-    "b_sum",
-    "extract_convolution_coefficients",
-    "random_poly_pair",
-    "run_suite",
-    "sequence_tables",
-    "standard_conjugation_fixtures",
-    "trinomial_sum",
-    "verify_bender",
-    "verify_binomial",
-    "verify_exp_series",
-    "verify_figueira",
-    "verify_function_identities",
-    "verify_mccoy",
-    "verify_pain",
-    "verify_reciprocal",
-    "verify_superoperators",
-]
 
 
 def _diff(*forms: tuple[str, WeylElement, WeylElement]) -> str:
@@ -100,45 +83,58 @@ def _orders(**orders: int) -> None:
 # -- symmetrized powers of H -------------------------------------------------
 
 
-class _Towers:
-    """{q,H}_k, {q,H-u/2}_k and H^k for k = 0, 1, ..., grown one level at a
-    time, so a sweep over n brackets each level once.  One holder serves one
-    sweep and dies with it; the brackets are looked up by name as it grows."""
+class _Chain:
+    """x, step(x), step(step(x)), ...: level k is built on first use and kept,
+    so a sweep over n steps each level once.  A chain serves one sweep (or
+    one direct verify_* call) and dies with it; a step that looks the
+    engine's names up when it runs lets a patched module global reach it."""
 
-    def __init__(self):
-        h, u = hamiltonian(), CPoly.c_power(1, I)
-        self._h, self._centered_h = h, h - u * Fraction(1, 2)
-        self.shifted, self.centered, self.h_pow = [q_op()], [q_op()], [scalar(1)]
+    def __init__(self, x: WeylElement, step: Callable[[WeylElement], WeylElement]):
+        self._levels, self._step = [x], step
 
-    def upto(self, n: int) -> _Towers:
-        while len(self.shifted) <= n:
-            self.shifted.append(nested_anticommutator(self.shifted[-1], self._h, 1))
-            self.centered.append(nested_anticommutator(self.centered[-1], self._centered_h, 1))
-            self.h_pow.append(self.h_pow[-1] * self._h)
-        return self
+    def __getitem__(self, k: int) -> WeylElement:
+        while len(self._levels) <= k:
+            self._levels.append(self._step(self._levels[-1]))
+        return self._levels[k]
 
 
-def _euler_rhs(poly: RatPoly, n: int, h_pow: list[WeylElement]) -> WeylElement:
-    """1/2 {q, sum_m a_m u^(n-m) H^m} for poly = sum_m a_m x^m, with u = ic."""
-    u = CPoly.c_power(1, I)
-    s = WeylElement.weighted_sum((u ** (n - m) * (a / 2), h_pow[m]) for m, a in poly.coeffs.items())
-    return anticommutator(q_op(), s)
+def _q_anti_h_pow(pairs, q_h, h_q) -> WeylElement:
+    """sum_m w_m {q, H^m} over (w_m, m) pairs, from q_h[m] = q H^m and
+    h_q[m] = H^m q."""
+    return WeylElement.weighted_sum((w, side[m]) for w, m in pairs for side in (q_h, h_q))
 
 
-def _bender(n: int, towers: _Towers) -> VerificationReport:
-    """verify_bender(n), reading its brackets from ``towers``, which the
-    record grows to level n first: its time pays for the levels it adds."""
+def _bender_chains() -> tuple[_Chain, ...]:
+    """{q,H}_k, {q,H-u/2}_k, q H^k and H^k q, the chains of one bender sweep."""
+    q, h = q_op(), hamiltonian()
+    centered_h = h - CPoly.c_power(1, I) * Fraction(1, 2)
+    return (
+        _Chain(q, lambda w: nested_anticommutator(w, h, 1)),
+        _Chain(q, lambda w: nested_anticommutator(w, centered_h, 1)),
+        _Chain(q, lambda w: w * h),
+        _Chain(q, lambda w: h * w),
+    )
+
+
+def _bender(n: int, chains: tuple[_Chain, ...]) -> VerificationReport:
+    """verify_bender(n), reading its brackets from ``chains``, which the
+    record grows to level n: its time pays for the levels it adds.  Each
+    right-hand side is 2^n times that of the module docstring."""
 
     def check() -> str:
         _orders(n=n)
-        t = towers.upto(n)
+        shifted, centered, q_h, h_q = chains
         u = CPoly.c_power(1, I)
-        norm = scalar(Fraction(1, 2**n))
-        plus_minus = shifted_nested_anticomm(-u, n, t.shifted) + shifted_nested_anticomm(u, n, t.shifted)
+
+        def euler_rhs(poly: RatPoly) -> WeylElement:  # 2^n/2 {q, sum_m a_m u^(n-m) H^m}
+            weights = [(u ** (n - m) * (a * 2**n / 2), m) for m, a in poly.coeffs.items()]
+            return _q_anti_h_pow(weights, q_h, h_q)
+
+        plus_minus = shifted_nested_anticomm(-u, n, shifted) + shifted_nested_anticomm(u, n, shifted)
         return _diff(
-            ("shifted-argument form", norm * t.shifted[n], _euler_rhs(shifted_euler(n), n, t.h_pow)),
-            ("centered form", norm * t.centered[n], _euler_rhs(euler_polynomial(n), n, t.h_pow)),
-            ("plus/minus average", norm * plus_minus, anticommutator(q_op(), t.h_pow[n])),
+            ("shifted-argument form", shifted[n], euler_rhs(shifted_euler(n))),
+            ("centered form", centered[n], euler_rhs(euler_polynomial(n))),
+            ("plus/minus average", plus_minus, _q_anti_h_pow([(2**n, n)], q_h, h_q)),
         )
 
     return run_check("bender", {"n": n}, check)
@@ -150,58 +146,55 @@ def verify_bender(n: int) -> VerificationReport:
     the binomial resummation of the nested brackets.  At c = -i, where u = 1,
     the first is the source's  2^-n {q, H}_n = 1/2 {q, E_n(H + 1/2)}.
     """
-    return _bender(n, _Towers())
+    return _bender(n, _bender_chains())
 
 
 def verify_superoperators(max_k: int) -> VerificationReport:
     """The one-sided maps A: w -> [w,H] and B: w -> {w,H} acting on q.
 
-    For every k <= max_k the powers A^k q and B^k q must reproduce the nested
-    brackets, and the sum and difference collapse to
+    For every k <= max_k the sum and difference collapse to
 
         (A + B)^k q = 2^k q H^k        (A - B)^k q = (-2)^k H^k q,
 
-    both exact in c.  A and B commute.  Finally the even-order binomial cross
-    sums, also exact in c:
+    both exact in c, and A^k q has the closed form that [q,H] = -c p and
+    [p,H] = c q give: (-1)^ceil(k/2) c^k times q for even k, p for odd k.
+    A and B commute.  Finally the even-order binomial cross sums, also exact
+    in c:
 
         sum_k C(2n,2k) B^(2k) A^(2n-2k) q = 2^(2n-1) {q, H^(2n)}.
+
+    B^k q = {q,H}_k is what the bender records decide.
     """
 
     def check() -> str:
         _orders(max_k=max_k)
         q, h = q_op(), hamiltonian()
         a_map, b_map = partial(commutator, y=h), partial(anticommutator, y=h)
-        a_pow, b_pow, h_pow = [q], [q], [scalar(1)]
-        for _ in range(max_k):
-            a_pow.append(a_map(a_pow[-1]))
-            b_pow.append(b_map(b_pow[-1]))
-            h_pow.append(h_pow[-1] * h)
-        s = d = nested = anti = q  # at each k: (A+B)^k q, (A-B)^k q, [q,H]_k and {q,H}_k
+        a_pow, h_pow = _Chain(q, a_map), _Chain(h, lambda w: w * h)  # h_pow[k] = H^(k+1)
+        plus, minus = _Chain(q, lambda w: a_map(w) + b_map(w)), _Chain(q, lambda w: a_map(w) - b_map(w))
+        # q H^k and H^k q, with H^k built on its own: (A+B)^k q and (A-B)^k q
+        # grow (q H) H ... and H (... (H q)), so comparing them also checks
+        # that the engine's products associate
+        q_h = [q] + [q * h_pow[k] for k in range(max_k)]
+        h_q = [q] + [h_pow[k] * q for k in range(max_k)]
         for k in range(max_k + 1):
-            if k:
-                s, d = a_map(s) + b_map(s), a_map(d) - b_map(d)
-                nested, anti = nested_commutator(nested, h, 1), nested_anticommutator(anti, h, 1)
-            if a_pow[k] != nested:
-                return f"A^{k} q disagrees with the nested commutator"
-            if b_pow[k] != anti:
-                return f"B^{k} q disagrees with the nested anticommutator"
-            if s != scalar(Fraction(2**k)) * q * h_pow[k]:
+            if plus[k] != WeylElement.weighted_sum([(2**k, q_h[k])]):
                 return f"(A+B)^{k} q != 2^{k} q H^{k}"
-            if d != scalar(Fraction((-2) ** k)) * h_pow[k] * q:
+            if minus[k] != WeylElement.weighted_sum([((-2) ** k, h_q[k])]):
                 return f"(A-B)^{k} q != (-2)^{k} H^{k} q"
+        for k in range(max_k + 1):
+            closed = monomial(1 - k % 2, k % 2, CPoly.c_power(k, (-1) ** ((k + 1) // 2)))
+            if a_pow[k] != closed:
+                return f"A^{k} q != {closed}"
         if a_map(b_map(q)) != b_map(a_map(q)):
             return "A and B do not commute on q"
         top = max_k - max_k % 2  # the highest even order
-        ba = {0: b_pow} | {i: [a_pow[i]] for i in range(2, top + 1, 2)}  # ba[i][m] = B^m A^i q
-        for i, chain in ba.items():
-            while len(chain) <= top - i:
-                chain.append(b_map(chain[-1]))
+        ba = {i: _Chain(a_pow[i], b_map) for i in range(0, top + 1, 2)}  # ba[i][m] = B^m A^i q
         for order in range(0, top + 1, 2):
             total = WeylElement.weighted_sum(
                 (comb(order, m), ba[order - m][m]) for m in range(0, order + 1, 2)
             )
-            expected = scalar(Fraction(2) ** (order - 1)) * anticommutator(q, h_pow[order])
-            if total != expected:
+            if total != _q_anti_h_pow([(Fraction(2) ** (order - 1), order)], q_h, h_q):
                 return f"binomial cross sum fails at order {order}"
         return ""
 
@@ -511,7 +504,7 @@ def standard_conjugation_fixtures() -> list[tuple[WeylElement, WeylElement]]:
         (p_op(2), q_op()),
         (hamiltonian(), q_op()),
         (p_op(2), q_op(2)),
-        (scalar(Fraction(1, 2)) * anticommutator(q_op(), p_op()), q_op()),
+        (WeylElement.weighted_sum([(Fraction(1, 2), anticommutator(q_op(), p_op()))]), q_op()),
     ]
 
 
@@ -620,7 +613,7 @@ def _hermite(
 # selector -> its sweep.  A sweep is called with the bounds run_suite was given
 # (unset ones left out, so its own defaults apply) and ignores the others.
 _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
-    "bender": lambda max_n=12, **_: _grid(partial(_bender, towers=_Towers()), max_n),
+    "bender": lambda max_n=12, **_: _grid(partial(_bender, chains=_bender_chains()), max_n),
     "superoperators": lambda max_n=8, **_: [verify_superoperators(max_n)],
     "combinatorics": lambda max_n=8, **_: [_closed_forms(n) for n in range(1, max_n + 1)],
     "pain": lambda max_n=10, max_m=10, **_: _grid(verify_pain, max_n, max_m),

@@ -218,18 +218,16 @@ def bracket_tower(x: WeylElement, w: WeylElement, cap: int = 64) -> list[WeylEle
     raise NonTerminatingSeries(f"iterated bracket still nonzero after {cap} steps")
 
 
-def hadamard_conjugate(
-    x: ElementLike, w: ElementLike, t: Fraction | int = 1, max_terms: int = 64
-) -> WeylElement:
+def hadamard_conjugate(x: ElementLike, w: ElementLike, t: Fraction | int = 1) -> WeylElement:
     """e^(t x) w e^(-t x) = sum_n t^n/n! [x,[x,...[x,w]]], exact when finite:
-    the t^n/n! weighted sum of ``bracket_tower(x, w, max_terms)``.
+    the t^n/n! weighted sum of ``bracket_tower(x, w)``.
 
-    Raises NonTerminatingSeries if ad_x is not nilpotent on w within
-    ``max_terms`` brackets.
+    Raises NonTerminatingSeries if ad_x is not nilpotent on w within the
+    tower's cap of brackets.
     """
     if not isinstance(t, (int, Fraction)):
         raise TypeError(f"not an exact scalar: {t!r}")
-    tower = bracket_tower(WeylElement.of(x), WeylElement.of(w), max_terms)
+    tower = bracket_tower(WeylElement.of(x), WeylElement.of(w))
     return WeylElement.weighted_sum((Fraction(t**n, factorial(n)), term) for n, term in enumerate(tower))
 
 

@@ -16,22 +16,22 @@ from weylops import (
     GaussianRational,
     MINUS_I,
     WeylElement,
-    build_operators,
-    element_to_matrix,
     hamiltonian,
     monomial,
     nested_anticommutator,
     p_op,
     q_op,
-    safe_margin,
     scalar,
 )
 from weylops.oscillator import (
     _tower_sums,
+    build_operators,
     check_main_identity_matrix,
     check_nested_anticomm_closed_form,
     check_shifted_expansions,
     check_symbolic_bridge,
+    element_to_matrix,
+    safe_margin,
 )
 from weylops.report import reports_to_json
 from weylops.suites import run_suite
