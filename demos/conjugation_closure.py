@@ -15,13 +15,13 @@ from math import factorial
 
 from weylops import (
     I,
+    WeylElement,
     commutator,
     hadamard_conjugate,
     hamiltonian,
     kappa,
     p_op,
     q_op,
-    scalar,
     standard_conjugation_fixtures,
     verify_figueira,
 )
@@ -43,13 +43,12 @@ for h0, x, label in [
     for depth, w in enumerate(tower):
         print(f"  ad_x^{depth} h0 = {w}")
 
-    h1 = scalar(0)
-    for depth in range(1, len(tower)):
-        h1 = h1 + scalar(kappa(depth) / factorial(depth)) * tower[depth]
-    h1 = scalar(I) * h1
+    h1 = WeylElement.weighted_sum(
+        (I * (kappa(depth) / factorial(depth)), tower[depth]) for depth in range(1, len(tower))
+    )
     print(f"  correction h1 = {h1}")
 
-    closed = hadamard_conjugate(x, h0 + scalar(I) * h1, t=Fraction(1, 2))
+    closed = hadamard_conjugate(x, WeylElement.weighted_sum([(1, h0), (I, h1)]), t=Fraction(1, 2))
     print(f"  e^(x/2) (h0 + i h1) e^(-x/2) = {closed}\n")
 
 print("every packaged fixture, with the pseudo-symmetry and umbral checks on top:")

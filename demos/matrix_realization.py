@@ -1,43 +1,59 @@
-"""Second opinion #2: truncated oscillator matrices.
+"""Second opinion #2: the oscillator ladders in Bargmann's integer basis.
 
-With Q and P the usual position/momentum matrices on the first ``dim``
-number states, QP - PQ = -i holds exactly on the interior of the
-truncation, and H = diag(l + 1/2) is the oscillator Hamiltonian.  Mapping
-a symbolic element at c = -i to a matrix and comparing against direct
-matrix algebra gives a floating-point cross-check that is completely
-independent of both the symbolic engine and the differential realization.
+On f_l = sqrt(l!) e_l, the Hermite functions without their normalization,
+the rescaled generators act with Gaussian-integer entries:
 
-Truncation discipline: an element whose support has max(a+b) = s is only
-trustworthy on columns l <= dim-1-s (``safe_margin``).
+    q f_l = i (l f_(l-1) - f_(l+1)),   p f_l = l f_(l-1) + f_(l+1),
+    H f_l = (2l + 1) f_l,
+
+so pq - qp = -2i holds on every column, with no truncation corner.  An
+operator is held by its bands: f_l -> sum_j P_j(l) f_(l+j), each P_j a
+polynomial in l.  Mapping a symbolic element at c = -2i to its bands and
+comparing it with brackets formed in the realization itself is an exact
+cross-check, independent of the differential realization.
+
+A record still reads the columns a dim x dim truncation would keep exact:
+l <= dim-2 for the ladder checks and l <= dim-1-s for an element of the
+bridge whose support has max(a+b) = s (``safe_margin``).
 """
 
-import numpy as np
-
-from weylops import hamiltonian, nested_anticommutator, q_op, run_suite
+from weylops import I, ONE, hamiltonian, nested_anticommutator, q_op, run_suite
 from weylops.oscillator import build_operators, element_to_matrix, safe_margin
 
 DIM = 64
-mats = build_operators(DIM)
+ops = build_operators(DIM)
 
-# the commutation relation pq - qp = c at c = -i, on the interior block
-comm = mats.p_mat @ mats.q_mat - mats.q_mat @ mats.p_mat
-interior = comm[: DIM - 1, : DIM - 1]
-err = np.max(np.abs(interior - (-1j) * np.eye(DIM - 1)))
-print(f"max |PQ - QP + i| on the interior block: {err:.3e}")
 
-# symbolic {q,H}_3, mapped to a matrix, vs three rounds of matrix brackets
+def act(bands, vec):
+    """The operator given by its bands, applied to {l: coefficient of f_l}."""
+    out = {}
+    for l, v in vec.items():
+        for (j, d, i), n in bands.items():
+            if l + j >= 0:
+                out[l + j] = out.get(l + j, 0) + v * (I if i else ONE) * (n * l**d)
+    return {k: v for k, v in out.items() if v}
+
+
+# the commutation relation pq - qp = c at c = -2i, column by column
+for l in range(DIM):
+    f_l = {l: ONE}
+    pq, qp = act(ops.p_mat, act(ops.q_mat, f_l)), act(ops.q_mat, act(ops.p_mat, f_l))
+    assert {k: v for k in pq.keys() | qp.keys() if (v := pq.get(k, 0) - qp.get(k, 0))} == {l: -2 * I}
+print(f"(PQ - QP) f_l = -2i f_l exactly, for every l < {DIM}")
+
+# symbolic {q,H}_3, realized by its bands, vs three brackets in the realization
 w = nested_anticommutator(q_op(), hamiltonian(), 3)
-margin = safe_margin(w)
-symbolic = element_to_matrix(w, mats)
-direct = mats.q_mat
-for _ in range(3):
-    direct = direct @ mats.h_mat + mats.h_mat @ direct
-cols = DIM - 1 - margin
-dev = np.max(np.abs(symbolic[:, :cols] - direct[:, :cols]))
-print(f"{{q,H}}_3: safe_margin = {margin}, max deviation on safe columns = {dev:.3e}")
+realized, den = element_to_matrix(w, ops)
+direct = ops.tower(3)[3]
+assert realized == {key: den * n for key, n in direct.items()}
+print(f"{{q,H}}_3 realized at c = -2i equals the realization's own, exactly (den {den})")
+for l in range(4):
+    column = act(direct, {l: ONE})
+    print(f"  {{q,H}}_3 f_{l} = " + " + ".join(f"({v}) f_{k}" for k, v in sorted(column.items())))
+print(f"  closed form: i 4^3 (l^4 f_(l-1) - (l+1)^3 f_(l+1)); safe_margin = {safe_margin(w)}")
 
 # the packaged checks: closed-form ladder amplitudes, the shifted
-# expansions, and the bridge back to the symbolic engine
+# expansions, the main identity and the bridge back to the symbolic engine
 print()
-for report in run_suite("hermite", max_n=4, dim=DIM, tol=1e-9):
+for report in run_suite("hermite", max_n=4, dim=DIM):
     print(report.render())

@@ -36,7 +36,6 @@ from weylops import (
     nested_anticommutator,
     poly_of_element,
     q_op,
-    scalar,
     shifted_euler,
     shifted_nested_anticomm,
     verify_bender,
@@ -44,7 +43,11 @@ from weylops import (
 
 q, h = q_op(), hamiltonian()
 u = CPoly.c_power(1, I)  # u = ic, so u = 1 at c = -i
-half = scalar(Fraction(1, 2))
+
+
+def scaled(w, x):
+    """w x for a number w, as one weighted sum."""
+    return WeylElement.weighted_sum([(w, x)])
 
 
 def homogenized(poly, n):
@@ -58,28 +61,28 @@ for n in range(4):
 
 print("\nmain collapse with c formal:")
 for n in range(9):
-    lhs = scalar(Fraction(1, 2**n)) * nested_anticommutator(q, h, n)
-    rhs = half * anticommutator(q, homogenized(shifted_euler(n), n))
+    lhs = scaled(Fraction(1, 2**n), nested_anticommutator(q, h, n))
+    rhs = scaled(Fraction(1, 2), anticommutator(q, homogenized(shifted_euler(n), n)))
     assert lhs == rhs
     print(f"  n={n}:  2^-n {{q,H}}_n == 1/2 {{q, sum_m e_nm u^(n-m) H^m}}   ok")
 
 print("\nhalf-shifted variant with c formal:")
 for n in range(9):
-    lhs = scalar(Fraction(1, 2**n)) * nested_anticommutator(q, h - half * u, n)
-    rhs = half * anticommutator(q, homogenized(euler_polynomial(n), n))
+    lhs = scaled(Fraction(1, 2**n), nested_anticommutator(q, h - u * Fraction(1, 2), n))
+    rhs = scaled(Fraction(1, 2), anticommutator(q, homogenized(euler_polynomial(n), n)))
     assert lhs == rhs
 print("  2^-n {q, H-u/2}_n == 1/2 {q, sum_m f_nm u^(n-m) H^m}  for n <= 8")
 
 print("\ntwo-shift average with c formal:")
 for n in range(9):
     average = shifted_nested_anticomm(-u, n) + shifted_nested_anticomm(u, n)
-    assert scalar(Fraction(1, 2**n)) * average == anticommutator(q, h**n)
+    assert scaled(Fraction(1, 2**n), average) == anticommutator(q, h**n)
 print("  2^-n [({q,H}-u)_n + ({q,H}+u)_n] == {q, H^n}  for n <= 8")
 
 # the u = 1 form is a statement about c = -i only: with c formal it fails
 n = 2
-lhs = scalar(Fraction(1, 2**n)) * nested_anticommutator(q, h, n)
-rhs = half * anticommutator(q, poly_of_element(shifted_euler(n), h))
+lhs = scaled(Fraction(1, 2**n), nested_anticommutator(q, h, n))
+rhs = scaled(Fraction(1, 2), anticommutator(q, poly_of_element(shifted_euler(n), h)))
 assert lhs != rhs
 print("\nthe u = 1 form with c formal, which holds only where c^2 = -1:")
 print(f"  2^-2 {{q,H}}_2 - 1/2 {{q, E_2(H+1/2)}} = {lhs - rhs}")

@@ -5,10 +5,11 @@ The package keeps every computation over the Gaussian rationals with the
 central symbol c formal, so identity checks are equalities of normal forms,
 not floating-point comparisons.  Three independent realizations back each
 other up: the symbolic normal-ordering engine, the shift action on
-polynomials, and truncated oscillator matrices over numpy.  Only the
-hermite sweep loads numpy; the matrix API (``build_operators``,
-``element_to_matrix``, ``safe_margin``) is imported from
-``weylops.oscillator``.
+polynomials, and the oscillator ladders in an integer Hermite basis.  The
+package has no runtime dependency beyond the standard library.  Only the
+hermite sweep imports the oscillator realization; its API
+(``build_operators``, ``element_to_matrix``, ``safe_margin``) is imported
+from ``weylops.oscillator``.
 """
 
 from .report import reports_to_json

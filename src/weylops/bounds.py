@@ -1,5 +1,6 @@
-"""Default bounds of the hermite sweep, free of numpy: ``run_suite`` checks
-them without loading the matrix oracle."""
+"""Default bounds of the hermite sweep: ``run_suite`` checks them without
+importing the oscillator realization.  Like the rest of the package, this
+module needs nothing beyond the standard library."""
 
 DEFAULT_DIM = 64
 DEFAULT_TOL = 1e-9

@@ -1,184 +1,193 @@
-"""Truncated oscillator-matrix realization on the Hermite-function basis.
+"""Exact oscillator realization in the unnormalized Hermite basis.
 
-The basis vector e_l stands for the Hermite function with H-eigenvalue
-l + 1/2.  On it the operators act as ladder matrices (c = -i conventions):
+The basis vector f_l = sqrt(l!) e_l stands for the Hermite function e_l of
+H-eigenvalue l + 1/2, scaled as in Bargmann's Fock space (V. Bargmann, Comm.
+Pure Appl. Math. 14, 1961), where the ladders a = d/dz and a+ = z act on z^l
+as integer matrices: a f_l = l f_(l-1) and a+ f_l = f_(l+1).  Rescaling
+q, p -> sqrt(2) q, sqrt(2) p sends c to 2c, so the engine's q, p and
+H = (p^2 + q^2)/2 are realized at c = -2i, with Gaussian-integer entries:
 
-    q e_l = i ( sqrt(l/2) e_(l-1) - sqrt((l+1)/2) e_(l+1) )
-    p e_l =     sqrt(l/2) e_(l-1) + sqrt((l+1)/2) e_(l+1)
-    H e_l = (l + 1/2) e_l
+    q f_l = i (l f_(l-1) - f_(l+1))       q = i (a - a+)
+    p f_l =    l f_(l-1) + f_(l+1)        p = a + a+
+    H f_l = (2l + 1) f_l                  H = 2 a+ a + 1
 
-Truncating to dimension D corrupts only what touches the missing e_D, so
-H-brackets of q are exact on columns l <= D-2 (H is diagonal and never
-propagates the corruption).  A product q^a p^b is exact on columns
-l <= D-1-(a+b); comparisons stay inside those safe regions.
+An operator is held by its bands: it maps f_l to sum_j P_j(l) f_(l+j), each
+P_j a polynomial in l over the Gaussian integers, stored as
+{(j, d, i): n} for the term n i^i l^d of P_j.  One such map describes every
+column at once, so nothing is truncated: a product reads the left factor's
+entries at l + j (``_compose``), the H-brackets {q,H}_k stay on q's two
+off-diagonals, and the symbolic bridge realizes the engine's {q,H}_n by
+Horner in q over the powers of p.  ``build_operators`` builds the ladders
+once per dim, read-only; each instance grows its tower {q,H}_k and powers
+H^k on demand, once.  A q with an entry off its two off-diagonals, an H off
+its diagonal, or a q or p beyond its three bands is an ERROR record.
 
-No dense matrix product is formed.  Each {q,H}_k, ladder and side of the
-main identity lies on q's two off-diagonals and is held by column, as the
-(2, D) array of m[l-1, l] over m[l+1, l] (0 outside the matrix).  H is
-diagonal, so {x, H} = x H + H x multiplies it by the pair sums
-h_(l-1) + h_l over h_(l+1) + h_l: the tower to order n costs O(nD).  An
-element sum z_ab q^a p^b, with s = max(a+b), is Horner in q over the powers
-p^b, all held as their 2s + 1 diagonals: each step is one tridiagonal
-multiply in O(sD), and the dense result is written once.
-``build_operators`` builds each dim's matrices once, read-only, and the
-checks read only band views cached per instance: a ladder record allocates
-nothing of size D^2, a perturbed ladder still reaches every check, and a
-q, p or H with an entry off the bands read is an ERROR record.
-
-Comparisons are relative and column by column: max |actual - expected|
-over a column, normalized by that column's largest |expected| entry.
-Values grow like (2l)^n, so absolute thresholds are meaningless, and a
-single scale for the whole matrix would hide errors in the low columns.
-Only the symbolic bridge keeps one scale; ``check_symbolic_bridge`` says why.
-A non-finite error (an overflowed matrix) fails the record, and so does any
-error against a NaN tol.  Every check needs dim >= ``bounds.min_dim(n)``.
+A record reads the columns it read as a truncated dim x dim matrix: l <= dim-2
+for the ladder checks, l < dim - ``safe_margin`` for the bridge.  It fails
+if its worst relative column error there -- max |actual - expected| over the
+column, over the column's largest |expected| -- exceeds tol.  The error is
+computed from exact integers, and is 0 for a correct engine, which passes
+any tol >= 0; a NaN tol fails.  Every check needs dim >= ``bounds.min_dim(n)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
-
-import numpy as np
+from math import comb, isfinite, sqrt
+from types import MappingProxyType
 
 from .bounds import DEFAULT_DIM, DEFAULT_TOL, min_dim
 from .report import VerificationReport, run_check
-from .scalars import MINUS_I
+from .scalars import GaussianRational
 from .weyl import WeylElement, hamiltonian, nested_anticommutator, q_op
 
+C = GaussianRational(0, -2)  # the value of c at which the ladders satisfy pq - qp = c
+IDENTITY = MappingProxyType({(0, 0, 0): 1})  # the identity operator, by its bands
 
-def _bands(m: np.ndarray, name: str, offsets: tuple, where: str) -> list[np.ndarray]:
-    """m's diagonals at offsets, as read-only views; ValueError if m is nonzero elsewhere."""
-    bands = [np.diagonal(m, k) for k in offsets]
-    if np.count_nonzero(m) > sum(map(np.count_nonzero, bands)):
+
+def _sum(terms) -> dict:
+    """sum of n i^i x over (n, i, x) triples, without zero entries."""
+    out: dict = {}
+    for n, i, x in terms:
+        for (j, d, k), m in x.items():
+            key = (j, d, k ^ i)
+            out[key] = out.get(key, 0) + (-n * m if k & i else n * m)  # i^2 = -1
+    return {key: m for key, m in out.items() if m}
+
+
+def _compose(t, x) -> dict:
+    """The product t x: x maps f_l to P_j(l) f_(l+j), and t acts on f_(l+j)
+    with its entries read at l + j."""
+    out: dict = {}
+    for (s, e, k), m in t.items():
+        for r in range(e + 1):  # (l + j)^e = sum_r C(e,r) j^(e-r) l^r
+            w, p = m * comb(e, r), e - r
+            for (j, d, i), n in x.items():
+                v = w * n * j**p if p else w * n
+                key = (j + s, d + r, i ^ k)
+                out[key] = out.get(key, 0) + (-v if i & k else v)
+    return {key: m for key, m in out.items() if m}
+
+
+def _anti(x, y) -> dict:
+    """{x, y} = x y + y x."""
+    return _sum([(1, 0, _compose(x, y)), (1, 0, _compose(y, x))])
+
+
+def _bands(m, name: str, shifts: tuple, where: str):
+    """m, if its nonzero entries lie on the given bands; ValueError otherwise."""
+    if any(n and j not in shifts for (j, _, _), n in m.items()):
         raise ValueError(f"{name} has a nonzero entry {where}")
-    return bands
+    return m
+
+
+def _grown(chain: list, n: int, step) -> list:
+    """chain, extended in place by step(last entry) to at least n + 1 entries."""
+    while len(chain) <= n:
+        chain.append(MappingProxyType(step(chain[-1])))
+    return chain
 
 
 @dataclass(frozen=True)
 class OscillatorMatrices:
-    """q, p and H at dim; a ``dataclasses.replace`` copy caches its own band views."""
+    """q, p and H by their bands; a ``dataclasses.replace`` copy grows its own chains."""
 
     dim: int
-    q_mat: np.ndarray
-    p_mat: np.ndarray
-    h_mat: np.ndarray
+    q_mat: Mapping
+    p_mat: Mapping
+    h_mat: Mapping
 
     @cached_property
-    def q_cols(self) -> np.ndarray:  # q in column form
-        up, down = _bands(self.q_mat, "q", (1, -1), "off its two off-diagonals")
-        x = np.stack([np.append(0, up), np.append(down, 0)])
-        x.flags.writeable = False
-        return x
+    def _chains(self) -> tuple[list, list]:  # {q,H}_k and H^k for k = 0, 1, ...
+        q = _bands(self.q_mat, "q", (-1, 1), "off its two off-diagonals")
+        _bands(self.h_mat, "H", (0,), "off its diagonal")
+        return [q], [IDENTITY]
 
-    @cached_property
-    def h_diag(self) -> np.ndarray:
-        return _bands(self.h_mat, "H", (0,), "off its diagonal")[0]
+    def tower(self, n: int) -> list:
+        """{q,H}_k for k = 0..n."""
+        return _grown(self._chains[0], n, lambda x: _anti(x, self.h_mat))[: n + 1]
 
-    @cached_property
-    def tridiagonal(self) -> tuple[list[np.ndarray], ...]:  # q's and p's diagonals 0, 1, -1
-        ladders = (("q", self.q_mat), ("p", self.p_mat))
-        return tuple(_bands(m, name, (0, 1, -1), "beyond its three bands") for name, m in ladders)
+    def h_power(self, n: int):
+        """H^n."""
+        return _grown(self._chains[1], n, lambda x: _compose(self.h_mat, x))[n]
 
 
 @lru_cache(maxsize=4)
 def build_operators(dim: int) -> OscillatorMatrices:
-    """The matrices at dim, built once per dim and shared, so read-only."""
+    """The ladders, read-only, and the dim whose columns the records read."""
     if dim < 4:
         raise ValueError("need dim >= 4")
-    w = np.sqrt(np.arange(1, dim) / 2.0) + 0j
-    q = np.diag(1j * w, 1) - np.diag(1j * w, -1)
-    p = np.diag(w, 1) + np.diag(w, -1)
-    h = np.diag(np.arange(dim) + (0.5 + 0j))
-    q.flags.writeable = p.flags.writeable = h.flags.writeable = False
-    return OscillatorMatrices(dim, q, p, h)
+    q = {(-1, 1, 1): 1, (1, 0, 1): -1}  # i l f_(l-1) - i f_(l+1)
+    p = {(-1, 1, 0): 1, (1, 0, 0): 1}  # l f_(l-1) + f_(l+1)
+    h = {(0, 1, 0): 2, (0, 0, 0): 1}  # (2l + 1) f_l
+    return OscillatorMatrices(dim, *map(MappingProxyType, (q, p, h)))
 
 
 def _operators(n: int, dim: int) -> OscillatorMatrices:
-    """The matrices at dim, if dim is enough for every hermite check of order n."""
+    """The operators at dim, if dim is enough for every hermite check of order n."""
     if n < 0 or dim < min_dim(n):
         raise ValueError(f"need n >= 0, got {n}" if n < 0 else f"need dim >= {min_dim(n)}")
     return build_operators(dim)
 
 
-def _band_mul(t: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """t @ x for a tridiagonal t as its diagonals 0, 1, -1, and x held as its
-    stacked diagonals -s..s: row s + d holds x[r, r + d] at position r, and
-    0 where r + d falls outside the matrix.  Diagonals beyond s are dropped."""
-    out = t[0] * x
-    out[1:, :-1] += t[1] * x[:-1, 1:]  # t[r, r+1] x[r+1, r+d]: diagonal d-1
-    out[:-1, 1:] += t[2] * x[1:, :-1]  # t[r, r-1] x[r-1, r+d]: diagonal d+1
-    return out
-
-
-def element_to_matrix(w: WeylElement, mats: OscillatorMatrices) -> np.ndarray:
-    """Realize a symbolic element at c = -i.  Exact only on columns
-    l <= dim-1-max(a+b) over the element's support.  A q or p with a
-    nonzero entry beyond its three bands raises ValueError."""
-    q, p = mats.tridiagonal
-    at = w.subst_c(MINUS_I)
-    # every p^b and every Horner step q^(a'-a) p^b below has at most s
-    # diagonals on either side, and is multiplied only while it has fewer
-    s = safe_margin(at)
-    z = np.zeros((s + 1, s + 1), dtype=complex)  # z[a, b]: the coefficient of q^a p^b
+def element_to_matrix(w: WeylElement, ops: OscillatorMatrices) -> tuple[dict, int]:
+    """Realize a symbolic element at c = -2i, exactly on every column: its
+    bands over one denominator, as (bands, den).  A q or p with a nonzero
+    entry beyond its three bands raises ValueError."""
+    q = _bands(ops.q_mat, "q", (-1, 0, 1), "beyond its three bands")
+    p = _bands(ops.p_mat, "p", (-1, 0, 1), "beyond its three bands")
+    at = w.subst_c(C)
+    rows: dict = {}  # a -> the parts (n, i, b) of n i^i q^a p^b
     for (a, b, _, i), n in at._num.items():
-        z[a, b] += n / at._den * (1j if i else 1)
-    powers = np.zeros((s + 1, 2 * s + 1, mats.dim), dtype=complex)  # p^b
-    powers[0, s] = 1
-    for b in range(s):
-        powers[b + 1] = _band_mul(p, powers[b])
-    acc = np.zeros_like(powers[0])
-    for row in z[::-1]:  # Horner in q: acc = q acc + sum_b z_ab p^b
-        acc = _band_mul(q, acc)
-        for b in np.flatnonzero(row):
-            acc += row[b] * powers[b]
-    r = np.broadcast_to(np.arange(mats.dim), acc.shape)
-    c = r + np.arange(-s, s + 1)[:, None]  # the column of each stored entry
-    inside = (c >= 0) & (c < mats.dim)
-    out = np.zeros((mats.dim, mats.dim), dtype=complex)
-    out[r[inside], c[inside]] = acc[inside]
-    return out
+        rows.setdefault(a, []).append((n, i, b))
+    powers = [IDENTITY]  # p^b
+    for _ in range(max((b for (_, b, _, _) in at._num), default=0)):
+        powers.append(_compose(p, powers[-1]))
+    acc: dict = {}
+    for a in range(max(rows, default=-1), -1, -1):  # Horner in q: acc = q acc + sum_b z_ab p^b
+        acc = _sum([(1, 0, _compose(q, acc)), *((n, i, powers[b]) for n, i, b in rows.get(a, ()))])
+    return acc, at._den
 
 
 def safe_margin(w: WeylElement) -> int:
     return max((a + b for (a, b, _, _) in w._num), default=0)
 
 
-def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The column form of the matrix whose column l is  lo[l] e_(l-1) + hi[l] e_(l+1)."""
-    return np.stack([np.append(0, lo[1:]), np.append(hi[:-1], 0)])
+def _column(lo: dict, hi: dict) -> dict:
+    """The operator f_l -> i (lo(l) f_(l-1) + hi(l) f_(l+1)), lo and hi as {degree: n}."""
+    return {**{(-1, d, 1): n for d, n in lo.items()}, **{(1, d, 1): n for d, n in hi.items()}}
 
 
-def _pair_sums(h: np.ndarray) -> np.ndarray:
-    """{x, H} / x in column form, for H = diag(h)."""
-    return _ladder(np.roll(h, 1) + h, np.roll(h, -1) + h)  # h_(l-1) + h_l, h_(l+1) + h_l
+def _power(a: int, b: int, n: int, w: int = 1, up: int = 0) -> dict:
+    """w l^up (a l + b)^n as {degree: coefficient}, by the binomial theorem."""
+    terms = {k + up: w * comb(n, k) * a**k * b ** (n - k) for k in range(n + 1)}
+    return {d: v for d, v in terms.items() if v}
 
 
-def _tower_sums(mats: OscillatorMatrices, *rows: list) -> list[np.ndarray]:
-    """sum_k row[k] {q,H}_k in column form for each row of weights, one tower."""
-    s, x = _pair_sums(mats.h_diag), mats.q_cols
-    sums = [np.zeros_like(x) for _ in rows]
-    for k in range(len(rows[0])):
-        if k:
-            x = x * s
-        for acc, row in zip(sums, rows):
-            if row[k]:
-                acc += row[k] * x
-    return sums
+def _norm2(x, l: int) -> int:
+    """The largest squared modulus of an entry of x's column l; no row lies below f_0."""
+    col: dict = {}
+    for (j, d, i), n in x.items():
+        if l + j >= 0:
+            col[j, i] = col.get((j, i), 0) + n * l**d
+    return max((col.get((j, 0), 0) ** 2 + col.get((j, 1), 0) ** 2 for j, _ in col), default=0)
 
 
-def _verdict(actual: np.ndarray, expected: np.ndarray | float, tol: float, scale=None) -> str:
-    """Worst column error: max |actual - expected| over the column, relative
-    to that column's largest |expected| entry, or to ``scale`` if given."""
-    if scale is None:
-        scale = np.max(np.abs(expected), axis=0)
-    errs = np.max(np.abs(actual - expected), axis=0) / np.where(scale == 0, 1.0, scale)
-    l = int(np.argmax(errs))  # the first NaN, if there is one
-    if not np.isfinite(errs[l]):
-        return f"non-finite relative error {errs[l]} at l={l}"
-    if not errs[l] <= tol:  # not "errs[l] > tol", which is False for a NaN tol
-        return f"worst relative error {errs[l]:.3e} at l={l} (tol {tol:.1e})"
+def _verdict(actual, expected, cols: int, tol: float) -> str:
+    """Worst column error over columns l < cols: max |actual - expected| over
+    the column, relative to that column's largest |expected| entry."""
+    diff = _sum([(1, 0, actual), (-1, 0, expected)])
+    worst, at = Fraction(0), 0  # the squared error, and its column
+    for l in range(cols if diff else 0):  # a zero difference is zero on every column
+        err = Fraction(_norm2(diff, l), _norm2(expected, l) or 1)
+        if err > worst:
+            worst, at = err, l
+    bound = Fraction(tol) ** 2 if isfinite(tol) else tol
+    if not (tol >= 0 and worst <= bound):  # false for a NaN tol
+        return f"worst relative error {sqrt(worst):.3e} at l={at} (tol {tol:.1e})"
     return ""
 
 
@@ -200,63 +209,42 @@ def _record(check: str):
 
 @_record("closed_form")
 def check_nested_anticomm_closed_form(n: int, dim: int, tol: float) -> str:
-    """{q,H}_n e_l  ==  i 2^(n-1/2) (l^(n+1/2) e_(l-1) - (l+1)^(n+1/2) e_(l+1))."""
-    mats = _operators(n, dim)
-    (x,) = _tower_sums(mats, [0] * n + [1])
-    l = np.arange(dim, dtype=float)
-    a = 1j * 2 ** (n - 0.5)
-    expected = _ladder(a * l ** (n + 0.5), -a * (l + 1) ** (n + 0.5))
-    return _verdict(x[:, :-1], expected[:, :-1], tol)
+    """{q,H}_n f_l  ==  i 4^n (l^(n+1) f_(l-1) - (l+1)^n f_(l+1))."""
+    x = _operators(n, dim).tower(n)[n]
+    return _verdict(x, _column(_power(4, 0, n, up=1), _power(4, 4, n, -1)), dim - 1, tol)
 
 
 @_record("shifted_expansions")
 def check_shifted_expansions(n: int, dim: int, tol: float) -> str:
-    """({q,H}+1)_n and ({q,H}-1)_n columns against their (2l+-1)^n forms."""
-    mats = _operators(n, dim)
-    signs = (1, -1)
-    rows = ([comb(n, k) * sign ** (n - k) for k in range(n + 1)] for sign in signs)
-    l = np.arange(dim, dtype=float)
-    for sign, s in zip(signs, _tower_sums(mats, *rows)):
-        expected = _ladder(
-            1j * np.sqrt(l / 2.0) * (2 * l + sign) ** n,
-            -1j * np.sqrt((l + 1) / 2.0) * (2 * l + 2 + sign) ** n,
-        )
-        witness = _verdict(s[:, :-1], expected[:, :-1], tol)
+    """({q,H}+2)_n and ({q,H}-2)_n columns against their (4l + 2 +- 2)^n forms."""
+    tower = _operators(n, dim).tower(n)
+    for u in (2, -2):
+        actual = _sum((comb(n, k) * u ** (n - k), 0, x) for k, x in enumerate(tower))
+        expected = _column(_power(4, u, n, up=1), _power(4, 4 + u, n, -1))
+        witness = _verdict(actual, expected, dim - 1, tol)
         if witness:
-            return f"sign {sign:+d}: {witness}"
+            return f"sign {u:+d}: {witness}"
     return ""
 
 
 @_record("main_identity")
 def check_main_identity_matrix(n: int, dim: int, tol: float) -> str:
-    """(1/2^n)[({q,H}-1)_n + ({q,H}+1)_n]  ==  q H^n + H^n q  on safe columns."""
-    mats = _operators(n, dim)
-    (lhs,) = _tower_sums(mats, [comb(n, k) * (1 + (-1) ** (n - k)) for k in range(n + 1)])
-    lhs /= 2.0**n
-    rhs = mats.q_cols * _pair_sums(mats.h_diag**n)  # q H^n + H^n q
-    return _verdict(lhs[:, :-1], rhs[:, :-1], tol)
+    """({q,H}-2)_n + ({q,H}+2)_n  ==  2^n (q H^n + H^n q)."""
+    ops = _operators(n, dim)
+    lhs = _sum((comb(n, k) * (1 + (-1) ** (n - k)) * 2 ** (n - k), 0, x) for k, x in enumerate(ops.tower(n)))
+    rhs = _sum([(2**n, 0, _anti(ops.tower(0)[0], ops.h_power(n)))])
+    return _verdict(lhs, rhs, dim - 1, tol)
 
 
 @_record("symbolic_bridge")
 def check_symbolic_bridge(n: int, dim: int, tol: float) -> str:
-    """The symbolic {q,H}_n, realized at c = -i, against the matrix-native one.
+    """The symbolic {q,H}_n, realized at c = -2i, against the realization's own.
 
-    This couples the exact engine to the floating realization, so neither
+    This couples the exact engine to the oscillator realization, so neither
     oracle is trusted alone.
     """
-    mats = _operators(n, dim)
+    ops = _operators(n, dim)
     symbolic = nested_anticommutator(q_op(), hamiltonian(), n)
-    margin = safe_margin(symbolic)
-    realized = element_to_matrix(symbolic, mats)
-    (band,) = _tower_sums(mats, [0] * n + [1])
-    l = np.arange(1, dim)  # realized - native, in place on q's two off-diagonals
-    realized[l - 1, l] -= band[0, 1:]
-    realized[l, l - 1] -= band[1, :-1]
-    cols = slice(0, dim - margin)  # exact for both computations
-    # One scale for all columns, unlike the other checks: the realized sum
-    # cancels large terms of opposite sign, and at column 0 its rounding
-    # error relative to the column reaches 4.4e-11 at n = 8 and 8.8e-9 at
-    # n = 9, so per-column comparison would fail a correct engine from n = 9
-    # on at the default tolerance.
-    scale = np.max(np.abs(band[:, cols]))
-    return _verdict(realized[:, cols], 0, tol, scale)
+    realized, den = element_to_matrix(symbolic, ops)
+    native = _sum([(den, 0, ops.tower(n)[n])])
+    return _verdict(realized, native, dim - safe_margin(symbolic), tol)

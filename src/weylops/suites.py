@@ -599,7 +599,7 @@ def _hermite(
     tol: float = DEFAULT_TOL,
     **_,
 ) -> list[VerificationReport]:
-    from . import oscillator  # numpy, loaded only when a hermite check runs
+    from . import oscillator  # standard library only; imported only when a hermite check runs
 
     checks = (
         oscillator.check_nested_anticomm_closed_form,

@@ -20,8 +20,8 @@ combination with number or CPoly weights is one ``weighted_sum``, with no
 product by a scalar element.  ``terms`` is the {(a, b): CPoly} view that
 rendering and the realizations read.  Since c stays formal, an identity
 established here holds for every numeric value of c at once.  ``subst_c``
-sets c to a number; its use is the matrix realization (``oscillator``),
-which works at c = -i, where q p - p q = i.
+sets c to a number; its use is the oscillator realization
+(``oscillator``), which works at c = -2i, where q p - p q = 2i.
 
 Bracket conventions:
 
@@ -160,25 +160,24 @@ def anticommutator(x: ElementLike, y: ElementLike) -> WeylElement:
     return x * y + y * x
 
 
-def _iterate(step, w: WeylElement, n: int) -> WeylElement:
-    """step applied n times to w."""
+def _nested(bracket, x: WeylElement, y: WeylElement, n: int) -> list[WeylElement]:
+    """[x, bracket(x, y), bracket(bracket(x, y), y), ...], n brackets deep."""
     if n < 0:
         raise ValueError("negative nesting depth")
+    chain = [x]
     for _ in range(n):
-        w = step(w)
-    return w
+        chain.append(bracket(chain[-1], y))
+    return chain
 
 
 def nested_commutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement:
     """[x, y]_n = [[x, y]_(n-1), y] with [x, y]_0 = x."""
-    y = WeylElement.of(y)
-    return _iterate(lambda w: commutator(w, y), WeylElement.of(x), n)
+    return _nested(commutator, WeylElement.of(x), WeylElement.of(y), n)[-1]
 
 
 def nested_anticommutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement:
     """{x, y}_n = {{x, y}_(n-1), y} with {x, y}_0 = x."""
-    y = WeylElement.of(y)
-    return _iterate(lambda w: anticommutator(w, y), WeylElement.of(x), n)
+    return _nested(anticommutator, WeylElement.of(x), WeylElement.of(y), n)[-1]
 
 
 def shifted_nested_anticomm(
@@ -189,21 +188,18 @@ def shifted_nested_anticomm(
     Convention {q,H}_0 = q.  For a central a this equals {q, H + a/2}_n,
     which is what makes the symmetrized power identities tractable.
     ``tower`` holds {q,H}_k for k = 0..n (or further) already built, so
-    nothing is bracketed; without it the n brackets up to {q,H}_n are built.
+    nothing is bracketed; without it the n brackets up to {q,H}_n are built,
+    one chain as ``nested_anticommutator`` builds it.
     """
     if tower is None:
-        h = hamiltonian()
-        tower = [q_op()]
-        for _ in range(n):
-            tower.append(anticommutator(tower[-1], h))
+        tower = _nested(anticommutator, q_op(), hamiltonian(), n)
     a = CPoly.of(a)
     return WeylElement.weighted_sum((a ** (n - k) * comb(n, k), tower[k]) for k in range(n + 1))
 
 
 def left_nested_commutator(h: ElementLike, x: ElementLike, n: int) -> WeylElement:
     """Left-iterated bracket  [x, [x, ... [x, h]]]  (n brackets)."""
-    x = WeylElement.of(x)
-    return _iterate(lambda w: commutator(x, w), WeylElement.of(h), n)
+    return _nested(lambda w, x: commutator(x, w), WeylElement.of(h), WeylElement.of(x), n)[-1]
 
 
 def bracket_tower(x: WeylElement, w: WeylElement, cap: int = 64) -> list[WeylElement]:

@@ -247,19 +247,17 @@ def test_console_script(command, child_env):
     assert proc.stdout.count("[PASS ]") == 4
 
 
-# Run in a child: this process has numpy loaded already.
+# Run in a child: this process has numpy loaded already, as a test reference.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 from weylops.cli import main
 facts = {}
 with contextlib.redirect_stdout(io.StringIO()):
-    facts["codes"] = [
-        main(["verify", "bender", "--max-n", "3"]),
-        main(["verify", "binomial", "--max-n", "2", "--max-m", "2", "--max-l", "2"]),
-    ]
-    facts["numpy_after_exact_sweeps"] = "numpy" in sys.modules
-    facts["codes"].append(main(["verify", "hermite", "--max-n", "0", "--dim", "4"]))
-facts["numpy_after_hermite"] = "numpy" in sys.modules
+    facts["codes"] = [main(["verify", "bender", "--max-n", "3"])]
+    facts["oscillator_after_bender"] = "weylops.oscillator" in sys.modules
+    facts["codes"].append(main(["verify", "all", "--format", "json"]))
+facts["numpy"] = "numpy" in sys.modules
+facts["oscillator"] = "weylops.oscillator" in sys.modules
 import weylops
 from weylops.oscillator import build_operators, element_to_matrix, safe_margin
 facts["dim"] = build_operators(4).dim
@@ -272,7 +270,7 @@ print(json.dumps(facts))
 """
 
 
-def test_only_the_hermite_sweep_loads_numpy(child_env):
+def test_verify_all_leaves_numpy_unloaded(child_env):
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE],
         env=child_env,
@@ -282,10 +280,13 @@ def test_only_the_hermite_sweep_loads_numpy(child_env):
     )
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
-    assert facts["codes"] == [0, 0, 0]
-    assert facts["numpy_after_exact_sweeps"] is False
-    assert facts["numpy_after_hermite"] is True
-    # the matrix API is importable from weylops.oscillator
+    assert facts["codes"] == [0, 0]
+    # only the hermite sweep imports the oscillator realization, and it runs
+    # without numpy
+    assert facts["oscillator_after_bender"] is False
+    assert facts["oscillator"] is True
+    assert facts["numpy"] is False
+    # the oscillator API is importable from weylops.oscillator
     assert facts["dim"] == 4
     assert facts["margin"] == 2
     assert facts["unknown"] == "module 'weylops' has no attribute 'no_such_name'"

@@ -1,0 +1,35 @@
+"""The package needs nothing beyond the standard library.
+
+numpy is a test-only float reference (the ``test`` extra of
+``pyproject.toml``); no module under ``src/weylops`` may import it, at the
+top or inside a function.  ``tests/test_cli.py`` checks the same at run
+time, after a whole ``verify all``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weylops"
+
+
+def _imported_roots(tree: ast.AST) -> set[str]:
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_module_imports_numpy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {"oscillator.py", "suites.py", "__init__.py"} <= {p.name for p in modules}
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in modules}
+    assert [name for name, tree in trees.items() if "numpy" in _imported_roots(tree)] == []
+
+
+def test_the_guard_sees_both_import_forms():
+    for source in ("import numpy as np", "from numpy import ndarray", "def f():\n    import numpy.linalg"):
+        assert "numpy" in _imported_roots(ast.parse(source))
+    assert "numpy" not in _imported_roots(ast.parse("from . import oscillator"))

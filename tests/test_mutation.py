@@ -15,14 +15,15 @@ catch it: their right-hand sides carry explicit powers of c, weighted by
 Euler and Bernoulli numbers, which do not flip.
 
 Both independent oracles must catch every variant too: the differential
-realization through ``validate_reordering``, the matrix realization through
-the symbolic bridge, which realizes the engine's {q,H}_n at c = -i.
+realization through ``validate_reordering``, the oscillator realization
+through the symbolic bridge, which realizes the engine's {q,H}_n at c = -2i;
+realizing it at c = -i instead must fail the bridge as well.
 
-The matrix oracle gets the same treatment: a ladder 1% off in a single low
-entry must turn records FAIL (the main identity and the closed forms for H
-or q, the bridge for p or q), and a q with an entry off its two
+The oscillator oracle gets the same treatment: an integer ladder with one
+term added must turn records FAIL (the main identity and the closed forms
+for H or q, the bridge for p or q), and a q with an entry off its two
 off-diagonals, a p with one beyond its three bands or an H with one off its
-diagonal must keep every hermite check that reads that matrix from passing.
+diagonal must keep every hermite check that reads that ladder from passing.
 
 Every identity is a weighted sum, formed by ``weighted_sum``: a kernel that
 drops its weights' powers of c must turn bender and pain records FAIL.
@@ -38,7 +39,7 @@ kappa_5 fails the sequences record.
 
 bender and superoperators are decided with c formal, so they must not lean
 on ``subst_c``: with it raising they still PASS (only the symbolic bridge,
-which realizes the engine at c = -i, errs), and with it returning zero a
+which realizes the engine at c = -2i, errs), and with it returning zero a
 perturbed Euler coefficient or a shift specialized to u = 1 still FAILs.
 
 superoperators has failure branches of its own: the dropped-k1 and
@@ -114,24 +115,35 @@ def test_wrong_rule_fails_both_oracles(monkeypatch, variant):
         assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
 
 
+def test_bridge_at_c_minus_i_fails(monkeypatch):
+    # the integer ladders satisfy pq - qp = -2i; an element realized at the
+    # c = -i of the normalized basis is another operator from n = 1 on, and
+    # at n = 0 ({q,H}_0 = q) there is no c to set
+    monkeypatch.setattr(oscillator, "C", MINUS_I)
+    assert oscillator.check_symbolic_bridge(0, 64).ok
+    for n in range(1, 5):
+        assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
+
+
 def _perturbed_build(monkeypatch, name, *entries):
-    """Patch build_operators so that the named matrix is 1% off at entries,
-    or 0.01 at an entry that is 0."""
+    """Patch build_operators so that the named ladder gains 1 at each entry
+    (j, d, i): the term i^i l^d of its band j."""
     true_build = oscillator.build_operators
 
     def perturbed(dim):
-        mats = true_build(dim)
-        m = getattr(mats, name).copy()
-        for ij in entries:
-            m[ij] = m[ij] * 1.01 if m[ij] else 0.01
-        return dataclasses.replace(mats, **{name: m})
+        ops = true_build(dim)
+        m = dict(getattr(ops, name))
+        for key in entries:
+            m[key] = m.get(key, 0) + 1
+        return dataclasses.replace(ops, **{name: m})
 
     monkeypatch.setattr(oscillator, "build_operators", perturbed)
 
 
 def test_perturbed_p_ladder_fails_the_bridge(monkeypatch):
+    # p f_l = (l + 1) f_(l-1) + f_(l+1) instead of l f_(l-1) + f_(l+1)
     assert all(oscillator.check_symbolic_bridge(n, 64).ok for n in range(1, 5))
-    _perturbed_build(monkeypatch, "p_mat", (1, 2), (2, 1))
+    _perturbed_build(monkeypatch, "p_mat", (-1, 0, 0))
     for n in range(1, 5):
         assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
 
@@ -139,20 +151,24 @@ def test_perturbed_p_ladder_fails_the_bridge(monkeypatch):
 def test_perturbed_q_ladder_fails_the_bridge(monkeypatch):
     # The realization's Horner step multiplies by the bands of the q it is
     # given.  At n = 0 both sides are that q, so the bridge still passes;
-    # from n = 1 on the perturbed q no longer satisfies pq - qp = -i.
+    # from n = 1 on the perturbed q no longer satisfies pq - qp = -2i.
     assert all(oscillator.check_symbolic_bridge(n, 64).ok for n in range(5))
-    _perturbed_build(monkeypatch, "q_mat", (1, 2), (2, 1))
+    _perturbed_build(monkeypatch, "q_mat", (1, 1, 1))
     assert oscillator.check_symbolic_bridge(0, 64).ok
     for n in range(1, 5):
         assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
 
 
 def test_perturbed_ladder_fails_the_matrix_oracle(monkeypatch):
+    # H f_l = (l^2 + 2l + 1) f_l: adding a constant to H would keep the main
+    # identity, which needs only h(l+1) - h(l) = 2, but l^2 breaks it on every
+    # column.  The absolute error grows with l, but each column is measured
+    # against its own scale, so the witness names a low column.
     assert oscillator.check_main_identity_matrix(8, 64).ok
-    _perturbed_build(monkeypatch, "h_mat", (1, 1))
+    _perturbed_build(monkeypatch, "h_mat", (0, 2, 0))
     report = oscillator.check_main_identity_matrix(8, 64)
     assert report.status == "fail"
-    assert "at l=0" in report.witness
+    assert "at l=1 " in report.witness
 
 
 CLOSED_FORMS = [oscillator.check_nested_anticomm_closed_form, oscillator.check_shifted_expansions]
@@ -162,7 +178,7 @@ CLOSED_FORMS = [oscillator.check_nested_anticomm_closed_form, oscillator.check_s
 @pytest.mark.parametrize(
     "name, entries, first",
     # H enters the tower only from {q,H}_1 on
-    [("q_mat", [(1, 2), (2, 1)], 0), ("h_mat", [(1, 1)], 1)],
+    [("q_mat", [(1, 1, 1)], 0), ("h_mat", [(0, 2, 0)], 1)],
 )
 def test_perturbed_ladder_fails_the_closed_forms(monkeypatch, check, name, entries, first):
     assert all(check(n, 64).ok for n in range(5))
@@ -182,7 +198,7 @@ ALL_HERMITE = CLOSED_FORMS + [
 def test_q_off_its_ladder_never_passes(monkeypatch, check):
     # the checks hold q by its two off-diagonals, so they must refuse a q
     # they cannot carry instead of passing it blindly
-    _perturbed_build(monkeypatch, "q_mat", (3, 3))
+    _perturbed_build(monkeypatch, "q_mat", (0, 0, 0))
     for n in range(5):
         report = check(n, 64)
         assert report.status == "error"
@@ -193,7 +209,7 @@ def test_q_off_its_ladder_never_passes(monkeypatch, check):
 def test_h_off_its_diagonal_never_passes(monkeypatch, check):
     # every check reads H by its diagonal alone, so it must refuse an H
     # with more, instead of dropping the rest
-    _perturbed_build(monkeypatch, "h_mat", (0, 1), (3, 9))
+    _perturbed_build(monkeypatch, "h_mat", (1, 0, 0), (-6, 1, 1))
     for n in range(5):
         report = check(n, 64)
         assert report.status == "error"
@@ -202,7 +218,7 @@ def test_h_off_its_diagonal_never_passes(monkeypatch, check):
 
 def test_p_off_its_bands_never_passes(monkeypatch):
     # only the bridge reads p, by its three bands
-    _perturbed_build(monkeypatch, "p_mat", (0, 5), (7, 0))
+    _perturbed_build(monkeypatch, "p_mat", (5, 0, 0), (-7, 1, 0))
     for n in range(5):
         report = oscillator.check_symbolic_bridge(n, 64)
         assert report.status == "error"

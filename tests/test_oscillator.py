@@ -1,9 +1,14 @@
-"""Truncated ladder-operator matrices as the floating-point oracle."""
+"""The exact oscillator realization in the unnormalized Hermite basis.
+
+numpy enters only as a float reference: dense truncated matrices built from
+the ladder formulas below, independent of the code under test.
+"""
 
 import dataclasses
 import hashlib
 import json
 import tracemalloc
+from math import factorial
 
 import numpy as np
 import pytest
@@ -14,7 +19,6 @@ from reference import rationals_within
 from weylops import (
     CPoly,
     GaussianRational,
-    MINUS_I,
     WeylElement,
     hamiltonian,
     monomial,
@@ -24,7 +28,8 @@ from weylops import (
     scalar,
 )
 from weylops.oscillator import (
-    _tower_sums,
+    _compose,
+    _sum,
     build_operators,
     check_main_identity_matrix,
     check_nested_anticomm_closed_form,
@@ -37,18 +42,41 @@ from weylops.report import reports_to_json
 from weylops.suites import run_suite
 
 DIM = 32
+MINUS_2I = GaussianRational(0, -2)
+
+
+def _dense(bands, dim=DIM, den=1):
+    """The dim x dim truncation of an operator given by its bands."""
+    m = np.zeros((dim, dim), dtype=complex)
+    for (j, d, i), n in bands.items():
+        for l in range(max(0, -j), min(dim, dim - j)):
+            m[l + j, l] += n * l**d * (1j if i else 1) / den
+    return m
+
+
+def _reference_ladders(dim=DIM):
+    # q f_l = i (l f_(l-1) - f_(l+1)), p f_l = l f_(l-1) + f_(l+1), H f_l = (2l+1) f_l
+    l = np.arange(1, dim)
+    q = np.diag(1j * l, 1) - np.diag(1j * np.ones(dim - 1), -1)
+    p = np.diag(l + 0j, 1) + np.diag(np.ones(dim - 1) + 0j, -1)
+    return q, p, np.diag(2 * np.arange(dim) + 1 + 0j)
 
 
 def test_operator_structure():
-    mats = build_operators(DIM)
-    assert np.allclose(mats.h_mat, np.diag(np.arange(DIM) + 0.5))
+    ops = build_operators(DIM)
+    for got, ref in zip((ops.q_mat, ops.p_mat, ops.h_mat), _reference_ladders()):
+        assert (_dense(got) == ref).all()
+    # in the normalized basis e_l = f_l / sqrt(l!), q / sqrt(2) and p / sqrt(2)
+    # are the Hermitian position and momentum matrices at c = -i
+    s = np.sqrt([float(factorial(l)) for l in range(DIM)])
+    q, p = (np.diag(s) @ _dense(m) @ np.diag(1 / s) / np.sqrt(2) for m in (ops.q_mat, ops.p_mat))
     root_half = np.sqrt(0.5)
-    assert mats.q_mat[0, 1] == pytest.approx(1j * root_half)
-    assert mats.q_mat[1, 0] == pytest.approx(-1j * root_half)
-    assert mats.p_mat[0, 1] == pytest.approx(root_half)
-    assert mats.p_mat[1, 0] == pytest.approx(root_half)
-    assert np.allclose(mats.p_mat, mats.p_mat.conj().T)
-    assert np.allclose(mats.q_mat, mats.q_mat.conj().T)
+    assert q[0, 1] == pytest.approx(1j * root_half)
+    assert q[1, 0] == pytest.approx(-1j * root_half)
+    assert p[0, 1] == pytest.approx(root_half)
+    assert p[1, 0] == pytest.approx(root_half)
+    assert np.allclose(p, p.conj().T)
+    assert np.allclose(q, q.conj().T)
 
 
 def test_rejects_tiny_dimension():
@@ -57,31 +85,30 @@ def test_rejects_tiny_dimension():
 
 
 def test_matrices_are_built_once_per_dim_and_read_only():
-    mats = build_operators(64)
-    assert build_operators(64) is mats
-    views = [mats.q_cols, mats.h_diag, *mats.tridiagonal[0], *mats.tridiagonal[1]]
-    for m in [mats.q_mat, mats.p_mat, mats.h_mat, *views]:
-        with pytest.raises(ValueError, match="read-only"):
-            m[0] = 1
+    ops = build_operators(64)
+    assert build_operators(64) is ops
+    for m in [ops.q_mat, ops.p_mat, ops.h_mat, *ops.tower(2), ops.h_power(2)]:
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            m[0, 0, 0] = 1
 
 
 def test_replaced_matrices_have_their_own_views():
-    mats = build_operators(DIM)
-    assert mats.h_diag[1] == 1.5
-    h = mats.h_mat.copy()
-    h[1, 1] = 2
-    assert dataclasses.replace(mats, h_mat=h).h_diag[1] == 2
-    assert mats.h_diag[1] == 1.5
+    ops = build_operators(DIM)
+    assert ops.tower(1)[1] == {(-1, 2, 1): 4, (1, 0, 1): -4, (1, 1, 1): -4}  # {q,H} = i (4l^2, -4l - 4)
+    h = {**ops.h_mat, (0, 2, 0): 1}  # H f_l = (l^2 + 2l + 1) f_l
+    replaced = dataclasses.replace(ops, h_mat=h)
+    assert replaced.tower(1)[1] != ops.tower(1)[1]
+    assert replaced.h_power(1) == h
+    assert ops.h_power(1) == {(0, 1, 0): 2, (0, 0, 0): 1}
 
 
 def test_element_to_matrix_refuses_an_off_band_ladder():
-    # reading only three bands would drop p[0, 5] and p[7, 0], and return a
-    # matrix that is not the realization of the p it was given
-    mats = build_operators(DIM)
-    p = mats.p_mat.copy()
-    p[0, 5], p[7, 0] = 0.01, 0.3
+    # a p with entries off its three bands would realize an operator that is
+    # not the p the checks were given
+    ops = build_operators(DIM)
+    p = {**ops.p_mat, (5, 0, 0): 1, (-7, 1, 0): 3}
     with pytest.raises(ValueError, match="p has a nonzero entry beyond its three bands"):
-        element_to_matrix(p_op(), dataclasses.replace(mats, p_mat=p))
+        element_to_matrix(p_op(), dataclasses.replace(ops, p_mat=p))
 
 
 def _peak_bytes(check, n, dim):
@@ -97,19 +124,20 @@ def _peak_bytes(check, n, dim):
     "check", [check_nested_anticomm_closed_form, check_shifted_expansions, check_main_identity_matrix]
 )
 def test_ladder_checks_allocate_nothing_of_size_dim_squared(check):
-    # one D x D complex matrix at dim 256 is 1 MiB
-    check(8, 256)  # builds the matrices and their views once
+    # a record reads its operators' cached tower and powers of H and forms a
+    # few polynomials of degree n + 1 in l: under 6 KB at n <= 8, whatever dim
+    check(8, 256)  # grows the tower and the powers of H once
     for n in range(9):
-        assert _peak_bytes(check, n, 256) < 128 * 1024
+        assert _peak_bytes(check, n, 256) < 16 * 1024
 
 
 def test_bridge_allocates_only_its_dense_realization():
-    # element_to_matrix returns the dense 1 MiB matrix, and _verdict takes one
-    # complex difference and its modulus over the safe columns; the dense
-    # native {q,H}_n embedding it replaced took 6.5 MiB in all
-    check_symbolic_bridge(3, 256)
-    for n in range(4):
-        assert _peak_bytes(check_symbolic_bridge, n, 256) < 3 * 1024 * 1024
+    # the realization holds the powers p^b and the Horner sum by their bands,
+    # whose size depends on n and not on dim: 143 KB at n = 8, where the
+    # dense realization this replaced took 4 MiB at dim 256
+    check_symbolic_bridge(8, 256)
+    for n in range(9):
+        assert _peak_bytes(check_symbolic_bridge, n, 256) < 256 * 1024
 
 
 def test_hermite_stream_at_dim_256():
@@ -123,36 +151,39 @@ def test_hermite_stream_at_dim_256():
 
 
 def test_commutation_relation_in_the_interior():
-    # pq - qp = c at c = -i, away from the truncation corner
-    mats = build_operators(DIM)
-    comm = mats.p_mat @ mats.q_mat - mats.q_mat @ mats.p_mat
-    interior = comm[: DIM - 1, : DIM - 1]
-    assert np.allclose(interior, -1j * np.eye(DIM - 1), atol=1e-12)
+    # pq - qp = c at c = -2i on every column; the truncated dense matrices
+    # agree away from their corner
+    ops = build_operators(DIM)
+    comm = _sum([(1, 0, _compose(ops.p_mat, ops.q_mat)), (-1, 0, _compose(ops.q_mat, ops.p_mat))])
+    assert comm == {(0, 0, 1): -2}
+    q, p, _ = _reference_ladders()
+    interior = (p @ q - q @ p)[: DIM - 1, : DIM - 1]
+    assert np.allclose(interior, -2j * np.eye(DIM - 1), atol=1e-12)
 
 
 def test_element_to_matrix_basics():
-    mats = build_operators(DIM)
-    assert np.allclose(element_to_matrix(scalar(5), mats), 5 * np.eye(DIM))
-    # the central symbol becomes -i times the identity
-    assert np.allclose(
-        element_to_matrix(scalar(CPoly.c_power(1)), mats), -1j * np.eye(DIM)
-    )
-    assert np.allclose(element_to_matrix(q_op(), mats), mats.q_mat)
-    assert np.allclose(element_to_matrix(p_op(2), mats), mats.p_mat @ mats.p_mat)
+    ops = build_operators(DIM)
+    assert element_to_matrix(scalar(5), ops) == ({(0, 0, 0): 5}, 1)
+    # the central symbol becomes -2i times the identity
+    assert element_to_matrix(scalar(CPoly.c_power(1)), ops) == ({(0, 0, 1): -2}, 1)
+    assert element_to_matrix(q_op(), ops) == (ops.q_mat, 1)
+    assert element_to_matrix(p_op(2), ops) == (_compose(ops.p_mat, ops.p_mat), 1)
+    assert element_to_matrix(WeylElement(), ops) == ({}, 1)
 
 
 def test_element_to_matrix_respects_ordering():
-    # q p realized as Q @ P (normal order: q to the left)
-    mats = build_operators(DIM)
-    assert np.allclose(element_to_matrix(monomial(1, 1), mats), mats.q_mat @ mats.p_mat)
+    # q p realized as Q P (normal order: q to the left)
+    ops = build_operators(DIM)
+    assert element_to_matrix(monomial(1, 1), ops) == (_compose(ops.q_mat, ops.p_mat), 1)
+    assert _compose(ops.q_mat, ops.p_mat) != _compose(ops.p_mat, ops.q_mat)
 
 
 def test_hamiltonian_realizes_diagonally():
-    # (p^2 + q^2)/2 equals diag(l + 1/2) on columns untouched by truncation
-    mats = build_operators(DIM)
-    realized = element_to_matrix(hamiltonian(), mats)
-    cols = slice(0, DIM - 2)
-    assert np.allclose(realized[:, cols], mats.h_mat[:, cols], atol=1e-12)
+    # (p^2 + q^2)/2 is diag(2l + 1) on every column, over its denominator 2
+    ops = build_operators(DIM)
+    realized, den = element_to_matrix(hamiltonian(), ops)
+    assert den == 2
+    assert realized == {key: den * n for key, n in ops.h_mat.items()}
 
 
 def test_safe_margin():
@@ -195,7 +226,7 @@ def test_every_check_needs_min_dim(check):
 
 @pytest.mark.parametrize("check", ALL_CHECKS)
 def test_negative_order_is_an_error(check):
-    # the ladder checks would compare l^(n+1/2) at n = -1 and report a false FAIL
+    # the closed forms at n = -1 would hold 4^-1 and l^0, and report a false FAIL
     report = check(-1)
     assert report.status == "error"
     assert "need n >= 0, got -1" in report.witness
@@ -209,24 +240,21 @@ def test_nan_tolerance_fails_every_check(check):
     assert "(tol nan)" in report.witness
 
 
-def test_checks_are_sensitive_to_loose_tolerance_only():
-    # near-zero tolerance must flag the inevitable rounding noise at high n,
-    # proving the checks actually measure something
-    report = check_main_identity_matrix(8, tol=0.0)
-    assert report.status == "fail"
+def test_tol_0_passes_a_correct_engine():
+    # the error is computed exactly, so a correct engine has none to tolerate
+    for check in ALL_CHECKS:
+        for n in (0, 4, 8):
+            assert check(n, tol=0.0).ok
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
 @pytest.mark.parametrize("check", [check_nested_anticomm_closed_form, check_main_identity_matrix])
-def test_overflowed_matrix_fails(check):
-    # (2l)^120 overflows at dim 256; every comparison with NaN is false, so
-    # only an explicit finiteness test keeps such a record from passing
-    report = check(120, 256)
-    assert report.status == "fail"
-    assert "non-finite" in report.witness
+def test_order_120_at_dim_256_passes_exactly(check):
+    # the entries reach (4l)^120 at l = 254, far beyond a float; in exact
+    # integers the identities still hold on every column
+    assert check(120, 256, 0.0).ok
 
 
-# -- parity with the dense realization these paths replaced ------------------
+# -- parity with dense truncated products, numpy as the float reference ------
 
 rationals = rationals_within(30, 6)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -237,53 +265,46 @@ elements = st.builds(
 )
 
 
-def _dense_element_to_matrix(w, mats):
-    # reference: one dense Q^a @ P^b product per term
-    out = np.zeros((mats.dim, mats.dim), dtype=complex)
+def _dense_element_to_matrix(w):
+    # reference: one dense Q^a @ P^b product per term, at c = -2i
+    q, p, _ = _reference_ladders()
+    out = np.zeros((DIM, DIM), dtype=complex)
     for (a, b), coeff in w.terms.items():
-        g = coeff.subst(MINUS_I)
-        qa = np.linalg.matrix_power(mats.q_mat, a)
-        pb = np.linalg.matrix_power(mats.p_mat, b)
+        g = coeff.subst(MINUS_2I)
+        qa = np.linalg.matrix_power(q, a)
+        pb = np.linalg.matrix_power(p, b)
         out += complex(float(g.re), float(g.im)) * (qa @ pb)
     return out
 
 
-def _dense_tower(mats, n):
-    # reference: the tower on D x D matrices, {x, H} = x * (h_i + h_j)
-    # elementwise, each step checked against the products x @ H + H @ x
-    h = np.diagonal(mats.h_mat)
-    x = mats.q_mat
-    tower = [x]
+def _dense_tower(n):
+    # reference: the tower on D x D matrices, {x, H} = x @ H + H @ x
+    q, _, h = _reference_ladders()
+    tower = [q]
     for _ in range(n):
-        y = x * (h[:, None] + h[None, :])
-        assert _close(y, x @ mats.h_mat + mats.h_mat @ x)
-        x = y
-        tower.append(x)
+        tower.append(tower[-1] @ h + h @ tower[-1])
     return tower
 
 
-def _column_view(m):
-    # m[l-1, l] over m[l+1, l], 0 outside the matrix
-    return np.stack([np.append(0, np.diagonal(m, 1)), np.append(np.diagonal(m, -1), 0)])
-
-
 def _close(new, old):
-    return np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+    return np.max(np.abs(new - old)) <= 1e-12 * max(np.max(np.abs(old)), 1)
 
 
 @given(elements)
 def test_banded_realization_matches_dense_products(w):
-    mats = build_operators(DIM)
-    assert _close(element_to_matrix(w, mats), _dense_element_to_matrix(w, mats))
+    # the dense products are exact on the columns l <= DIM-1-s that a
+    # truncation leaves alone
+    bands, den = element_to_matrix(w, build_operators(DIM))
+    cols = DIM - safe_margin(w)
+    assert _close(_dense(bands, den=den)[:, :cols], _dense_element_to_matrix(w)[:, :cols])
 
 
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=9))
 def test_elementwise_tower_matches_dense_brackets(weights):
-    # the column form does the dense tower's arithmetic entry for entry, so
-    # it must agree bitwise, and the dense sums hold nothing it drops
-    mats = build_operators(DIM)
-    tower = _dense_tower(mats, len(weights) - 1)
-    (got,) = _tower_sums(mats, weights)
-    expected = sum(wk * x for wk, x in zip(weights, tower))
-    assert (got == _column_view(expected)).all()
-    assert np.count_nonzero(expected) == np.count_nonzero(_column_view(expected))
+    # H is diagonal, so the dense brackets are exact on every column, and the
+    # dense sums hold nothing the bands drop
+    tower = build_operators(DIM).tower(len(weights) - 1)
+    got = _dense(_sum((wk, 0, x) for wk, x in zip(weights, tower)))
+    expected = sum(wk * x for wk, x in zip(weights, _dense_tower(len(weights) - 1)))
+    assert _close(got, expected)
+    assert np.count_nonzero(expected) == np.count_nonzero(got)
