@@ -16,7 +16,6 @@ from math import factorial
 from weylops import (
     I,
     WeylElement,
-    commutator,
     hadamard_conjugate,
     hamiltonian,
     kappa,
@@ -25,14 +24,7 @@ from weylops import (
     standard_conjugation_fixtures,
     verify_figueira,
 )
-
-
-def bracket_tower(x, h0):
-    tower = [h0]
-    while tower[-1]:
-        tower.append(commutator(x, tower[-1]))
-    return tower[:-1]
-
+from weylops.weyl import bracket_tower
 
 for h0, x, label in [
     (p_op(2), q_op(), "h0 = p^2, x = q"),

@@ -44,7 +44,7 @@ print(f"(PQ - QP) f_l = -2i f_l exactly, for every l < {DIM}")
 # symbolic {q,H}_3, realized by its bands, vs three brackets in the realization
 w = nested_anticommutator(q_op(), hamiltonian(), 3)
 realized, den = element_to_matrix(w, ops)
-direct = ops.tower(3)[3]
+direct = ops.tower[3]
 assert realized == {key: den * n for key, n in direct.items()}
 print(f"{{q,H}}_3 realized at c = -2i equals the realization's own, exactly (den {den})")
 for l in range(4):

@@ -17,10 +17,13 @@ P_j a polynomial in l over the Gaussian integers, stored as
 column at once, so nothing is truncated: a product reads the left factor's
 entries at l + j (``_compose``), the H-brackets {q,H}_k stay on q's two
 off-diagonals, and the symbolic bridge realizes the engine's {q,H}_n by
-Horner in q over the powers of p.  ``build_operators`` builds the ladders
-once per dim, read-only; each instance grows its tower {q,H}_k and powers
-H^k on demand, once.  A q with an entry off its two off-diagonals, an H off
-its diagonal, or a q or p beyond its three bands is an ERROR record.
+Horner in q over the powers of p.  ``build_operators`` makes the ladders,
+read-only, with four chains (``weyl.Chain``) grown from them on demand: the
+realization's {q,H}_k, the powers H^k and p^k, and the engine's {q,H}_k.
+Only the caller keeps them: a hermite sweep builds one set for all its
+records and drops it when it ends, a direct check builds its own.  A q with
+an entry off its two off-diagonals, an H off its diagonal, or a q or p
+beyond its three bands is an ERROR record.
 
 A record reads the columns it read as a truncated dim x dim matrix: l <= dim-2
 for the ladder checks, l < dim - ``safe_margin`` for the bridge.  It fails
@@ -35,14 +38,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from math import comb, isfinite, sqrt
 from types import MappingProxyType
 
 from .bounds import DEFAULT_DIM, DEFAULT_TOL, min_dim
 from .report import VerificationReport, run_check
 from .scalars import GaussianRational
-from .weyl import WeylElement, hamiltonian, nested_anticommutator, q_op
+from .weyl import Chain, WeylElement, hamiltonian, nested_anticommutator, q_op
 
 C = GaussianRational(0, -2)  # the value of c at which the ladders satisfy pq - qp = c
 IDENTITY = MappingProxyType({(0, 0, 0): 1})  # the identity operator, by its bands
@@ -84,38 +86,29 @@ def _bands(m, name: str, shifts: tuple, where: str):
     return m
 
 
-def _grown(chain: list, n: int, step) -> list:
-    """chain, extended in place by step(last entry) to at least n + 1 entries."""
-    while len(chain) <= n:
-        chain.append(MappingProxyType(step(chain[-1])))
-    return chain
-
-
 @dataclass(frozen=True)
 class OscillatorMatrices:
-    """q, p and H by their bands; a ``dataclasses.replace`` copy grows its own chains."""
+    """q, p and H by their bands, and the chains grown from them, levels
+    read-only: ``tower`` {q,H}_k, ``h_powers`` H^k, ``p_powers`` p^k and
+    ``symbolic``, the engine's {q,H}_k.  A ``dataclasses.replace`` copy
+    grows its own chains."""
 
     dim: int
     q_mat: Mapping
     p_mat: Mapping
     h_mat: Mapping
 
-    @cached_property
-    def _chains(self) -> tuple[list, list]:  # {q,H}_k and H^k for k = 0, 1, ...
-        q = _bands(self.q_mat, "q", (-1, 1), "off its two off-diagonals")
-        _bands(self.h_mat, "H", (0,), "off its diagonal")
-        return [q], [IDENTITY]
-
-    def tower(self, n: int) -> list:
-        """{q,H}_k for k = 0..n."""
-        return _grown(self._chains[0], n, lambda x: _anti(x, self.h_mat))[: n + 1]
-
-    def h_power(self, n: int):
-        """H^n."""
-        return _grown(self._chains[1], n, lambda x: _compose(self.h_mat, x))[n]
+    def __post_init__(self):  # the steps hold the ladders, not self, so no cycle keeps self alive
+        p, h = self.p_mat, self.h_mat
+        for name, x, step in (
+            ("tower", self.q_mat, lambda x: MappingProxyType(_anti(x, h))),
+            ("h_powers", IDENTITY, lambda x: MappingProxyType(_compose(h, x))),
+            ("p_powers", IDENTITY, lambda x: MappingProxyType(_compose(p, x))),
+            ("symbolic", q_op(), lambda w: nested_anticommutator(w, hamiltonian(), 1)),
+        ):
+            object.__setattr__(self, name, Chain(x, step))
 
 
-@lru_cache(maxsize=4)
 def build_operators(dim: int) -> OscillatorMatrices:
     """The ladders, read-only, and the dim whose columns the records read."""
     if dim < 4:
@@ -126,11 +119,15 @@ def build_operators(dim: int) -> OscillatorMatrices:
     return OscillatorMatrices(dim, *map(MappingProxyType, (q, p, h)))
 
 
-def _operators(n: int, dim: int) -> OscillatorMatrices:
-    """The operators at dim, if dim is enough for every hermite check of order n."""
+def _operators(n: int, dim: int, ops: OscillatorMatrices | None) -> OscillatorMatrices:
+    """ops, or the operators at dim built anew, if dim is enough for every
+    hermite check of order n and q and H lie on the bands the tower reads."""
     if n < 0 or dim < min_dim(n):
         raise ValueError(f"need n >= 0, got {n}" if n < 0 else f"need dim >= {min_dim(n)}")
-    return build_operators(dim)
+    ops = build_operators(dim) if ops is None else ops
+    _bands(ops.q_mat, "q", (-1, 1), "off its two off-diagonals")
+    _bands(ops.h_mat, "H", (0,), "off its diagonal")
+    return ops
 
 
 def element_to_matrix(w: WeylElement, ops: OscillatorMatrices) -> tuple[dict, int]:
@@ -138,17 +135,14 @@ def element_to_matrix(w: WeylElement, ops: OscillatorMatrices) -> tuple[dict, in
     bands over one denominator, as (bands, den).  A q or p with a nonzero
     entry beyond its three bands raises ValueError."""
     q = _bands(ops.q_mat, "q", (-1, 0, 1), "beyond its three bands")
-    p = _bands(ops.p_mat, "p", (-1, 0, 1), "beyond its three bands")
+    _bands(ops.p_mat, "p", (-1, 0, 1), "beyond its three bands")
     at = w.subst_c(C)
     rows: dict = {}  # a -> the parts (n, i, b) of n i^i q^a p^b
     for (a, b, _, i), n in at._num.items():
         rows.setdefault(a, []).append((n, i, b))
-    powers = [IDENTITY]  # p^b
-    for _ in range(max((b for (_, b, _, _) in at._num), default=0)):
-        powers.append(_compose(p, powers[-1]))
     acc: dict = {}
     for a in range(max(rows, default=-1), -1, -1):  # Horner in q: acc = q acc + sum_b z_ab p^b
-        acc = _sum([(1, 0, _compose(q, acc)), *((n, i, powers[b]) for n, i, b in rows.get(a, ()))])
+        acc = _sum([(1, 0, _compose(q, acc)), *((n, i, ops.p_powers[b]) for n, i, b in rows.get(a, ()))])
     return acc, at._den
 
 
@@ -192,13 +186,15 @@ def _verdict(actual, expected, cols: int, tol: float) -> str:
 
 
 def _record(check: str):
-    """Make a witness function of (n, dim, tol) a hermite record: an
-    exception it raises becomes an ERROR record, a non-empty witness a FAIL."""
+    """Make a witness function of (n, dim, tol, ops) a hermite record: an
+    exception it raises becomes an ERROR record, a non-empty witness a FAIL.
+    The record takes the sweep's ``ops``, or builds its own without them."""
 
     def wrap(witness):
-        def record(n: int, dim: int = DEFAULT_DIM, tol: float = DEFAULT_TOL) -> VerificationReport:
+        def record(n: int, dim: int = DEFAULT_DIM, tol: float = DEFAULT_TOL,
+                   ops: OscillatorMatrices | None = None) -> VerificationReport:
             params = {"check": check, "n": n, "dim": dim, "tol": tol}
-            return run_check("hermite", params, lambda: witness(n, dim, tol))
+            return run_check("hermite", params, lambda: witness(n, dim, tol, _operators(n, dim, ops)))
 
         record.__name__ = record.__qualname__ = witness.__name__
         record.__doc__ = witness.__doc__
@@ -208,18 +204,16 @@ def _record(check: str):
 
 
 @_record("closed_form")
-def check_nested_anticomm_closed_form(n: int, dim: int, tol: float) -> str:
+def check_nested_anticomm_closed_form(n: int, dim: int, tol: float, ops: OscillatorMatrices) -> str:
     """{q,H}_n f_l  ==  i 4^n (l^(n+1) f_(l-1) - (l+1)^n f_(l+1))."""
-    x = _operators(n, dim).tower(n)[n]
-    return _verdict(x, _column(_power(4, 0, n, up=1), _power(4, 4, n, -1)), dim - 1, tol)
+    return _verdict(ops.tower[n], _column(_power(4, 0, n, up=1), _power(4, 4, n, -1)), dim - 1, tol)
 
 
 @_record("shifted_expansions")
-def check_shifted_expansions(n: int, dim: int, tol: float) -> str:
+def check_shifted_expansions(n: int, dim: int, tol: float, ops: OscillatorMatrices) -> str:
     """({q,H}+2)_n and ({q,H}-2)_n columns against their (4l + 2 +- 2)^n forms."""
-    tower = _operators(n, dim).tower(n)
     for u in (2, -2):
-        actual = _sum((comb(n, k) * u ** (n - k), 0, x) for k, x in enumerate(tower))
+        actual = _sum((comb(n, k) * u ** (n - k), 0, x) for k, x in enumerate(ops.tower.upto(n)))
         expected = _column(_power(4, u, n, up=1), _power(4, 4 + u, n, -1))
         witness = _verdict(actual, expected, dim - 1, tol)
         if witness:
@@ -228,23 +222,21 @@ def check_shifted_expansions(n: int, dim: int, tol: float) -> str:
 
 
 @_record("main_identity")
-def check_main_identity_matrix(n: int, dim: int, tol: float) -> str:
+def check_main_identity_matrix(n: int, dim: int, tol: float, ops: OscillatorMatrices) -> str:
     """({q,H}-2)_n + ({q,H}+2)_n  ==  2^n (q H^n + H^n q)."""
-    ops = _operators(n, dim)
-    lhs = _sum((comb(n, k) * (1 + (-1) ** (n - k)) * 2 ** (n - k), 0, x) for k, x in enumerate(ops.tower(n)))
-    rhs = _sum([(2**n, 0, _anti(ops.tower(0)[0], ops.h_power(n)))])
+    lhs = _sum((comb(n, k) * (1 + (-1) ** (n - k)) * 2 ** (n - k), 0, x) for k, x in enumerate(ops.tower.upto(n)))
+    rhs = _sum([(2**n, 0, _anti(ops.tower[0], ops.h_powers[n]))])
     return _verdict(lhs, rhs, dim - 1, tol)
 
 
 @_record("symbolic_bridge")
-def check_symbolic_bridge(n: int, dim: int, tol: float) -> str:
+def check_symbolic_bridge(n: int, dim: int, tol: float, ops: OscillatorMatrices) -> str:
     """The symbolic {q,H}_n, realized at c = -2i, against the realization's own.
 
     This couples the exact engine to the oscillator realization, so neither
     oracle is trusted alone.
     """
-    ops = _operators(n, dim)
-    symbolic = nested_anticommutator(q_op(), hamiltonian(), n)
+    symbolic = ops.symbolic[n]
     realized, den = element_to_matrix(symbolic, ops)
-    native = _sum([(den, 0, ops.tower(n)[n])])
+    native = _sum([(den, 0, ops.tower[n])])
     return _verdict(realized, native, dim - safe_margin(symbolic), tol)

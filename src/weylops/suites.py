@@ -21,10 +21,14 @@ E_n(x) = sum_m f_(n,m) x^m, and the superoperators' even-order cross sum
 holds with c formal as it stands.  Only the matrix realization sets c to a
 number.
 
-Both suites build their brackets and powers of H as chains x, step(x), ...,
-each level once per sweep.  Every right-hand side is one weighted sum, with
-{q, H^m} taken as q H^m + H^m q, so nothing is multiplied by a constant and
-bender compares {q, H}_n with 2^n times the right-hand sides above.
+Both suites build their brackets and powers of H as chains (``weyl.Chain``),
+each level once per sweep: a sweep makes its chains when it starts and they
+die when it returns, as a direct verify_* call's die with the call, so
+nothing one sweep built reaches the next.  The hermite sweep does the same
+with its oscillator ladders (``oscillator.build_operators``).  Every
+right-hand side is one weighted sum, with {q, H^m} taken as q H^m + H^m q,
+so nothing is multiplied by a constant and bender compares {q, H}_n with
+2^n times the right-hand sides above.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .sequences import (
     shifted_euler,
 )
 from .weyl import (
+    Chain,
     WeylElement,
     anticommutator,
     bracket_tower,
@@ -83,40 +88,25 @@ def _orders(**orders: int) -> None:
 # -- symmetrized powers of H -------------------------------------------------
 
 
-class _Chain:
-    """x, step(x), step(step(x)), ...: level k is built on first use and kept,
-    so a sweep over n steps each level once.  A chain serves one sweep (or
-    one direct verify_* call) and dies with it; a step that looks the
-    engine's names up when it runs lets a patched module global reach it."""
-
-    def __init__(self, x: WeylElement, step: Callable[[WeylElement], WeylElement]):
-        self._levels, self._step = [x], step
-
-    def __getitem__(self, k: int) -> WeylElement:
-        while len(self._levels) <= k:
-            self._levels.append(self._step(self._levels[-1]))
-        return self._levels[k]
-
-
 def _q_anti_h_pow(pairs, q_h, h_q) -> WeylElement:
     """sum_m w_m {q, H^m} over (w_m, m) pairs, from q_h[m] = q H^m and
     h_q[m] = H^m q."""
     return WeylElement.weighted_sum((w, side[m]) for w, m in pairs for side in (q_h, h_q))
 
 
-def _bender_chains() -> tuple[_Chain, ...]:
+def _bender_chains() -> tuple[Chain, ...]:
     """{q,H}_k, {q,H-u/2}_k, q H^k and H^k q, the chains of one bender sweep."""
     q, h = q_op(), hamiltonian()
     centered_h = h - CPoly.c_power(1, I) * Fraction(1, 2)
     return (
-        _Chain(q, lambda w: nested_anticommutator(w, h, 1)),
-        _Chain(q, lambda w: nested_anticommutator(w, centered_h, 1)),
-        _Chain(q, lambda w: w * h),
-        _Chain(q, lambda w: h * w),
+        Chain(q, lambda w: nested_anticommutator(w, h, 1)),
+        Chain(q, lambda w: nested_anticommutator(w, centered_h, 1)),
+        Chain(q, lambda w: w * h),
+        Chain(q, lambda w: h * w),
     )
 
 
-def _bender(n: int, chains: tuple[_Chain, ...]) -> VerificationReport:
+def _bender(n: int, chains: tuple[Chain, ...]) -> VerificationReport:
     """verify_bender(n), reading its brackets from ``chains``, which the
     record grows to level n: its time pays for the levels it adds.  Each
     right-hand side is 2^n times that of the module docstring."""
@@ -170,8 +160,8 @@ def verify_superoperators(max_k: int) -> VerificationReport:
         _orders(max_k=max_k)
         q, h = q_op(), hamiltonian()
         a_map, b_map = partial(commutator, y=h), partial(anticommutator, y=h)
-        a_pow, h_pow = _Chain(q, a_map), _Chain(h, lambda w: w * h)  # h_pow[k] = H^(k+1)
-        plus, minus = _Chain(q, lambda w: a_map(w) + b_map(w)), _Chain(q, lambda w: a_map(w) - b_map(w))
+        a_pow, h_pow = Chain(q, a_map), Chain(h, lambda w: w * h)  # h_pow[k] = H^(k+1)
+        plus, minus = Chain(q, lambda w: a_map(w) + b_map(w)), Chain(q, lambda w: a_map(w) - b_map(w))
         # q H^k and H^k q, with H^k built on its own: (A+B)^k q and (A-B)^k q
         # grow (q H) H ... and H (... (H q)), so comparing them also checks
         # that the engine's products associate
@@ -189,7 +179,7 @@ def verify_superoperators(max_k: int) -> VerificationReport:
         if a_map(b_map(q)) != b_map(a_map(q)):
             return "A and B do not commute on q"
         top = max_k - max_k % 2  # the highest even order
-        ba = {i: _Chain(a_pow[i], b_map) for i in range(0, top + 1, 2)}  # ba[i][m] = B^m A^i q
+        ba = {i: Chain(a_pow[i], b_map) for i in range(0, top + 1, 2)}  # ba[i][m] = B^m A^i q
         for order in range(0, top + 1, 2):
             total = WeylElement.weighted_sum(
                 (comb(order, m), ba[order - m][m]) for m in range(0, order + 1, 2)
@@ -607,7 +597,8 @@ def _hermite(
         oscillator.check_main_identity_matrix,
         oscillator.check_symbolic_bridge,
     )
-    return [check(n, dim, tol) for n in range(max_n + 1) for check in checks]
+    ops = oscillator.build_operators(dim)  # the ladders and chains of this sweep's records
+    return [check(n, dim, tol, ops) for n in range(max_n + 1) for check in checks]
 
 
 # selector -> its sweep.  A sweep is called with the bounds run_suite was given

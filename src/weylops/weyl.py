@@ -35,6 +35,12 @@ Bracket conventions:
 until a bracket vanishes, and ``hadamard_conjugate(x, w, t)`` is its t^n/n!
 weighted sum, the Hadamard series e^(tx) w e^(-tx), exact whenever ad_x is
 nilpotent on w; otherwise both raise NonTerminatingSeries.
+
+Every tower x, step(x), step(step(x)), ... in the package is a ``Chain``,
+which builds each level on first use and keeps it while the chain lives.
+The builders above make one per call, which dies with the call; a sweep
+(``suites``, and ``oscillator`` for hermite) makes its own when it starts
+and drops them when it ends, so no level outlives the sweep that built it.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence, Union
+from typing import Callable, Union
 
 from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, GaussianRational, _lifting
 from .sequences import RatPoly
@@ -160,57 +166,67 @@ def anticommutator(x: ElementLike, y: ElementLike) -> WeylElement:
     return x * y + y * x
 
 
-def _nested(bracket, x: WeylElement, y: WeylElement, n: int) -> list[WeylElement]:
-    """[x, bracket(x, y), bracket(bracket(x, y), y), ...], n brackets deep."""
-    if n < 0:
-        raise ValueError("negative nesting depth")
-    chain = [x]
-    for _ in range(n):
-        chain.append(bracket(chain[-1], y))
-    return chain
+class Chain:
+    """x, step(x), step(step(x)), ...: level k is built on first use and
+    kept, so a reader of many levels steps each one once.  A chain lives as
+    long as its owner (a call, a record or a sweep); a step that looks the
+    engine's names up when it runs lets a patched module global reach it."""
+
+    __slots__ = ("_levels", "_step")
+    __iter__ = None  # no last level to stop at: read levels by index or ``upto``
+
+    def __init__(self, x, step: Callable):
+        self._levels, self._step = [x], step
+
+    def __getitem__(self, k: int):
+        if k < 0:
+            raise ValueError("negative nesting depth")
+        while len(self._levels) <= k:
+            self._levels.append(self._step(self._levels[-1]))
+        return self._levels[k]
+
+    def upto(self, n: int) -> list:
+        """Levels 0..n."""
+        self[n]
+        return self._levels[: n + 1]
 
 
 def nested_commutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement:
     """[x, y]_n = [[x, y]_(n-1), y] with [x, y]_0 = x."""
-    return _nested(commutator, WeylElement.of(x), WeylElement.of(y), n)[-1]
+    return Chain(WeylElement.of(x), lambda w: commutator(w, y))[n]
 
 
 def nested_anticommutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement:
     """{x, y}_n = {{x, y}_(n-1), y} with {x, y}_0 = x."""
-    return _nested(anticommutator, WeylElement.of(x), WeylElement.of(y), n)[-1]
+    return Chain(WeylElement.of(x), lambda w: anticommutator(w, y))[n]
 
 
-def shifted_nested_anticomm(
-    a: CPolyLike, n: int, tower: Sequence[WeylElement] | None = None
-) -> WeylElement:
+def shifted_nested_anticomm(a: CPolyLike, n: int, tower: Chain | None = None) -> WeylElement:
     """The symbolic binomial  ({q,H} + a)_n = sum_k C(n,k) a^(n-k) {q,H}_k.
 
     Convention {q,H}_0 = q.  For a central a this equals {q, H + a/2}_n,
     which is what makes the symmetrized power identities tractable.
-    ``tower`` holds {q,H}_k for k = 0..n (or further) already built, so
-    nothing is bracketed; without it the n brackets up to {q,H}_n are built,
-    one chain as ``nested_anticommutator`` builds it.
+    ``tower`` is a chain of {q,H}_k that the caller keeps, grown here to
+    level n; without it a fresh chain brackets n times.
     """
     if tower is None:
-        tower = _nested(anticommutator, q_op(), hamiltonian(), n)
+        tower = Chain(q_op(), lambda w: anticommutator(w, hamiltonian()))
     a = CPoly.of(a)
-    return WeylElement.weighted_sum((a ** (n - k) * comb(n, k), tower[k]) for k in range(n + 1))
+    return WeylElement.weighted_sum((a ** (n - k) * comb(n, k), x) for k, x in enumerate(tower.upto(n)))
 
 
 def left_nested_commutator(h: ElementLike, x: ElementLike, n: int) -> WeylElement:
     """Left-iterated bracket  [x, [x, ... [x, h]]]  (n brackets)."""
-    return _nested(lambda w, x: commutator(x, w), WeylElement.of(h), WeylElement.of(x), n)[-1]
+    return Chain(WeylElement.of(h), lambda w: commutator(x, w))[n]
 
 
 def bracket_tower(x: WeylElement, w: WeylElement, cap: int = 64) -> list[WeylElement]:
     """[w, [x,w], [x,[x,w]], ...] until the bracket vanishes; raises
     NonTerminatingSeries if it is still nonzero after ``cap`` brackets."""
-    tower = [w]
-    for _ in range(cap):
-        nxt = commutator(x, tower[-1])
-        if not nxt:
-            return tower
-        tower.append(nxt)
+    chain = Chain(w, lambda v: commutator(x, v))
+    for n in range(1, cap + 1):
+        if not chain[n]:
+            return chain.upto(n - 1)
     raise NonTerminatingSeries(f"iterated bracket still nonzero after {cap} steps")
 
 

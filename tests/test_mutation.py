@@ -49,6 +49,8 @@ A^1 q, whose closed form -c p is odd in c (its other identities are even).
 A bender sweep grows one set of bracket chains for all its records, so a second
 sweep under a patched Euler polynomial or bracket must decide every record
 as a fresh verify_bender(n) does: nothing the first sweep built survives it.
+The same holds for the hermite sweep's ladders and chains under a broken
+oscillator bracket step.
 """
 
 import dataclasses
@@ -384,4 +386,21 @@ def test_a_bender_sweep_leaves_no_state_behind(monkeypatch, name):
     swept = run_suite("bender", max_n=6)
     assert [r.status for r in swept] == ["pass"] + ["fail"] * 6
     direct = [suites.verify_bender(n) for n in range(7)]
+    assert [(r.status, r.witness) for r in swept] == [(r.status, r.witness) for r in direct]
+
+
+def test_a_hermite_sweep_leaves_no_state_behind(monkeypatch):
+    # {x,H} -> 2xH in the realization: every bracket of the tower changes
+    # from {q,H}_1 on, so the closed forms, the shifted expansions and the
+    # bridge fail from n = 1 on; the main identity still holds at n = 1,
+    # where both sides are 4 q H.  A second sweep must see that, as fresh
+    # checks do, and not read the first sweep's towers.
+    assert all(r.ok for r in run_suite("hermite"))
+    broken = lambda x, y: oscillator._sum([(2, 0, oscillator._compose(x, y))])  # {x, y} -> 2xy
+    monkeypatch.setattr(oscillator, "_anti", broken)
+    swept = run_suite("hermite")
+    failing = {(r.params["check"], r.params["n"]) for r in swept if r.status == "fail"}
+    checks = ("closed_form", "shifted_expansions", "main_identity", "symbolic_bridge")
+    assert failing == {(c, n) for c in checks for n in range(1, 9)} - {("main_identity", 1)}
+    direct = [check(n, 64) for n in range(9) for check in ALL_HERMITE]
     assert [(r.status, r.witness) for r in swept] == [(r.status, r.witness) for r in direct]

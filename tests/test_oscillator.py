@@ -84,22 +84,21 @@ def test_rejects_tiny_dimension():
         build_operators(3)
 
 
-def test_matrices_are_built_once_per_dim_and_read_only():
+def test_matrices_and_their_chains_are_read_only():
     ops = build_operators(64)
-    assert build_operators(64) is ops
-    for m in [ops.q_mat, ops.p_mat, ops.h_mat, *ops.tower(2), ops.h_power(2)]:
+    for m in [ops.q_mat, ops.p_mat, ops.h_mat, *ops.tower.upto(2), ops.h_powers[2], ops.p_powers[2]]:
         with pytest.raises(TypeError, match="does not support item assignment"):
             m[0, 0, 0] = 1
 
 
 def test_replaced_matrices_have_their_own_views():
     ops = build_operators(DIM)
-    assert ops.tower(1)[1] == {(-1, 2, 1): 4, (1, 0, 1): -4, (1, 1, 1): -4}  # {q,H} = i (4l^2, -4l - 4)
+    assert ops.tower[1] == {(-1, 2, 1): 4, (1, 0, 1): -4, (1, 1, 1): -4}  # {q,H} = i (4l^2, -4l - 4)
     h = {**ops.h_mat, (0, 2, 0): 1}  # H f_l = (l^2 + 2l + 1) f_l
     replaced = dataclasses.replace(ops, h_mat=h)
-    assert replaced.tower(1)[1] != ops.tower(1)[1]
-    assert replaced.h_power(1) == h
-    assert ops.h_power(1) == {(0, 1, 0): 2, (0, 0, 0): 1}
+    assert replaced.tower[1] != ops.tower[1]
+    assert replaced.h_powers[1] == h
+    assert ops.h_powers[1] == {(0, 1, 0): 2, (0, 0, 0): 1}
 
 
 def test_element_to_matrix_refuses_an_off_band_ladder():
@@ -124,9 +123,9 @@ def _peak_bytes(check, n, dim):
     "check", [check_nested_anticomm_closed_form, check_shifted_expansions, check_main_identity_matrix]
 )
 def test_ladder_checks_allocate_nothing_of_size_dim_squared(check):
-    # a record reads its operators' cached tower and powers of H and forms a
-    # few polynomials of degree n + 1 in l: under 6 KB at n <= 8, whatever dim
-    check(8, 256)  # grows the tower and the powers of H once
+    # a direct record builds its own operators, grows their tower and powers
+    # of H to n and forms a few polynomials of degree n + 1 in l: under 16 KiB
+    # at n <= 8, whatever dim
     for n in range(9):
         assert _peak_bytes(check, n, 256) < 16 * 1024
 
@@ -303,7 +302,7 @@ def test_banded_realization_matches_dense_products(w):
 def test_elementwise_tower_matches_dense_brackets(weights):
     # H is diagonal, so the dense brackets are exact on every column, and the
     # dense sums hold nothing the bands drop
-    tower = build_operators(DIM).tower(len(weights) - 1)
+    tower = build_operators(DIM).tower.upto(len(weights) - 1)
     got = _dense(_sum((wk, 0, x) for wk, x in zip(weights, tower)))
     expected = sum(wk * x for wk, x in zip(weights, _dense_tower(len(weights) - 1)))
     assert _close(got, expected)

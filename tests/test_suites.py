@@ -355,13 +355,15 @@ def test_golden_report_stream():
 # 1,397 / 1,727 for pain, 3,157 / 3,982 for reciprocal, 2,040 / 4,266 for
 # mccoy) would exceed them too, as would bender and superoperators
 # multiplying by constants or comparing brackets with themselves again
-# (177 / 10,875 and 219 / 4,077)
+# (177 / 10,875 and 219 / 4,077), and a hermite sweep whose bridge records
+# each bracketed {q,H}_n from q instead of reading one chain (72 / 1,320)
 WORK_CEILINGS = {
     "bender": (75, 6_900),
     "superoperators": (155, 3_250),
     "pain": (1_050, 1_050),
     "reciprocal": (2_350, 2_350),
     "mccoy": (1_180, 1_360),
+    "hermite": (20, 520),
 }
 
 

@@ -147,7 +147,8 @@ def test_shifted_resummation_brackets_only_up_to_n(monkeypatch):
         return true_anticommutator(x, y)
 
     monkeypatch.setattr(weyl, "anticommutator", counted)
-    tower = [nested_anticommutator(q_op(), hamiltonian(), k) for k in range(7)]
+    tower = weyl.Chain(q_op(), lambda w: anticommutator(w, hamiltonian()))
+    tower[6]  # grown before counting
     for n in range(7):
         for a in (1, C):
             calls.clear()
@@ -206,6 +207,15 @@ def test_structure_and_guards():
     for nested in (nested_commutator, nested_anticommutator, left_nested_commutator):
         with pytest.raises(ValueError, match="negative nesting depth"):
             nested(p_op(), q_op(), -1)
+    # with a tower or without, a negative order is refused, and a tower
+    # shorter than n + 1 grows to n
+    tower = weyl.Chain(q_op(), lambda w: anticommutator(w, hamiltonian()))
+    for given_tower in (None, tower):
+        with pytest.raises(ValueError, match="negative nesting depth"):
+            shifted_nested_anticomm(1, -1, given_tower)
+    assert shifted_nested_anticomm(1, 3, tower) == shifted_nested_anticomm(1, 3)
+    with pytest.raises(TypeError):
+        iter(tower)
     with pytest.raises(AttributeError):
         h.terms = {}
 
