@@ -237,12 +237,12 @@ def _closed_forms(n: int) -> VerificationReport:
 #     lhs(f, g) = lead/c [F, G] + sum_{k >= first} c^k w_k/k! op(f^(k), g^(k))
 #
 # with F, G the antiderivatives (zero constant term) and k up to
-# min(deg f, deg g).  The monomial suites are the rows at f = p^n/n!,
-# g = q^m/m!, whose derivatives are again scaled monomials.  Brackets and
-# weights are looked up by name when a record runs, so a patched module
-# global reaches every row.
-
-_Tower = Callable[[int], WeylElement]  # k -> f^(k) as an element; k = -1 gives F
+# min(deg f, deg g); a suite checks the rows labelled for it.  The monomial
+# suites are the rows at f = p^n/n!, g = q^m/m!, whose derivatives are again
+# scaled monomials, so the records on one diagonal n - m read the same
+# brackets: a grid sweep builds each once, in one table for all its records.
+# Brackets and weights are looked up by name when a record runs, so a
+# patched module global reaches every row.
 
 _OPS = {
     "[]": lambda x, y: commutator(x, y),
@@ -283,23 +283,34 @@ def _c_weight(k: int, w: Fraction | int) -> CPoly:
     return CPoly.c_power(k, Fraction(w) / factorial(k))
 
 
-def _expand(
-    suite: str, rows: tuple[str, ...], f_at: _Tower, g_at: _Tower, kmax: int, /, **params
-) -> VerificationReport:
-    """One record, with parameters ``params``, checking the named rows of
-    _IDENTITIES in order.
+def _brackets(f_at: Callable[[int], WeylElement], g_at: Callable[[int], WeylElement]):
+    """The table (op, i, j) -> op(f_at(i), g_at(j)), keyed by integers; each entry
+    is built on first use and kept by the table's owner: a call, a record or a sweep."""
+    f_at, g_at = cache(f_at), cache(g_at)
+    return cache(lambda op, i, j: _OPS[op](f_at(i), g_at(j)))
 
-    ``f_at`` and ``g_at`` are the derivative towers of f and g, and kmax is
-    min(deg f, deg g).  The towers are built inside the record, so a bad
-    argument becomes an error record, and only as far as the rows reach.
-    Each op(f^(k), g^(k)) is built once per record; [F, G] is "[]" at k = -1.
+
+def _monomial_brackets() -> Callable:
+    """(op, a, b) -> op(p^a/a!, q^b/b!), the table of one monomial grid."""
+    return _brackets(lambda a: monomial(0, a, Fraction(1, factorial(a))),
+                     lambda b: monomial(b, 0, Fraction(1, factorial(b))))
+
+
+def _expand(suite: str, term: Callable, kmax: int, /, **params) -> VerificationReport:
+    """One record, with parameters ``params``, checking the rows of
+    _IDENTITIES labelled for ``suite`` in order.
+
+    ``term(op, k)`` reads op(f^(k), g^(k)) from a bracket table, [F, G] at
+    k = -1, and kmax is min(deg f, deg g).  The table grows inside the
+    record, as far as the rows reach: a bad argument becomes an error record
+    and the record's time pays for the brackets it adds.  Each bracket is
+    built once per sweep for the monomial grids, once per record otherwise.
     """
 
     def check() -> str:
-        fk, gk = cache(f_at), cache(g_at)
-        term = cache(lambda op, k: _OPS[op](fk(k), gk(k)))
-        for name in rows:
-            lhs, op, first, weight, lead, labels = _IDENTITIES[name]
+        for lhs, op, first, weight, lead, labels in _IDENTITIES.values():
+            if suite not in labels:
+                continue
             pairs = [(_c_weight(k, weight(k)), term(op, k)) for k in range(first, kmax + 1)]
             if lead:
                 pairs.append((lead, term("[]", -1).div_c(1)))
@@ -312,17 +323,15 @@ def _expand(
     return run_check(suite, params, check)
 
 
-def _monomials(n: int, m: int) -> tuple[_Tower, _Tower, int]:
-    """The towers of f = p^n/n! and g = q^m/m!: f^(k) = p^(n-k)/(n-k)!."""
-    return (
-        lambda k: monomial(0, n - k, Fraction(1, factorial(n - k))),
-        lambda k: monomial(m - k, 0, Fraction(1, factorial(m - k))),
-        min(n, m),
-    )
+def _monomial_grid(suite: str) -> Callable[[int, int], VerificationReport]:
+    """The records (n, m) of ``suite`` at f = p^n/n!, g = q^m/m!, all reading
+    op(f^(k), g^(k)) = op(p^(n-k)/(n-k)!, q^(m-k)/(m-k)!) from one new table."""
+    table = _monomial_brackets()
+    return lambda n, m: _expand(suite, lambda op, k: table(op, n - k, m - k), min(n, m), n=n, m=m)
 
 
-def _functions(f: RatPoly, g: RatPoly) -> tuple[_Tower, _Tower, int]:
-    """The towers of the polynomials f(p) and g(q)."""
+def _functions(suite: str, f: RatPoly, g: RatPoly, tag: dict | None) -> VerificationReport:
+    """The record of ``suite`` at f(p) and g(q), over a table of its own."""
 
     def at(h: RatPoly, x: WeylElement, k: int) -> WeylElement:
         d = h.antiderivative() if k < 0 else h
@@ -330,7 +339,9 @@ def _functions(f: RatPoly, g: RatPoly) -> tuple[_Tower, _Tower, int]:
             d = d.derivative()
         return poly_of_element(d, x)
 
-    return partial(at, f, p_op()), partial(at, g, q_op()), min(f.degree(), g.degree())
+    table = _brackets(partial(at, f, p_op()), partial(at, g, q_op()))
+    kmax, params = min(f.degree(), g.degree()), dict(f=str(f), g=str(g), **(tag or {}))
+    return _expand(suite, lambda op, k: table(op, k, k), kmax, **params)
 
 
 def verify_pain(n: int, m: int) -> VerificationReport:
@@ -338,7 +349,7 @@ def verify_pain(n: int, m: int) -> VerificationReport:
 
     [p^n/n!, q^m/m!] = -sum_{k>=1} c^k E_k(0)/k! {p^(n-k)/(n-k)!, q^(m-k)/(m-k)!}
     """
-    return _expand("pain", ("euler",), *_monomials(n, m), n=n, m=m)
+    return _monomial_grid("pain")(n, m)
 
 
 def verify_reciprocal(n: int, m: int) -> VerificationReport:
@@ -350,7 +361,7 @@ def verify_reciprocal(n: int, m: int) -> VerificationReport:
     and separately the rewriting of the commutator expansion through
     E_k(0) = -2 (2^(k+1) - 1) B_(k+1)/(k+1).
     """
-    return _expand("reciprocal", ("bernoulli", "scaled-bernoulli"), *_monomials(n, m), n=n, m=m)
+    return _monomial_grid("reciprocal")(n, m)
 
 
 def verify_exp_series(n: int, m: int) -> VerificationReport:
@@ -360,7 +371,7 @@ def verify_exp_series(n: int, m: int) -> VerificationReport:
     [p^n/n!, q^m/m!] = sum_{k>=1} (-1)^(k+1) c^k/k! p^(n-k)/(n-k)! q^(m-k)/(m-k)!
     {p^n/n!, q^m/m!} = 2 p^n/n! q^m/m! + sum_{k>=1} (-1)^k c^k/k! (same products)
     """
-    return _expand("exp-series", ("series", "direct"), *_monomials(n, m), n=n, m=m)
+    return _monomial_grid("exp-series")(n, m)
 
 
 # -- polynomial-function expansions ------------------------------------------
@@ -370,7 +381,7 @@ def verify_mccoy(
     f: RatPoly, g: RatPoly, tag: dict | None = None
 ) -> VerificationReport:
     """[f(p), g(q)] = -sum_{k>=1} (-c)^k/k! f^(k)(p) g^(k)(q)."""
-    return _expand("mccoy", ("series",), *_functions(f, g), f=str(f), g=str(g), **(tag or {}))
+    return _functions("mccoy", f, g, tag)
 
 
 def verify_function_identities(
@@ -387,8 +398,7 @@ def verify_function_identities(
       f g    = 1/c [F,G] - sum_{k>=0} B_(k+1)/(k+1) (-c)^k/k! [f^(k), g^(k)]
       f g    = 1/2 sum_{k>=0} E_k(0) (-c)^k/k! {f^(k), g^(k)}
     """
-    rows = ("euler", "bernoulli", "direct", "product-bernoulli", "product-euler")
-    return _expand("functions", rows, *_functions(f, g), f=str(f), g=str(g), **(tag or {}))
+    return _functions("functions", f, g, tag)
 
 
 def random_poly_pair(rng: random.Random, max_degree: int = 4) -> tuple[RatPoly, RatPoly]:
@@ -555,11 +565,10 @@ def extract_convolution_coefficients(kmax: int) -> list[Fraction]:
     contributions the residual must be the scalar 2 c^k v_k/k!.  Returns
     [v_0 .. v_kmax] with v_0 = 1 by convention.
     """
-    vs = [Fraction(1)]
+    vs, table = [Fraction(1)], _monomial_brackets()
     for k in range(1, kmax + 1):
-        f_at, g_at, _ = _monomials(k, k)
-        residual = commutator(f_at(0), g_at(0)) - WeylElement.weighted_sum(
-            (_c_weight(j, vs[j]), anticommutator(f_at(j), g_at(j))) for j in range(1, k)
+        residual = table("[]", k, k) - WeylElement.weighted_sum(
+            (_c_weight(j, vs[j]), table("{}", k - j, k - j)) for j in range(1, k)
         )
         if residual.support() not in ([], [(0, 0)]):
             raise ArithmeticError(f"residual at order {k} is not scalar: {residual}")
@@ -607,10 +616,10 @@ _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
     "bender": lambda max_n=12, **_: _grid(partial(_bender, chains=_bender_chains()), max_n),
     "superoperators": lambda max_n=8, **_: [verify_superoperators(max_n)],
     "combinatorics": lambda max_n=8, **_: [_closed_forms(n) for n in range(1, max_n + 1)],
-    "pain": lambda max_n=10, max_m=10, **_: _grid(verify_pain, max_n, max_m),
-    "reciprocal": lambda max_n=10, max_m=10, **_: _grid(verify_reciprocal, max_n, max_m),
+    "pain": lambda max_n=10, max_m=10, **_: _grid(_monomial_grid("pain"), max_n, max_m),
+    "reciprocal": lambda max_n=10, max_m=10, **_: _grid(_monomial_grid("reciprocal"), max_n, max_m),
     "mccoy": lambda max_n=10, max_m=10, seed=0, cases=_RANDOM_CASES, **_: (
-        _grid(verify_exp_series, max_n, max_m) + _random_cases(verify_mccoy, seed, cases)
+        _grid(_monomial_grid("exp-series"), max_n, max_m) + _random_cases(verify_mccoy, seed, cases)
     ),
     "functions": lambda seed=0, cases=_RANDOM_CASES, **_: [
         verify_function_identities(RatPoly.of(1), RatPoly.x(), tag={"case": "fixed-0"}),

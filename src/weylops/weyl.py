@@ -244,7 +244,8 @@ def hadamard_conjugate(x: ElementLike, w: ElementLike, t: Fraction | int = 1) ->
 
 
 def poly_of_element(poly: RatPoly, w: ElementLike) -> WeylElement:
-    """Evaluate a rational polynomial at an algebra element."""
+    """Evaluate a rational polynomial at an algebra element: one product per degree."""
     w = WeylElement.of(w)
-    return WeylElement.weighted_sum((a, w**k) for k, a in poly.coeffs.items())
+    powers = Chain(WeylElement.of(1), lambda v: v * w)
+    return WeylElement.weighted_sum((a, powers[k]) for k, a in poly.coeffs.items())
 

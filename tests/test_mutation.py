@@ -50,7 +50,11 @@ A bender sweep grows one set of bracket chains for all its records, so a second
 sweep under a patched Euler polynomial or bracket must decide every record
 as a fresh verify_bender(n) does: nothing the first sweep built survives it.
 The same holds for the hermite sweep's ladders and chains under a broken
-oscillator bracket step.
+oscillator bracket step, and for the bracket tables of the pain, reciprocal
+and mccoy grids under a broken anticommutator ({x, y} -> 2xy): after clean
+sweeps, every grid record must be decided as a fresh verify_pain,
+verify_reciprocal or verify_exp_series call decides it, some passing and
+some failing.
 """
 
 import dataclasses
@@ -387,6 +391,30 @@ def test_a_bender_sweep_leaves_no_state_behind(monkeypatch, name):
     assert [r.status for r in swept] == ["pass"] + ["fail"] * 6
     direct = [suites.verify_bender(n) for n in range(7)]
     assert [(r.status, r.witness) for r in swept] == [(r.status, r.witness) for r in direct]
+
+
+GRID_SWEEPS = {  # selector -> (the direct check of its grid records, least failing min(n, m))
+    "pain": (suites.verify_pain, 2),
+    "reciprocal": (suites.verify_reciprocal, 1),
+    "mccoy": (suites.verify_exp_series, 1),
+}
+
+
+def test_a_grid_sweep_leaves_no_state_behind(monkeypatch):
+    # {x, y} -> 2xy: the anticommutators in the bracket tables change, so
+    # pain fails from min(n, m) = 2 on and reciprocal and exp-series from 1
+    # on.  A second sweep must see that, as fresh direct calls do, and not
+    # read the first sweep's tables.
+    bounds = dict(max_n=3, max_m=3, cases=0)
+    assert all(r.ok for name in GRID_SWEEPS for r in run_suite(name, **bounds))
+    monkeypatch.setattr(suites, "anticommutator", lambda x, y: 2 * x * y)
+    for name, (verify, least) in GRID_SWEEPS.items():
+        swept = run_suite(name, **bounds)
+        direct = [verify(n, m) for n in range(4) for m in range(4)]
+        assert [(r.status, r.witness) for r in swept] == [(r.status, r.witness) for r in direct]
+        assert [r.status for r in swept] == [
+            "fail" if min(n, m) >= least else "pass" for n in range(4) for m in range(4)
+        ]
 
 
 def test_a_hermite_sweep_leaves_no_state_behind(monkeypatch):

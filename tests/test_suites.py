@@ -356,13 +356,19 @@ def test_golden_report_stream():
 # mccoy) would exceed them too, as would bender and superoperators
 # multiplying by constants or comparing brackets with themselves again
 # (177 / 10,875 and 219 / 4,077), and a hermite sweep whose bridge records
-# each bracketed {q,H}_n from q instead of reading one chain (72 / 1,320)
+# each bracketed {q,H}_n from q instead of reading one chain (72 / 1,320).
+# A monomial grid whose records each built their own brackets instead of
+# reading one table per sweep (1,012 / 1,012 for pain, 2,266 / 2,266 for
+# reciprocal, 1,137 / 1,302 for mccoy) exceeds them, and so do functions
+# records that form each power of p or q from scratch in poly_of_element
+# instead of reading one chain (432 / 1,047)
 WORK_CEILINGS = {
     "bender": (75, 6_900),
     "superoperators": (155, 3_250),
-    "pain": (1_050, 1_050),
-    "reciprocal": (2_350, 2_350),
-    "mccoy": (1_180, 1_360),
+    "pain": (450, 450),
+    "reciprocal": (540, 540),
+    "mccoy": (720, 890),
+    "functions": (320, 940),
     "hermite": (20, 520),
 }
 

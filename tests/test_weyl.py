@@ -20,6 +20,7 @@ from weylops import (
     XPoly,
     anticommutator,
     commutator,
+    euler_polynomial,
     hadamard_conjugate,
     hamiltonian,
     left_nested_commutator,
@@ -192,6 +193,22 @@ def test_poly_of_element():
     w = poly_of_element(RatPoly({2: 1, 0: 3}), q_op())
     assert w == q_op(2) + scalar(3)
     assert poly_of_element(RatPoly(), q_op()) == WeylElement()
+
+
+def test_poly_of_element_makes_one_product_per_degree(monkeypatch):
+    # the powers H^k are read off one chain, not each rebuilt as H**k
+    poly, h = euler_polynomial(12), hamiltonian()
+    expected = WeylElement.weighted_sum((a, h**k) for k, a in poly.coeffs.items())
+    true_mul = WeylElement.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return true_mul(self, other)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    assert poly_of_element(poly, h) == expected
+    assert len(calls) == 12
 
 
 def test_structure_and_guards():
