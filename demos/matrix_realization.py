@@ -7,15 +7,17 @@ the rescaled generators act with Gaussian-integer entries:
     H f_l = (2l + 1) f_l,
 
 so pq - qp = -2i holds on every column, with no truncation corner.  An
-operator is held by its bands: f_l -> sum_j P_j(l) f_(l+j), each P_j a
-polynomial in l.  Mapping a symbolic element at c = -2i to its bands and
-comparing it with brackets formed in the realization itself is an exact
-cross-check, independent of the differential realization.
+operator is held by its bands, a ``Bands``: f_l -> sum_j P_j(l) f_(l+j),
+each P_j a polynomial in l.  Mapping a symbolic element at c = -2i to its
+bands and comparing it with brackets formed in the realization itself is
+an exact cross-check, independent of the differential realization.
 
 A record still reads the columns a dim x dim truncation would keep exact:
 l <= dim-2 for the ladder checks and l <= dim-1-s for an element of the
 bridge whose support has max(a+b) = s (``safe_margin``).
 """
+
+from fractions import Fraction
 
 from weylops import I, ONE, hamiltonian, nested_anticommutator, q_op, run_suite
 from weylops.oscillator import build_operators, element_to_matrix, safe_margin
@@ -28,9 +30,9 @@ def act(bands, vec):
     """The operator given by its bands, applied to {l: coefficient of f_l}."""
     out = {}
     for l, v in vec.items():
-        for (j, d, i), n in bands.items():
+        for (j, d, i), n in bands._num.items():  # the term n i^i l^d over bands._den
             if l + j >= 0:
-                out[l + j] = out.get(l + j, 0) + v * (I if i else ONE) * (n * l**d)
+                out[l + j] = out.get(l + j, 0) + v * (I if i else ONE) * Fraction(n * l**d, bands._den)
     return {k: v for k, v in out.items() if v}
 
 
@@ -43,10 +45,10 @@ print(f"(PQ - QP) f_l = -2i f_l exactly, for every l < {DIM}")
 
 # symbolic {q,H}_3, realized by its bands, vs three brackets in the realization
 w = nested_anticommutator(q_op(), hamiltonian(), 3)
-realized, den = element_to_matrix(w, ops)
+realized = element_to_matrix(w, ops)
 direct = ops.tower[3]
-assert realized == {key: den * n for key, n in direct.items()}
-print(f"{{q,H}}_3 realized at c = -2i equals the realization's own, exactly (den {den})")
+assert realized == direct
+print(f"{{q,H}}_3 realized at c = -2i equals the realization's own, exactly (den {realized._den})")
 for l in range(4):
     column = act(direct, {l: ONE})
     print(f"  {{q,H}}_3 f_{l} = " + " + ".join(f"({v}) f_{k}" for k, v in sorted(column.items())))

@@ -11,112 +11,116 @@ H = (p^2 + q^2)/2 are realized at c = -2i, with Gaussian-integer entries:
     p f_l =    l f_(l-1) + f_(l+1)        p = a + a+
     H f_l = (2l + 1) f_l                  H = 2 a+ a + 1
 
-An operator is held by its bands: it maps f_l to sum_j P_j(l) f_(l+j), each
-P_j a polynomial in l over the Gaussian integers, stored as
-{(j, d, i): n} for the term n i^i l^d of P_j.  One such map describes every
+An operator is a ``Bands``: it maps f_l to sum_j P_j(l) f_(l+j), each P_j a
+polynomial in l, stored flat (see ``scalars.FlatTerms``) under keys
+(j, d, i) for the term i^i l^d of P_j.  One such value describes every
 column at once, so nothing is truncated: a product reads the left factor's
-entries at l + j (``_compose``), the H-brackets {q,H}_k stay on q's two
-off-diagonals, and the symbolic bridge realizes the engine's {q,H}_n by
-Horner in q over the powers of p.  ``build_operators`` makes the ladders,
-read-only, with four chains (``weyl.Chain``) grown from them on demand: the
-realization's {q,H}_k, the powers H^k and p^k, and the engine's {q,H}_k.
-Only the caller keeps them: a hermite sweep builds one set for all its
-records and drops it when it ends, a direct check builds its own.  A q with
-an entry off its two off-diagonals, an H off its diagonal, or a q or p
-beyond its three bands is an ERROR record.
+entries at l + j, the H-brackets {q,H}_k stay on q's two off-diagonals, and
+the symbolic bridge realizes the engine's {q,H}_n by Horner in q over the
+powers of p.  ``build_operators`` makes the ladders, with four chains
+(``weyl.Chain``) grown from them on demand: the realization's {q,H}_k, the
+powers H^k and p^k, and the engine's {q,H}_k.  Only the caller keeps them:
+a hermite sweep builds one set for all its records and drops it when it
+ends, a direct check builds its own.  A q with an entry off its two
+off-diagonals, an H off its diagonal, or a q or p beyond its three bands is
+an ERROR record.
 
-A record reads the columns it read as a truncated dim x dim matrix: l <= dim-2
-for the ladder checks, l < dim - ``safe_margin`` for the bridge.  It fails
-if its worst relative column error there -- max |actual - expected| over the
-column, over the column's largest |expected| -- exceeds tol.  The error is
-computed from exact integers, and is 0 for a correct engine, which passes
-any tol >= 0; a NaN tol fails.  Every check needs dim >= ``bounds.min_dim(n)``.
+A record passes if its two sides are equal, on every column at once.  If
+not, it reads the columns a truncated dim x dim matrix keeps exact: l <=
+dim-2 for the ladder checks, l < dim - ``safe_margin`` for the bridge, and
+fails if its worst relative column error -- max |actual - expected| over the
+column, over the column's largest |expected| -- exceeds tol; a NaN tol
+fails.  Every check needs dim >= ``bounds.min_dim(n)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite, sqrt
-from types import MappingProxyType
 
 from .bounds import DEFAULT_DIM, DEFAULT_TOL, min_dim
 from .report import VerificationReport, run_check
-from .scalars import GaussianRational
+from .scalars import FlatTerms, GaussianRational, _lifting
 from .weyl import Chain, WeylElement, hamiltonian, nested_anticommutator, q_op
 
 C = GaussianRational(0, -2)  # the value of c at which the ladders satisfy pq - qp = c
-IDENTITY = MappingProxyType({(0, 0, 0): 1})  # the identity operator, by its bands
 
 
-def _sum(terms) -> dict:
-    """sum of n i^i x over (n, i, x) triples, without zero entries."""
-    out: dict = {}
-    for n, i, x in terms:
-        for (j, d, k), m in x.items():
-            key = (j, d, k ^ i)
-            out[key] = out.get(key, 0) + (-n * m if k & i else n * m)  # i^2 = -1
-    return {key: m for key, m in out.items() if m}
+class Bands(FlatTerms):
+    """The operator f_l -> sum_j P_j(l) f_(l+j), under keys (j, d, i) for the
+    term i^i l^d of P_j; a constant is a multiple of the identity.  No c.
+    The constructor takes shifts j >= 0 only: a lowering band comes from
+    ``_canonical`` or from arithmetic.  Immutable."""
+
+    __slots__ = ()
+    _unit = (0, 0)
+    _scalar_key = staticmethod(lambda key: None if key[0] or key[1] else (0, key[2]))
+
+    @staticmethod
+    def _key(head: tuple[int, int], k: int, i: int) -> tuple[int, int, int]:
+        if k:
+            raise TypeError("a band operator has no c")
+        return (*head, i)
+
+    @_lifting
+    def __mul__(self, other):
+        """self other: other maps f_l to P_j(l) f_(l+j), and self acts on
+        f_(l+j) with its entries read at l + j."""
+        right = list(other._num.items())
+        out: dict = {}
+        for (s, e, k), m in self._num.items():
+            for r in range(e + 1):  # (l + j)^e = sum_r C(e,r) j^(e-r) l^r
+                w, p = m * comb(e, r), e - r
+                for (j, d, i), n in right:
+                    v = w * n * j**p if p else w * n
+                    key = (j + s, d + r, i ^ k)
+                    out[key] = out.get(key, 0) + (-v if i & k else v)  # i^2 = -1
+        return Bands._canonical(out, self._den * other._den)
 
 
-def _compose(t, x) -> dict:
-    """The product t x: x maps f_l to P_j(l) f_(l+j), and t acts on f_(l+j)
-    with its entries read at l + j."""
-    out: dict = {}
-    for (s, e, k), m in t.items():
-        for r in range(e + 1):  # (l + j)^e = sum_r C(e,r) j^(e-r) l^r
-            w, p = m * comb(e, r), e - r
-            for (j, d, i), n in x.items():
-                v = w * n * j**p if p else w * n
-                key = (j + s, d + r, i ^ k)
-                out[key] = out.get(key, 0) + (-v if i & k else v)
-    return {key: m for key, m in out.items() if m}
-
-
-def _anti(x, y) -> dict:
+def _anti(x: Bands, y: Bands) -> Bands:
     """{x, y} = x y + y x."""
-    return _sum([(1, 0, _compose(x, y)), (1, 0, _compose(y, x))])
+    return x * y + y * x
 
 
-def _bands(m, name: str, shifts: tuple, where: str):
+def _bands(m: Bands, name: str, shifts: tuple, where: str) -> Bands:
     """m, if its nonzero entries lie on the given bands; ValueError otherwise."""
-    if any(n and j not in shifts for (j, _, _), n in m.items()):
+    if any(j not in shifts for j, _, _ in m._num):
         raise ValueError(f"{name} has a nonzero entry {where}")
     return m
 
 
 @dataclass(frozen=True)
 class OscillatorMatrices:
-    """q, p and H by their bands, and the chains grown from them, levels
-    read-only: ``tower`` {q,H}_k, ``h_powers`` H^k, ``p_powers`` p^k and
-    ``symbolic``, the engine's {q,H}_k.  A ``dataclasses.replace`` copy
-    grows its own chains."""
+    """q, p and H as ``Bands``, and the chains grown from them: ``tower``
+    {q,H}_k, ``h_powers`` H^k, ``p_powers`` p^k and ``symbolic``, the
+    engine's {q,H}_k.  A ``dataclasses.replace`` copy grows its own chains."""
 
     dim: int
-    q_mat: Mapping
-    p_mat: Mapping
-    h_mat: Mapping
+    q_mat: Bands
+    p_mat: Bands
+    h_mat: Bands
 
     def __post_init__(self):  # the steps hold the ladders, not self, so no cycle keeps self alive
-        p, h = self.p_mat, self.h_mat
+        p, h, one = self.p_mat, self.h_mat, Bands.of(1)
         for name, x, step in (
-            ("tower", self.q_mat, lambda x: MappingProxyType(_anti(x, h))),
-            ("h_powers", IDENTITY, lambda x: MappingProxyType(_compose(h, x))),
-            ("p_powers", IDENTITY, lambda x: MappingProxyType(_compose(p, x))),
+            ("tower", self.q_mat, lambda x: _anti(x, h)),
+            ("h_powers", one, lambda x: h * x),
+            ("p_powers", one, lambda x: p * x),
             ("symbolic", q_op(), lambda w: nested_anticommutator(w, hamiltonian(), 1)),
         ):
             object.__setattr__(self, name, Chain(x, step))
 
 
 def build_operators(dim: int) -> OscillatorMatrices:
-    """The ladders, read-only, and the dim whose columns the records read."""
+    """The ladders, and the dim whose columns the records read."""
     if dim < 4:
         raise ValueError("need dim >= 4")
     q = {(-1, 1, 1): 1, (1, 0, 1): -1}  # i l f_(l-1) - i f_(l+1)
     p = {(-1, 1, 0): 1, (1, 0, 0): 1}  # l f_(l-1) + f_(l+1)
     h = {(0, 1, 0): 2, (0, 0, 0): 1}  # (2l + 1) f_l
-    return OscillatorMatrices(dim, *map(MappingProxyType, (q, p, h)))
+    return OscillatorMatrices(dim, *(Bands._canonical(m, 1) for m in (q, p, h)))
 
 
 def _operators(n: int, dim: int, ops: OscillatorMatrices | None) -> OscillatorMatrices:
@@ -130,53 +134,49 @@ def _operators(n: int, dim: int, ops: OscillatorMatrices | None) -> OscillatorMa
     return ops
 
 
-def element_to_matrix(w: WeylElement, ops: OscillatorMatrices) -> tuple[dict, int]:
-    """Realize a symbolic element at c = -2i, exactly on every column: its
-    bands over one denominator, as (bands, den).  A q or p with a nonzero
-    entry beyond its three bands raises ValueError."""
+def element_to_matrix(w: WeylElement, ops: OscillatorMatrices) -> Bands:
+    """Realize a symbolic element at c = -2i, exactly on every column.  A q
+    or p with a nonzero entry beyond its three bands raises ValueError."""
     q = _bands(ops.q_mat, "q", (-1, 0, 1), "beyond its three bands")
     _bands(ops.p_mat, "p", (-1, 0, 1), "beyond its three bands")
-    at = w.subst_c(C)
-    rows: dict = {}  # a -> the parts (n, i, b) of n i^i q^a p^b
-    for (a, b, _, i), n in at._num.items():
-        rows.setdefault(a, []).append((n, i, b))
-    acc: dict = {}
-    for a in range(max(rows, default=-1), -1, -1):  # Horner in q: acc = q acc + sum_b z_ab p^b
-        acc = _sum([(1, 0, _compose(q, acc)), *((n, i, ops.p_powers[b]) for n, i, b in rows.get(a, ()))])
-    return acc, at._den
+    terms, acc = w.subst_c(C).terms, Bands()  # {(a, b): z in Q(i)} for z q^a p^b
+    for a in range(max((a for a, _ in terms), default=-1), -1, -1):  # Horner in q: acc = q acc + sum_b z_ab p^b
+        acc = Bands.weighted_sum([(1, q * acc), *((z, ops.p_powers[b]) for (r, b), z in terms.items() if r == a)])
+    return acc
 
 
 def safe_margin(w: WeylElement) -> int:
     return max((a + b for (a, b, _, _) in w._num), default=0)
 
 
-def _column(lo: dict, hi: dict) -> dict:
+def _column(lo: dict, hi: dict) -> Bands:
     """The operator f_l -> i (lo(l) f_(l-1) + hi(l) f_(l+1)), lo and hi as {degree: n}."""
-    return {**{(-1, d, 1): n for d, n in lo.items()}, **{(1, d, 1): n for d, n in hi.items()}}
+    return Bands._canonical({**{(-1, d, 1): n for d, n in lo.items()}, **{(1, d, 1): n for d, n in hi.items()}}, 1)
 
 
 def _power(a: int, b: int, n: int, w: int = 1, up: int = 0) -> dict:
     """w l^up (a l + b)^n as {degree: coefficient}, by the binomial theorem."""
-    terms = {k + up: w * comb(n, k) * a**k * b ** (n - k) for k in range(n + 1)}
-    return {d: v for d, v in terms.items() if v}
+    return {k + up: w * comb(n, k) * a**k * b ** (n - k) for k in range(n + 1)}
 
 
-def _norm2(x, l: int) -> int:
+def _norm2(x: Bands, l: int) -> Fraction:
     """The largest squared modulus of an entry of x's column l; no row lies below f_0."""
     col: dict = {}
-    for (j, d, i), n in x.items():
+    for (j, d, i), n in x._num.items():
         if l + j >= 0:
             col[j, i] = col.get((j, i), 0) + n * l**d
-    return max((col.get((j, 0), 0) ** 2 + col.get((j, 1), 0) ** 2 for j, _ in col), default=0)
+    return Fraction(max((col.get((j, 0), 0) ** 2 + col.get((j, 1), 0) ** 2 for j, _ in col), default=0), x._den**2)
 
 
-def _verdict(actual, expected, cols: int, tol: float) -> str:
-    """Worst column error over columns l < cols: max |actual - expected| over
-    the column, relative to that column's largest |expected| entry."""
-    diff = _sum([(1, 0, actual), (-1, 0, expected)])
+def _verdict(actual: Bands, expected: Bands, cols: int, tol: float) -> str:
+    """"" if actual == expected, else the worst column error over columns l < cols:
+    max |actual - expected| over the column, relative to its largest |expected| entry."""
+    if actual == expected and tol >= 0:  # false for a NaN tol
+        return ""
+    diff = actual - expected
     worst, at = Fraction(0), 0  # the squared error, and its column
-    for l in range(cols if diff else 0):  # a zero difference is zero on every column
-        err = Fraction(_norm2(diff, l), _norm2(expected, l) or 1)
+    for l in range(cols):
+        err = _norm2(diff, l) / (_norm2(expected, l) or 1)
         if err > worst:
             worst, at = err, l
     bound = Fraction(tol) ** 2 if isfinite(tol) else tol
@@ -213,7 +213,7 @@ def check_nested_anticomm_closed_form(n: int, dim: int, tol: float, ops: Oscilla
 def check_shifted_expansions(n: int, dim: int, tol: float, ops: OscillatorMatrices) -> str:
     """({q,H}+2)_n and ({q,H}-2)_n columns against their (4l + 2 +- 2)^n forms."""
     for u in (2, -2):
-        actual = _sum((comb(n, k) * u ** (n - k), 0, x) for k, x in enumerate(ops.tower.upto(n)))
+        actual = Bands.weighted_sum((comb(n, k) * u ** (n - k), x) for k, x in enumerate(ops.tower.upto(n)))
         expected = _column(_power(4, u, n, up=1), _power(4, 4 + u, n, -1))
         witness = _verdict(actual, expected, dim - 1, tol)
         if witness:
@@ -224,9 +224,9 @@ def check_shifted_expansions(n: int, dim: int, tol: float, ops: OscillatorMatric
 @_record("main_identity")
 def check_main_identity_matrix(n: int, dim: int, tol: float, ops: OscillatorMatrices) -> str:
     """({q,H}-2)_n + ({q,H}+2)_n  ==  2^n (q H^n + H^n q)."""
-    lhs = _sum((comb(n, k) * (1 + (-1) ** (n - k)) * 2 ** (n - k), 0, x) for k, x in enumerate(ops.tower.upto(n)))
-    rhs = _sum([(2**n, 0, _anti(ops.tower[0], ops.h_powers[n]))])
-    return _verdict(lhs, rhs, dim - 1, tol)
+    rhs = Bands.weighted_sum([(2**n, _anti(ops.tower[0], ops.h_powers[n]))])  # first, so the peak holds no tower
+    weights = (comb(n, k) * (1 + (-1) ** (n - k)) * 2 ** (n - k) for k in range(n + 1))
+    return _verdict(Bands.weighted_sum(zip(weights, ops.tower.upto(n))), rhs, dim - 1, tol)
 
 
 @_record("symbolic_bridge")
@@ -237,6 +237,4 @@ def check_symbolic_bridge(n: int, dim: int, tol: float, ops: OscillatorMatrices)
     oracle is trusted alone.
     """
     symbolic = ops.symbolic[n]
-    realized, den = element_to_matrix(symbolic, ops)
-    native = _sum([(den, 0, ops.tower[n])])
-    return _verdict(realized, native, dim - safe_margin(symbolic), tol)
+    return _verdict(element_to_matrix(symbolic, ops), ops.tower[n], dim - safe_margin(symbolic), tol)

@@ -16,14 +16,15 @@ imaginary unit, and every product applies i^2 = -1.  The keys are
     weyl.WeylElement        (a, b, k, i)  c^k i^i q^a p^b
     realization.XPoly       (deg, k, i)   c^k i^i x^deg
     sequences.RatPoly       deg           x^deg (rational, no c)
+    oscillator.Bands        (j, d, i)     i^i l^d in the band at shift j (no c)
 
 so arithmetic runs on plain integers with one gcd at the end, and equality
 is structural.  GaussianRational and CPoly share one product kernel.  CPoly
 and the next two share ``CTerms``, what keys ending in (k, i) allow:
 division by c (``div_c``), setting c to a number and the coefficient views.
 ``weighted_sum`` forms every linear combination in one pass: its weights are
-ints or Fractions, and for CTerms also CPolys or GaussianRationals, whose
-parts c^k i^i shift each key's k and i.
+ints or Fractions, and for CTerms and Bands also CPolys or GaussianRationals,
+whose parts c^k i^i shift each key's k and i (a Bands refuses c).
 Every operator, ``==`` included, lifts its operand by one rule, ``of``: a
 number, or a CPoly or GaussianRational the class can hold, becomes a
 constant (GaussianRational lifts numbers only), and an operand ``of`` cannot
@@ -151,9 +152,9 @@ class FlatTerms:
         """sum of w * x over (w, x) pairs in one pass: one lcm, one
         accumulation, one canonical step.  A weight is an int, a Fraction, a
         GaussianRational or a CPoly; each part c^k i^i n/d of it raises the
-        power of c of every key of x by k and multiplies its i by i^i.  Only
-        CTerms take c or i: RatPoly and GaussianRational refuse them with
-        TypeError, as their constructors do."""
+        power of c of every key of x by k and multiplies its i by i^i.  CTerms
+        take c and i, Bands only i: the others refuse them with TypeError, as
+        their constructors do."""
         terms = []  # (x's numerators, k, i, n, d * x's denominator) per part c^k i^i n/d
         for w, x in pairs:
             if type(w) is int:  # the common case, without a call

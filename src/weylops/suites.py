@@ -311,13 +311,13 @@ def _expand(suite: str, term: Callable, kmax: int, /, **params) -> VerificationR
         for lhs, op, first, weight, lead, labels in _IDENTITIES.values():
             if suite not in labels:
                 continue
-            pairs = [(_c_weight(k, weight(k)), term(op, k)) for k in range(first, kmax + 1)]
+            # lhs - rhs in one sum: the right-hand side's weights enter negated
+            pairs = [(1, term(lhs, 0)), *((_c_weight(k, -weight(k)), term(op, k)) for k in range(first, kmax + 1))]
             if lead:
-                pairs.append((lead, term("[]", -1).div_c(1)))
-            rhs = WeylElement.weighted_sum(pairs)
-            witness = _diff((labels[suite], term(lhs, 0), rhs))
-            if witness:
-                return witness
+                pairs.append((-lead, term("[]", -1).div_c(1)))
+            d = WeylElement.weighted_sum(pairs)
+            if d:
+                return f"{labels[suite]}: lhs - rhs = {d}"
         return ""
 
     return run_check(suite, params, check)

@@ -138,10 +138,8 @@ def _perturbed_build(monkeypatch, name, *entries):
 
     def perturbed(dim):
         ops = true_build(dim)
-        m = dict(getattr(ops, name))
-        for key in entries:
-            m[key] = m.get(key, 0) + 1
-        return dataclasses.replace(ops, **{name: m})
+        added = oscillator.Bands._canonical(dict.fromkeys(entries, 1), 1)
+        return dataclasses.replace(ops, **{name: getattr(ops, name) + added})
 
     monkeypatch.setattr(oscillator, "build_operators", perturbed)
 
@@ -424,7 +422,7 @@ def test_a_hermite_sweep_leaves_no_state_behind(monkeypatch):
     # where both sides are 4 q H.  A second sweep must see that, as fresh
     # checks do, and not read the first sweep's towers.
     assert all(r.ok for r in run_suite("hermite"))
-    broken = lambda x, y: oscillator._sum([(2, 0, oscillator._compose(x, y))])  # {x, y} -> 2xy
+    broken = lambda x, y: oscillator.Bands.weighted_sum([(2, x * y)])  # {x, y} -> 2xy
     monkeypatch.setattr(oscillator, "_anti", broken)
     swept = run_suite("hermite")
     failing = {(r.params["check"], r.params["n"]) for r in swept if r.status == "fail"}

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -27,9 +28,10 @@ from weylops import (
     q_op,
     scalar,
 )
+from weylops import weyl
 from weylops.oscillator import (
-    _compose,
-    _sum,
+    Bands,
+    _verdict,
     build_operators,
     check_main_identity_matrix,
     check_nested_anticomm_closed_form,
@@ -45,12 +47,12 @@ DIM = 32
 MINUS_2I = GaussianRational(0, -2)
 
 
-def _dense(bands, dim=DIM, den=1):
+def _dense(bands, dim=DIM):
     """The dim x dim truncation of an operator given by its bands."""
     m = np.zeros((dim, dim), dtype=complex)
-    for (j, d, i), n in bands.items():
+    for (j, d, i), n in bands._num.items():
         for l in range(max(0, -j), min(dim, dim - j)):
-            m[l + j, l] += n * l**d * (1j if i else 1) / den
+            m[l + j, l] += n * l**d * (1j if i else 1) / bands._den
     return m
 
 
@@ -93,19 +95,19 @@ def test_matrices_and_their_chains_are_read_only():
 
 def test_replaced_matrices_have_their_own_views():
     ops = build_operators(DIM)
-    assert ops.tower[1] == {(-1, 2, 1): 4, (1, 0, 1): -4, (1, 1, 1): -4}  # {q,H} = i (4l^2, -4l - 4)
-    h = {**ops.h_mat, (0, 2, 0): 1}  # H f_l = (l^2 + 2l + 1) f_l
+    assert ops.tower[1] == Bands._canonical({(-1, 2, 1): 4, (1, 0, 1): -4, (1, 1, 1): -4}, 1)  # i (4l^2, -4l - 4)
+    h = ops.h_mat + Bands({(0, 2): 1})  # H f_l = (l^2 + 2l + 1) f_l
     replaced = dataclasses.replace(ops, h_mat=h)
     assert replaced.tower[1] != ops.tower[1]
     assert replaced.h_powers[1] == h
-    assert ops.h_powers[1] == {(0, 1, 0): 2, (0, 0, 0): 1}
+    assert ops.h_powers[1] == Bands({(0, 1): 2, (0, 0): 1})
 
 
 def test_element_to_matrix_refuses_an_off_band_ladder():
     # a p with entries off its three bands would realize an operator that is
     # not the p the checks were given
     ops = build_operators(DIM)
-    p = {**ops.p_mat, (5, 0, 0): 1, (-7, 1, 0): 3}
+    p = ops.p_mat + Bands._canonical({(5, 0, 0): 1, (-7, 1, 0): 3}, 1)
     with pytest.raises(ValueError, match="p has a nonzero entry beyond its three bands"):
         element_to_matrix(p_op(), dataclasses.replace(ops, p_mat=p))
 
@@ -153,36 +155,112 @@ def test_commutation_relation_in_the_interior():
     # pq - qp = c at c = -2i on every column; the truncated dense matrices
     # agree away from their corner
     ops = build_operators(DIM)
-    comm = _sum([(1, 0, _compose(ops.p_mat, ops.q_mat)), (-1, 0, _compose(ops.q_mat, ops.p_mat))])
-    assert comm == {(0, 0, 1): -2}
+    assert ops.p_mat * ops.q_mat - ops.q_mat * ops.p_mat == Bands.of(GaussianRational(0, -2))
     q, p, _ = _reference_ladders()
     interior = (p @ q - q @ p)[: DIM - 1, : DIM - 1]
     assert np.allclose(interior, -2j * np.eye(DIM - 1), atol=1e-12)
 
 
+def test_a_constant_is_the_number_it_equals():
+    three = Bands.of(3)
+    assert three == 3 and 3 == three
+    assert hash(three) == hash(3)
+    assert hash(Bands.of(MINUS_2I)) == hash(MINUS_2I)
+    assert Bands.of(Fraction(1, 2)) + Bands.of(Fraction(1, 2)) == 1
+    # a constant times an operator scales every band
+    q = build_operators(DIM).q_mat
+    assert three * q == Bands.weighted_sum([(3, q)]) == q + q + q
+
+
+def test_bands_have_no_c():
+    with pytest.raises(TypeError, match="no c"):
+        Bands({(0, 0): CPoly.c_power(1)})
+    with pytest.raises(TypeError, match="no c"):
+        Bands.weighted_sum([(CPoly.c_power(2), build_operators(DIM).q_mat)])
+
+
+def test_a_lowering_band_comes_from_canonical_form_or_arithmetic():
+    # the constructor takes exponents, as every FlatTerms does, so a negative
+    # shift is refused there; the ladders are built in canonical form, and
+    # products and sums reach every shift
+    with pytest.raises(ValueError, match="negative exponent"):
+        Bands({(-1, 0): 1})
+    lower = Bands._canonical({(-1, 1, 0): 1}, 1)  # a f_l = l f_(l-1)
+    raise_ = Bands({(1, 0): 1})  # a+ f_l = f_(l+1)
+    ops = build_operators(DIM)
+    assert lower + raise_ == ops.p_mat
+    assert lower * raise_ == Bands({(0, 1): 1, (0, 0): 1})  # a a+ f_l = (l + 1) f_l
+    assert lower * lower == Bands._canonical({(-2, 2, 0): 1, (-2, 1, 0): -1}, 1)  # l (l - 1) f_(l-2)
+
+
+def test_realization_never_calls_the_engine(monkeypatch):
+    # the bands keep their own product and share only the linear algebra:
+    # growing the realization's chains and realizing a built element reads
+    # no reordering weight and forms no engine product
+    w = nested_anticommutator(q_op(), hamiltonian(), 4)
+    expected = build_operators(DIM).tower[4]
+
+    def refuse(*args):
+        raise AssertionError("engine called")
+
+    monkeypatch.setattr(weyl, "contraction_weights", refuse)
+    monkeypatch.setattr(WeylElement, "__mul__", refuse)
+    ops = build_operators(DIM)
+    assert ops.tower[4] == expected
+    assert ops.h_powers[4] == ops.h_mat * ops.h_mat * ops.h_mat * ops.h_mat
+    assert ops.p_powers[9] == ops.p_mat * ops.p_powers[8]
+    assert element_to_matrix(w, ops) == expected
+    with pytest.raises(AssertionError, match="engine called"):
+        q_op() * q_op()
+
+
+def test_hermite_sweep_makes_at_most_150_realization_products(monkeypatch):
+    # 148 at default bounds: two per {x, H} of the tower and per {q, H^n}, one
+    # per level of H^k and p^k, and one per Horner step of the bridge
+    count = [0]
+    true_mul = Bands.__mul__
+
+    def counted(x, y):
+        count[0] += 1
+        return true_mul(x, y)
+
+    monkeypatch.setattr(Bands, "__mul__", counted)
+    assert all(r.ok for r in run_suite("hermite"))
+    assert 0 < count[0] <= 150
+
+
+def test_a_failing_witness_does_not_depend_on_the_scale():
+    # the relative column error reads each side over its own denominator
+    q, half = build_operators(DIM).q_mat, Bands.of(Fraction(1, 2))
+    witness = _verdict(half * q, q, DIM - 1, 0.0)
+    assert witness == "worst relative error 5.000e-01 at l=0 (tol 0.0e+00)"
+    assert _verdict(half * half * q, half * q, DIM - 1, 0.0) == witness
+    assert _verdict(q, q, DIM - 1, 0.0) == ""
+
+
 def test_element_to_matrix_basics():
     ops = build_operators(DIM)
-    assert element_to_matrix(scalar(5), ops) == ({(0, 0, 0): 5}, 1)
+    assert element_to_matrix(scalar(5), ops) == 5
+    assert element_to_matrix(scalar(Fraction(1, 3)), ops) == Bands.of(Fraction(1, 3))
     # the central symbol becomes -2i times the identity
-    assert element_to_matrix(scalar(CPoly.c_power(1)), ops) == ({(0, 0, 1): -2}, 1)
-    assert element_to_matrix(q_op(), ops) == (ops.q_mat, 1)
-    assert element_to_matrix(p_op(2), ops) == (_compose(ops.p_mat, ops.p_mat), 1)
-    assert element_to_matrix(WeylElement(), ops) == ({}, 1)
+    assert element_to_matrix(scalar(CPoly.c_power(1)), ops) == Bands.of(MINUS_2I)
+    assert element_to_matrix(q_op(), ops) == ops.q_mat
+    assert element_to_matrix(p_op(2), ops) == ops.p_mat * ops.p_mat
+    assert element_to_matrix(WeylElement(), ops) == Bands()
 
 
 def test_element_to_matrix_respects_ordering():
     # q p realized as Q P (normal order: q to the left)
     ops = build_operators(DIM)
-    assert element_to_matrix(monomial(1, 1), ops) == (_compose(ops.q_mat, ops.p_mat), 1)
-    assert _compose(ops.q_mat, ops.p_mat) != _compose(ops.p_mat, ops.q_mat)
+    assert element_to_matrix(monomial(1, 1), ops) == ops.q_mat * ops.p_mat
+    assert ops.q_mat * ops.p_mat != ops.p_mat * ops.q_mat
 
 
 def test_hamiltonian_realizes_diagonally():
-    # (p^2 + q^2)/2 is diag(2l + 1) on every column, over its denominator 2
+    # (p^2 + q^2)/2 is diag(2l + 1) on every column: the element's
+    # denominator 2 cancels in the realization's canonical form
     ops = build_operators(DIM)
-    realized, den = element_to_matrix(hamiltonian(), ops)
-    assert den == 2
-    assert realized == {key: den * n for key, n in ops.h_mat.items()}
+    assert element_to_matrix(hamiltonian(), ops) == ops.h_mat
 
 
 def test_safe_margin():
@@ -293,9 +371,9 @@ def _close(new, old):
 def test_banded_realization_matches_dense_products(w):
     # the dense products are exact on the columns l <= DIM-1-s that a
     # truncation leaves alone
-    bands, den = element_to_matrix(w, build_operators(DIM))
+    bands = element_to_matrix(w, build_operators(DIM))
     cols = DIM - safe_margin(w)
-    assert _close(_dense(bands, den=den)[:, :cols], _dense_element_to_matrix(w)[:, :cols])
+    assert _close(_dense(bands)[:, :cols], _dense_element_to_matrix(w)[:, :cols])
 
 
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=9))
@@ -303,7 +381,7 @@ def test_elementwise_tower_matches_dense_brackets(weights):
     # H is diagonal, so the dense brackets are exact on every column, and the
     # dense sums hold nothing the bands drop
     tower = build_operators(DIM).tower.upto(len(weights) - 1)
-    got = _dense(_sum((wk, 0, x) for wk, x in zip(weights, tower)))
+    got = _dense(Bands.weighted_sum(zip(weights, tower)))
     expected = sum(wk * x for wk, x in zip(weights, _dense_tower(len(weights) - 1)))
     assert _close(got, expected)
     assert np.count_nonzero(expected) == np.count_nonzero(got)
