@@ -18,6 +18,7 @@ from typing import Any, Callable
 PASS = "pass"
 FAIL = "fail"
 ERROR = "error"
+_ENCODER = json.JSONEncoder(sort_keys=True)  # no indent, so json encodes in C
 
 
 def _plain(v: Any) -> Any:
@@ -64,7 +65,9 @@ class VerificationReport:
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+    """The records as a JSON list, one per line between "[" and "]" lines; "[]" if none."""
+    lines = [_ENCODER.encode(r.to_dict()) for r in reports]
+    return "[\n" + ",\n".join(lines) + "\n]" if lines else "[]"
 
 
 def run_check(suite: str, params: dict[str, Any], fn: Callable[[], str]) -> VerificationReport:

@@ -426,14 +426,13 @@ def _euler_of_shifted(k: int) -> RatPoly:
     return euler_polynomial(k).compose(_Z_PLUS_1)
 
 
-def verify_binomial(m: int, n: int, l: int, euler_version: bool = True) -> VerificationReport:
-    """Two-row binomial convolutions, as polynomial identities in z:
+def _vandermonde() -> Callable[[int, int, int], int]:
+    """(a, b, l) -> sum_k C(a,k) C(l, b-k), the table of one binomial sweep."""
+    return cache(lambda a, b, l: sum(comb(a, k) * comb(l, b - k) for k in range(min(a, b) + 1)))
 
-        sum_k C(m,k) C(m-k+l, n-k) z^k  =  sum_k C(m,k) C(l, n-k) (z+1)^k
 
-    the Euler variant with z^k -> E_k(z), (z+1)^k -> E_k(z+1), and the
-    column-wise Vandermonde convolution that links the two sides.
-    """
+def _binomial(table: Callable, m: int, n: int, l: int, euler_version: bool = True) -> VerificationReport:
+    """verify_binomial, reading its Vandermonde sums from ``table``, grown inside the check."""
 
     def check() -> str:
         _orders(m=m, n=n, l=l)
@@ -445,19 +444,31 @@ def verify_binomial(m: int, n: int, l: int, euler_version: bool = True) -> Verif
         if lhs != rhs:
             return f"plain version: ({lhs}) != ({rhs})"
         for j in ks:
-            target = comb(m - j + l, n - j)
-            got = sum(comb(m - j, k) * comb(l, n - j - k) for k in range(min(m - j, n - j) + 1))
+            got, target = table(m - j, n - j, l), comb(m - j + l, n - j)
             if got != target:
                 return f"Vandermonde convolution at j={j}: {got} != {target}"
         if not euler_version:
             return ""
-        lhs_e = RatPoly.weighted_sum(zip(lw, map(euler_polynomial, ks)))
-        rhs_e = RatPoly.weighted_sum(zip(rw, map(_euler_of_shifted, ks)))
-        if lhs_e != rhs_e:
-            return f"Euler version: ({lhs_e}) != ({rhs_e})"
+        lhs_e, rhs_e = [*zip(lw, map(euler_polynomial, ks))], [*zip(rw, map(_euler_of_shifted, ks))]
+        if RatPoly.weighted_sum(lhs_e + [(-w, e) for w, e in rhs_e]):  # lhs - rhs in one sum
+            return f"Euler version: ({RatPoly.weighted_sum(lhs_e)}) != ({RatPoly.weighted_sum(rhs_e)})"
         return ""
 
     return run_check("binomial", {"m": m, "n": n, "l": l, "euler_version": euler_version}, check)
+
+
+def verify_binomial(m: int, n: int, l: int, euler_version: bool = True) -> VerificationReport:
+    """Two-row binomial convolutions, as polynomial identities in z:
+
+        sum_k C(m,k) C(m-k+l, n-k) z^k  =  sum_k C(m,k) C(l, n-k) (z+1)^k
+
+    the Euler variant with z^k -> E_k(z), (z+1)^k -> E_k(z+1), and the
+    column-wise Vandermonde convolution that links the two sides.  Two sums per
+    record: the plain right-hand side, against the left built from its weights,
+    and the Euler lhs - rhs.  The Vandermonde sums come from an (a, b, l) table,
+    one per call here and one per sweep in run_suite.
+    """
+    return _binomial(_vandermonde(), m, n, l, euler_version)
 
 
 # -- similarity-transform closure ---------------------------------------------
@@ -627,7 +638,7 @@ _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
         *_random_cases(verify_function_identities, seed, cases),
     ],
     "binomial": lambda max_n=12, max_m=12, max_l=12, **_: (
-        _grid(verify_binomial, max_m, max_n, max_l)
+        _grid(partial(_binomial, _vandermonde()), max_m, max_n, max_l)
     ),
     "figueira": lambda **_: [verify_figueira(h0, x) for h0, x in standard_conjugation_fixtures()],
     "sequences": lambda max_n=16, **_: [sequence_tables(max_n)],

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylops import reports_to_json
 from weylops.cli import main
 
 
@@ -33,6 +34,17 @@ def test_verify_json_output(capsys):
     for record in records:
         assert set(record) == {"suite", "params", "status", "witness", "elapsed_ms"}
         assert record["status"] == "pass"
+
+
+def test_verify_json_writes_one_record_per_line(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "combinatorics", "--format", "json")
+    assert rc == 0
+    first, *lines, last = out.splitlines()
+    assert (first, last) == ("[", "]")
+    assert all(line.endswith(",") for line in lines[:-1]) and not lines[-1].endswith(",")
+    records = [json.loads(line.removesuffix(",")) for line in lines]
+    assert len(records) == 8 and records == json.loads(out)
+    assert reports_to_json([]) == "[]"
 
 
 def test_verify_json_keeps_rationals_exact(capsys):

@@ -30,7 +30,11 @@ drops its weights' powers of c must turn bender and pain records FAIL.
 
 The binomial sweep builds its two sides independently, so a wrong shifted
 basis ((z+1)^k or E_k(z+1)) or a RatPoly ``weighted_sum`` that drops its
-weights' denominators must turn its records FAIL as well.
+weights' denominators must turn its records FAIL as well.  So must a
+``weighted_sum`` that returns zero: the plain form's left side is built from
+its weights, not summed.  A Vandermonde table with its (1, 1, 1) entry off by
+one must fail exactly the records that read it, in a sweep run after a clean
+one as in a direct verify_binomial call.
 
 So must the closure and weight-table sweeps: a bracket tower ad_x^n h0 that
 stops one bracket early in the suite's umbral sums turns every figueira
@@ -244,6 +248,9 @@ BINOMIAL_VARIANTS = {
         staticmethod(lambda pairs: TRUE_RAT_SUM((Fraction(w).numerator, x) for w, x in pairs)),
         "Euler version",
     ),
+    # every sum zero: only the plain form's left side, built from its
+    # weights without a sum, is left to fail
+    "zero-sum": (RatPoly, "weighted_sum", staticmethod(lambda pairs: RatPoly()), "plain version"),
 }
 
 
@@ -275,6 +282,26 @@ def test_binomial_mutant_fails_records(monkeypatch, fresh_caches, variant):
     failing = _binomial_failures()
     assert failing
     assert all(r.witness.startswith(f"{label}: (") for r in failing)
+
+
+TRUE_VANDERMONDE = suites._vandermonde
+
+
+def test_a_binomial_sweep_leaves_no_table_behind(monkeypatch, fresh_caches):
+    # C(1,0) C(1,1) + C(1,1) C(1,0) read as 3: record (j+1, j+1, 1) reads that
+    # entry at column j, and no other record reads it
+    assert _binomial_failures() == []
+
+    def off_by_one():
+        table = TRUE_VANDERMONDE()
+        return lambda a, b, l: table(a, b, l) + ((a, b, l) == (1, 1, 1))
+
+    monkeypatch.setattr(suites, "_vandermonde", off_by_one)
+    failing = _binomial_failures()
+    assert [(r.params["m"], r.params["n"], r.params["l"]) for r in failing] == [(1, 1, 1), (2, 2, 1), (3, 3, 1)]
+    assert [r.witness for r in failing] == [f"Vandermonde convolution at j={j}: 3 != 2" for j in range(3)]
+    direct = suites.verify_binomial(2, 2, 1)
+    assert (direct.status, direct.witness) == ("fail", failing[1].witness)
 
 
 TRUE_TOWER = weyl.bracket_tower

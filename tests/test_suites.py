@@ -394,3 +394,20 @@ def test_sweep_work_stays_under_its_ceiling(monkeypatch, suite):
     assert all(r.ok for r in reports)
     products, pairs = WORK_CEILINGS[suite]
     assert work[0] <= products and work[1] <= pairs, work
+
+
+def test_binomial_sweep_sums_twice_per_record(monkeypatch):
+    # the plain right-hand side and the Euler lhs - rhs, 2 x 2,197 sums, plus
+    # the 13 compose sums behind E_k(z+1) when its cache is cold: 4,407.
+    # Summing each Euler side on its own makes about 6,604.
+    true_sum = RatPoly.weighted_sum.__func__
+    calls = [0]
+
+    def counted(cls, pairs):
+        calls[0] += 1
+        return true_sum(cls, pairs)
+
+    monkeypatch.setattr(RatPoly, "weighted_sum", classmethod(counted))
+    reports = run_suite("binomial")
+    assert len(reports) == 2197 and all(r.ok for r in reports)
+    assert calls[0] <= 4_410, calls[0]
