@@ -35,7 +35,6 @@ fails.  Every check needs dim >= ``bounds.min_dim(n)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite, sqrt
 
@@ -91,26 +90,20 @@ def _bands(m: Bands, name: str, shifts: tuple, where: str) -> Bands:
     return m
 
 
-@dataclass(frozen=True)
 class OscillatorMatrices:
     """q, p and H as ``Bands``, and the chains grown from them: ``tower``
     {q,H}_k, ``h_powers`` H^k, ``p_powers`` p^k and ``symbolic``, the
-    engine's {q,H}_k.  A ``dataclasses.replace`` copy grows its own chains."""
+    engine's {q,H}_k.  A new ``OscillatorMatrices(...)`` grows its own chains."""
 
-    dim: int
-    q_mat: Bands
-    p_mat: Bands
-    h_mat: Bands
+    __slots__ = ("dim", "q_mat", "p_mat", "h_mat", "tower", "h_powers", "p_powers", "symbolic")
 
-    def __post_init__(self):  # the steps hold the ladders, not self, so no cycle keeps self alive
-        p, h, one = self.p_mat, self.h_mat, Bands.of(1)
-        for name, x, step in (
-            ("tower", self.q_mat, lambda x: _anti(x, h)),
-            ("h_powers", one, lambda x: h * x),
-            ("p_powers", one, lambda x: p * x),
-            ("symbolic", q_op(), lambda w: nested_anticommutator(w, hamiltonian(), 1)),
-        ):
-            object.__setattr__(self, name, Chain(x, step))
+    def __init__(self, dim: int, q_mat: Bands, p_mat: Bands, h_mat: Bands):
+        self.dim, self.q_mat, self.p_mat, self.h_mat = dim, q_mat, p_mat, h_mat
+        one = Bands.of(1)  # the steps hold the ladders, not self, so no cycle keeps self alive
+        self.tower = Chain(q_mat, lambda x: _anti(x, h_mat))
+        self.h_powers = Chain(one, lambda x: h_mat * x)
+        self.p_powers = Chain(one, lambda x: p_mat * x)
+        self.symbolic = Chain(q_op(), lambda w: nested_anticommutator(w, hamiltonian(), 1))
 
 
 def build_operators(dim: int) -> OscillatorMatrices:

@@ -4,7 +4,12 @@ Acting on polynomials in x this satisfies pq - qp = c exactly, and it is
 faithful: distinct normal-ordered elements act differently on enough
 monomials.  That makes it an independent oracle for the symbolic engine --
 the reordering rule used by WeylElement multiplication is validated against
-composition of these actions (``validate_reordering``).
+composition of these actions (``validate_reordering``).  The algebra is
+graded, deg q = 1 and deg p = -1 (J. Dixmier, Bull. SMF 96, 1968), and the
+action keeps the grading: q^a p^b sends x^l to x^(l-b+a).  So once a
+product's terms are checked to be of its degree D, its action on one test
+polynomial sum_l x^l puts each x^l at its own degree l + D, and one action
+on the sum stands for one per x^l.
 
 XPoly is stored flat, as WeylElement is: the integer numerator of
 c^k i^i x^deg under the key (deg, k, i), over one shared denominator.
@@ -97,21 +102,31 @@ def validate_reordering(max_exp: int = 6, max_l: int = 8) -> None:
     """Check the engine's reordering rule against composed actions.
 
     For all monomials q^a1 p^b1 and q^a2 p^b2 with exponents <= max_exp,
-    the normal-ordered product must act on x^l exactly as the composition
-    of the two factors' actions.  Raises AssertionError on any mismatch.
+    the normal-ordered product must be of degree D = a1 + a2 - b1 - b2 and
+    act on f = x^0 + x^1 + x^max_l as the composition of the two factors'
+    actions; by the grading that is the check on each x^l, and a term of
+    the wrong degree fails even if it kills every x^l.  Raises
+    AssertionError on any mismatch, ValueError on a negative bound.
     No ``verify`` selector runs it: call it directly, as the tests and the
     ``differential_oracle.py`` demo do, to vouch for the engine that every
     identity suite relies on.
     """
-    exps = [(a, b) for a in range(max_exp + 1) for b in range(max_exp + 1)]
-    ops = {e: WeylElement({e: 1}) for e in exps}
-    xs = {l: XPoly.monomial(l) for l in (0, 1, max_l)}
-    acted = {(e, l): apply_element(w, f) for e, w in ops.items() for l, f in xs.items()}
+    for name, bound in (("max_exp", max_exp), ("max_l", max_l)):
+        if bound < 0:
+            raise ValueError(f"need {name} >= 0, got {bound}")
+    ops = {(a, b): WeylElement({(a, b): 1}) for a in range(max_exp + 1) for b in range(max_exp + 1)}
+    ls = sorted({0, 1, max_l})
+    f = XPoly(dict.fromkeys(ls, 1))
+    acted = {e: apply_element(w, f) for e, w in ops.items()}
     for (a1, b1), w1 in ops.items():
         for (a2, b2), w2 in ops.items():
-            prod = w1 * w2
-            for l, f in xs.items():
-                if apply_element(prod, f) != apply_element(w1, acted[(a2, b2), l]):
-                    raise AssertionError(
-                        f"reordering mismatch at q^{a1}p^{b1} * q^{a2}p^{b2} on x^{l}"
-                    )
+            prod, deg = w1 * w2, a1 + a2 - b1 - b2
+            graded = all(a - b == deg for a, b, _, _ in prod._num)
+            if graded and apply_element(prod, f) == apply_element(w1, acted[a2, b2]):
+                continue
+            where = f"reordering mismatch at q^{a1}p^{b1} * q^{a2}p^{b2}"
+            for l in ls:  # the witness: the first x^l on which the two sides differ
+                x = XPoly.monomial(l)
+                if apply_element(prod, x) != apply_element(w1, apply_element(w2, x)):
+                    raise AssertionError(f"{where} on x^{l}")
+            raise AssertionError(f"{where}: not of degree {deg}")

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 ERROR = "error"
 _ENCODER = json.JSONEncoder(sort_keys=True)  # no indent, so json encodes in C
+_SCALARS = {bool, int, float, str}  # JSON values as they are: _plain returns them unchanged
 
 
 def _plain(v: Any) -> Any:
@@ -35,8 +35,7 @@ def _plain(v: Any) -> Any:
     return str(v)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     params: dict[str, Any]
     status: str  # pass | fail | error
@@ -50,7 +49,7 @@ class VerificationReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "suite": self.suite,
-            "params": _plain(self.params),
+            "params": {str(k): v if type(v) in _SCALARS else _plain(v) for k, v in self.params.items()},
             "status": self.status,
             "witness": self.witness,
             "elapsed_ms": self.elapsed_ms,

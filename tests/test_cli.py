@@ -269,6 +269,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     facts["oscillator_after_bender"] = "weylops.oscillator" in sys.modules
     facts["codes"].append(main(["verify", "all", "--format", "json"]))
 facts["numpy"] = "numpy" in sys.modules
+facts["dataclasses"] = "dataclasses" in sys.modules
 facts["oscillator"] = "weylops.oscillator" in sys.modules
 import weylops
 from weylops.oscillator import build_operators, element_to_matrix, safe_margin
@@ -298,6 +299,8 @@ def test_verify_all_leaves_numpy_unloaded(child_env):
     assert facts["oscillator_after_bender"] is False
     assert facts["oscillator"] is True
     assert facts["numpy"] is False
+    # nor dataclasses, which would load inspect, ast, dis and tokenize at every start-up
+    assert facts["dataclasses"] is False
     # the oscillator API is importable from weylops.oscillator
     assert facts["dim"] == 4
     assert facts["margin"] == 2

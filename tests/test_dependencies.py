@@ -2,8 +2,9 @@
 
 numpy is a test-only float reference (the ``test`` extra of
 ``pyproject.toml``); no module under ``src/weylops`` may import it, at the
-top or inside a function.  ``tests/test_cli.py`` checks the same at run
-time, after a whole ``verify all``.
+top or inside a function.  Nor may one import ``dataclasses``: it would
+load inspect, ast, dis and tokenize at every start-up.  ``tests/test_cli.py``
+checks both at run time, after a whole ``verify all``.
 """
 
 import ast
@@ -22,11 +23,15 @@ def _imported_roots(tree: ast.AST) -> set[str]:
     return roots
 
 
-def test_no_module_imports_numpy():
+FORBIDDEN = ("numpy", "dataclasses")
+
+
+def test_no_module_imports_a_forbidden_root():
     modules = sorted(PACKAGE.glob("*.py"))
-    assert {"oscillator.py", "suites.py", "__init__.py"} <= {p.name for p in modules}
+    assert {"oscillator.py", "report.py", "suites.py", "__init__.py"} <= {p.name for p in modules}
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in modules}
-    assert [name for name, tree in trees.items() if "numpy" in _imported_roots(tree)] == []
+    for root in FORBIDDEN:
+        assert [name for name, tree in trees.items() if root in _imported_roots(tree)] == [], root
 
 
 def test_the_guard_sees_both_import_forms():

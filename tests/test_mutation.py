@@ -17,7 +17,9 @@ Euler and Bernoulli numbers, which do not flip.
 Both independent oracles must catch every variant too: the differential
 realization through ``validate_reordering``, the oscillator realization
 through the symbolic bridge, which realizes the engine's {q,H}_n at c = -2i;
-realizing it at c = -i instead must fail the bridge as well.
+realizing it at c = -i instead must fail the bridge as well.  A product that
+gains a term p^9, which kills every test monomial x^0, x^1 and x^8, must
+fail ``validate_reordering`` through its degree check.
 
 The oscillator oracle gets the same treatment: an integer ladder with one
 term added must turn records FAIL (the main identity and the closed forms
@@ -61,7 +63,6 @@ verify_reciprocal or verify_exp_series call decides it, some passing and
 some failing.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -119,10 +120,24 @@ def test_weights_without_their_power_of_c_fail_records(monkeypatch):
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_wrong_rule_fails_both_oracles(monkeypatch, variant):
     monkeypatch.setattr(weyl, "contraction_weights", VARIANTS[variant])
-    with pytest.raises(AssertionError, match="reordering mismatch"):
+    with pytest.raises(AssertionError, match="reordering mismatch") as info:
         realization.validate_reordering()
+    if variant == "sign-of-c":  # p q = q p - c differs from q p + c first on x^0
+        assert str(info.value) == "reordering mismatch at q^0p^1 * q^1p^0 on x^0"
     for n in range(1, 5):
         assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
+
+
+TRUE_MUL = weyl.WeylElement.__mul__
+
+
+def test_a_product_term_that_kills_every_test_monomial_fails_the_differential_oracle(monkeypatch):
+    # p^9 annihilates x^0, x^1 and x^8, so every action agrees; only the
+    # degree check sees that q^0 p^0 * q^0 p^0 gained a term of degree -9
+    monkeypatch.setattr(weyl.WeylElement, "__mul__", lambda x, y: TRUE_MUL(x, y) + weyl.monomial(0, 9))
+    with pytest.raises(AssertionError, match="reordering mismatch") as info:
+        realization.validate_reordering()
+    assert str(info.value) == "reordering mismatch at q^0p^0 * q^0p^0: not of degree 0"
 
 
 def test_bridge_at_c_minus_i_fails(monkeypatch):
@@ -143,7 +158,9 @@ def _perturbed_build(monkeypatch, name, *entries):
     def perturbed(dim):
         ops = true_build(dim)
         added = oscillator.Bands._canonical(dict.fromkeys(entries, 1), 1)
-        return dataclasses.replace(ops, **{name: getattr(ops, name) + added})
+        ladders = {n: getattr(ops, n) for n in ("q_mat", "p_mat", "h_mat")}
+        ladders[name] += added
+        return oscillator.OscillatorMatrices(ops.dim, **ladders)
 
     monkeypatch.setattr(oscillator, "build_operators", perturbed)
 

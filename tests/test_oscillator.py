@@ -4,7 +4,6 @@ numpy enters only as a float reference: dense truncated matrices built from
 the ladder formulas below, independent of the code under test.
 """
 
-import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -31,6 +30,7 @@ from weylops import (
 from weylops import weyl
 from weylops.oscillator import (
     Bands,
+    OscillatorMatrices,
     _verdict,
     build_operators,
     check_main_identity_matrix,
@@ -97,7 +97,7 @@ def test_replaced_matrices_have_their_own_views():
     ops = build_operators(DIM)
     assert ops.tower[1] == Bands._canonical({(-1, 2, 1): 4, (1, 0, 1): -4, (1, 1, 1): -4}, 1)  # i (4l^2, -4l - 4)
     h = ops.h_mat + Bands({(0, 2): 1})  # H f_l = (l^2 + 2l + 1) f_l
-    replaced = dataclasses.replace(ops, h_mat=h)
+    replaced = OscillatorMatrices(ops.dim, ops.q_mat, ops.p_mat, h)
     assert replaced.tower[1] != ops.tower[1]
     assert replaced.h_powers[1] == h
     assert ops.h_powers[1] == Bands({(0, 1): 2, (0, 0): 1})
@@ -109,7 +109,7 @@ def test_element_to_matrix_refuses_an_off_band_ladder():
     ops = build_operators(DIM)
     p = ops.p_mat + Bands._canonical({(5, 0, 0): 1, (-7, 1, 0): 3}, 1)
     with pytest.raises(ValueError, match="p has a nonzero entry beyond its three bands"):
-        element_to_matrix(p_op(), dataclasses.replace(ops, p_mat=p))
+        element_to_matrix(p_op(), OscillatorMatrices(ops.dim, ops.q_mat, p, ops.h_mat))
 
 
 def _peak_bytes(check, n, dim):

@@ -25,6 +25,7 @@ from weylops import (
     q_op,
     validate_reordering,
 )
+from weylops import realization
 from weylops.sequences import euler_zero
 
 
@@ -75,6 +76,39 @@ def test_closed_form_precondition():
 
 def test_validate_reordering_default_box():
     validate_reordering()
+
+
+def test_validate_reordering_edge_boxes():
+    # max_l of 0 or 1 leaves fewer than three test monomials
+    for l in range(4):
+        validate_reordering(3, l)
+
+
+@pytest.mark.parametrize("args, name", [((-1, 8), "max_exp"), ((6, -1), "max_l")])
+def test_validate_reordering_refuses_an_empty_box(args, name):
+    with pytest.raises(ValueError, match=f"need {name} >= 0, got -1"):
+        validate_reordering(*args)
+
+
+def test_validate_reordering_acts_once_per_product(monkeypatch):
+    # one action of each of the 2,401 products on x^0 + x^1 + x^8, one of its
+    # left factor on the right factor's action, and one per right factor:
+    # 2 * 2,401 + 49 actions, where one per x^l took 3 * (2 * 2,401 + 49)
+    calls = {"mul": 0, "apply": 0}
+    true_mul, true_apply = WeylElement.__mul__, realization.apply_element
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(WeylElement, "__mul__", counting("mul", true_mul))
+    monkeypatch.setattr(realization, "apply_element", counting("apply", true_apply))
+    validate_reordering()
+    assert calls["mul"] == 2401
+    assert calls["apply"] <= 4851
 
 
 def test_commutator_expansion_without_the_engine():
