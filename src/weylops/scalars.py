@@ -328,14 +328,17 @@ class CTerms(FlatTerms):
 
     def _at_c(self, v: ScalarLike):
         """self at c = v: the sum of v^k times the part of self in c^k, with
-        every k set to 0."""
+        every k set to 0, and one product per power of v."""
         at = CPoly.of(v)
         if at.degree() > 0:
             raise ValueError(f"c can only be set to a number, not {at}")
         by_k: dict = {}
         for key, n in self._num.items():
             by_k.setdefault(key[-2], {})[(*key[:-2], 0, key[-1])] = n
-        return self.weighted_sum((at**k, self._flat(num, self._den)) for k, num in by_k.items())
+        powers = [CPoly.of(1)]
+        for _ in range(max(by_k, default=0)):
+            powers.append(powers[-1] * at)
+        return self.weighted_sum((powers[k], self._flat(num, self._den)) for k, num in by_k.items())
 
     def _grouped(self, split, part) -> dict:
         """The {head: coefficient} view, built on first use and cached;

@@ -92,9 +92,11 @@ class RatPoly(FlatTerms):
         return Fraction(acc, self._den * b**d)
 
     def compose(self, inner: "RatPoly") -> "RatPoly":
-        """Substitute ``inner`` for the variable."""
-        inner = RatPoly.of(inner)
-        return RatPoly.weighted_sum((a, inner**k) for k, a in self.coeffs.items())
+        """Substitute ``inner`` for the variable: one product per degree."""
+        inner, powers = RatPoly.of(inner), [RatPoly.of(1)]
+        for _ in range(self.degree()):
+            powers.append(powers[-1] * inner)
+        return RatPoly.weighted_sum((a, powers[k]) for k, a in self.coeffs.items())
 
     def derivative(self) -> "RatPoly":
         return RatPoly._canonical({k - 1: k * v for k, v in self._num.items() if k}, self._den)

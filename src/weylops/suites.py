@@ -95,14 +95,15 @@ def _q_anti_h_pow(pairs, q_h, h_q) -> WeylElement:
 
 
 def _bender_chains() -> tuple[Chain, ...]:
-    """{q,H}_k, {q,H-u/2}_k, q H^k and H^k q, the chains of one bender sweep."""
-    q, h = q_op(), hamiltonian()
-    centered_h = h - CPoly.c_power(1, I) * Fraction(1, 2)
+    """{q,H}_k, {q,H-u/2}_k, q H^k, H^k q and u^k, the chains of one bender sweep."""
+    q, h, u = q_op(), hamiltonian(), CPoly.c_power(1, I)
+    centered_h = h - u * Fraction(1, 2)
     return (
         Chain(q, lambda w: nested_anticommutator(w, h, 1)),
         Chain(q, lambda w: nested_anticommutator(w, centered_h, 1)),
         Chain(q, lambda w: w * h),
         Chain(q, lambda w: h * w),
+        Chain(CPoly.of(1), lambda w: w * u),
     )
 
 
@@ -113,13 +114,13 @@ def _bender(n: int, chains: tuple[Chain, ...]) -> VerificationReport:
 
     def check() -> str:
         _orders(n=n)
-        shifted, centered, q_h, h_q = chains
-        u = CPoly.c_power(1, I)
+        shifted, centered, q_h, h_q, u_pow = chains
 
         def euler_rhs(poly: RatPoly) -> WeylElement:  # 2^n/2 {q, sum_m a_m u^(n-m) H^m}
-            weights = [(u ** (n - m) * (a * 2**n / 2), m) for m, a in poly.coeffs.items()]
+            weights = [(u_pow[n - m] * (a * 2**n / 2), m) for m, a in poly.coeffs.items()]
             return _q_anti_h_pow(weights, q_h, h_q)
 
+        u = u_pow[1]
         plus_minus = shifted_nested_anticomm(-u, n, shifted) + shifted_nested_anticomm(u, n, shifted)
         return _diff(
             ("shifted-argument form", shifted[n], euler_rhs(shifted_euler(n))),
@@ -241,8 +242,10 @@ def _closed_forms(n: int) -> VerificationReport:
 # suites are the rows at f = p^n/n!, g = q^m/m!, whose derivatives are again
 # scaled monomials, so the records on one diagonal n - m read the same
 # brackets: a grid sweep builds each once, in one table for all its records.
-# Brackets and weights are looked up by name when a record runs, so a
-# patched module global reaches every row.
+# Beside it is one weight table, (row, k) -> c^k (-w_k)/k!.  Both die with
+# their owner (a sweep, a function record or a direct verify_* call), and an
+# entry looks its bracket or weight source up by name when it is first built,
+# so a module global patched before a sweep reaches every row.
 
 _OPS = {
     "[]": lambda x, y: commutator(x, y),
@@ -283,6 +286,12 @@ def _c_weight(k: int, w: Fraction | int) -> CPoly:
     return CPoly.c_power(k, Fraction(w) / factorial(k))
 
 
+def _weights() -> Callable[[str, int], CPoly]:
+    """(row, k) -> c^k (-w_k)/k!, the negated weight of _IDENTITIES row
+    ``row`` at k: one table per owner, each entry evaluated on first use."""
+    return cache(lambda row, k: _c_weight(k, -_IDENTITIES[row][3](k)))
+
+
 def _brackets(f_at: Callable[[int], WeylElement], g_at: Callable[[int], WeylElement]):
     """The table (op, i, j) -> op(f_at(i), g_at(j)), keyed by integers; each entry
     is built on first use and kept by the table's owner: a call, a record or a sweep."""
@@ -296,23 +305,24 @@ def _monomial_brackets() -> Callable:
                      lambda b: monomial(b, 0, Fraction(1, factorial(b))))
 
 
-def _expand(suite: str, term: Callable, kmax: int, /, **params) -> VerificationReport:
+def _expand(suite: str, term: Callable, weights: Callable, kmax: int, /, **params) -> VerificationReport:
     """One record, with parameters ``params``, checking the rows of
     _IDENTITIES labelled for ``suite`` in order.
 
     ``term(op, k)`` reads op(f^(k), g^(k)) from a bracket table, [F, G] at
-    k = -1, and kmax is min(deg f, deg g).  The table grows inside the
+    k = -1, ``weights(row, k)`` reads c^k (-w_k)/k! from a weight table
+    (``_weights``), and kmax is min(deg f, deg g).  The tables grow inside the
     record, as far as the rows reach: a bad argument becomes an error record
-    and the record's time pays for the brackets it adds.  Each bracket is
-    built once per sweep for the monomial grids, once per record otherwise.
+    and the record's time pays for the entries it adds.  Each entry is built
+    once per sweep for the monomial grids, once per record otherwise.
     """
 
     def check() -> str:
-        for lhs, op, first, weight, lead, labels in _IDENTITIES.values():
+        for row, (lhs, op, first, _, lead, labels) in _IDENTITIES.items():
             if suite not in labels:
                 continue
             # lhs - rhs in one sum: the right-hand side's weights enter negated
-            pairs = [(1, term(lhs, 0)), *((_c_weight(k, -weight(k)), term(op, k)) for k in range(first, kmax + 1))]
+            pairs = [(1, term(lhs, 0)), *((weights(row, k), term(op, k)) for k in range(first, kmax + 1))]
             if lead:
                 pairs.append((-lead, term("[]", -1).div_c(1)))
             d = WeylElement.weighted_sum(pairs)
@@ -325,13 +335,13 @@ def _expand(suite: str, term: Callable, kmax: int, /, **params) -> VerificationR
 
 def _monomial_grid(suite: str) -> Callable[[int, int], VerificationReport]:
     """The records (n, m) of ``suite`` at f = p^n/n!, g = q^m/m!, all reading
-    op(f^(k), g^(k)) = op(p^(n-k)/(n-k)!, q^(m-k)/(m-k)!) from one new table."""
-    table = _monomial_brackets()
-    return lambda n, m: _expand(suite, lambda op, k: table(op, n - k, m - k), min(n, m), n=n, m=m)
+    op(f^(k), g^(k)) = op(p^(n-k)/(n-k)!, q^(m-k)/(m-k)!) and w_k from two new tables."""
+    table, weights = _monomial_brackets(), _weights()
+    return lambda n, m: _expand(suite, lambda op, k: table(op, n - k, m - k), weights, min(n, m), n=n, m=m)
 
 
 def _functions(suite: str, f: RatPoly, g: RatPoly, tag: dict | None) -> VerificationReport:
-    """The record of ``suite`` at f(p) and g(q), over a table of its own."""
+    """The record of ``suite`` at f(p) and g(q), over tables of its own."""
 
     def at(h: RatPoly, x: WeylElement, k: int) -> WeylElement:
         d = h.antiderivative() if k < 0 else h
@@ -341,7 +351,7 @@ def _functions(suite: str, f: RatPoly, g: RatPoly, tag: dict | None) -> Verifica
 
     table = _brackets(partial(at, f, p_op()), partial(at, g, q_op()))
     kmax, params = min(f.degree(), g.degree()), dict(f=str(f), g=str(g), **(tag or {}))
-    return _expand(suite, lambda op, k: table(op, k, k), kmax, **params)
+    return _expand(suite, lambda op, k: table(op, k, k), _weights(), kmax, **params)
 
 
 def verify_pain(n: int, m: int) -> VerificationReport:
@@ -418,7 +428,7 @@ _Z_PLUS_1 = RatPoly({0: 1, 1: 1})
 
 @lru_cache(maxsize=None)
 def _z1_power(k: int) -> RatPoly:
-    return _Z_PLUS_1**k
+    return _z1_power(k - 1) * _Z_PLUS_1 if k else RatPoly.of(1)
 
 
 @lru_cache(maxsize=None)
@@ -527,17 +537,17 @@ def sequence_tables(max_n: int) -> VerificationReport:
 
     Checks the binomial bridge  lambda_n = 1 - sum_m 2^m C(n,m) kappa_m,
     vanishing of the even kappas and odd lambdas, and the known low-order
-    values.  The tables ride along in the report parameters.
+    values.  The tables, built inside the record, ride along in its parameters.
     """
-
-    kappas = [kappa(n) for n in range(max_n + 1)]
-    lambdas = [
-        Fraction(1) - sum(2**m * comb(n, m) * kappas[m] for m in range(n + 1))
-        for n in range(max_n + 1)
-    ]
-    params = {"N": max_n, "kappa": kappas, "lambda": lambdas}
+    params = {"N": max_n}
 
     def check() -> str:
+        kappas = [kappa(n) for n in range(max_n + 1)]
+        lambdas = [
+            Fraction(1) - sum(2**m * comb(n, m) * kappas[m] for m in range(n + 1))
+            for n in range(max_n + 1)
+        ]
+        params["kappa"], params["lambda"] = kappas, lambdas
         _orders(max_n=max_n)
         known_kappa = {
             1: Fraction(1, 2),

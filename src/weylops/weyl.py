@@ -207,12 +207,14 @@ def shifted_nested_anticomm(a: CPolyLike, n: int, tower: Chain | None = None) ->
     Convention {q,H}_0 = q.  For a central a this equals {q, H + a/2}_n,
     which is what makes the symmetrized power identities tractable.
     ``tower`` is a chain of {q,H}_k that the caller keeps, grown here to
-    level n; without it a fresh chain brackets n times.
+    level n; without it a fresh chain brackets n times.  The powers a^(n-k)
+    come from a chain of this call's own, one product per power.
     """
     if tower is None:
         tower = Chain(q_op(), lambda w: anticommutator(w, hamiltonian()))
     a = CPoly.of(a)
-    return WeylElement.weighted_sum((a ** (n - k) * comb(n, k), x) for k, x in enumerate(tower.upto(n)))
+    a_pow = Chain(CPoly.of(1), lambda w: w * a)
+    return WeylElement.weighted_sum((a_pow[n - k] * comb(n, k), x) for k, x in enumerate(tower.upto(n)))
 
 
 def left_nested_commutator(h: ElementLike, x: ElementLike, n: int) -> WeylElement:

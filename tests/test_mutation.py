@@ -60,7 +60,9 @@ oscillator bracket step, and for the bracket tables of the pain, reciprocal
 and mccoy grids under a broken anticommutator ({x, y} -> 2xy): after clean
 sweeps, every grid record must be decided as a fresh verify_pain,
 verify_reciprocal or verify_exp_series call decides it, some passing and
-some failing.
+some failing.  So must their weight tables under a wrong E_k(0) or B_k: a
+pain or reciprocal sweep after clean ones decides every record as a fresh
+call does, and a sweep after the patch passes again.
 """
 
 from fractions import Fraction
@@ -457,6 +459,29 @@ def test_a_grid_sweep_leaves_no_state_behind(monkeypatch):
         assert [r.status for r in swept] == [
             "fail" if min(n, m) >= least else "pass" for n in range(4) for m in range(4)
         ]
+
+
+WEIGHT_SOURCES = {  # weight source -> (the grid whose rows read it, the direct check of its records)
+    "euler_zero": ("pain", suites.verify_pain),
+    "bernoulli_number": ("reciprocal", suites.verify_reciprocal),
+}
+
+
+def test_a_grid_sweep_leaves_no_weight_behind(monkeypatch):
+    # E_k(0) or B_k read as 1/7: every weight from k = 1 on changes, so the
+    # records with min(n, m) >= 1 fail.  A sweep after clean ones must see
+    # that, as fresh direct calls do, and not read the weights a clean sweep
+    # evaluated; once the patch is gone, a sweep passes again.
+    bounds, cells = dict(max_n=3, max_m=3, cases=0), [(n, m) for n in range(4) for m in range(4)]
+    assert all(r.ok for suite, _ in WEIGHT_SOURCES.values() for r in run_suite(suite, **bounds))
+    for name, (suite, verify) in WEIGHT_SOURCES.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, name, lambda k: Fraction(1, 7))
+            swept = run_suite(suite, **bounds)
+            direct = [verify(n, m) for n, m in cells]
+        assert [(r.status, r.witness) for r in swept] == [(r.status, r.witness) for r in direct]
+        assert [r.status for r in swept] == ["fail" if min(n, m) >= 1 else "pass" for n, m in cells]
+        assert all(r.ok for r in run_suite(suite, **bounds))
 
 
 def test_a_hermite_sweep_leaves_no_state_behind(monkeypatch):

@@ -411,3 +411,62 @@ def test_binomial_sweep_sums_twice_per_record(monkeypatch):
     reports = run_suite("binomial")
     assert len(reports) == 2197 and all(r.ok for r in reports)
     assert calls[0] <= 4_410, calls[0]
+
+
+# weights c^k (-w_k)/k! evaluated by a default sweep: one per row and k, 10
+# for pain's one row, 20 for reciprocal's two and 33 for mccoy (21 over its
+# exp-series grid's two rows, 12 over its function records, each with a
+# table of its own).  Evaluating them in every record takes 385, 770 and 903.
+WEIGHT_CEILINGS = {"pain": 10, "reciprocal": 20, "mccoy": 33}
+
+
+@pytest.mark.parametrize("suite", sorted(WEIGHT_CEILINGS))
+def test_a_grid_sweep_evaluates_each_weight_once(monkeypatch, suite):
+    import weylops.suites as suites_mod
+
+    true_weight = suites_mod._c_weight
+    calls = [0]
+
+    def counted(k, w):
+        calls[0] += 1
+        return true_weight(k, w)
+
+    monkeypatch.setattr(suites_mod, "_c_weight", counted)
+    assert all(r.ok for r in run_suite(suite))
+    assert calls[0] <= WEIGHT_CEILINGS[suite], calls[0]
+
+
+def test_a_bender_sweep_takes_each_power_once(monkeypatch):
+    # u^(n-m) read off one chain per sweep, each shift's a^(n-k) off one
+    # chain per call and E_n(x + 1/2) composed with one product per degree:
+    # 455 CPoly and 78 RatPoly products.  Raising each power from scratch
+    # makes 1,379 and 239.
+    products = {CPoly: 0, RatPoly: 0}
+    for cls in products:
+        true_mul = cls.__mul__
+
+        def counted(self, other, cls=cls, true_mul=true_mul):
+            products[cls] += 1
+            return true_mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(cls, "__rmul__", counted)
+    assert all(r.ok for r in run_suite("bender"))
+    assert products[CPoly] <= 460 and products[RatPoly] <= 80, products
+
+
+def test_a_raising_weight_source_is_a_sequences_error(monkeypatch, capsys):
+    # the kappa and lambda tables are built inside the record, so a raising
+    # kappa is that record's error, and `verify` reports it and exits 1
+    import weylops.suites as suites_mod
+    from weylops.cli import main
+
+    def refuse(n):
+        raise ArithmeticError(f"no kappa_{n}")
+
+    monkeypatch.setattr(suites_mod, "kappa", refuse)
+    reports = run_suite("sequences")
+    assert [(r.status, r.witness) for r in reports] == [("error", "ArithmeticError: no kappa_0")]
+    assert main(["verify", "sequences"]) == 1
+    out, err = capsys.readouterr()
+    assert "[ERROR] sequences(" in out and "Traceback" not in out + err

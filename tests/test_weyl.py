@@ -356,3 +356,23 @@ def test_equal_values_hash_alike(x):
         for v in forms:
             if u == v:
                 assert hash(u) == hash(v)
+
+
+@settings(max_examples=40)
+@given(
+    st.dictionaries(st.integers(0, 5), rationals, max_size=4),
+    st.dictionaries(st.integers(0, 2), rationals, max_size=3),
+    coeffs,
+    gaussians,
+    elements,
+    st.integers(0, 4),
+)
+def test_running_powers_match_the_naive_powers(outer, inner, a, v, x, n):
+    # compose, CPoly.subst and shifted_nested_anticomm take each power from
+    # the one before; the forms that raise every power from scratch agree
+    f, g = RatPoly(outer), RatPoly(inner)
+    assert f.compose(g) == RatPoly.weighted_sum((w, g**k) for k, w in f.coeffs.items())
+    assert a.subst(v) == sum((w * v**k for k, w in a.coeffs.items()), GaussianRational())
+    tower = weyl.Chain(x, lambda w: w * q_op())
+    naive = WeylElement.weighted_sum((a ** (n - k) * comb(n, k), t) for k, t in enumerate(tower.upto(n)))
+    assert shifted_nested_anticomm(a, n, tower) == naive
