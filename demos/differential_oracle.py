@@ -6,15 +6,9 @@ concrete action on monomials.  The engine's reordering rule never enters:
 ``apply_element`` only reads off  q^a p^b x^l = c^b l!/(l-b)! x^(l-b+a).
 """
 
-from weylops import (
-    XPoly,
-    apply_element,
-    monomial_anticommutator_action,
-    monomial_commutator_action,
-    p_op,
-    q_op,
-    validate_reordering,
-)
+from fractions import Fraction
+
+from weylops import XPoly, apply_element, monomial, p_op, q_op, validate_reordering
 
 p, q = p_op(), q_op()
 
@@ -26,11 +20,15 @@ print(f"p(q x^3) = {pq}")
 print(f"q(p x^3) = {qp}")
 print(f"difference = {pq - qp}   (c times x^3, as required)\n")
 
-# closed forms for scaled-power brackets, against composed single steps
-coeff, degree = monomial_commutator_action(2, 3, 5)
-print(f"[p^2/2!, q^3/3!] x^5 -> coefficient {coeff}, degree {degree}")
-coeff, degree = monomial_anticommutator_action(2, 3, 5)
-print(f"{{p^2/2!, q^3/3!}} x^5 -> coefficient {coeff}, degree {degree}\n")
+# scaled-power brackets on x^5, each product composed from the factors'
+# single-monomial actions: no engine product is formed
+p2, q3 = monomial(0, 2, Fraction(1, 2)), monomial(3, 0, Fraction(1, 6))
+f = XPoly.monomial(5)
+pq, qp = apply_element(p2, apply_element(q3, f)), apply_element(q3, apply_element(p2, f))
+for name, sign in (("[p^2/2!, q^3/3!]", -1), ("{p^2/2!, q^3/3!}", 1)):
+    ((degree, coeff),) = XPoly.weighted_sum([(1, pq), (sign, qp)]).coeffs.items()
+    print(f"{name} x^5 -> coefficient {coeff}, degree {degree}")
+print()
 
 # the box check: every product q^a1 p^b1 * q^a2 p^b2 with exponents <= 6
 # must act as the composition of its factors' actions

@@ -8,8 +8,8 @@ other up: the symbolic normal-ordering engine, the shift action on
 polynomials, and the oscillator ladders in an integer Hermite basis.  The
 package has no runtime dependency beyond the standard library.  Only the
 hermite sweep imports the oscillator realization; its API
-(``build_operators``, ``element_to_matrix``, ``safe_margin``) is imported
-from ``weylops.oscillator``.
+(``build_operators``, ``element_to_matrix``) is imported from
+``weylops.oscillator``.
 """
 
 from .report import reports_to_json
@@ -52,14 +52,7 @@ from .weyl import (
     scalar,
     shifted_nested_anticomm,
 )
-from .realization import (
-    PreconditionViolation,
-    XPoly,
-    apply_element,
-    monomial_anticommutator_action,
-    monomial_commutator_action,
-    validate_reordering,
-)
+from .realization import XPoly, apply_element, validate_reordering
 from .suites import (
     b_sum,
     extract_convolution_coefficients,

@@ -23,7 +23,7 @@ from .suites import SELECTORS, run_suite
 CONFIG_ENV = "WEYLOPS_CONFIG"
 
 _INT_KEYS = ("max_n", "max_m", "max_l", "dim", "seed")
-_CONFIG_KEYS = frozenset((*_INT_KEYS, "tol", "format"))
+_CONFIG_KEYS = frozenset((*_INT_KEYS, "format"))
 
 
 class ConfigError(ValueError):
@@ -48,8 +48,6 @@ def _load_config(path: str | None) -> dict:
     for key in _INT_KEYS:
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):
             raise ConfigError(f"config {path}: {key} must be an integer")
-    if "tol" in cfg and (isinstance(cfg["tol"], bool) or not isinstance(cfg["tol"], (int, float))):
-        raise ConfigError(f"config {path}: tol must be a number")
     if "format" in cfg and cfg["format"] not in ("text", "json"):
         raise ConfigError(f"config {path}: format must be 'text' or 'json'")
     return cfg
@@ -78,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-n", type=int, dest="max_n", default=None)
     verify.add_argument("--max-m", type=int, dest="max_m", default=None)
     verify.add_argument("--max-l", type=int, dest="max_l", default=None)
-    verify.add_argument("--tol", type=float, default=None)
     verify.add_argument("--dim", type=int, default=None)
     verify.add_argument("--seed", type=int, default=None)
     _add_common(verify)
@@ -145,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         fmt = args.fmt or cfg.get("format", "text")
         if args.command == "tables":
             return 0 if _emit(_tables_body(_merged(args, cfg, "max_n", 16), fmt), args.output) else 2
-        bounds = {key: _merged(args, cfg, key) for key in ("max_n", "max_m", "max_l", "tol", "dim")}
+        bounds = {key: _merged(args, cfg, key) for key in ("max_n", "max_m", "max_l", "dim")}
         reports = run_suite(args.suite, **bounds, seed=_merged(args, cfg, "seed", 0))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,24 +16,14 @@ c^k i^i x^deg under the key (deg, k, i), over one shared denominator.
 ``apply_element`` reads both operands' numerators, applies i^2 = -1 and uses
 integer falling factorials, so the action builds no Fraction and calls
 nothing of the engine's product (``contraction_weights``, ``__mul__``).
-
-Monomial closed forms (l >= n, with C(n,k) = 0 for k > n):
-
-    [p^n/n!, q^m/m!] x^l = (c^n/m!) (C(m+l,n) - C(l,n)) x^(l-n+m)
-    {p^n/n!, q^m/m!} x^l = (c^n/m!) (C(m+l,n) + C(l,n)) x^(l-n+m)
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial, perm
+from math import perm
 
 from .scalars import CPoly, CPolyLike, CTerms
 from .weyl import WeylElement
-
-
-class PreconditionViolation(ValueError):
-    """A closed form was requested outside its stated domain."""
 
 
 class XPoly(CTerms):
@@ -75,27 +65,6 @@ def apply_element(w: WeylElement, f: XPoly) -> XPoly:
             key = (l - b + a, k1 + k2 + b, i1 ^ i2)
             out[key] = out.get(key, 0) + (-n if i1 & i2 else n)  # i^2 = -1
     return XPoly._canonical(out, w._den * f._den)
-
-
-def _monomial_action(n: int, m: int, l: int, sign: int) -> tuple[CPoly, int]:
-    if l < n:
-        raise PreconditionViolation(f"closed form needs l >= n, got l={l}, n={n}")
-    coeff = CPoly.c_power(n, Fraction(comb(m + l, n) + sign * comb(l, n), factorial(m)))
-    return coeff, l - n + m
-
-
-def monomial_commutator_action(n: int, m: int, l: int) -> tuple[CPoly, int]:
-    """Closed form of  [p^n/n!, q^m/m!]  on x^l: (coefficient, degree).
-
-    Valid for l >= n (the closed form's stated domain); raises
-    PreconditionViolation below it.
-    """
-    return _monomial_action(n, m, l, -1)
-
-
-def monomial_anticommutator_action(n: int, m: int, l: int) -> tuple[CPoly, int]:
-    """Closed form of  {p^n/n!, q^m/m!}  on x^l: (coefficient, degree)."""
-    return _monomial_action(n, m, l, 1)
 
 
 def validate_reordering(max_exp: int = 6, max_l: int = 8) -> None:

@@ -37,10 +37,10 @@ import random
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import product
-from math import comb, factorial, isfinite
+from math import comb, factorial
 from typing import Callable
 
-from .bounds import DEFAULT_DIM, DEFAULT_MAX_N, DEFAULT_TOL, min_dim
+from .bounds import DEFAULT_DIM, DEFAULT_MAX_N, min_dim
 from .report import VerificationReport, run_check
 from .scalars import CPoly, I
 from .sequences import (
@@ -613,12 +613,7 @@ def _random_cases(verify: Callable, seed: int, cases: int) -> list[VerificationR
     return [verify(*random_poly_pair(rng), tag={"case": idx, "seed": seed}) for idx in range(cases)]
 
 
-def _hermite(
-    max_n: int = DEFAULT_MAX_N,
-    dim: int = DEFAULT_DIM,
-    tol: float = DEFAULT_TOL,
-    **_,
-) -> list[VerificationReport]:
+def _hermite(max_n: int = DEFAULT_MAX_N, dim: int = DEFAULT_DIM, **_) -> list[VerificationReport]:
     from . import oscillator  # standard library only; imported only when a hermite check runs
 
     checks = (
@@ -628,7 +623,7 @@ def _hermite(
         oscillator.check_symbolic_bridge,
     )
     ops = oscillator.build_operators(dim)  # the ladders and chains of this sweep's records
-    return [check(n, dim, tol, ops) for n in range(max_n + 1) for check in checks]
+    return [check(n, dim, ops) for n in range(max_n + 1) for check in checks]
 
 
 # selector -> its sweep.  A sweep is called with the bounds run_suite was given
@@ -664,7 +659,6 @@ def run_suite(
     max_n: int | None = None,
     max_m: int | None = None,
     max_l: int | None = None,
-    tol: float | None = None,
     dim: int | None = None,
     seed: int = 0,
     cases: int | None = None,
@@ -675,13 +669,12 @@ def run_suite(
     ``cases`` only affect the suites that draw random polynomial instances.
     Bounds out of range raise ValueError before any check runs: a max_n,
     max_m, max_l, dim, seed or cases that is a bool or not an int, a negative
-    max_n, max_m, max_l or cases, a tol that is not a finite int or float above 0,
-    a dim below min_dim(0) or, for "hermite" and "all", below min_dim of the
-    hermite sweep's max_n.  A sweep that runs no checks raises it too.
+    max_n, max_m, max_l or cases, a dim below min_dim(0) or, for "hermite"
+    and "all", below min_dim of the hermite sweep's max_n.  A sweep that runs no checks raises it too.
     """
     if name != "all" and name not in _SWEEPS:
         raise ValueError(f"unknown suite: {name!r}")
-    bounds = dict(max_n=max_n, max_m=max_m, max_l=max_l, tol=tol, dim=dim, seed=seed, cases=cases)
+    bounds = dict(max_n=max_n, max_m=max_m, max_l=max_l, dim=dim, seed=seed, cases=cases)
     for key in ("max_n", "max_m", "max_l", "dim", "seed", "cases"):
         if bounds[key] is not None and (isinstance(bounds[key], bool) or not isinstance(bounds[key], int)):
             raise ValueError(f"{key} must be an integer, got {bounds[key]!r}")
@@ -695,10 +688,6 @@ def run_suite(
         raise ValueError(
             f"dim must be at least {min_dim(n)} for the hermite checks up to max_n {n}, got {d}"
         )
-    if tol is not None and (
-        isinstance(tol, bool) or not isinstance(tol, (int, float)) or not (isfinite(tol) and tol > 0)
-    ):
-        raise ValueError(f"tol must be a finite number above 0, got {tol}")
     given = {k: v for k, v in bounds.items() if v is not None}
     reports = [r for s in (SELECTORS if name == "all" else (name,)) for r in _SWEEPS[s](**given)]
     if not reports:

@@ -137,10 +137,6 @@ def test_bad_configs_exit_2(capsys, tmp_path, payload):
         ("verify", "binomial", "--max-l", "-1"),
         ("verify", "hermite", "--dim", "0"),
         ("tables", "--max-n", "-1"),
-        ("verify", "hermite", "--tol", "nan"),
-        ("verify", "hermite", "--tol", "inf"),
-        ("verify", "hermite", "--tol", "0"),
-        ("verify", "hermite", "--tol", "-0.001"),
         # below the dim the hermite sweep needs: 4, and 2 max_n + 4 for the bridge
         ("verify", "hermite", "--dim", "3", "--max-n", "1"),
         ("verify", "hermite", "--dim", "6", "--max-n", "2"),
@@ -154,12 +150,32 @@ def test_bad_bounds_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.001", "1e300"])
+def test_tol_is_not_an_option(capsys, tol):
+    # the hermite verdicts are exact, so no tolerance can pass a difference:
+    # --tol is unknown to argparse, however large
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "hermite", "--tol", tol])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
+
+
+def test_tol_is_not_a_config_key(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": 1e-9}')
+    rc, out, err = run_cli(capsys, "verify", "hermite", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert err == f"error: config {cfg}: unknown keys tol\n"
+
+
 @pytest.mark.parametrize(
     "payload",
     [
         '{"max_n": -1}',
         '{"max_l": -3}',
         '{"dim": 0}',
+        # tol is no bound any more, but an unknown key, whatever its value
         '{"tol": NaN}',
         '{"tol": Infinity}',
         '{"tol": 0}',
@@ -272,9 +288,10 @@ facts["numpy"] = "numpy" in sys.modules
 facts["dataclasses"] = "dataclasses" in sys.modules
 facts["oscillator"] = "weylops.oscillator" in sys.modules
 import weylops
-from weylops.oscillator import build_operators, element_to_matrix, safe_margin
-facts["dim"] = build_operators(4).dim
-facts["margin"] = safe_margin(weylops.hamiltonian())
+from weylops.oscillator import build_operators, element_to_matrix
+ops = build_operators(4)
+facts["dim"] = ops.dim
+facts["realized"] = element_to_matrix(weylops.hamiltonian(), ops) == ops.h_mat
 try:
     weylops.no_such_name
 except AttributeError as exc:
@@ -303,5 +320,5 @@ def test_verify_all_leaves_numpy_unloaded(child_env):
     assert facts["dataclasses"] is False
     # the oscillator API is importable from weylops.oscillator
     assert facts["dim"] == 4
-    assert facts["margin"] == 2
+    assert facts["realized"] is True
     assert facts["unknown"] == "module 'weylops' has no attribute 'no_such_name'"

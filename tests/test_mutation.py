@@ -23,7 +23,8 @@ fail ``validate_reordering`` through its degree check.
 
 The oscillator oracle gets the same treatment: an integer ladder with one
 term added must turn records FAIL (the main identity and the closed forms
-for H or q, the bridge for p or q), and a q with an entry off its two
+for H or q, the bridge for p or q), and a term of weight 10^-12 must fail
+as many records as one of weight 10^-6.  A q with an entry off its two
 off-diagonals, a p with one beyond its three bands or an H with one off its
 diagonal must keep every hermite check that reads that ladder from passing.
 
@@ -152,14 +153,15 @@ def test_bridge_at_c_minus_i_fails(monkeypatch):
         assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
 
 
-def _perturbed_build(monkeypatch, name, *entries):
-    """Patch build_operators so that the named ladder gains 1 at each entry
-    (j, d, i): the term i^i l^d of its band j."""
+def _perturbed_build(monkeypatch, name, *entries, weight=1):
+    """Patch build_operators so that the named ladder gains weight at each
+    entry (j, d, i): the term i^i l^d of its band j."""
     true_build = oscillator.build_operators
+    weight = Fraction(weight)
 
     def perturbed(dim):
         ops = true_build(dim)
-        added = oscillator.Bands._canonical(dict.fromkeys(entries, 1), 1)
+        added = oscillator.Bands._canonical(dict.fromkeys(entries, weight.numerator), weight.denominator)
         ladders = {n: getattr(ops, n) for n in ("q_mat", "p_mat", "h_mat")}
         ladders[name] += added
         return oscillator.OscillatorMatrices(ops.dim, **ladders)
@@ -189,13 +191,13 @@ def test_perturbed_q_ladder_fails_the_bridge(monkeypatch):
 def test_perturbed_ladder_fails_the_matrix_oracle(monkeypatch):
     # H f_l = (l^2 + 2l + 1) f_l: adding a constant to H would keep the main
     # identity, which needs only h(l+1) - h(l) = 2, but l^2 breaks it on every
-    # column.  The absolute error grows with l, but each column is measured
-    # against its own scale, so the witness names a low column.
+    # column.  The witness names the first column and row, f_0 -> f_1, with
+    # both exact entries.
     assert oscillator.check_main_identity_matrix(8, 64).ok
     _perturbed_build(monkeypatch, "h_mat", (0, 2, 0))
     report = oscillator.check_main_identity_matrix(8, 64)
     assert report.status == "fail"
-    assert "at l=1 " in report.witness
+    assert report.witness == "differs at l=0, row 1: -5771362*i != -16777472*i"
 
 
 CLOSED_FORMS = [oscillator.check_nested_anticomm_closed_form, oscillator.check_shifted_expansions]
@@ -219,6 +221,22 @@ ALL_HERMITE = CLOSED_FORMS + [
     oscillator.check_main_identity_matrix,
     oscillator.check_symbolic_bridge,
 ]
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 10**12), Fraction(1, 10**6)])
+@pytest.mark.parametrize(
+    "name, entry, failing",
+    # q f_l gains a multiple of i f_(l+1), which every check reads but the
+    # main identity, whose two sides are both linear in q; p f_l gains a
+    # multiple of f_(l-1), which only the bridge reads
+    [("q_mat", (1, 0, 1), 12), ("p_mat", (-1, 0, 0), 4)],
+)
+def test_a_ladder_off_by_a_tiny_weight_fails_as_one_off_by_a_large_one(monkeypatch, weight, name, entry, failing):
+    # the verdicts are exact: no weight is small enough to pass as rounding
+    assert all(check(n, 64).ok for n in range(1, 5) for check in ALL_HERMITE)
+    _perturbed_build(monkeypatch, name, entry, weight=weight)
+    statuses = [check(n, 64).status for n in range(1, 5) for check in ALL_HERMITE]
+    assert statuses.count("fail") == failing and statuses.count("error") == 0
 
 
 @pytest.mark.parametrize("check", ALL_HERMITE)

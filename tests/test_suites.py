@@ -201,11 +201,6 @@ _BAD_BOUNDS = [
     ("binomial", {"max_l": -1}),
     ("all", {"max_l": -3}),
     ("hermite", {"dim": 0}),
-    ("hermite", {"tol": float("nan")}),
-    ("hermite", {"tol": float("inf")}),
-    ("hermite", {"tol": 0}),
-    ("hermite", {"tol": -0.001}),
-    ("all", {"tol": float("nan")}),
     ("hermite", {"dim": 3, "max_n": 1}),
     ("hermite", {"dim": 6, "max_n": 2}),
     ("all", {"dim": 7, "max_n": 2}),
@@ -217,8 +212,6 @@ _BAD_BOUNDS = [
     ("binomial", {"max_l": False}),
     ("mccoy", {"seed": "1"}),
     ("functions", {"cases": 1.5}),
-    ("hermite", {"tol": True}),
-    ("hermite", {"tol": "1e-9"}),
 ]
 
 
