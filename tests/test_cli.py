@@ -137,6 +137,11 @@ def test_bad_configs_exit_2(capsys, tmp_path, payload):
         ("verify", "binomial", "--max-l", "-1"),
         ("verify", "hermite", "--dim", "0"),
         ("tables", "--max-n", "-1"),
+        # the "all" selector refuses each bound before its first check
+        ("verify", "all", "--max-n", "-1"),
+        ("verify", "all", "--max-m", "-1"),
+        ("verify", "all", "--max-l", "-1"),
+        ("verify", "all", "--dim", "0"),
         # below the dim the hermite sweep needs: 4, and 2 max_n + 4 for the bridge
         ("verify", "hermite", "--dim", "3", "--max-n", "1"),
         ("verify", "hermite", "--dim", "6", "--max-n", "2"),
