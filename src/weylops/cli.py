@@ -76,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-n", type=int, dest="max_n", default=None)
     verify.add_argument("--max-m", type=int, dest="max_m", default=None)
     verify.add_argument("--max-l", type=int, dest="max_l", default=None)
+    # --dim and the dim config key only label the hermite records; they stay
+    # while the benchmark's oracles workload passes --dim 256
     verify.add_argument("--dim", type=int, default=None)
     verify.add_argument("--seed", type=int, default=None)
     _add_common(verify)

@@ -30,7 +30,7 @@ class XPoly(CTerms):
     """Polynomial in x with CPoly coefficients (the realization's carrier).
 
     Stored flat (see FlatTerms) under keys (deg, k, i) for c^k i^i x^deg;
-    ``coeffs`` is the {deg: CPoly} view, built on first use and cached.
+    ``coeffs`` is the {deg: CPoly} view, a new dict on each read.
     Immutable.
     """
 

@@ -91,11 +91,10 @@ class FlatTerms:
     numerators 1, zero is ``({}, 1)``), so equality is structural.  The
     constructor takes ``{head: number or CPoly}`` and each subclass says how
     a head and a part c^k i^i make a key (``_key``), and which (k, i) a key
-    of a constant stands for (``_scalar_key``, for ``__hash__``).  ``_view``
-    caches the subclass's coefficient view.  Immutable.
+    of a constant stands for (``_scalar_key``, for ``__hash__``).  Immutable.
     """
 
-    __slots__ = ("_num", "_den", "_view")
+    __slots__ = ("_num", "_den")
     _unit = 0  # the head of a constant, for ``of``
 
     def __init__(self, terms: dict | None = None):
@@ -121,7 +120,6 @@ class FlatTerms:
             num, den = canon._num, canon._den
         _set(self, "_num", num)
         _set(self, "_den", den)
-        _set(self, "_view", None)
 
     @classmethod
     def of(cls, x):
@@ -134,7 +132,6 @@ class FlatTerms:
         x = object.__new__(cls)
         _set(x, "_num", num)
         _set(x, "_den", den)
-        _set(x, "_view", None)
         return x
 
     @classmethod
@@ -341,16 +338,14 @@ class CTerms(FlatTerms):
         return self.weighted_sum((powers[k], self._flat(num, self._den)) for k, num in by_k.items())
 
     def _grouped(self, split, part) -> dict:
-        """The {head: coefficient} view, built on first use and cached;
-        ``split(key)`` is the head and the key in the ``part`` coefficient."""
-        if self._view is None:
-            grouped: dict = {}
-            for key, n in self._num.items():
-                head, rest = split(key)
-                grouped.setdefault(head, {})[rest] = n
-            view = {head: part._canonical(num, self._den) for head, num in grouped.items()}
-            _set(self, "_view", view)
-        return self._view
+        """A new {head: coefficient} dict on each call, so no caller can
+        change self through it; ``split(key)`` is the head and the key in the
+        ``part`` coefficient."""
+        grouped: dict = {}
+        for key, n in self._num.items():
+            head, rest = split(key)
+            grouped.setdefault(head, {})[rest] = n
+        return {head: part._canonical(num, self._den) for head, num in grouped.items()}
 
     def _render(self, view: dict, mono) -> str:
         """The view's "(coeff) * mono" terms in key order, joined by " + "."""
@@ -366,7 +361,7 @@ class CPoly(CTerms):
     rationals: the empty-head case of FlatTerms, under keys (k, i).
 
     ``CPoly({k: number})``; ``coeffs`` is the {k: GaussianRational} view,
-    built on first use and cached, so callers must not mutate it.
+    a new dict on each read.
     """
 
     __slots__ = ()

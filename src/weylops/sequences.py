@@ -17,8 +17,8 @@ results are exact and reproducible:
 
 The polynomials are returned as ``RatPoly``: immutable sparse polynomials
 over Q in one commuting variable, stored flat as integer numerators over one
-shared positive denominator.  ``RatPoly.coeffs`` is a cached {degree:
-Fraction} view over those numerators and never holds zeros.
+shared positive denominator.  ``RatPoly.coeffs`` is a {degree: Fraction}
+view over those numerators, built on each read, and never holds zeros.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class RatPoly(FlatTerms):
     """Sparse polynomial over Q in one commuting variable.
 
     Stored flat (see ``scalars.FlatTerms``) under keys deg for x^deg, with no
-    c and no i.  ``coeffs`` is the {degree: Fraction} view, built on first
-    use and cached, so callers must not mutate it.  Immutable.
+    c and no i.  ``coeffs`` is the {degree: Fraction} view, a new dict on
+    each read.  Immutable.
     """
 
     __slots__ = ()
@@ -54,10 +54,8 @@ class RatPoly(FlatTerms):
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
-        if self._view is None:
-            den = self._den
-            object.__setattr__(self, "_view", {k: Fraction(v, den) for k, v in self._num.items()})
-        return self._view
+        den = self._den
+        return {k: Fraction(v, den) for k, v in self._num.items()}
 
     @staticmethod
     def x() -> "RatPoly":
@@ -108,11 +106,12 @@ class RatPoly(FlatTerms):
         return RatPoly._canonical(num, self._den * m)
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[k]
+        for k in sorted(coeffs, reverse=True):
+            v = coeffs[k]
             if k == 0:
                 parts.append(str(v))
                 continue

@@ -40,7 +40,6 @@ from itertools import product
 from math import comb, factorial
 from typing import Callable
 
-from .bounds import DEFAULT_DIM, DEFAULT_MAX_N, min_dim
 from .report import VerificationReport, run_check
 from .scalars import CPoly, I
 from .sequences import (
@@ -613,7 +612,7 @@ def _random_cases(verify: Callable, seed: int, cases: int) -> list[VerificationR
     return [verify(*random_poly_pair(rng), tag={"case": idx, "seed": seed}) for idx in range(cases)]
 
 
-def _hermite(max_n: int = DEFAULT_MAX_N, dim: int = DEFAULT_DIM, **_) -> list[VerificationReport]:
+def _hermite(max_n: int, dim: int | None = None, **_) -> list[VerificationReport]:
     from . import oscillator  # standard library only; imported only when a hermite check runs
 
     checks = (
@@ -622,8 +621,9 @@ def _hermite(max_n: int = DEFAULT_MAX_N, dim: int = DEFAULT_DIM, **_) -> list[Ve
         oscillator.check_main_identity_matrix,
         oscillator.check_symbolic_bridge,
     )
-    ops = oscillator.build_operators(dim)  # the ladders and chains of this sweep's records
-    return [check(n, dim, ops) for n in range(max_n + 1) for check in checks]
+    # the ladders and chains of this sweep's records, and the dim they carry
+    ops = oscillator.build_operators(oscillator.DEFAULT_DIM if dim is None else dim)
+    return [check(n, ops.dim, ops) for n in range(max_n + 1) for check in checks]
 
 
 # selector -> its sweep.  A sweep is called with the bounds run_suite was given
@@ -647,7 +647,7 @@ _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
     ),
     "figueira": lambda **_: [verify_figueira(h0, x) for h0, x in standard_conjugation_fixtures()],
     "sequences": lambda max_n=16, **_: [sequence_tables(max_n)],
-    "hermite": _hermite,
+    "hermite": lambda max_n=8, **bounds: _hermite(max_n, **bounds),
 }
 
 SELECTORS = tuple(_SWEEPS)
@@ -669,8 +669,9 @@ def run_suite(
     ``cases`` only affect the suites that draw random polynomial instances.
     Bounds out of range raise ValueError before any check runs: a max_n,
     max_m, max_l, dim, seed or cases that is a bool or not an int, a negative
-    max_n, max_m, max_l or cases, a dim below min_dim(0) or, for "hermite"
-    and "all", below min_dim of the hermite sweep's max_n.  A sweep that runs no checks raises it too.
+    max_n, max_m, max_l or cases, and a dim below build_operators' floor of
+    4.  dim is only a label of the hermite records.  A sweep that runs no
+    checks raises it too.
     """
     if name != "all" and name not in _SWEEPS:
         raise ValueError(f"unknown suite: {name!r}")
@@ -678,16 +679,9 @@ def run_suite(
     for key in ("max_n", "max_m", "max_l", "dim", "seed", "cases"):
         if bounds[key] is not None and (isinstance(bounds[key], bool) or not isinstance(bounds[key], int)):
             raise ValueError(f"{key} must be an integer, got {bounds[key]!r}")
-    for key, least in (
-        ("max_n", 0), ("max_m", 0), ("max_l", 0), ("cases", 0), ("dim", min_dim(0))
-    ):
+    for key, least in (("max_n", 0), ("max_m", 0), ("max_l", 0), ("cases", 0), ("dim", 4)):
         if bounds[key] is not None and bounds[key] < least:
             raise ValueError(f"{key} must be at least {least}, got {bounds[key]}")
-    n, d = (DEFAULT_MAX_N if max_n is None else max_n), (DEFAULT_DIM if dim is None else dim)
-    if name in ("hermite", "all") and d < min_dim(n):
-        raise ValueError(
-            f"dim must be at least {min_dim(n)} for the hermite checks up to max_n {n}, got {d}"
-        )
     given = {k: v for k, v in bounds.items() if v is not None}
     reports = [r for s in (SELECTORS if name == "all" else (name,)) for r in _SWEEPS[s](**given)]
     if not reports:

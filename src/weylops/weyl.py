@@ -74,8 +74,8 @@ class WeylElement(CTerms):
     """Normal-ordered element of the algebra generated by q and p.
 
     Stored flat (see FlatTerms) under keys (a, b, k, i) for c^k i^i q^a p^b;
-    ``terms`` is the {(a, b): CPoly} view, built on first use and cached, so
-    callers must not mutate it.  Immutable.
+    ``terms`` is the {(a, b): CPoly} view, a new dict on each read.
+    Immutable.
     """
 
     __slots__ = ()

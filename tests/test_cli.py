@@ -142,17 +142,31 @@ def test_bad_configs_exit_2(capsys, tmp_path, payload):
         ("verify", "all", "--max-m", "-1"),
         ("verify", "all", "--max-l", "-1"),
         ("verify", "all", "--dim", "0"),
-        # below the dim the hermite sweep needs: 4, and 2 max_n + 4 for the bridge
+        # below build_operators' floor of 4, whatever max_n
         ("verify", "hermite", "--dim", "3", "--max-n", "1"),
-        ("verify", "hermite", "--dim", "6", "--max-n", "2"),
-        ("verify", "all", "--dim", "7", "--max-n", "2"),
-        ("verify", "hermite", "--max-n", "31"),  # default dim 64
+        ("verify", "hermite", "--dim", "3"),
+        ("verify", "all", "--dim", "3"),
+        ("verify", "hermite", "--dim", "3", "--max-n", "9"),
     ],
 )
 def test_bad_bounds_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "hermite", "--dim", "6", "--max-n", "2"),
+        ("verify", "all", "--dim", "7", "--max-n", "2"),
+    ],
+)
+def test_a_dim_below_2_max_n_plus_4_runs(capsys, argv):
+    # dim labels the hermite records and bounds no order
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert out.count("[PASS ] hermite(") == 12
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.001", "1e300"])
@@ -186,8 +200,6 @@ def test_tol_is_not_a_config_key(capsys, tmp_path):
         '{"tol": 0}',
         '{"tol": -1e-9}',
         '{"dim": 3}',
-        '{"dim": 6, "max_n": 2}',
-        '{"max_n": 31}',
     ],
 )
 def test_bad_config_bounds_exit_2(capsys, tmp_path, payload):
@@ -198,11 +210,25 @@ def test_bad_config_bounds_exit_2(capsys, tmp_path, payload):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("max_n, dim", [(0, 4), (2, 8)])
+@pytest.mark.parametrize("payload", ['{"dim": 6, "max_n": 2}', '{"max_n": 9, "dim": 4}'])
+def test_config_bounds_below_2_max_n_plus_4_run(capsys, tmp_path, payload):
+    # dim only labels the hermite records
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(payload)
+    rc, out, err = run_cli(capsys, "verify", "all", "--config", str(cfg))
+    bounds = json.loads(payload)
+    hermite = [line for line in out.splitlines() if line.startswith("[PASS ] hermite(")]
+    assert rc == 0 and err == "" and len(hermite) == 4 * (bounds["max_n"] + 1)
+    assert all(f", dim={bounds['dim']}," in line for line in hermite)
+
+
+# 4 is the least dim at any order; (9, 4) stands in for order 31 at dim 64
+@pytest.mark.parametrize("max_n, dim", [(0, 4), (2, 8), (9, 4)])
 def test_hermite_at_its_least_dim_passes(capsys, max_n, dim):
     rc, out, _ = run_cli(capsys, "verify", "hermite", "--dim", str(dim), "--max-n", str(max_n))
-    assert rc == 0
-    assert out.count("[PASS ]") == 4 * (max_n + 1)
+    lines = out.splitlines()
+    assert rc == 0 and len(lines) == 4 * (max_n + 1)
+    assert all(line.startswith("[PASS ] hermite(") and f", dim={dim}," in line for line in lines)
 
 
 def test_verify_without_records_exits_2(capsys):

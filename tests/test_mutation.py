@@ -200,6 +200,27 @@ def test_perturbed_ladder_fails_the_matrix_oracle(monkeypatch):
     assert report.witness == "differs at l=0, row 1: -5771362*i != -16777472*i"
 
 
+HERMITE_CHECKS = [
+    oscillator.check_nested_anticomm_closed_form,
+    oscillator.check_shifted_expansions,
+    oscillator.check_main_identity_matrix,
+    oscillator.check_symbolic_bridge,
+]
+
+
+def test_a_perturbed_ladder_fails_alike_at_dims_4_and_256(monkeypatch):
+    # dim is a label: a failing record names the same column, row and entries
+    # whatever dim it was built with
+    _perturbed_build(monkeypatch, "h_mat", (0, 2, 0))
+    verdicts = {}
+    for check in HERMITE_CHECKS:
+        for n in range(9):
+            at_4, at_256 = check(n, 4), check(n, 256)
+            assert (at_4.status, at_4.witness) == (at_256.status, at_256.witness)
+            verdicts[at_4.status] = verdicts.get(at_4.status, 0) + 1
+    assert verdicts == {"pass": 5, "fail": 31}  # each check passes at n = 0, main_identity at n = 1
+
+
 CLOSED_FORMS = [oscillator.check_nested_anticomm_closed_form, oscillator.check_shifted_expansions]
 
 

@@ -4,6 +4,7 @@ numpy enters only as a float reference: dense truncated matrices built from
 the ladder formulas below, independent of the code under test.
 """
 
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -121,24 +122,44 @@ def _peak_bytes(check, n, dim):
         tracemalloc.stop()
 
 
+def _peaks_at_dims_4_and_256(check, n):
+    # what a call allocates also depends on what the interpreter's free lists
+    # hold when it starts, and earlier tests leave them as they may.  So each
+    # dim starts alike: a full collection empties them (cheaply, with the
+    # heap frozen), a first call fills them, and none runs until it is read.
+    peaks = []
+    gc.freeze()
+    gc.disable()
+    try:
+        for dim in (4, 256):
+            gc.collect()
+            check(n, dim)
+            peaks.append(_peak_bytes(check, n, dim))
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    return peaks
+
+
 @pytest.mark.parametrize(
     "check", [check_nested_anticomm_closed_form, check_shifted_expansions, check_main_identity_matrix]
 )
 def test_ladder_checks_allocate_nothing_of_size_dim_squared(check):
     # a direct record builds its own operators, grows their tower and powers
     # of H to n and forms a few polynomials of degree n + 1 in l: under 16 KiB
-    # at n <= 8, whatever dim
+    # at n <= 8, and the same bytes at dim 4 as at dim 256
     for n in range(9):
-        assert _peak_bytes(check, n, 256) < 16 * 1024
+        at_4, at_256 = _peaks_at_dims_4_and_256(check, n)
+        assert at_4 == at_256 < 16 * 1024
 
 
 def test_bridge_allocates_only_its_dense_realization():
     # the realization holds the powers p^b and the Horner sum by their bands,
-    # whose size depends on n and not on dim: 143 KB at n = 8, where the
-    # dense realization this replaced took 4 MiB at dim 256
-    check_symbolic_bridge(8, 256)
+    # whose size depends on n and not on dim: 134 KB at n = 8 at any dim,
+    # where the dense realization this replaced took 4 MiB at dim 256
     for n in range(9):
-        assert _peak_bytes(check_symbolic_bridge, n, 256) < 256 * 1024
+        at_4, at_256 = _peaks_at_dims_4_and_256(check_symbolic_bridge, n)
+        assert at_4 == at_256 < 256 * 1024
 
 
 def test_hermite_stream_at_dim_256():
@@ -260,6 +281,8 @@ def test_a_column_reads_each_entry_exactly():
     assert ops.h_mat.column(5) == {5: 11}
     assert Bands.of(Fraction(1, 3)).column(7) == {7: Fraction(1, 3)}
     assert Bands().column(0) == {}
+    with pytest.raises(ValueError, match="no column -1"):  # there is no f_(-1)
+        ops.q_mat.column(-1)
 
 
 def test_element_to_matrix_basics():
@@ -295,12 +318,6 @@ def test_check_functions_pass():
         assert check_symbolic_bridge(n).ok
 
 
-def test_check_functions_report_errors_for_small_dim():
-    report = check_nested_anticomm_closed_form(8, dim=8)
-    assert report.status == "error"
-    assert "dim" in report.witness
-
-
 ALL_CHECKS = [
     check_nested_anticomm_closed_form,
     check_shifted_expansions,
@@ -309,14 +326,24 @@ ALL_CHECKS = [
 ]
 
 
+def _without_dim(report) -> dict:
+    (record,) = json.loads(reports_to_json([report]))
+    del record["elapsed_ms"], record["params"]["dim"]
+    return record
+
+
 @pytest.mark.parametrize("check", ALL_CHECKS)
-def test_every_check_needs_min_dim(check):
-    # min_dim(3) = 10: dim 9 would do for the ladder checks alone, but every
-    # check of the sweep takes the bridge's bound
-    report = check(3, dim=9)
-    assert report.status == "error"
-    assert "need dim >= 10" in report.witness
-    assert check(3, dim=10).ok
+def test_dim_is_a_label(check):
+    # at every order a record reads the same at dim 4 as at dim 256, but for
+    # the dim it carries; below build_operators' floor it is an error
+    assert check(3, dim=9).ok and check(8, dim=8).ok
+    report = check(8, dim=3)
+    assert report.status == "error" and report.witness == "ValueError: need dim >= 4"
+    for n in range(9):
+        at_4, at_256 = check(n, 4), check(n, 256)
+        assert at_4.ok and at_256.ok
+        assert (at_4.params["dim"], at_256.params["dim"]) == (4, 256)
+        assert _without_dim(at_4) == _without_dim(at_256)
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS)

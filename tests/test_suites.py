@@ -42,6 +42,7 @@ from weylops import (
     verify_superoperators,
 )
 from weylops.report import run_check
+from weylops.suites import SELECTORS
 
 
 def test_bender_instances():
@@ -202,9 +203,7 @@ _BAD_BOUNDS = [
     ("all", {"max_l": -3}),
     ("hermite", {"dim": 0}),
     ("hermite", {"dim": 3, "max_n": 1}),
-    ("hermite", {"dim": 6, "max_n": 2}),
-    ("all", {"dim": 7, "max_n": 2}),
-    ("hermite", {"max_n": 31}),  # default dim 64
+    ("all", {"dim": 3}),
     ("functions", {"cases": -3}),
     ("hermite", {"dim": 64.0}),
     ("bender", {"max_n": True}),
@@ -224,6 +223,20 @@ def test_run_suite_refuses_bad_bounds_before_any_check(check_calls, name, bounds
     with pytest.raises(ValueError, match="must be"):
         run_suite(name, **bounds)
     assert check_calls == []
+
+
+@pytest.mark.parametrize(
+    "name, bounds",
+    [("hermite", {"dim": 6, "max_n": 2}), ("all", {"dim": 7, "max_n": 2}), ("hermite", {"dim": 4, "max_n": 9})],
+    ids=["hermite-dim=6,max_n=2", "all-dim=7,max_n=2", "hermite-dim=4,max_n=9"],
+)
+def test_run_suite_runs_a_dim_below_2_max_n_plus_4(check_calls, name, bounds):
+    # dim bounds no order: it labels the hermite records
+    reports = run_suite(name, **bounds)
+    hermite = [r for r in reports if r.suite == "hermite"]
+    assert all(r.ok for r in reports) and len(check_calls) == len(reports)
+    assert len(hermite) == 4 * (bounds["max_n"] + 1)
+    assert {r.params["dim"] for r in hermite} == {bounds["dim"]}
 
 
 def test_run_suite_refuses_a_sweep_without_checks(check_calls):
@@ -329,15 +342,41 @@ def test_reports_serialize_deterministically():
     assert strip(a)[0]["status"] == "pass"
 
 
+# selector -> (records, digest) of its contiguous slice of the `verify all`
+# stream, hashed as the whole stream is: a re-pin shows which selectors moved
+_GOLDEN_SLICES = {
+    "bender": (13, "95d18fa340db2b01"),
+    "superoperators": (1, "588b1cf67fadae7c"),
+    "combinatorics": (8, "3639cdc77d0a6d99"),
+    "pain": (121, "2d3a617c849918a3"),
+    "reciprocal": (121, "ced64e107907ebcb"),
+    "mccoy": (133, "078f4205fc143ba1"),
+    "functions": (14, "e3dd02c9821b76ca"),
+    "binomial": (2197, "753359695f066db1"),
+    "figueira": (4, "1e7c49b351724da1"),
+    "sequences": (1, "d6f88ec4aa187e05"),
+    "hermite": (36, "e26c63c9a1e61936"),
+}
+
+
+def _digest(records) -> str:
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def test_golden_report_stream():
     # the behavioural contract for refactors: every record of `verify all` at
     # default bounds, elapsed_ms blanked, sorted keys, sha256
     records = json.loads(reports_to_json(run_suite("all")))
     for r in records:
         r["elapsed_ms"] = None
-    blob = json.dumps(records, sort_keys=True).encode()
     assert len(records) == 2649
-    assert hashlib.sha256(blob).hexdigest()[:16] == "a8c5eecd178f78aa"
+    assert _digest(records) == "a8c5eecd178f78aa"
+    assert list(_GOLDEN_SLICES) == list(SELECTORS)
+    start, slices = 0, {}
+    for name, (count, _) in _GOLDEN_SLICES.items():
+        slices[name] = (count, _digest(records[start : start + count]))
+        start += count
+    assert slices == _GOLDEN_SLICES
 
 
 # (engine products, term pairs) at default bounds, with a little room: a

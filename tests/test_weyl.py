@@ -288,6 +288,23 @@ def test_terms_view_round_trip(w):
     assert again == w and hash(again) == hash(w)
 
 
+def test_writing_into_a_view_leaves_its_value_alone():
+    # every view is a new dict on each read: a write into one reaches neither
+    # the value's rendering nor its later reads
+    w = q_op()
+    w.terms[(9, 9)] = CPoly.of(5)
+    assert str(w) == "(1) * q" and w.coefficient(9, 9) == 0 and w.support() == [(1, 0)]
+    r = RatPoly({0: 1})
+    r.coeffs[3] = Fraction(7)
+    assert str(r) == "1" and r.coeffs == {0: 1}
+    c = CPoly({1: 2})
+    c.coeffs[0] = GaussianRational(3)
+    assert str(c) == "2*c" and c.constant_term() == 0
+    x = XPoly.monomial(2)
+    x.coeffs[5] = CPoly.of(1)
+    assert str(x) == "(1) * x^2" and list(x.coeffs) == [2]
+
+
 @given(elements, elements, coeffs, coeffs)
 def test_flat_form_is_canonical(x, y, u, v):
     # int numerators, none zero, gcd 1 with the denominator, an i bit in
