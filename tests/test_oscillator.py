@@ -318,6 +318,14 @@ def test_check_functions_pass():
         assert check_symbolic_bridge(n).ok
 
 
+def test_check_functions_report_errors_for_small_dim():
+    # order 8 needs no dim beyond the realization's floor; below it, an error
+    assert check_nested_anticomm_closed_form(8, dim=8).ok
+    report = check_nested_anticomm_closed_form(8, dim=3)
+    assert report.status == "error"
+    assert "dim" in report.witness
+
+
 ALL_CHECKS = [
     check_nested_anticomm_closed_form,
     check_shifted_expansions,
@@ -335,15 +343,22 @@ def _without_dim(report) -> dict:
 @pytest.mark.parametrize("check", ALL_CHECKS)
 def test_dim_is_a_label(check):
     # at every order a record reads the same at dim 4 as at dim 256, but for
-    # the dim it carries; below build_operators' floor it is an error
+    # the dim it carries
     assert check(3, dim=9).ok and check(8, dim=8).ok
-    report = check(8, dim=3)
-    assert report.status == "error" and report.witness == "ValueError: need dim >= 4"
     for n in range(9):
         at_4, at_256 = check(n, 4), check(n, 256)
         assert at_4.ok and at_256.ok
         assert (at_4.params["dim"], at_256.params["dim"]) == (4, 256)
         assert _without_dim(at_4) == _without_dim(at_256)
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS)
+def test_every_check_needs_min_dim(check):
+    # the one floor on dim is build_operators' 4, at every order
+    for n in (3, 8):
+        report = check(n, dim=3)
+        assert report.status == "error" and report.witness == "ValueError: need dim >= 4"
+        assert check(n, dim=4).ok
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS)
