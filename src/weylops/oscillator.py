@@ -180,13 +180,13 @@ def _verdict(actual: Bands, expected: Bands) -> str:
 def _record(check: str):
     """Make a witness function of (n, ops) a hermite record: an exception it
     raises becomes an ERROR record, a non-empty witness a FAIL.  The record
-    takes the sweep's ``ops``, or builds its own at dim without them."""
+    takes the sweep's ``ops`` and their dim, or builds its own at dim without them."""
 
     def wrap(witness):
         def record(n: int, dim: int = DEFAULT_DIM, ops: OscillatorMatrices | None = None) -> VerificationReport:
             # no verdict reads a tolerance or dim: both fields stay because
             # perfbench/gate.json and the golden stream pin the params
-            params = {"check": check, "n": n, "dim": dim, "tol": 1e-9}
+            params = {"check": check, "n": n, "dim": dim if ops is None else ops.dim, "tol": 1e-9}
             return run_check("hermite", params, lambda: witness(n, _operators(n, dim, ops)))
 
         record.__name__ = record.__qualname__ = witness.__name__

@@ -37,7 +37,8 @@ import random
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable
 
 from .report import VerificationReport, run_check
@@ -440,27 +441,48 @@ def _vandermonde() -> Callable[[int, int, int], int]:
     return cache(lambda a, b, l: sum(comb(a, k) * comb(l, b - k) for k in range(min(a, b) + 1)))
 
 
-def _binomial(table: Callable, m: int, n: int, l: int, euler_version: bool = True) -> VerificationReport:
-    """verify_binomial, reading its Vandermonde sums from ``table``, grown inside the check."""
+def _pack(p: RatPoly, scale: int, base: int) -> int:
+    """scale * p at z = 2^base, for scale a multiple of p's denominator."""
+    return scale // p._den * sum(v << base * j for j, v in p._num.items())
+
+
+def _columns(K: int, bits: int, base: int = 0) -> tuple:
+    """(base, D, z^k, (z+1)^k, E_k(z), E_k(z+1)): the columns for k <= K times D, their common
+    denominator, at z = 2^base, by default the bound bits + |N| + 1, |N| the bit length of their summed
+    D/den ||num||_1.  Over weights below 2^bits each form's D (lhs - rhs) then has coefficients below
+    2^base, so its lowest nonzero one is no multiple of it: it packs to 0 only if it is 0.  A lower base is refused."""
+    rows = [(RatPoly({k: 1}), _z1_power(k), euler_polynomial(k), _euler_of_shifted(k)) for k in range(K + 1)]
+    D = lcm(*(p._den for row in rows for p in row))
+    bound = bits + sum(D // p._den * sum(map(abs, p._num.values())) for row in rows for p in row).bit_length() + 1
+    if (base := base or bound) < bound:
+        raise ValueError(f"base 2^{base} is below the bound 2^{bound}")
+    return (base, D, *([_pack(p, D, base) for p in col] for col in zip(*rows)))
+
+
+def _packed(K: int) -> Callable[[int], tuple]:
+    """bits -> _columns(K, 2^e), e = bits.bit_length(): one set per e; K at least every record's min(m, n)."""
+    sets = cache(lambda e: _columns(K, 1 << e))
+    return lambda bits: sets(bits.bit_length())
+
+
+def _binomial(table: Callable, packed: Callable, m: int, n: int, l: int, euler_version: bool = True) -> VerificationReport:
+    """verify_binomial over a Vandermonde table and a column set (_packed), grown inside the check."""
 
     def check() -> str:
         _orders(m=m, n=n, l=l)
         ks = range(min(m, n) + 1)
         lw = [comb(m, k) * comb(m - k + l, n - k) for k in ks]
         rw = [comb(m, k) * comb(l, n - k) for k in ks]
-        lhs = RatPoly(dict(enumerate(lw)))
-        rhs = RatPoly.weighted_sum(zip(rw, map(_z1_power, ks)))
-        if lhs != rhs:
-            return f"plain version: ({lhs}) != ({rhs})"
+        _, _, zs, z1s, es, e1s = packed(max(map(abs, lw + rw)).bit_length())
+        if sum(map(mul, lw, zs)) != sum(map(mul, rw, z1s)):  # only a failing form sums its sides
+            return f"plain version: ({RatPoly(dict(enumerate(lw)))}) != ({RatPoly.weighted_sum(zip(rw, map(_z1_power, ks)))})"
         for j in ks:
             got, target = table(m - j, n - j, l), comb(m - j + l, n - j)
             if got != target:
                 return f"Vandermonde convolution at j={j}: {got} != {target}"
-        if not euler_version:
-            return ""
-        lhs_e, rhs_e = [*zip(lw, map(euler_polynomial, ks))], [*zip(rw, map(_euler_of_shifted, ks))]
-        if RatPoly.weighted_sum(lhs_e + [(-w, e) for w, e in rhs_e]):  # lhs - rhs in one sum
-            return f"Euler version: ({RatPoly.weighted_sum(lhs_e)}) != ({RatPoly.weighted_sum(rhs_e)})"
+        if euler_version and sum(map(mul, lw, es)) != sum(map(mul, rw, e1s)):
+            lhs, rhs = (RatPoly.weighted_sum(zip(w, map(f, ks))) for w, f in ((lw, euler_polynomial), (rw, _euler_of_shifted)))
+            return f"Euler version: ({lhs}) != ({rhs})"
         return ""
 
     return run_check("binomial", {"m": m, "n": n, "l": l, "euler_version": euler_version}, check)
@@ -471,13 +493,11 @@ def verify_binomial(m: int, n: int, l: int, euler_version: bool = True) -> Verif
 
         sum_k C(m,k) C(m-k+l, n-k) z^k  =  sum_k C(m,k) C(l, n-k) (z+1)^k
 
-    the Euler variant with z^k -> E_k(z), (z+1)^k -> E_k(z+1), and the
-    column-wise Vandermonde convolution that links the two sides.  Two sums per
-    record: the plain right-hand side, against the left built from its weights,
-    and the Euler lhs - rhs.  The Vandermonde sums come from an (a, b, l) table,
-    one per call here and one per sweep in run_suite.
+    the Euler variant with z^k -> E_k(z), (z+1)^k -> E_k(z+1), and the column-wise Vandermonde
+    convolution that links the two sides.  Each form is one integer test at z = 2^B (Kronecker
+    substitution; see _columns), over a Vandermonde table and a column set per call or sweep.
     """
-    return _binomial(_vandermonde(), m, n, l, euler_version)
+    return _binomial(_vandermonde(), _packed(min(m, n)), m, n, l, euler_version)
 
 
 # -- similarity-transform closure ---------------------------------------------
@@ -643,7 +663,7 @@ _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
         *_random_cases(verify_function_identities, seed, cases),
     ],
     "binomial": lambda max_n=12, max_m=12, max_l=12, **_: (
-        _grid(partial(_binomial, _vandermonde()), max_m, max_n, max_l)
+        _grid(partial(_binomial, _vandermonde(), _packed(min(max_m, max_n))), max_m, max_n, max_l)
     ),
     "figueira": lambda **_: [verify_figueira(h0, x) for h0, x in standard_conjugation_fixtures()],
     "sequences": lambda max_n=16, **_: [sequence_tables(max_n)],

@@ -31,13 +31,15 @@ diagonal must keep every hermite check that reads that ladder from passing.
 Every identity is a weighted sum, formed by ``weighted_sum``: a kernel that
 drops its weights' powers of c must turn bender and pain records FAIL.
 
-The binomial sweep builds its two sides independently, so a wrong shifted
-basis ((z+1)^k or E_k(z+1)) or a RatPoly ``weighted_sum`` that drops its
-weights' denominators must turn its records FAIL as well.  So must a
-``weighted_sum`` that returns zero: the plain form's left side is built from
-its weights, not summed.  A Vandermonde table with its (1, 1, 1) entry off by
-one must fail exactly the records that read it, in a sweep run after a clean
-one as in a direct verify_binomial call.
+The binomial sweep decides each form by one packed-integer test over a column
+set built from its two sides' bases independently, so a wrong shifted basis
+((z+1)^k or E_k(z+1)) or packed Euler columns that drop their common
+denominator D must turn its records FAIL as well.  So must a column set whose
+packed (z+1)^k are all zero: the plain form's left side packs its own
+weights.  A column set packed one bit below its bound is refused.  A
+Vandermonde table with its (1, 1, 1) entry off by one must fail exactly the
+records that read it, in a sweep run after a clean one as in a direct
+verify_binomial call.
 
 So must the closure and weight-table sweeps: a bracket tower ad_x^n h0 that
 stops one bracket early in the suite's umbral sums turns every figueira
@@ -291,24 +293,27 @@ def test_p_off_its_bands_never_passes(monkeypatch):
         assert "p has a nonzero entry beyond its three bands" in report.witness
 
 
-TRUE_RAT_SUM = RatPoly.weighted_sum
+TRUE_PACK = suites._pack
+TRUE_COLUMNS = suites._columns
+
+
+def _zero_shifted_powers(*args):
+    # the column set with every packed (z+1)^k read as 0
+    base, d, zs, z1s, *euler = TRUE_COLUMNS(*args)
+    return (base, d, zs, [0] * len(z1s), *euler)
+
 
 BINOMIAL_VARIANTS = {
     # z^k in place of (z+1)^k
     "unshifted-power": (suites, "_z1_power", lambda k: RatPoly({k: 1}), "plain version"),
     # E_k(z) in place of E_k(z+1)
     "unshifted-euler": (suites, "_euler_of_shifted", euler_polynomial, "Euler version"),
-    # each weight a/b of RatPoly.weighted_sum read as a: compose, which
-    # weights by the coefficients of E_k, hence E_k(z+1), loses them
-    "scalar-drops-denominator": (
-        RatPoly,
-        "weighted_sum",
-        staticmethod(lambda pairs: TRUE_RAT_SUM((Fraction(w).numerator, x) for w, x in pairs)),
-        "Euler version",
-    ),
-    # every sum zero: only the plain form's left side, built from its
-    # weights without a sum, is left to fail
-    "zero-sum": (RatPoly, "weighted_sum", staticmethod(lambda pairs: RatPoly()), "plain version"),
+    # every column packed as its numerators, without D/den: the plain
+    # columns have den 1, so only the Euler columns lose their D
+    "scalar-drops-denominator": (suites, "_pack", lambda p, scale, base: TRUE_PACK(p, p._den, base), "Euler version"),
+    # a packed plain right-hand side of 0: only the plain form's left side,
+    # which packs its own weights, is left to fail
+    "zero-sum": (suites, "_columns", _zero_shifted_powers, "plain version"),
 }
 
 
@@ -340,6 +345,17 @@ def test_binomial_mutant_fails_records(monkeypatch, fresh_caches, variant):
     failing = _binomial_failures()
     assert failing
     assert all(r.witness.startswith(f"{label}: (") for r in failing)
+
+
+def test_a_column_set_below_its_bound_is_refused(monkeypatch, fresh_caches):
+    # each record's column set asked for one bit below its bound: every record
+    # is an error, none decided on a base its bound does not cover
+    monkeypatch.setattr(
+        suites, "_columns", lambda K, bits, base=0: TRUE_COLUMNS(K, bits, TRUE_COLUMNS(K, bits)[0] - 1)
+    )
+    reports = run_suite("binomial", max_n=3, max_m=3, max_l=3)
+    assert len(reports) == 64 and {r.status for r in reports} == {"error"}
+    assert all(r.witness.startswith("ValueError: base 2^") for r in reports)
 
 
 TRUE_VANDERMONDE = suites._vandermonde

@@ -353,6 +353,18 @@ def test_dim_is_a_label(check):
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS)
+def test_a_record_carries_the_dim_of_its_operators(check):
+    # given operators built at one dim, a record carries theirs, whatever
+    # dim it is passed; without them it carries the dim it builds at
+    ops = build_operators(64)
+    for n in (0, 3):
+        given_ops = check(n, 256, ops)
+        assert given_ops.ok and given_ops.params["dim"] == 64
+        assert _without_dim(given_ops) == _without_dim(check(n, 256))
+        assert check(n, 256).params["dim"] == 256
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS)
 def test_every_check_needs_min_dim(check):
     # the one floor on dim is build_operators' 4, at every order
     for n in (3, 8):

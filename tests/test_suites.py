@@ -4,9 +4,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weylops import (
     CPoly,
@@ -41,7 +44,9 @@ from weylops import (
     verify_reciprocal,
     verify_superoperators,
 )
+from weylops import sequences, suites
 from weylops.report import run_check
+from weylops.sequences import euler_polynomial
 from weylops.suites import SELECTORS
 
 
@@ -443,6 +448,114 @@ def test_binomial_sweep_sums_twice_per_record(monkeypatch):
     reports = run_suite("binomial")
     assert len(reports) == 2197 and all(r.ok for r in reports)
     assert calls[0] <= 4_410, calls[0]
+
+
+def test_a_passing_binomial_sweep_sums_only_to_compose(monkeypatch):
+    # each record decides both forms by packed-integer tests: the only sums
+    # left are the 13 compose sums behind E_k(z+1) on a cold cache.  The
+    # sweep builds one column set per power of two of weight bits that its
+    # records reach (bits 0..26, so e = 0..5): 6, where a table keyed on
+    # (min(m, n), weight bits) builds 186
+    for f in (suites._z1_power, suites._euler_of_shifted, sequences.euler_polynomial):
+        f.cache_clear()
+    true_sum, true_columns = RatPoly.weighted_sum.__func__, suites._columns
+    calls = [0, 0]
+
+    def counted(cls, pairs):
+        calls[0] += 1
+        return true_sum(cls, pairs)
+
+    def built(*args):
+        calls[1] += 1
+        return true_columns(*args)
+
+    monkeypatch.setattr(RatPoly, "weighted_sum", classmethod(counted))
+    monkeypatch.setattr(suites, "_columns", built)
+    reports = run_suite("binomial")
+    assert len(reports) == 2197 and all(r.ok for r in reports)
+    assert calls[0] <= 13 and calls[1] <= 6, calls
+
+
+def _two_rows(m: int, n: int, l: int) -> tuple[range, list[int], list[int]]:
+    ks = range(min(m, n) + 1)
+    return ks, [comb(m, k) * comb(m - k + l, n - k) for k in ks], [comb(m, k) * comb(l, n - k) for k in ks]
+
+
+def _bases() -> list[tuple[RatPoly, ...]]:
+    """z^k, (z+1)^k, E_k(z) and E_k(z+1) for k <= 12, built here without the suite's helpers."""
+    z1 = RatPoly({0: 1, 1: 1})
+    return [(RatPoly({k: 1}), z1**k, euler_polynomial(k), euler_polynomial(k).compose(z1)) for k in range(13)]
+
+
+def _true_sides(bases: list, ks: range, lw: list[int], rw: list[int]) -> tuple[RatPoly, ...]:
+    """The plain and the Euler (lhs, rhs), summed as RatPoly."""
+    return tuple(RatPoly.weighted_sum((w, bases[k][j]) for k, w in zip(ks, row)) for j, row in enumerate((lw, rw, lw, rw)))
+
+
+def test_each_binomial_base_bounds_the_true_sides(monkeypatch):
+    # every default record packs both forms at a base B with 2^B above every
+    # coefficient of D lhs and D rhs, D the denominator its column set scales by
+    true_packed, used = suites._packed, []
+
+    def recording(K):
+        table = true_packed(K)
+
+        def read(bits):
+            used.append(table(bits)[:2])
+            return table(bits)
+
+        return read
+
+    monkeypatch.setattr(suites, "_packed", recording)
+    reports = run_suite("binomial")
+    assert len(used) == len(reports) == 2197 and all(r.ok for r in reports)
+    largest, bases = 0, _bases()
+    for r, (base, d) in zip(reports, used):
+        for side in _true_sides(bases, *_two_rows(r.params["m"], r.params["n"], r.params["l"])):
+            scaled = [d * v for v in side.coeffs.values()]
+            assert all(v.denominator == 1 for v in scaled), (r.params, side)
+            top = max((abs(int(v)) for v in scaled), default=0)
+            assert top.bit_length() < base, (r.params, base)
+            largest = max(largest, top)
+    assert largest == 517_316_800 < 2**29
+
+
+def test_a_binomial_base_comes_from_the_bound():
+    # 2^B - z is nonzero, yet packs at base B as the zero polynomial does: a
+    # base is exact only when 2^B exceeds every coefficient
+    for base in (1, 20, 45):
+        assert suites._pack(RatPoly({0: 2**base, 1: -1}), 1, base) == suites._pack(RatPoly(), 1, base) == 0
+        assert suites._pack(RatPoly({0: 2**base - 1, 1: -1}), 1, base) != 0
+    # at k <= 12 the columns' summed D/den ||num||_1 is 233,670, 18 bits: with
+    # weights below 2^26 the bound is 26 + 18 + 1 = 45
+    base, d, *columns = suites._columns(12, 26)
+    assert (base, d) == (45, 8) and all(len(c) == 13 for c in columns)
+    assert suites._columns(12, 26, 46)[0] == 46
+    with pytest.raises(ValueError, match="below the bound"):
+        suites._columns(12, 26, 44)
+
+
+@st.composite
+def _rows(draw):
+    """(m, n, l) <= 12 and their two weight rows, one entry of them moved by
+    +-1 unless the rows are drawn as they are."""
+    m, n, l = (draw(st.integers(0, 12)) for _ in range(3))
+    ks, lw, rw = _two_rows(m, n, l)
+    if draw(st.booleans()):
+        row = draw(st.sampled_from([lw, rw]))
+        row[draw(st.integers(0, len(row) - 1))] += draw(st.sampled_from([-1, 1]))
+    return min(m, n), ks, lw, rw
+
+
+@given(_rows())
+def test_packed_verdicts_match_ratpoly_verdicts(rows):
+    # the record's decision, sum(map(mul, weights, columns)) on either side,
+    # says what the RatPoly sums say, in both forms
+    K, ks, lw, rw = rows
+    _, _, zs, z1s, es, e1s = suites._packed(K)(max(map(abs, lw + rw)).bit_length())
+    plain, euler = (sum(map(mul, lw, left)) == sum(map(mul, rw, right)) for left, right in ((zs, z1s), (es, e1s)))
+    lhs, rhs, lhs_e, rhs_e = _true_sides(_bases(), ks, lw, rw)
+    assert (plain, euler) == (lhs == rhs, lhs_e == rhs_e)
 
 
 # weights c^k (-w_k)/k! evaluated by a default sweep: one per row and k, 10
