@@ -446,16 +446,14 @@ def _pack(p: RatPoly, scale: int, base: int) -> int:
     return scale // p._den * sum(v << base * j for j, v in p._num.items())
 
 
-def _columns(K: int, bits: int, base: int = 0) -> tuple:
+def _columns(K: int, bits: int) -> tuple:
     """(base, D, z^k, (z+1)^k, E_k(z), E_k(z+1)): the columns for k <= K times D, their common
-    denominator, at z = 2^base, by default the bound bits + |N| + 1, |N| the bit length of their summed
+    denominator, at z = 2^base, base the bound bits + |N| + 1, |N| the bit length of their summed
     D/den ||num||_1.  Over weights below 2^bits each form's D (lhs - rhs) then has coefficients below
-    2^base, so its lowest nonzero one is no multiple of it: it packs to 0 only if it is 0.  A lower base is refused."""
+    2^base, so its lowest nonzero one is no multiple of it: it packs to 0 only if it is 0."""
     rows = [(RatPoly({k: 1}), _z1_power(k), euler_polynomial(k), _euler_of_shifted(k)) for k in range(K + 1)]
     D = lcm(*(p._den for row in rows for p in row))
-    bound = bits + sum(D // p._den * sum(map(abs, p._num.values())) for row in rows for p in row).bit_length() + 1
-    if (base := base or bound) < bound:
-        raise ValueError(f"base 2^{base} is below the bound 2^{bound}")
+    base = bits + sum(D // p._den * sum(map(abs, p._num.values())) for row in rows for p in row).bit_length() + 1
     return (base, D, *([_pack(p, D, base) for p in col] for col in zip(*rows)))
 
 

@@ -36,7 +36,7 @@ set built from its two sides' bases independently, so a wrong shifted basis
 ((z+1)^k or E_k(z+1)) or packed Euler columns that drop their common
 denominator D must turn its records FAIL as well.  So must a column set whose
 packed (z+1)^k are all zero: the plain form's left side packs its own
-weights.  A column set packed one bit below its bound is refused.  A
+weights.  A
 Vandermonde table with its (1, 1, 1) entry off by one must fail exactly the
 records that read it, in a sweep run after a clean one as in a direct
 verify_binomial call.
@@ -345,17 +345,6 @@ def test_binomial_mutant_fails_records(monkeypatch, fresh_caches, variant):
     failing = _binomial_failures()
     assert failing
     assert all(r.witness.startswith(f"{label}: (") for r in failing)
-
-
-def test_a_column_set_below_its_bound_is_refused(monkeypatch, fresh_caches):
-    # each record's column set asked for one bit below its bound: every record
-    # is an error, none decided on a base its bound does not cover
-    monkeypatch.setattr(
-        suites, "_columns", lambda K, bits, base=0: TRUE_COLUMNS(K, bits, TRUE_COLUMNS(K, bits)[0] - 1)
-    )
-    reports = run_suite("binomial", max_n=3, max_m=3, max_l=3)
-    assert len(reports) == 64 and {r.status for r in reports} == {"error"}
-    assert all(r.witness.startswith("ValueError: base 2^") for r in reports)
 
 
 TRUE_VANDERMONDE = suites._vandermonde
