@@ -81,6 +81,9 @@ def _parts(v: CPolyLike) -> list[tuple[int, int, int, int]]:
 
 
 _set = object.__setattr__  # FlatTerms are immutable: only this sets their fields
+# int and Fraction, tested by exact type first: a CPoly or GaussianRational
+# tested against Fraction would run ABCMeta's instance check
+_RATIONAL = (int, Fraction)
 
 
 class FlatTerms:
@@ -103,7 +106,8 @@ class FlatTerms:
         for h, v in (terms or {}).items():
             if (min(h) if isinstance(h, tuple) else h) < 0:
                 raise ValueError(f"negative exponent in {h}")
-            if isinstance(v, (int, Fraction)):  # the common case, without a call
+            if type(v) in _RATIONAL or not isinstance(v, FlatTerms) and isinstance(v, _RATIONAL):
+                # an int or a Fraction, the common case, without a call
                 if v:
                     parts.append((make_key(h, 0, 0), v.numerator, v.denominator))
             else:
@@ -157,11 +161,12 @@ class FlatTerms:
             if type(w) is int:  # the common case, without a call
                 if w:
                     terms.append((x._num, 0, 0, w, x._den))
-            elif isinstance(w, (int, Fraction)):
+            elif type(w) is Fraction or not isinstance(w, FlatTerms) and isinstance(w, _RATIONAL):
                 terms.append((x._num, 0, 0, w.numerator, w.denominator * x._den))
             else:
                 for k, i, n, d in _parts(w):
-                    cls._key(cls._unit, k, i)  # raises where a key cannot hold c^k i^i
+                    if k or i:
+                        cls._key(cls._unit, k, i)  # raises where a key cannot hold c^k i^i
                     terms.append((x._num, k, i, n, d * x._den))
         # a list, not a generator: star-args built from a generator are
         # resized tuples that pile up in the tuple free list (0.4 MB of peak

@@ -15,7 +15,9 @@ stores a rational polynomial: the integer numerator of c^k i^i q^a p^b
 under the key (a, b, k, i), with i the power (0 or 1) of the imaginary unit,
 over one positive denominator shared by the whole element.  Products, sums
 and ``subst_c`` run on plain integers, apply i^2 = -1 and reduce by a single
-gcd at the end, so no Fraction is built on the hot path.  A linear
+gcd at the end, so no Fraction is built on the hot path.  A bracket is one
+accumulation through the one product kernel (``_product``): [x, y] and
+{x, y} sum x y and -y x (or +y x) into one dict and reduce it once.  A linear
 combination with number or CPoly weights is one ``weighted_sum``, with no
 product by a scalar element.  ``terms`` is the {(a, b): CPoly} view that
 rendering and the realizations read.  Since c stays formal, an identity
@@ -91,18 +93,7 @@ class WeylElement(CTerms):
 
     @_lifting
     def __mul__(self, other):
-        weights = contraction_weights
-        right = list(other._num.items())
-        acc: dict[FlatKey, int] = {}
-        for (a1, b1, k1, i1), n1 in self._num.items():
-            for (a2, b2, k2, i2), n2 in right:
-                n = -n1 * n2 if i1 & i2 else n1 * n2  # i^2 = -1
-                a, b, k, i = a1 + a2, b1 + b2, k1 + k2, i1 ^ i2
-                # p^b1 q^a2 -> sum over contractions
-                for j, w in enumerate(weights(b1, a2)):
-                    key = (a - j, b - j, k + j, i)
-                    acc[key] = acc.get(key, 0) + n * w
-        return WeylElement._canonical(acc, self._den * other._den)
+        return _product(self, other, 0)
 
     @_lifting
     def __rmul__(self, other):
@@ -127,6 +118,34 @@ class WeylElement(CTerms):
 
     def __repr__(self):
         return f"<WeylElement {self}>"
+
+
+def _product(x: WeylElement, y: WeylElement, s: int) -> WeylElement:
+    """x y + s (y x), s in {0, 1, -1}: both products accumulate into one dict
+    over the one denominator d_x d_y, canonicalized once.  The engine's only
+    product loop: ``__mul__`` is s = 0, ``commutator`` s = -1 and
+    ``anticommutator`` s = +1.  ``contraction_weights`` is read as a module
+    global at call time, so a patched rule reaches every product and bracket."""
+    weights = contraction_weights
+    acc: dict[FlatKey, int] = {}
+    get = acc.get
+    orders = [(x._num, y._num, 1), (y._num, x._num, s)] if s else [(x._num, y._num, 1)]
+    for left, right, sign in orders:
+        right = list(right.items())
+        for (a1, b1, k1, i1), n1 in left.items():
+            n1 *= sign
+            for (a2, b2, k2, i2), n2 in right:
+                n = -n1 * n2 if i1 & i2 else n1 * n2  # i^2 = -1
+                a, b, k, i = a1 + a2, b1 + b2, k1 + k2, i1 ^ i2
+                if b1 and a2:  # p^b1 q^a2 -> sum over contractions
+                    for w in weights(b1, a2):
+                        key = (a, b, k, i)
+                        acc[key] = get(key, 0) + n * w
+                        a, b, k = a - 1, b - 1, k + 1
+                else:
+                    key = (a, b, k, i)
+                    acc[key] = get(key, 0) + n
+    return WeylElement._canonical(acc, x._den * y._den)
 
 
 # -- factories -------------------------------------------------------------
@@ -157,13 +176,11 @@ def hamiltonian() -> WeylElement:
 
 
 def commutator(x: ElementLike, y: ElementLike) -> WeylElement:
-    x, y = WeylElement.of(x), WeylElement.of(y)
-    return x * y - y * x
+    return _product(WeylElement.of(x), WeylElement.of(y), -1)
 
 
 def anticommutator(x: ElementLike, y: ElementLike) -> WeylElement:
-    x, y = WeylElement.of(x), WeylElement.of(y)
-    return x * y + y * x
+    return _product(WeylElement.of(x), WeylElement.of(y), 1)
 
 
 class Chain:

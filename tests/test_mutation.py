@@ -19,7 +19,10 @@ realization through ``validate_reordering``, the oscillator realization
 through the symbolic bridge, which realizes the engine's {q,H}_n at c = -2i;
 realizing it at c = -i instead must fail the bridge as well.  A product that
 gains a term p^9, which kills every test monomial x^0, x^1 and x^8, must
-fail ``validate_reordering`` through its degree check.
+fail ``validate_reordering`` through its degree check.  A product kernel
+that ignores the sign of a bracket's second product, so that every [x, y] is
+x y + y x, must fail pain, superoperators and figueira records, while
+``validate_reordering``, which forms no bracket, still passes.
 
 The oscillator oracle gets the same treatment: an integer ladder with one
 term added must turn records FAIL (the main identity and the closed forms
@@ -143,6 +146,21 @@ def test_a_product_term_that_kills_every_test_monomial_fails_the_differential_or
     with pytest.raises(AssertionError, match="reordering mismatch") as info:
         realization.validate_reordering()
     assert str(info.value) == "reordering mismatch at q^0p^0 * q^0p^0: not of degree 0"
+
+
+TRUE_PRODUCT = weyl._product
+
+
+def test_a_bracket_that_ignores_its_sign_fails_records(monkeypatch):
+    # every bracket becomes x y + y x: [x, y] is {x, y}.  validate_reordering
+    # forms no bracket, so it still passes; pain's commutator expansions and
+    # superoperators' A = [., H] fail, and figueira's towers ad_x^n h0 no
+    # longer vanish, so every figueira record errs
+    monkeypatch.setattr(weyl, "_product", lambda x, y, s: TRUE_PRODUCT(x, y, abs(s)))
+    realization.validate_reordering()
+    assert {r.status for r in run_suite("pain", max_n=3, max_m=3, cases=0)} == {"fail"}
+    assert [(r.status, r.witness) for r in run_suite("superoperators")] == [("fail", "(A+B)^1 q != 2^1 q H^1")]
+    assert {r.status for r in run_suite("figueira")} == {"error"}
 
 
 def test_bridge_at_c_minus_i_fails(monkeypatch):

@@ -248,9 +248,20 @@ def test_distributive_laws(x, y, z):
     assert (x + y) * z == x * z + y * z
 
 
-@given(elements, elements)
+# bracket operands: elements, constant elements, and numbers and CPolys that
+# the brackets lift themselves
+operands = st.one_of(elements, coeffs.map(scalar), rationals, gaussians, coeffs)
+
+
+@given(operands, operands)
 def test_brackets_decompose_products(x, y):
-    assert commutator(x, y) + anticommutator(x, y) == scalar(2) * (x * y)
+    # each bracket is one accumulation of both products; it must equal the
+    # two products formed apart and subtracted or added, in canonical form
+    comm, anti = commutator(x, y), anticommutator(x, y)
+    x, y = WeylElement.of(x), WeylElement.of(y)
+    assert comm == x * y - y * x and anti == x * y + y * x
+    assert comm + anti == scalar(2) * (x * y)
+    assert is_canonical(comm) and is_canonical(anti)
 
 
 @given(term_maps)
@@ -344,6 +355,13 @@ def test_weighted_sum_matches_scalar_products(element_pairs, poly_pairs):
     flat = XPoly.weighted_sum(poly_pairs)
     scaled = (XPoly({deg: w * cp for deg, cp in f.coeffs.items()}) for w, f in poly_pairs)
     assert flat == sum(scaled, XPoly()) and is_canonical(flat)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("cls", [WeylElement, XPoly, RatPoly, CPoly, GaussianRational])
+def test_weighted_sum_refuses_inexact_weights(cls, bad):
+    with pytest.raises(TypeError):
+        cls.weighted_sum([(bad, cls.of(1))])
 
 
 def test_ratpoly_weighted_sum_refuses_c_and_i():
