@@ -21,7 +21,6 @@ from .scalars import (
     NonDivisible,
     ONE,
     ZERO,
-    format_rational,
 )
 from .sequences import (
     RatPoly,

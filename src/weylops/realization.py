@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import perm
 
-from .scalars import CPoly, CPolyLike, CTerms
+from .scalars import CPoly, CTerms
 from .weyl import WeylElement
 
 
@@ -43,8 +43,8 @@ class XPoly(CTerms):
         return self._grouped(lambda key: (key[0], key[1:]), CPoly)
 
     @staticmethod
-    def monomial(l: int, coeff: CPolyLike = 1) -> "XPoly":
-        return XPoly({l: coeff})
+    def monomial(l: int) -> "XPoly":
+        return XPoly({l: 1})
 
     def __str__(self):
         return self._render(self.coeffs, lambda k: "" if k == 0 else ("x" if k == 1 else f"x^{k}"))

@@ -46,13 +46,6 @@ class NonDivisible(ArithmeticError):
     """Exact division by a power of c failed: low-order terms are nonzero."""
 
 
-def format_rational(x: Fraction) -> str:
-    """Render as "num/den", omitting a denominator of 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _lifting(op):
     """``op`` on its operand lifted by the class's ``of``, or NotImplemented if
     ``of`` cannot lift it, so that Python asks the operand's reflected method."""
@@ -190,13 +183,7 @@ class FlatTerms:
 
     @_lifting
     def __add__(self, other):
-        d1, d2 = self._den, other._den
-        den = lcm(d1, d2)
-        s1, s2 = den // d1, den // d2
-        out = {key: n * s1 for key, n in self._num.items()}
-        for key, n in other._num.items():
-            out[key] = out.get(key, 0) + n * s2
-        return self._canonical(out, den)
+        return self.weighted_sum([(1, self), (1, other)])
 
     __radd__ = __add__
 
@@ -291,12 +278,12 @@ class GaussianRational(FlatTerms):
 
     def __str__(self):
         if not self.im:
-            return format_rational(self.re)
-        imag = f"{format_rational(abs(self.im))}*i"
+            return str(self.re)
+        imag = f"{abs(self.im)}*i"
         if not self.re:
             return imag if self.im > 0 else f"-{imag}"
         sign = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{imag}"
+        return f"{self.re}{sign}{imag}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -411,11 +411,11 @@ def verify_function_identities(
     return _functions("functions", f, g, tag)
 
 
-def random_poly_pair(rng: random.Random, max_degree: int = 4) -> tuple[RatPoly, RatPoly]:
-    """Small integer polynomials; the function suites accept any pair."""
+def random_poly_pair(rng: random.Random) -> tuple[RatPoly, RatPoly]:
+    """Small integer polynomials of degree at most 4; the function suites accept any pair."""
 
     def one() -> RatPoly:
-        deg = rng.randint(0, max_degree)
+        deg = rng.randint(0, 4)
         return RatPoly({k: rng.randint(-5, 5) for k in range(deg + 1)})
 
     return one(), one()
@@ -463,7 +463,7 @@ def _packed(K: int) -> Callable[[int], tuple]:
     return lambda bits: sets(bits.bit_length())
 
 
-def _binomial(table: Callable, packed: Callable, m: int, n: int, l: int, euler_version: bool = True) -> VerificationReport:
+def _binomial(table: Callable, packed: Callable, m: int, n: int, l: int) -> VerificationReport:
     """verify_binomial over a Vandermonde table and a column set (_packed), grown inside the check."""
 
     def check() -> str:
@@ -478,15 +478,16 @@ def _binomial(table: Callable, packed: Callable, m: int, n: int, l: int, euler_v
             got, target = table(m - j, n - j, l), comb(m - j + l, n - j)
             if got != target:
                 return f"Vandermonde convolution at j={j}: {got} != {target}"
-        if euler_version and sum(map(mul, lw, es)) != sum(map(mul, rw, e1s)):
+        if sum(map(mul, lw, es)) != sum(map(mul, rw, e1s)):
             lhs, rhs = (RatPoly.weighted_sum(zip(w, map(f, ks))) for w, f in ((lw, euler_polynomial), (rw, _euler_of_shifted)))
             return f"Euler version: ({lhs}) != ({rhs})"
         return ""
 
-    return run_check("binomial", {"m": m, "n": n, "l": l, "euler_version": euler_version}, check)
+    # both forms always run: "euler_version" stays because gate.json and the golden stream pin it
+    return run_check("binomial", {"m": m, "n": n, "l": l, "euler_version": True}, check)
 
 
-def verify_binomial(m: int, n: int, l: int, euler_version: bool = True) -> VerificationReport:
+def verify_binomial(m: int, n: int, l: int) -> VerificationReport:
     """Two-row binomial convolutions, as polynomial identities in z:
 
         sum_k C(m,k) C(m-k+l, n-k) z^k  =  sum_k C(m,k) C(l, n-k) (z+1)^k
@@ -495,7 +496,7 @@ def verify_binomial(m: int, n: int, l: int, euler_version: bool = True) -> Verif
     convolution that links the two sides.  Each form is one integer test at z = 2^B (Kronecker
     substitution; see _columns), over a Vandermonde table and a column set per call or sweep.
     """
-    return _binomial(_vandermonde(), _packed(min(m, n)), m, n, l, euler_version)
+    return _binomial(_vandermonde(), _packed(min(m, n)), m, n, l)
 
 
 # -- similarity-transform closure ---------------------------------------------
@@ -566,26 +567,16 @@ def sequence_tables(max_n: int) -> VerificationReport:
         ]
         params["kappa"], params["lambda"] = kappas, lambdas
         _orders(max_n=max_n)
-        known_kappa = {
-            1: Fraction(1, 2),
-            3: Fraction(-1, 4),
-            5: Fraction(1, 2),
-            7: Fraction(-17, 8),
-            9: Fraction(31, 2),
+        # name: (values, {n: expected}), the known low orders first, then the zeros
+        expected = {
+            "kappa": (kappas, {1: Fraction(1, 2), 3: Fraction(-1, 4), 5: Fraction(1, 2), 7: Fraction(-17, 8),
+                               9: Fraction(31, 2), **dict.fromkeys(range(0, max_n + 1, 2), 0)}),
+            "lambda": (lambdas, {0: 1, 2: -1, 4: 5, 6: -61, **dict.fromkeys(range(1, max_n + 1, 2), 0)}),
         }
-        known_lambda = {0: Fraction(1), 2: Fraction(-1), 4: Fraction(5), 6: Fraction(-61)}
-        for n, v in known_kappa.items():
-            if n <= max_n and kappas[n] != v:
-                return f"kappa_{n} = {kappas[n]}, expected {v}"
-        for n in range(0, max_n + 1, 2):
-            if kappas[n]:
-                return f"kappa_{n} = {kappas[n]}, expected 0"
-        for n, v in known_lambda.items():
-            if n <= max_n and lambdas[n] != v:
-                return f"lambda_{n} = {lambdas[n]}, expected {v}"
-        for n in range(1, max_n + 1, 2):
-            if lambdas[n]:
-                return f"lambda_{n} = {lambdas[n]}, expected 0"
+        for name, (values, table) in expected.items():
+            for n, v in table.items():
+                if n <= max_n and values[n] != v:
+                    return f"{name}_{n} = {values[n]}, expected {v}"
         for n in range(max_n + 1):
             if lambdas[n] != lam(n):
                 return f"lambda_{n}: binomial bridge gives {lambdas[n]}, direct form {lam(n)}"
@@ -625,9 +616,9 @@ def _grid(verify: Callable, *bounds: int) -> list[VerificationReport]:
     return [verify(*args) for args in product(*(range(b + 1) for b in bounds))]
 
 
-def _random_cases(verify: Callable, seed: int, cases: int) -> list[VerificationReport]:
+def _random_cases(verify: Callable, seed: int) -> list[VerificationReport]:
     rng = random.Random(seed)
-    return [verify(*random_poly_pair(rng), tag={"case": idx, "seed": seed}) for idx in range(cases)]
+    return [verify(*random_poly_pair(rng), tag={"case": idx, "seed": seed}) for idx in range(_RANDOM_CASES)]
 
 
 def _hermite(max_n: int, dim: int | None = None, **_) -> list[VerificationReport]:
@@ -652,13 +643,13 @@ _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
     "combinatorics": lambda max_n=8, **_: [_closed_forms(n) for n in range(1, max_n + 1)],
     "pain": lambda max_n=10, max_m=10, **_: _grid(_monomial_grid("pain"), max_n, max_m),
     "reciprocal": lambda max_n=10, max_m=10, **_: _grid(_monomial_grid("reciprocal"), max_n, max_m),
-    "mccoy": lambda max_n=10, max_m=10, seed=0, cases=_RANDOM_CASES, **_: (
-        _grid(_monomial_grid("exp-series"), max_n, max_m) + _random_cases(verify_mccoy, seed, cases)
+    "mccoy": lambda max_n=10, max_m=10, seed=0, **_: (
+        _grid(_monomial_grid("exp-series"), max_n, max_m) + _random_cases(verify_mccoy, seed)
     ),
-    "functions": lambda seed=0, cases=_RANDOM_CASES, **_: [
+    "functions": lambda seed=0, **_: [
         verify_function_identities(RatPoly.of(1), RatPoly.x(), tag={"case": "fixed-0"}),
         verify_function_identities(RatPoly.x(), RatPoly.x(), tag={"case": "fixed-1"}),
-        *_random_cases(verify_function_identities, seed, cases),
+        *_random_cases(verify_function_identities, seed),
     ],
     "binomial": lambda max_n=12, max_m=12, max_l=12, **_: (
         _grid(partial(_binomial, _vandermonde(), _packed(min(max_m, max_n))), max_m, max_n, max_l)
@@ -679,25 +670,24 @@ def run_suite(
     max_l: int | None = None,
     dim: int | None = None,
     seed: int = 0,
-    cases: int | None = None,
 ) -> list[VerificationReport]:
     """Run one named suite (or "all") over its parameter sweep.
 
-    Every unset bound falls back to the suite's default; ``seed`` and
-    ``cases`` only affect the suites that draw random polynomial instances.
+    Every unset bound falls back to the suite's default; ``seed`` only
+    affects the suites that draw random polynomial instances, 12 each.
     Bounds out of range raise ValueError before any check runs: a max_n,
-    max_m, max_l, dim, seed or cases that is a bool or not an int, a negative
-    max_n, max_m, max_l or cases, and a dim below build_operators' floor of
-    4.  dim is only a label of the hermite records.  A sweep that runs no
+    max_m, max_l, dim or seed that is a bool or not an int, a negative
+    max_n, max_m or max_l, and a dim below build_operators' floor of 4.
+    dim is only a label of the hermite records.  A sweep that runs no
     checks raises it too.
     """
     if name != "all" and name not in _SWEEPS:
         raise ValueError(f"unknown suite: {name!r}")
-    bounds = dict(max_n=max_n, max_m=max_m, max_l=max_l, dim=dim, seed=seed, cases=cases)
-    for key in ("max_n", "max_m", "max_l", "dim", "seed", "cases"):
+    bounds = dict(max_n=max_n, max_m=max_m, max_l=max_l, dim=dim, seed=seed)
+    for key in bounds:
         if bounds[key] is not None and (isinstance(bounds[key], bool) or not isinstance(bounds[key], int)):
             raise ValueError(f"{key} must be an integer, got {bounds[key]!r}")
-    for key, least in (("max_n", 0), ("max_m", 0), ("max_l", 0), ("cases", 0), ("dim", 4)):
+    for key, least in (("max_n", 0), ("max_m", 0), ("max_l", 0), ("dim", 4)):
         if bounds[key] is not None and bounds[key] < least:
             raise ValueError(f"{key} must be at least {least}, got {bounds[key]}")
     given = {k: v for k, v in bounds.items() if v is not None}

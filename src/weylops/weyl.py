@@ -62,7 +62,7 @@ ElementLike = Union[int, Fraction, GaussianRational, CPoly, "WeylElement"]
 
 
 class NonTerminatingSeries(ArithmeticError):
-    """A conjugation series did not terminate within the term cap."""
+    """A conjugation series did not terminate within 64 brackets."""
 
 
 @lru_cache(maxsize=None)
@@ -239,22 +239,22 @@ def left_nested_commutator(h: ElementLike, x: ElementLike, n: int) -> WeylElemen
     return Chain(WeylElement.of(h), lambda w: commutator(x, w))[n]
 
 
-def bracket_tower(x: WeylElement, w: WeylElement, cap: int = 64) -> list[WeylElement]:
+def bracket_tower(x: WeylElement, w: WeylElement) -> list[WeylElement]:
     """[w, [x,w], [x,[x,w]], ...] until the bracket vanishes; raises
-    NonTerminatingSeries if it is still nonzero after ``cap`` brackets."""
+    NonTerminatingSeries if it is still nonzero after 64 brackets."""
     chain = Chain(w, lambda v: commutator(x, v))
-    for n in range(1, cap + 1):
+    for n in range(1, 65):
         if not chain[n]:
             return chain.upto(n - 1)
-    raise NonTerminatingSeries(f"iterated bracket still nonzero after {cap} steps")
+    raise NonTerminatingSeries("iterated bracket still nonzero after 64 steps")
 
 
 def hadamard_conjugate(x: ElementLike, w: ElementLike, t: Fraction | int = 1) -> WeylElement:
     """e^(t x) w e^(-t x) = sum_n t^n/n! [x,[x,...[x,w]]], exact when finite:
     the t^n/n! weighted sum of ``bracket_tower(x, w)``.
 
-    Raises NonTerminatingSeries if ad_x is not nilpotent on w within the
-    tower's cap of brackets.
+    Raises NonTerminatingSeries if ad_x is not nilpotent on w within 64
+    brackets.
     """
     if not isinstance(t, (int, Fraction)):
         raise TypeError(f"not an exact scalar: {t!r}")

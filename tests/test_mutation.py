@@ -158,7 +158,7 @@ def test_a_bracket_that_ignores_its_sign_fails_records(monkeypatch):
     # longer vanish, so every figueira record errs
     monkeypatch.setattr(weyl, "_product", lambda x, y, s: TRUE_PRODUCT(x, y, abs(s)))
     realization.validate_reordering()
-    assert {r.status for r in run_suite("pain", max_n=3, max_m=3, cases=0)} == {"fail"}
+    assert {r.status for r in run_suite("pain", max_n=3, max_m=3)} == {"fail"}
     assert [(r.status, r.witness) for r in run_suite("superoperators")] == [("fail", "(A+B)^1 q != 2^1 q H^1")]
     assert {r.status for r in run_suite("figueira")} == {"error"}
 
@@ -387,16 +387,30 @@ def test_a_binomial_sweep_leaves_no_table_behind(monkeypatch, fresh_caches):
 
 TRUE_TOWER = weyl.bracket_tower
 TRUE_KAPPA = sequences.kappa
+TRUE_LAM = sequences.lam
 
 CLOSURE_VARIANTS = {
     # ad_x^n h0 without its last nonzero bracket, in the suite's umbral sums
     "short-tower": (
-        "bracket_tower", lambda x, w, cap=64: TRUE_TOWER(x, w, cap)[:-1], "figueira",
+        "bracket_tower", lambda x, w: TRUE_TOWER(x, w)[:-1], "figueira",
         ("half-step conjugate vs umbral sum: ", "pseudo-symmetry relation: "),
     ),
     "doubled-kappa-5": (
         "kappa", lambda n: TRUE_KAPPA(n) * (2 if n == 5 else 1), "sequences",
         ("kappa_5 = 1, expected 1/2",),
+    ),
+    # the sequences record's other checks: an even kappa, an odd lambda and the bridge
+    "one-kappa-2": (
+        "kappa", lambda n: 1 if n == 2 else TRUE_KAPPA(n), "sequences",
+        ("kappa_2 = 1, expected 0",),
+    ),
+    "doubled-kappa-11": (
+        "kappa", lambda n: TRUE_KAPPA(n) * (2 if n == 11 else 1), "sequences",
+        ("lambda_11 = 353792, expected 0",),
+    ),
+    "lam-8-plus-1": (
+        "lam", lambda n: TRUE_LAM(n) + (n == 8), "sequences",
+        ("lambda_8: binomial bridge gives 1385, direct form 1386",),
     ),
 }
 
@@ -511,11 +525,11 @@ def test_a_grid_sweep_leaves_no_state_behind(monkeypatch):
     # pain fails from min(n, m) = 2 on and reciprocal and exp-series from 1
     # on.  A second sweep must see that, as fresh direct calls do, and not
     # read the first sweep's tables.
-    bounds = dict(max_n=3, max_m=3, cases=0)
+    bounds = dict(max_n=3, max_m=3)
     assert all(r.ok for name in GRID_SWEEPS for r in run_suite(name, **bounds))
     monkeypatch.setattr(suites, "anticommutator", lambda x, y: 2 * x * y)
     for name, (verify, least) in GRID_SWEEPS.items():
-        swept = run_suite(name, **bounds)
+        swept = run_suite(name, **bounds)[:16]  # mccoy's random records follow its grid
         direct = [verify(n, m) for n in range(4) for m in range(4)]
         assert [(r.status, r.witness) for r in swept] == [(r.status, r.witness) for r in direct]
         assert [r.status for r in swept] == [
@@ -534,7 +548,7 @@ def test_a_grid_sweep_leaves_no_weight_behind(monkeypatch):
     # records with min(n, m) >= 1 fail.  A sweep after clean ones must see
     # that, as fresh direct calls do, and not read the weights a clean sweep
     # evaluated; once the patch is gone, a sweep passes again.
-    bounds, cells = dict(max_n=3, max_m=3, cases=0), [(n, m) for n in range(4) for m in range(4)]
+    bounds, cells = dict(max_n=3, max_m=3), [(n, m) for n in range(4) for m in range(4)]
     assert all(r.ok for suite, _ in WEIGHT_SOURCES.values() for r in run_suite(suite, **bounds))
     for name, (suite, verify) in WEIGHT_SOURCES.items():
         with monkeypatch.context() as patch:

@@ -20,7 +20,6 @@ from weylops import (
     WeylElement,
     XPoly,
     ZERO,
-    format_rational,
 )
 from weylops.weyl import hadamard_conjugate, hamiltonian, monomial, p_op, q_op, scalar
 
@@ -35,8 +34,8 @@ cpolys = st.builds(
 def test_rational_examples():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert Fraction(-17, 8) * -1 == Fraction(17, 8)
-    assert format_rational(Fraction(-17, 8)) == "-17/8"
-    assert format_rational(Fraction(6, 2)) == "3"
+    assert str(GaussianRational(Fraction(-17, 8))) == "-17/8"
+    assert str(GaussianRational(Fraction(6, 2))) == "3"
 
 
 def test_gaussian_examples():

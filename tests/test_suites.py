@@ -16,6 +16,7 @@ from weylops import (
     I,
     MINUS_I,
     RatPoly,
+    XPoly,
     anticommutator,
     b_sum,
     commutator,
@@ -118,7 +119,7 @@ def test_binomial_instances():
     assert verify_binomial(0, 0, 0).ok
     assert verify_binomial(5, 4, 3).ok
     assert verify_binomial(12, 12, 12).ok
-    assert verify_binomial(7, 9, 2, euler_version=False).ok
+    assert verify_binomial(7, 9, 2).ok
 
 
 def test_figueira_fixture_values():
@@ -198,8 +199,7 @@ def check_calls(monkeypatch):
 
 
 # the bad bounds of tests/test_cli.py::test_bad_bounds_exit_2, two on "all",
-# a negative cases, which the CLI has no option for, and bounds that are a
-# bool or not an int, which the CLI's config loader refuses
+# and bounds that are a bool or not an int, which the CLI's config loader refuses
 _BAD_BOUNDS = [
     ("bender", {"max_n": -1}),
     ("pain", {"max_m": -1}),
@@ -208,13 +208,11 @@ _BAD_BOUNDS = [
     ("hermite", {"dim": 0}),
     ("hermite", {"dim": 3, "max_n": 1}),
     ("all", {"dim": 3}),
-    ("functions", {"cases": -3}),
     ("hermite", {"dim": 64.0}),
     ("bender", {"max_n": True}),
     ("pain", {"max_m": 2.0}),
     ("binomial", {"max_l": False}),
     ("mccoy", {"seed": "1"}),
-    ("functions", {"cases": 1.5}),
 ]
 
 
@@ -253,15 +251,15 @@ def test_run_suite_refuses_a_sweep_without_checks(check_calls):
 
 def test_run_suite_all_at_zero_bounds_still_runs(check_calls):
     # combinatorics has no check at max_n 0, but the sweep as a whole has
-    reports = run_suite("all", max_n=0, max_m=0, max_l=0, cases=0)
+    reports = run_suite("all", max_n=0, max_m=0, max_l=0)
     assert reports and all(r.ok for r in reports)
     assert len(check_calls) == len(reports)
     assert "combinatorics" not in check_calls and "hermite" in check_calls
 
 
 def test_run_suite_all_with_tight_bounds():
-    reports = run_suite("all", max_n=2, max_m=2, max_l=2, cases=2)
-    assert len(reports) == 83
+    reports = run_suite("all", max_n=2, max_m=2, max_l=2)
+    assert len(reports) == 103
     assert all(r.ok for r in reports), [r.render() for r in reports if not r.ok]
     suites = {r.suite for r in reports}
     assert {
@@ -280,14 +278,33 @@ def test_run_suite_all_with_tight_bounds():
     } <= suites
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_suite("functions", cases=2),
+        lambda: verify_binomial(1, 1, 1, euler_version=False),
+        lambda: random_poly_pair(random.Random(0), 3),
+        lambda: weyl.bracket_tower(q_op(), p_op(2), 8),
+        lambda: XPoly.monomial(1, 2),
+    ],
+    ids=["run_suite-cases", "verify_binomial-euler_version", "random_poly_pair-max_degree",
+         "bracket_tower-cap", "XPoly.monomial-coeff"],
+)
+def test_fixed_sweep_constants_are_not_options(check_calls, call):
+    # 12 random cases, both binomial forms, degree 4, 64 brackets, coefficient 1
+    with pytest.raises(TypeError):
+        call()
+    assert check_calls == []
+
+
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_suite("nope")
 
 
 def test_random_sweeps_are_reproducible():
-    a = run_suite("mccoy", max_n=1, max_m=1, cases=3, seed=5)
-    b = run_suite("mccoy", max_n=1, max_m=1, cases=3, seed=5)
+    a = run_suite("mccoy", max_n=1, max_m=1, seed=5)
+    b = run_suite("mccoy", max_n=1, max_m=1, seed=5)
     assert [r.params for r in a] == [r.params for r in b]
 
 
@@ -303,7 +320,7 @@ def test_failing_check_is_reported_not_raised(monkeypatch, weight, selectors):
 
     monkeypatch.setattr(suites_mod, weight, lambda k: Fraction(1, 7))
     for name in selectors:
-        failed = [r for r in run_suite(name, max_n=2, max_m=2, cases=2) if not r.ok]
+        failed = [r for r in run_suite(name, max_n=2, max_m=2) if not r.ok]
         assert failed, name
         assert all(r.status == "fail" and "lhs - rhs" in r.witness for r in failed)
 
