@@ -14,7 +14,8 @@ H = (p^2 + q^2)/2 are realized at c = -2i, with Gaussian-integer entries:
 An operator is a ``Bands``: it maps f_l to sum_j P_j(l) f_(l+j), each P_j a
 polynomial in l, stored flat (see ``scalars.FlatTerms``) under keys
 (j, d, i) for the term i^i l^d of P_j.  One such value describes every
-column at once, so nothing is truncated: a product reads the left factor's
+column at once, so nothing is truncated: a product, and a bracket {x, y}
+as one accumulation of x y + y x (``_product``), reads the left factor's
 entries at l + j, the H-brackets {q,H}_k stay on q's two off-diagonals, and
 the symbolic bridge realizes the engine's {q,H}_n by Horner in q over the
 powers of p.  ``build_operators`` makes the ladders, with four chains
@@ -38,7 +39,7 @@ from __future__ import annotations
 from itertools import count
 from math import comb
 
-from .report import VerificationReport, run_check
+from .report import VerificationReport, _orders, run_check
 from .scalars import FlatTerms, GaussianRational, _lifting
 from .weyl import Chain, WeylElement, hamiltonian, nested_anticommutator, q_op
 
@@ -64,18 +65,7 @@ class Bands(FlatTerms):
 
     @_lifting
     def __mul__(self, other):
-        """self other: other maps f_l to P_j(l) f_(l+j), and self acts on
-        f_(l+j) with its entries read at l + j."""
-        right = list(other._num.items())
-        out: dict = {}
-        for (s, e, k), m in self._num.items():
-            for r in range(e + 1):  # (l + j)^e = sum_r C(e,r) j^(e-r) l^r
-                w, p = m * comb(e, r), e - r
-                for (j, d, i), n in right:
-                    v = w * n * j**p if p else w * n
-                    key = (j + s, d + r, i ^ k)
-                    out[key] = out.get(key, 0) + (-v if i & k else v)  # i^2 = -1
-        return Bands._canonical(out, self._den * other._den)
+        return _product(self, other, 0)
 
     def column(self, l: int) -> dict:
         """Column l >= 0, the image of f_l, as {row: GaussianRational}: its
@@ -91,9 +81,20 @@ class Bands(FlatTerms):
         return {row: z for row, z in col.items() if z}
 
 
-def _anti(x: Bands, y: Bands) -> Bands:
-    """{x, y} = x y + y x."""
-    return x * y + y * x
+def _product(x: Bands, y: Bands, s: int) -> Bands:
+    """x y + s (y x), s in {0, 1}, in one accumulation: ``Bands.__mul__`` is
+    s = 0 and the bracket {x, y} s = 1; x's entries are read at l + j."""
+    out: dict = {}
+    for left, right in ((x._num, y._num), (y._num, x._num))[: 1 + s]:
+        right = list(right.items())
+        for (j0, e, k), m in left.items():
+            for r in range(e + 1):  # (l + j)^e = sum_r C(e,r) j^(e-r) l^r
+                w, p = m * comb(e, r), e - r
+                for (j, d, i), n in right:
+                    v = w * n * j**p if p else w * n
+                    key = (j + j0, d + r, i ^ k)
+                    out[key] = out.get(key, 0) + (-v if i & k else v)  # i^2 = -1
+    return Bands._canonical(out, x._den * y._den)
 
 
 def _bands(m: Bands, name: str, shifts: tuple, where: str) -> Bands:
@@ -114,7 +115,7 @@ class OscillatorMatrices:
     def __init__(self, dim: int, q_mat: Bands, p_mat: Bands, h_mat: Bands):
         self.dim, self.q_mat, self.p_mat, self.h_mat = dim, q_mat, p_mat, h_mat
         one = Bands.of(1)  # the steps hold the ladders, not self, so no cycle keeps self alive
-        self.tower = Chain(q_mat, lambda x: _anti(x, h_mat))
+        self.tower = Chain(q_mat, lambda x: _product(x, h_mat, 1))
         self.h_powers = Chain(one, lambda x: h_mat * x)
         self.p_powers = Chain(one, lambda x: p_mat * x)
         self.symbolic = Chain(q_op(), lambda w: nested_anticommutator(w, hamiltonian(), 1))
@@ -136,8 +137,7 @@ def build_operators(dim: int) -> OscillatorMatrices:
 def _operators(n: int, dim: int, ops: OscillatorMatrices | None) -> OscillatorMatrices:
     """ops, or the operators at dim built anew, if n >= 0 and q and H lie on
     the bands the tower reads."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _orders(n=n)
     ops = build_operators(dim) if ops is None else ops
     _bands(ops.q_mat, "q", (-1, 1), "off its two off-diagonals")
     _bands(ops.h_mat, "H", (0,), "off its diagonal")
@@ -216,7 +216,7 @@ def check_shifted_expansions(n: int, ops: OscillatorMatrices) -> str:
 @_record("main_identity")
 def check_main_identity_matrix(n: int, ops: OscillatorMatrices) -> str:
     """({q,H}-2)_n + ({q,H}+2)_n  ==  2^n (q H^n + H^n q)."""
-    rhs = Bands.weighted_sum([(2**n, _anti(ops.tower[0], ops.h_powers[n]))])  # first, so the peak holds no tower
+    rhs = Bands.weighted_sum([(2**n, _product(ops.tower[0], ops.h_powers[n], 1))])  # first, so the peak holds no tower
     weights = (comb(n, k) * (1 + (-1) ** (n - k)) * 2 ** (n - k) for k in range(n + 1))
     return _verdict(Bands.weighted_sum(zip(weights, ops.tower.upto(n))), rhs)
 

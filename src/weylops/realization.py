@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from math import perm
 
+from .report import _orders
 from .scalars import CPoly, CTerms
 from .weyl import WeylElement
 
@@ -80,9 +81,7 @@ def validate_reordering(max_exp: int = 6, max_l: int = 8) -> None:
     ``differential_oracle.py`` demo do, to vouch for the engine that every
     identity suite relies on.
     """
-    for name, bound in (("max_exp", max_exp), ("max_l", max_l)):
-        if bound < 0:
-            raise ValueError(f"need {name} >= 0, got {bound}")
+    _orders(max_exp=max_exp, max_l=max_l)
     ops = {(a, b): WeylElement({(a, b): 1}) for a in range(max_exp + 1) for b in range(max_exp + 1)}
     ls = sorted({0, 1, max_l})
     f = XPoly(dict.fromkeys(ls, 1))

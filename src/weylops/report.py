@@ -69,6 +69,13 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     return "[\n" + ",\n".join(lines) + "\n]" if lines else "[]"
 
 
+def _orders(**orders: int) -> None:
+    """ValueError unless each order is >= 0: the suites' and both realizations' one check."""
+    for name, v in orders.items():
+        if v < 0:
+            raise ValueError(f"need {name} >= 0, got {v}")
+
+
 def run_check(suite: str, params: dict[str, Any], fn: Callable[[], str]) -> VerificationReport:
     """Time one check.  ``fn`` returns "" on pass, a witness string on failure;
     a raised exception becomes an error report (suites keep going)."""

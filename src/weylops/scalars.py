@@ -22,9 +22,9 @@ so arithmetic runs on plain integers with one gcd at the end, and equality
 is structural.  GaussianRational and CPoly share one product kernel.  CPoly
 and the next two share ``CTerms``, what keys ending in (k, i) allow:
 division by c (``div_c``), setting c to a number and the coefficient views.
-``weighted_sum`` forms every linear combination in one pass: its weights are
-ints or Fractions, and for CTerms and Bands also CPolys or GaussianRationals,
-whose parts c^k i^i shift each key's k and i (a Bands refuses c).
+The constructor and ``weighted_sum`` sum in one accumulation, whose weights
+are ints or Fractions, and for CTerms and Bands also CPolys or Gaussian
+rationals, whose parts c^k i^i shift each key's k and i (Bands refuse c).
 Every operator, ``==`` included, lifts its operand by one rule, ``of``: a
 number, or a CPoly or GaussianRational the class can hold, becomes a
 constant (GaussianRational lifts numbers only), and an operand ``of`` cannot
@@ -64,15 +64,6 @@ def _lifting(op):
 CPolyLike = Union[int, Fraction, "GaussianRational", "CPoly"]
 
 
-def _parts(v: CPolyLike) -> list[tuple[int, int, int, int]]:
-    """(k, i, numerator, denominator) of each part c^k i^i n/d of v."""
-    if isinstance(v, (CPoly, GaussianRational)):
-        return [(k, i, n, v._den) for (k, i), n in v._num.items()]
-    # the type only: _lifting swallows this error, and rendering a large
-    # operand would cost more than the product it falls back to
-    raise TypeError(f"not an exact scalar: {type(v).__name__}")
-
-
 _set = object.__setattr__  # FlatTerms are immutable: only this sets their fields
 # int and Fraction, tested by exact type first: a CPoly or GaussianRational
 # tested against Fraction would run ABCMeta's instance check
@@ -85,38 +76,22 @@ class FlatTerms:
 
     The form is canonical (no zero numerators, gcd of ``_den`` and all
     numerators 1, zero is ``({}, 1)``), so equality is structural.  The
-    constructor takes ``{head: number or CPoly}`` and each subclass says how
-    a head and a part c^k i^i make a key (``_key``), and which (k, i) a key
-    of a constant stands for (``_scalar_key``, for ``__hash__``).  Immutable.
+    constructor sums ``{head: number or CPoly}`` in ``_accumulate``, each
+    head's key weighted by its value; a subclass says how a head and a part
+    c^k i^i make a key (``_key``), and which (k, i) a key of a constant
+    stands for (``_scalar_key``, for ``__hash__``).  Immutable.
     """
 
     __slots__ = ("_num", "_den")
     _unit = 0  # the head of a constant, for ``of``
 
-    def __init__(self, terms: dict | None = None):
-        parts = []
-        make_key = self._key
+    def __new__(cls, terms: dict | None = None):
+        units = []  # (value, {unit key: 1}, 1) per head: the value weights its key
         for h, v in (terms or {}).items():
             if (min(h) if isinstance(h, tuple) else h) < 0:
                 raise ValueError(f"negative exponent in {h}")
-            if type(v) in _RATIONAL or not isinstance(v, FlatTerms) and isinstance(v, _RATIONAL):
-                # an int or a Fraction, the common case, without a call
-                if v:
-                    parts.append((make_key(h, 0, 0), v.numerator, v.denominator))
-            else:
-                parts += [(make_key(h, k, i), n, d) for k, i, n, d in _parts(v)]
-        den = lcm(*[d for _, _, d in parts])
-        # canonical as it stands, since the parts of each value are in lowest
-        # terms over its denominator, unless two parts share a key
-        num = {key: n * (den // d) for key, n, d in parts}
-        if len(num) < len(parts):
-            num = {}
-            for key, n, d in parts:
-                num[key] = num.get(key, 0) + n * (den // d)
-            canon = self._canonical(num, den)
-            num, den = canon._num, canon._den
-        _set(self, "_num", num)
-        _set(self, "_den", den)
+            units.append((v, {cls._key(h, 0, 0): 1}, 1))
+        return cls._accumulate(units)
 
     @classmethod
     def of(cls, x):
@@ -143,24 +118,33 @@ class FlatTerms:
 
     @classmethod
     def weighted_sum(cls, pairs: Iterable[tuple[CPolyLike, "FlatTerms"]]):
-        """sum of w * x over (w, x) pairs in one pass: one lcm, one
-        accumulation, one canonical step.  A weight is an int, a Fraction, a
-        GaussianRational or a CPoly; each part c^k i^i n/d of it raises the
-        power of c of every key of x by k and multiplies its i by i^i.  CTerms
-        take c and i, Bands only i: the others refuse them with TypeError, as
-        their constructors do."""
-        terms = []  # (x's numerators, k, i, n, d * x's denominator) per part c^k i^i n/d
-        for w, x in pairs:
+        """sum of w * x over (w, x) pairs in one pass: see ``_accumulate``."""
+        return cls._accumulate([(w, x._num, x._den) for w, x in pairs])
+
+    @classmethod
+    def _accumulate(cls, triples: Iterable[tuple[CPolyLike, dict, int]]):
+        """sum of w * num / den over (w, num, den) triples, for the
+        constructor and ``weighted_sum`` alike: one lcm, one accumulation, one
+        canonical step.  A weight is an int, a Fraction, a GaussianRational or
+        a CPoly; each part c^k i^i n/d of it raises the power of c of every
+        key of num by k and multiplies its i by i^i.  CTerms take c and i,
+        Bands only i: the others refuse them with TypeError."""
+        terms = []  # (num, k, i, n, d * den) per part c^k i^i n/d of a weight
+        for w, num, den in triples:
             if type(w) is int:  # the common case, without a call
                 if w:
-                    terms.append((x._num, 0, 0, w, x._den))
+                    terms.append((num, 0, 0, w, den))
             elif type(w) is Fraction or not isinstance(w, FlatTerms) and isinstance(w, _RATIONAL):
-                terms.append((x._num, 0, 0, w.numerator, w.denominator * x._den))
-            else:
-                for k, i, n, d in _parts(w):
+                terms.append((num, 0, 0, w.numerator, w.denominator * den))
+            elif isinstance(w, (CPoly, GaussianRational)):
+                for (k, i), n in w._num.items():
                     if k or i:
                         cls._key(cls._unit, k, i)  # raises where a key cannot hold c^k i^i
-                    terms.append((x._num, k, i, n, d * x._den))
+                    terms.append((num, k, i, n, w._den * den))
+            else:
+                # the type only: _lifting swallows this error, and rendering a
+                # large operand would cost more than the product it falls back to
+                raise TypeError(f"not an exact scalar: {type(w).__name__}")
         # a list, not a generator: star-args built from a generator are
         # resized tuples that pile up in the tuple free list (0.4 MB of peak
         # RSS over the default binomial sweep)
@@ -172,7 +156,7 @@ class FlatTerms:
                 for key, m in num.items():
                     j = key[-1]
                     key = (*key[:-2], key[-2] + k, j ^ i)
-                    out[key] = out.get(key, 0) + (-s * m if j & i else s * m)
+                    out[key] = out.get(key, 0) + (-s * m if j & i else s * m)  # i^2 = -1
             else:
                 for key, m in num.items():
                     out[key] = out.get(key, 0) + s * m
@@ -249,8 +233,8 @@ class GaussianRational(FlatTerms):
     __add__ = __radd__ = FlatTerms.__add__
     __mul__ = __rmul__ = _ki_mul
 
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        super().__init__({0: re, 1: im})
+    def __new__(cls, re: int | Fraction = 0, im: int | Fraction = 0):
+        return super().__new__(cls, {0: re, 1: im})
 
     @staticmethod
     def _key(i: int, k: int, j: int) -> tuple[int, int]:

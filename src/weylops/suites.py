@@ -41,7 +41,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable
 
-from .report import VerificationReport, run_check
+from .report import VerificationReport, _orders, run_check
 from .scalars import CPoly, I
 from .sequences import (
     RatPoly,
@@ -77,12 +77,6 @@ def _diff(*forms: tuple[str, WeylElement, WeylElement]) -> str:
         if d:
             return f"{label}: lhs - rhs = {d}"
     return ""
-
-
-def _orders(**orders: int) -> None:
-    for name, v in orders.items():
-        if v < 0:
-            raise ValueError(f"need {name} >= 0, got {v}")
 
 
 # -- symmetrized powers of H -------------------------------------------------

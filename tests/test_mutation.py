@@ -32,7 +32,15 @@ off-diagonals, a p with one beyond its three bands or an H with one off its
 diagonal must keep every hermite check that reads that ladder from passing.
 
 Every identity is a weighted sum, formed by ``weighted_sum``: a kernel that
-drops its weights' powers of c must turn bender and pain records FAIL.
+drops its weights' powers of c must turn bender and pain records FAIL.  The
+one accumulation behind every sum must apply i^2 = -1 as well: one in which
+a weight's i times a key's i adds must fail every figueira record, while
+bender, pain and reciprocal, whose sums it does not change, still pass.
+
+The realization's product kernel forms a bracket {x, y} as one accumulation
+of x y + y x: a kernel that drops the second order must fail every hermite
+record from n = 1 on but the main identity at n = 1, where both sides are
+2 q H, and the main identity at n = 0, whose right side {q, 1} = 2q it halves.
 
 The binomial sweep decides each form by one packed-integer test over a column
 set built from its two sides' bases independently, so a wrong shifted basis
@@ -76,7 +84,7 @@ from fractions import Fraction
 import pytest
 
 from weylops import oscillator, realization, sequences, suites, weyl
-from weylops.scalars import MINUS_I, CPoly
+from weylops.scalars import MINUS_I, CPoly, FlatTerms, GaussianRational
 from weylops.sequences import RatPoly, euler_polynomial
 from weylops.suites import run_suite
 
@@ -123,6 +131,36 @@ def test_weights_without_their_power_of_c_fail_records(monkeypatch):
 
     monkeypatch.setattr(weyl.WeylElement, "weighted_sum", staticmethod(c_dropped))
     assert {"bender", "pain"} <= _failing_suites()
+
+
+TRUE_ACCUMULATE = FlatTerms._accumulate.__func__
+
+
+def _i_squared_is_plus_one(cls, triples):
+    """The accumulation with w x = w_r x + w_i x_r - w_i x_i: a weight's part
+    in i times a key's i adds where it should subtract."""
+    split = []
+    for w, num, den in triples:
+        parts = w._num if isinstance(w, (CPoly, GaussianRational)) else {}
+        if any(i for _, i in parts):
+            cls._key(cls._unit, 0, 1)  # the true refusal, where a key cannot hold i
+            w_r = type(w)._canonical({key: n for key, n in parts.items() if not key[1]}, w._den)
+            w_i = type(w)._canonical({key: n for key, n in parts.items() if key[1]}, w._den)
+            x_r = {key: m for key, m in num.items() if not key[-1]}
+            x_i = {key: m for key, m in num.items() if key[-1]}
+            split += [(w_r, num, den), (w_i, x_r, den), (-w_i, x_i, den)]
+        else:
+            split.append((w, num, den))
+    return TRUE_ACCUMULATE(cls, split)
+
+
+def test_sums_with_i_squared_plus_one_fail_figueira(monkeypatch):
+    # _ki_mul keeps its own i^2 = -1, so only sums see the patch: figueira's
+    # umbral sums weight elements that carry i by weights that carry i
+    assert {r.status for r in run_suite("figueira")} == {"pass"}
+    monkeypatch.setattr(FlatTerms, "_accumulate", classmethod(_i_squared_is_plus_one))
+    assert {r.status for r in run_suite("figueira")} == {"fail"}
+    assert _failing_suites() == set()
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -309,6 +347,21 @@ def test_p_off_its_bands_never_passes(monkeypatch):
         report = oscillator.check_symbolic_bridge(n, 64)
         assert report.status == "error"
         assert "p has a nonzero entry beyond its three bands" in report.witness
+
+
+TRUE_BANDS_PRODUCT = oscillator._product
+
+
+def test_a_bracket_without_its_second_order_fails_hermite(monkeypatch):
+    # {x, y} -> x y: the tower, the shifted expansions and the bridge differ
+    # from {q,H}_1 on; the main identity reads {q, H^n} on its right side
+    # only, so it fails at n = 0 (q against 2q) and holds at n = 1 (2 q H)
+    monkeypatch.setattr(oscillator, "_product", lambda x, y, s: TRUE_BANDS_PRODUCT(x, y, 0))
+    swept = run_suite("hermite", max_n=4)
+    passing = {(r.params["check"], r.params["n"]) for r in swept if r.ok}
+    assert len(swept) == 20 and {r.status for r in swept} == {"pass", "fail"}
+    zero = {(c, 0) for c in ("closed_form", "shifted_expansions", "symbolic_bridge")}
+    assert passing == zero | {("main_identity", 1)}
 
 
 TRUE_PACK = suites._pack
@@ -567,8 +620,8 @@ def test_a_hermite_sweep_leaves_no_state_behind(monkeypatch):
     # where both sides are 4 q H.  A second sweep must see that, as fresh
     # checks do, and not read the first sweep's towers.
     assert all(r.ok for r in run_suite("hermite"))
-    broken = lambda x, y: oscillator.Bands.weighted_sum([(2, x * y)])  # {x, y} -> 2xy
-    monkeypatch.setattr(oscillator, "_anti", broken)
+    broken = lambda x, y, s: oscillator.Bands.weighted_sum([(1 + s, TRUE_BANDS_PRODUCT(x, y, 0))])  # {x, y} -> 2xy
+    monkeypatch.setattr(oscillator, "_product", broken)
     swept = run_suite("hermite")
     failing = {(r.params["check"], r.params["n"]) for r in swept if r.status == "fail"}
     checks = ("closed_form", "shifted_expansions", "main_identity", "symbolic_bridge")

@@ -28,7 +28,7 @@ from weylops import (
     q_op,
     scalar,
 )
-from weylops import weyl
+from weylops import oscillator, weyl
 from weylops.oscillator import (
     Bands,
     OscillatorMatrices,
@@ -236,16 +236,17 @@ def test_realization_never_calls_the_engine(monkeypatch):
 
 
 def test_hermite_sweep_makes_at_most_150_realization_products(monkeypatch):
-    # 148 at default bounds: two per {x, H} of the tower and per {q, H^n}, one
-    # per level of H^k and p^k, and one per Horner step of the bridge
+    # 148 at default bounds, counted at the one product kernel with a bracket
+    # as two products: two per {x, H} of the tower and per {q, H^n}, one per
+    # level of H^k and p^k, and one per Horner step of the bridge
     count = [0]
-    true_mul = Bands.__mul__
+    true_product = oscillator._product
 
-    def counted(x, y):
-        count[0] += 1
-        return true_mul(x, y)
+    def counted(x, y, s):
+        count[0] += 1 + s
+        return true_product(x, y, s)
 
-    monkeypatch.setattr(Bands, "__mul__", counted)
+    monkeypatch.setattr(oscillator, "_product", counted)
     assert all(r.ok for r in run_suite("hermite"))
     assert 0 < count[0] <= 150
 
