@@ -27,9 +27,11 @@ are ints or Fractions, and for CTerms and Bands also CPolys or Gaussian
 rationals, whose parts c^k i^i shift each key's k and i (Bands refuse c).
 Every operator, ``==`` included, lifts its operand by one rule, ``of``: a
 number, or a CPoly or GaussianRational the class can hold, becomes a
-constant (GaussianRational lifts numbers only), and an operand ``of`` cannot
-lift gets NotImplemented.  Only int, Fraction and these classes enter the
-exact algebra: a float or a string raises TypeError.  All values are immutable.
+constant (GaussianRational lifts numbers only; a number's constant is built
+as it stands), and an operand ``of`` cannot lift gets NotImplemented.  CPoly
+and GaussianRational scale by an int or a Fraction without a lift.  Only
+int, Fraction and these classes enter the exact algebra: a float or a
+string raises TypeError.  All values are immutable (``__reduce__`` copies).
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class FlatTerms:
 
     __slots__ = ("_num", "_den")
     _unit = 0  # the head of a constant, for ``of``
+    __reduce__ = lambda self: (type(self)._flat, (self._num, self._den))  # copy and pickle without setattr
 
     def __new__(cls, terms: dict | None = None):
         units = []  # (value, {unit key: 1}, 1) per head: the value weights its key
@@ -97,7 +100,9 @@ class FlatTerms:
     def of(cls, x):
         """x as a value of this class: a number, or a CPoly or GaussianRational
         the class can hold, becomes a constant; TypeError for anything else."""
-        return x if isinstance(x, cls) else cls({cls._unit: x})
+        if type(x) is int or type(x) is Fraction:  # canonical as it stands
+            return cls._flat({cls._key(cls._unit, 0, 0): x.numerator} if x else {}, x.denominator)
+        return x if isinstance(x, cls) else cls._accumulate([(x, {cls._key(cls._unit, 0, 0): 1}, 1)])
 
     @classmethod
     def _flat(cls, num: dict, den: int):
@@ -108,8 +113,9 @@ class FlatTerms:
 
     @classmethod
     def _canonical(cls, num: dict, den: int):
-        """num / den without zero numerators, in lowest terms."""
-        num = {key: n for key, n in num.items() if n}
+        """num / den without zero numerators, in lowest terms (it may keep num)."""
+        if 0 in num.values():
+            num = {key: n for key, n in num.items() if n}
         g = gcd(den, *num.values())
         if g != 1:
             num = {key: n // g for key, n in num.items()}
@@ -150,16 +156,18 @@ class FlatTerms:
         # RSS over the default binomial sweep)
         den = lcm(*[e for _, _, _, _, e in terms])
         out: dict = {}
+        get = out.get
         for num, k, i, n, e in terms:
             s = n * (den // e)
             if k or i:
+                sign = (s, -s) if i else (s, s)  # by the key's i: i^2 = -1
                 for key, m in num.items():
                     j = key[-1]
-                    key = (*key[:-2], key[-2] + k, j ^ i)
-                    out[key] = out.get(key, 0) + (-s * m if j & i else s * m)  # i^2 = -1
+                    key = key[:-2] + (key[-2] + k, j ^ i)
+                    out[key] = get(key, 0) + sign[j] * m
             else:
                 for key, m in num.items():
-                    out[key] = out.get(key, 0) + s * m
+                    out[key] = get(key, 0) + s * m
         return cls._canonical(out, den)
 
     def __setattr__(self, name, value):
@@ -209,9 +217,16 @@ class FlatTerms:
         return bool(self._num)
 
 
-@_lifting
 def _ki_mul(self, other):
-    """The product of two (k, i) stores, CPoly's or GaussianRational's."""
+    """The product of two (k, i) stores, CPoly's or GaussianRational's; an int
+    or a Fraction (exact types) scales the numerators and the denominator."""
+    if type(other) is int or type(other) is Fraction:
+        num = {key: m * other.numerator for key, m in self._num.items()}
+        return self._canonical(num, self._den * other.denominator)
+    try:
+        other = self.of(other)
+    except TypeError:
+        return NotImplemented
     right = list(other._num.items())
     out: dict[tuple[int, int], int] = {}
     for (k1, i1), n1 in self._num.items():
@@ -242,11 +257,11 @@ class GaussianRational(FlatTerms):
             raise TypeError("the parts of a GaussianRational must be rational")
         return (0, i)
 
-    @staticmethod
-    def of(x: ScalarLike) -> "GaussianRational":
+    @classmethod
+    def of(cls, x: ScalarLike) -> "GaussianRational":
         if not isinstance(x, (GaussianRational, int, Fraction)):
             raise TypeError(f"cannot lift a {type(x).__name__} to a GaussianRational")
-        return x if isinstance(x, GaussianRational) else GaussianRational(x)
+        return super().of(x)
 
     re = property(lambda self: Fraction(self._num.get((0, 0), 0), self._den))
     im = property(lambda self: Fraction(self._num.get((0, 1), 0), self._den))

@@ -1,16 +1,17 @@
 """Euler and Bernoulli sequences, exactly over Q.
 
-Everything here is defined by finite recurrences on Fraction values, so the
-results are exact and reproducible:
+Everything here is defined by finite recurrences, so the results are exact
+and reproducible.  The Euler family runs on the integers e_k = 2^k E_k(0):
 
-* ``euler_zero(n)``       E_n(0), from the midpoint relation
+* ``euler_zero(n)``       E_n(0) = e_n / 2^n, from the midpoint relation
                           E_n(x) + E_n(x+1) = 2 x^n specialized at x = 0,
+                          e_0 = 1, e_n = -sum_{k<n} C(n,k) 2^(n-1-k) e_k,
 * ``euler_polynomial(n)`` E_n(x), via the Appell expansion
                           E_n(x) = sum_k C(n,k) E_k(0) x^(n-k),
 * ``solve_midpoint(n)``   the same polynomial recovered *without* the Appell
                           expansion, by solving the triangular linear system
                           that the midpoint relation imposes on coefficients,
-* ``euler_number(n)``     E_n = 2^n E_n(1/2),
+* ``euler_number(n)``     E_n = 2^n E_n(1/2) = sum_k C(n,k) e_k,
 * ``bernoulli_number(n)`` B_n, from sum_{k<=n} C(n+1,k) B_k = 0 (B_1 = -1/2),
 * ``kappa(n)``/``lam(n)`` the commutator-expansion coefficient sequences
                           0, -E_n(0) (n > 0) and E_n (``lam`` is ``euler_number``).
@@ -131,33 +132,37 @@ class RatPoly(FlatTerms):
         return f"RatPoly({{{', '.join(f'{k}: {v}' for k, v in sorted(self.coeffs.items()))}}})"
 
 
-@lru_cache(maxsize=None)
-def euler_zero(n: int) -> Fraction:
-    """E_n(0).
-
-    Setting x = 0 in E_n(x) + E_n(x+1) = 2 x^n and expanding E_n(1) through
-    the Appell relation gives, for n >= 1,
-
-        E_n(0) = -1/2 * sum_{k=0}^{n-1} C(n,k) E_k(0).
-    """
+def _scaled_euler_zeros(n: int) -> list[int]:
+    """[e_0, ..., e_n], e_k = 2^k E_k(0), by the recurrence of the module docstring."""
     if n < 0:
         raise ValueError("negative index")
-    if n == 0:
-        return Fraction(1)
-    return Fraction(-1, 2) * sum(comb(n, k) * euler_zero(k) for k in range(n))
+    e = [1]
+    for m in range(1, n + 1):
+        e.append(-sum(comb(m, k) * e[k] << (m - 1 - k) for k in range(m)))
+    return e
+
+
+def _appell(a: list[int]) -> RatPoly:
+    """sum_k C(n,k) (a_k / 2^k) x^(n-k), n = len(a) - 1, over the denominator 2^n."""
+    n = len(a) - 1
+    return RatPoly._canonical({n - k: comb(n, k) * a[k] << (n - k) for k in range(n + 1)}, 1 << n)
+
+
+@lru_cache(maxsize=None)
+def euler_zero(n: int) -> Fraction:
+    """E_n(0)."""
+    return Fraction(_scaled_euler_zeros(n)[n], 1 << n)
 
 
 @lru_cache(maxsize=None)
 def euler_polynomial(n: int) -> RatPoly:
     """E_n(x) = sum_{k=0}^{n} C(n,k) E_k(0) x^(n-k)."""
-    if n < 0:
-        raise ValueError("negative index")
-    return RatPoly({n - k: comb(n, k) * euler_zero(k) for k in range(n + 1)})
+    return _appell(_scaled_euler_zeros(n))
 
 
 def euler_at_half(n: int) -> Fraction:
-    """E_n(1/2)."""
-    return euler_polynomial(n)(Fraction(1, 2))
+    """E_n(1/2), the constant term of E_n(x + 1/2)."""
+    return shifted_euler(n).coeff(0)
 
 
 def euler_number(n: int) -> Fraction:
@@ -199,12 +204,13 @@ def solve_midpoint(n: int) -> RatPoly:
 
 
 def shifted_euler(n: int) -> RatPoly:
-    """E_n(x + 1/2) as a polynomial in x.
+    """E_n(x + 1/2) = sum_k C(n,k) E_k(1/2) x^(n-k), as a polynomial in x.
 
     Evaluated on a suitably normalized operator argument, this polynomial
     reproduces n-fold nested anticommutators (see the verification suites).
     """
-    return euler_polynomial(n).compose(RatPoly({0: Fraction(1, 2), 1: 1}))
+    e = _scaled_euler_zeros(n)
+    return _appell([sum(comb(j, k) * e[k] for k in range(j + 1)) for j in range(n + 1)])
 
 
 def kappa(n: int) -> Fraction:

@@ -26,9 +26,10 @@ each level once per sweep: a sweep makes its chains when it starts and they
 die when it returns, as a direct verify_* call's die with the call, so
 nothing one sweep built reaches the next.  The hermite sweep does the same
 with its oscillator ladders (``oscillator.build_operators``).  Every
-right-hand side is one weighted sum, with {q, H^m} taken as q H^m + H^m q,
-so nothing is multiplied by a constant and bender compares {q, H}_n with
-2^n times the right-hand sides above.
+right-hand side is one weighted sum, so nothing is multiplied by a constant
+and bender compares {q, H}_n with 2^n times the right-hand sides above.  Its
+levels carry {q, H^m} = q H^m + H^m q, summed once, and a form's sides are
+compared with !=, their difference formed only for a witness.
 """
 
 from __future__ import annotations
@@ -71,32 +72,29 @@ from .weyl import (
 
 
 def _diff(*forms: tuple[str, WeylElement, WeylElement]) -> str:
-    """The witness of the first (label, lhs, rhs) form whose sides differ; "" if none."""
+    """The first differing (label, lhs, rhs) form's witness, or "": its count of
+    differing (a, b) terms and the first one, with both sides' coefficients."""
     for label, lhs, rhs in forms:
-        d = lhs - rhs
-        if d:
-            return f"{label}: lhs - rhs = {d}"
+        if lhs != rhs:
+            d = lhs - rhs
+            a, b = min(d.terms)
+            return (f"{label}: lhs - rhs has {len(d.terms)} term(s), first at q^{a}p^{b}: lhs "
+                    f"({lhs.coefficient(a, b)}) vs rhs ({rhs.coefficient(a, b)}); lhs - rhs = {d}")
     return ""
 
 
 # -- symmetrized powers of H -------------------------------------------------
 
 
-def _q_anti_h_pow(pairs, q_h, h_q) -> WeylElement:
-    """sum_m w_m {q, H^m} over (w_m, m) pairs, from q_h[m] = q H^m and
-    h_q[m] = H^m q."""
-    return WeylElement.weighted_sum((w, side[m]) for w, m in pairs for side in (q_h, h_q))
-
-
 def _bender_chains() -> tuple[Chain, ...]:
-    """{q,H}_k, {q,H-u/2}_k, q H^k, H^k q and u^k, the chains of one bender sweep."""
+    """{q,H}_k, {q,H-u/2}_k, (q H^k, H^k q, {q,H^k}) and u^k: one bender sweep's chains."""
     q, h, u = q_op(), hamiltonian(), CPoly.c_power(1, I)
     centered_h = h - u * Fraction(1, 2)
+    level = lambda qh, hq: (qh, hq, qh + hq)  # (q H^m, H^m q, {q, H^m}), summed once
     return (
         Chain(q, lambda w: nested_anticommutator(w, h, 1)),
         Chain(q, lambda w: nested_anticommutator(w, centered_h, 1)),
-        Chain(q, lambda w: w * h),
-        Chain(q, lambda w: h * w),
+        Chain(level(q, q), lambda lv: level(lv[0] * h, h * lv[1])),
         Chain(CPoly.of(1), lambda w: w * u),
     )
 
@@ -108,18 +106,19 @@ def _bender(n: int, chains: tuple[Chain, ...]) -> VerificationReport:
 
     def check() -> str:
         _orders(n=n)
-        shifted, centered, q_h, h_q, u_pow = chains
+        shifted, centered, h_pow, u_pow = chains
 
         def euler_rhs(poly: RatPoly) -> WeylElement:  # 2^n/2 {q, sum_m a_m u^(n-m) H^m}
-            weights = [(u_pow[n - m] * (a * 2**n / 2), m) for m, a in poly.coeffs.items()]
-            return _q_anti_h_pow(weights, q_h, h_q)
+            return WeylElement.weighted_sum(
+                (u_pow[n - m] * Fraction(v << n, poly._den << 1), h_pow[m][2]) for m, v in poly._num.items()
+            )
 
         u = u_pow[1]
         plus_minus = shifted_nested_anticomm(-u, n, shifted) + shifted_nested_anticomm(u, n, shifted)
         return _diff(
             ("shifted-argument form", shifted[n], euler_rhs(shifted_euler(n))),
             ("centered form", centered[n], euler_rhs(euler_polynomial(n))),
-            ("plus/minus average", plus_minus, _q_anti_h_pow([(2**n, n)], q_h, h_q)),
+            ("plus/minus average", plus_minus, WeylElement.weighted_sum([(2**n, h_pow[n][2])])),
         )
 
     return run_check("bender", {"n": n}, check)
@@ -179,7 +178,7 @@ def verify_superoperators(max_k: int) -> VerificationReport:
             total = WeylElement.weighted_sum(
                 (comb(order, m), ba[order - m][m]) for m in range(0, order + 1, 2)
             )
-            if total != _q_anti_h_pow([(Fraction(2) ** (order - 1), order)], q_h, h_q):
+            if total != WeylElement.weighted_sum([(Fraction(2) ** (order - 1), side[order]) for side in (q_h, h_q)]):
                 return f"binomial cross sum fails at order {order}"
         return ""
 

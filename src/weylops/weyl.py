@@ -17,7 +17,7 @@ over one positive denominator shared by the whole element.  Products, sums
 and ``subst_c`` run on plain integers, apply i^2 = -1 and reduce by a single
 gcd at the end, so no Fraction is built on the hot path.  A bracket is one
 accumulation through the one product kernel (``_product``): [x, y] and
-{x, y} sum x y and -y x (or +y x) into one dict and reduce it once.  A linear
+{x, y} sum x y and -y x (or +y x) in one pass, reduced once.  A linear
 combination with number or CPoly weights is one ``weighted_sum``, with no
 product by a scalar element.  ``terms`` is the {(a, b): CPoly} view that
 rendering and the realizations read.  Since c stays formal, an identity
@@ -121,30 +121,35 @@ class WeylElement(CTerms):
 
 
 def _product(x: WeylElement, y: WeylElement, s: int) -> WeylElement:
-    """x y + s (y x), s in {0, 1, -1}: both products accumulate into one dict
-    over the one denominator d_x d_y, canonicalized once.  The engine's only
-    product loop: ``__mul__`` is s = 0, ``commutator`` s = -1 and
-    ``anticommutator`` s = +1.  ``contraction_weights`` is read as a module
-    global at call time, so a patched rule reaches every product and bracket."""
+    """x y + s (y x), s in {0, 1, -1}, the engine's only product loop (``__mul__``
+    is s = 0, ``commutator`` s = -1, ``anticommutator`` s = +1): one pass over the
+    term pairs into one dict over d_x d_y.  A pair's commutative term, the same in
+    x y and y x, is added once, weighted 1 + s: ``contraction_weights(b, a)[0] = 1``
+    is that term, not a contraction, so the contractions j >= 1 of each order
+    follow.  The rule is looked up at call time, so a patch reaches every product."""
     weights = contraction_weights
     acc: dict[FlatKey, int] = {}
     get = acc.get
-    orders = [(x._num, y._num, 1), (y._num, x._num, s)] if s else [(x._num, y._num, 1)]
-    for left, right, sign in orders:
-        right = list(right.items())
-        for (a1, b1, k1, i1), n1 in left.items():
-            n1 *= sign
-            for (a2, b2, k2, i2), n2 in right:
-                n = -n1 * n2 if i1 & i2 else n1 * n2  # i^2 = -1
-                a, b, k, i = a1 + a2, b1 + b2, k1 + k2, i1 ^ i2
-                if b1 and a2:  # p^b1 q^a2 -> sum over contractions
-                    for w in weights(b1, a2):
-                        key = (a, b, k, i)
-                        acc[key] = get(key, 0) + n * w
-                        a, b, k = a - 1, b - 1, k + 1
-                else:
+    t = 1 + s
+    right = list(y._num.items())
+    for (a1, b1, k1, i1), n1 in x._num.items():
+        for (a2, b2, k2, i2), n2 in right:
+            n = -n1 * n2 if i1 & i2 else n1 * n2  # i^2 = -1
+            a, b, k, i = a1 + a2, b1 + b2, k1 + k2, i1 ^ i2
+            if t:
+                key = (a, b, k, i)
+                acc[key] = get(key, 0) + t * n
+            if b1 and a2:  # p^b1 q^a2 -> its contractions
+                for w in weights(b1, a2)[1:]:
+                    a, b, k = a - 1, b - 1, k + 1
                     key = (a, b, k, i)
-                    acc[key] = get(key, 0) + n
+                    acc[key] = get(key, 0) + n * w
+            if s and b2 and a1:  # s p^b2 q^a1 -> its contractions
+                n, a, b, k = s * n, a1 + a2, b1 + b2, k1 + k2
+                for w in weights(b2, a1)[1:]:
+                    a, b, k = a - 1, b - 1, k + 1
+                    key = (a, b, k, i)
+                    acc[key] = get(key, 0) + n * w
     return WeylElement._canonical(acc, x._den * y._den)
 
 

@@ -57,6 +57,11 @@ stops one bracket early in the suite's umbral sums turns every figueira
 record FAIL (hadamard_conjugate still sums weyl's true tower), and a wrong
 kappa_5 fails the sequences record.
 
+CPoly and GaussianRational scale by an int or a Fraction without lifting it:
+a CPoly product that scales by a Fraction's numerator only must fail the
+bender shifted-argument and centered forms.  A failing bender record names
+how many terms differ and the first one, with both sides' coefficients.
+
 bender and superoperators are decided with c formal, so they must not lean
 on ``subst_c``: with it raising they still PASS (only the symbolic bridge,
 which realizes the engine at c = -2i, errs), and with it returning zero a
@@ -511,6 +516,39 @@ def test_perturbed_euler_coefficient_fails_bender(monkeypatch, name, blind_subst
     reports = run_suite("bender", max_n=6)
     assert [r.status for r in reports] == ["pass"] + ["fail"] * 6
     assert all(r.witness.startswith(f"{EULER_WEIGHTS[name]}: ") for r in reports[1:])
+
+
+def test_a_failing_bender_witness_names_the_first_differing_term(monkeypatch):
+    # f_(1,0) off by 1/3: the right side gains 2/2 * 1/3 u {q, 1} = 2/3 i c q,
+    # so one (a, b) term differs, at q^1 p^0
+    true_poly = suites.euler_polynomial
+    monkeypatch.setattr(suites, "euler_polynomial", lambda n: true_poly(n) + Fraction(1, 3) if n else true_poly(n))
+    assert suites.verify_bender(1).witness == (
+        "centered form: lhs - rhs has 1 term(s), first at q^1p^0: lhs ((-1*i)*c) vs rhs ((-1/3*i)*c); "
+        "lhs - rhs = ((-2/3*i)*c) * q"
+    )
+
+
+TRUE_CPOLY_MUL = CPoly.__mul__
+
+
+def _numerator_only(x, y):
+    """CPoly's product with a Fraction operand scaled by its numerator only."""
+    return TRUE_CPOLY_MUL(x, y.numerator if type(y) is Fraction else y)
+
+
+def test_number_scaling_by_the_numerator_only_fails_bender(monkeypatch):
+    # the centered chain's H - u/2 becomes H - u, and each Euler weight with
+    # a denominator loses it: the m = 0 weight E_n/2 of the shifted form at
+    # even n.  n = 1 still holds, where both sides of the centered form
+    # gain the same -u q
+    assert all(r.ok for r in run_suite("bender", max_n=6))
+    monkeypatch.setattr(CPoly, "__mul__", _numerator_only)
+    monkeypatch.setattr(CPoly, "__rmul__", _numerator_only)
+    reports = run_suite("bender", max_n=6)
+    assert [r.status for r in reports] == ["fail", "pass"] + ["fail"] * 5
+    labels = [r.witness.split(":")[0] for r in reports]
+    assert labels == ["shifted-argument form", "", *["shifted-argument form", "centered form"] * 2, "shifted-argument form"]
 
 
 def test_shift_specialized_to_u_1_fails_bender(monkeypatch):

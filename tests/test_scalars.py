@@ -1,7 +1,9 @@
 """Exact scalars: GaussianRational and the flat CPoly against their
 Fraction-pair and Fraction-dict references."""
 
+import copy
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,8 @@ from weylops import (
     XPoly,
     ZERO,
 )
+from weylops.oscillator import Bands
+from weylops.scalars import FlatTerms
 from weylops.weyl import hadamard_conjugate, hamiltonian, monomial, p_op, q_op, scalar
 
 rationals = rationals_within(10**6, 10**4)
@@ -332,3 +336,69 @@ def test_gaussian_matches_the_reference(a, b, s):
         assert hash(x) == hash(y)
     if x == s:
         assert hash(x) == hash(s)
+
+
+# -- numbers scale CPoly and GaussianRational without a lift -------------------
+
+
+def test_numbers_scale_scalars_without_a_lift(monkeypatch):
+    # neither ``of`` nor the accumulation runs for an int or Fraction factor
+    # on either side (test_cpoly_arithmetic_matches_the_reference and
+    # test_gaussian_matches_the_reference draw such factors against the
+    # references); a float still raises, a bool is still lifted, and an
+    # element still gets the product
+    x, g = CPoly({0: Fraction(1, 3), 2: I}), GaussianRational(Fraction(1, 2), 3)
+    expected = [CPoly({0: 1, 2: 3 * I}), CPoly({0: Fraction(1, 6), 2: Fraction(1, 2) * I}), CPoly()]
+    monkeypatch.setattr(FlatTerms, "_accumulate", classmethod(lambda cls, triples: 1 / 0))
+    for cls in (CPoly, GaussianRational):
+        monkeypatch.setattr(cls, "of", staticmethod(lambda v: 1 / 0))
+    products = [x * 3, Fraction(1, 2) * x, x * 0, g * 2, Fraction(-2, 3) * g]
+    monkeypatch.undo()
+    assert products[:3] == expected
+    assert products[3:] == [GaussianRational(1, 6), GaussianRational(Fraction(-1, 3), -2)]
+    for value in (x, g):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            value * 0.5
+        with pytest.raises(TypeError, match="unsupported operand"):
+            0.5 * value
+        assert value * True == value and False * value == 0  # a bool is lifted, as before
+        assert value * q_op() == q_op() * value == WeylElement({(1, 0): value})
+
+
+@pytest.mark.parametrize("cls", sorted(_VALUE_CLASSES))
+@pytest.mark.parametrize("number", [0, 7, Fraction(-5, 6)])
+def test_a_number_becomes_a_constant_without_the_accumulation(monkeypatch, cls, number):
+    # a number's one-key constant is canonical as it stands
+    make, value = _VALUE_CLASSES[cls]
+    expected = make(number)
+    monkeypatch.setattr(FlatTerms, "_accumulate", classmethod(lambda cls, triples: 1 / 0))
+    constant = type(value).of(number)
+    monkeypatch.undo()
+    assert type(constant) is type(value) and constant == expected and is_canonical(constant)
+
+
+# -- copying and pickling ---------------------------------------------------------
+
+
+def _copies(value) -> list:
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        CPoly({0: Fraction(1, 3), 2: I}),
+        GaussianRational(Fraction(-1, 2), 3),
+        hamiltonian() * q_op() + CPoly.c_power(2, I),
+        RatPoly({0: Fraction(1, 2), 3: -4}),
+        XPoly({0: CPoly.c_power(1, I), 2: Fraction(2, 5)}),
+        Bands._canonical({(-1, 1, 1): 3, (1, 0, 0): -2}, 7),
+    ],
+    ids=["CPoly", "GaussianRational", "WeylElement", "RatPoly", "XPoly", "Bands"],
+)
+def test_copies_keep_class_value_and_immutability(value):
+    for twin in _copies(value):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert is_canonical(twin)
+        with pytest.raises(AttributeError, match="immutable"):
+            twin._den = 1

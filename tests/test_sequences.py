@@ -79,6 +79,31 @@ def test_bernoulli_known_values():
     assert [bernoulli_number(n) for n in range(13)] == BERNOULLIS
 
 
+# -- the integer Euler route against the Fraction recurrence it replaced ------
+
+
+def _ref_euler_zeros(n: int) -> list[Fraction]:
+    """E_0(0), ..., E_n(0) by the Fraction recurrence the package used to run:
+    E_m(0) = -1/2 sum_{k<m} C(m,k) E_k(0)."""
+    zeros = [Fraction(1)]
+    for m in range(1, n + 1):
+        zeros.append(Fraction(-1, 2) * sum(comb(m, k) * zeros[k] for k in range(m)))
+    return zeros
+
+
+def test_integer_euler_route_matches_the_fraction_references():
+    # E_n(x) by the Appell expansion over those Fractions, E_n(x + 1/2) by
+    # composing it with x + 1/2, and E_n as 2^n times its value at 1/2
+    zeros, half_shift = _ref_euler_zeros(40), RatPoly({0: Fraction(1, 2), 1: 1})
+    for n in range(41):
+        poly = RatPoly({n - k: comb(n, k) * zeros[k] for k in range(n + 1)})
+        assert type(euler_zero(n)) is Fraction and euler_zero(n) == zeros[n]
+        assert type(euler_polynomial(n)) is RatPoly and euler_polynomial(n) == poly
+        assert type(shifted_euler(n)) is RatPoly and shifted_euler(n) == poly.compose(half_shift)
+        assert type(euler_number(n)) is Fraction and euler_number(n) == 2**n * poly(Fraction(1, 2))
+        assert euler_at_half(n) == poly(Fraction(1, 2))
+
+
 def test_euler_polynomial_fixtures():
     assert euler_polynomial(0) == RatPoly.of(1)
     assert euler_polynomial(1) == X - Fraction(1, 2)

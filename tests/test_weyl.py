@@ -293,6 +293,16 @@ def test_product_matches_the_cpoly_tower(x, y):
     assert x * y == _tower_product(x, y)
 
 
+@given(elements, elements, st.sampled_from((-1, 1)))
+def test_one_pass_bracket_matches_the_two_products(x, y, s):
+    # the kernel adds each term pair's commutative term once, weighted 1 + s,
+    # and the contractions of x y and of s (y x) after it: the sum must be
+    # the two products formed apart, with c powers and i parts in both
+    bracket = weyl._product(x, y, s)
+    assert bracket == WeylElement.weighted_sum([(1, x * y), (s, y * x)])
+    assert is_canonical(bracket)
+
+
 @given(elements)
 def test_terms_view_round_trip(w):
     again = WeylElement(w.terms)
