@@ -161,13 +161,13 @@ def euler_polynomial(n: int) -> RatPoly:
 
 
 def euler_at_half(n: int) -> Fraction:
-    """E_n(1/2), the constant term of E_n(x + 1/2)."""
-    return shifted_euler(n).coeff(0)
+    """E_n(1/2) = E_n / 2^n."""
+    return euler_number(n) / 2**n
 
 
 def euler_number(n: int) -> Fraction:
-    """Euler number E_n = 2^n E_n(1/2).  Integer-valued; zero for odd n."""
-    return 2**n * euler_at_half(n)
+    """Euler number E_n = 2^n E_n(1/2) = sum_k C(n,k) e_k.  Integer-valued; zero for odd n."""
+    return Fraction(sum(comb(n, k) * v for k, v in enumerate(_scaled_euler_zeros(n))))
 
 
 @lru_cache(maxsize=None)

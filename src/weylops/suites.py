@@ -27,9 +27,9 @@ die when it returns, as a direct verify_* call's die with the call, so
 nothing one sweep built reaches the next.  The hermite sweep does the same
 with its oscillator ladders (``oscillator.build_operators``).  Every
 right-hand side is one weighted sum, so nothing is multiplied by a constant
-and bender compares {q, H}_n with 2^n times the right-hand sides above.  Its
-levels carry {q, H^m} = q H^m + H^m q, summed once, and a form's sides are
-compared with !=, their difference formed only for a witness.
+and bender compares {q, H}_n with 2^n times the right-hand sides above; its
+levels carry {q, H^m} = q H^m + H^m q, summed once.  Every symbolic side is
+compared with != (``_diff``), and a difference is formed only for a witness.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import cache, lru_cache, partial
 from itertools import product
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterable
 
 from .report import VerificationReport, _orders, run_check
 from .scalars import CPoly, I
@@ -67,13 +67,12 @@ from .weyl import (
     p_op,
     poly_of_element,
     q_op,
-    shifted_nested_anticomm,
 )
 
 
-def _diff(*forms: tuple[str, WeylElement, WeylElement]) -> str:
-    """The first differing (label, lhs, rhs) form's witness, or "": its count of
-    differing (a, b) terms and the first one, with both sides' coefficients."""
+def _diff(forms: Iterable[tuple[str, WeylElement, WeylElement]]) -> str:
+    """The first differing (label, lhs, rhs) form's witness, or "": its count of differing
+    (a, b) terms and the first, with both sides' coefficients.  No later form is read."""
     for label, lhs, rhs in forms:
         if lhs != rhs:
             d = lhs - rhs
@@ -113,13 +112,15 @@ def _bender(n: int, chains: tuple[Chain, ...]) -> VerificationReport:
                 (u_pow[n - m] * Fraction(v << n, poly._den << 1), h_pow[m][2]) for m, v in poly._num.items()
             )
 
-        u = u_pow[1]
-        plus_minus = shifted_nested_anticomm(-u, n, shifted) + shifted_nested_anticomm(u, n, shifted)
-        return _diff(
+        # ({q,H}-u)_n + ({q,H}+u)_n: the levels k = n mod 2, each weighted 2 C(n,k) u^(n-k)
+        plus_minus = WeylElement.weighted_sum(
+            (u_pow[n - k] * (2 * comb(n, k)), shifted[k]) for k in range(n % 2, n + 1, 2)
+        )
+        return _diff((
             ("shifted-argument form", shifted[n], euler_rhs(shifted_euler(n))),
             ("centered form", centered[n], euler_rhs(euler_polynomial(n))),
             ("plus/minus average", plus_minus, WeylElement.weighted_sum([(2**n, h_pow[n][2])])),
-        )
+        ))
 
     return run_check("bender", {"n": n}, check)
 
@@ -150,7 +151,7 @@ def verify_superoperators(max_k: int) -> VerificationReport:
     B^k q = {q,H}_k is what the bender records decide.
     """
 
-    def check() -> str:
+    def forms():
         _orders(max_k=max_k)
         q, h = q_op(), hamiltonian()
         a_map, b_map = partial(commutator, y=h), partial(anticommutator, y=h)
@@ -162,27 +163,22 @@ def verify_superoperators(max_k: int) -> VerificationReport:
         q_h = [q] + [q * h_pow[k] for k in range(max_k)]
         h_q = [q] + [h_pow[k] * q for k in range(max_k)]
         for k in range(max_k + 1):
-            if plus[k] != WeylElement.weighted_sum([(2**k, q_h[k])]):
-                return f"(A+B)^{k} q != 2^{k} q H^{k}"
-            if minus[k] != WeylElement.weighted_sum([((-2) ** k, h_q[k])]):
-                return f"(A-B)^{k} q != (-2)^{k} H^{k} q"
+            yield f"(A+B)^{k} q vs 2^{k} q H^{k}", plus[k], WeylElement.weighted_sum([(2**k, q_h[k])])
+            yield f"(A-B)^{k} q vs (-2)^{k} H^{k} q", minus[k], WeylElement.weighted_sum([((-2) ** k, h_q[k])])
         for k in range(max_k + 1):
             closed = monomial(1 - k % 2, k % 2, CPoly.c_power(k, (-1) ** ((k + 1) // 2)))
-            if a_pow[k] != closed:
-                return f"A^{k} q != {closed}"
-        if a_map(b_map(q)) != b_map(a_map(q)):
-            return "A and B do not commute on q"
+            yield f"A^{k} q vs its closed form", a_pow[k], closed
+        yield "A B q vs B A q", a_map(b_map(q)), b_map(a_map(q))
         top = max_k - max_k % 2  # the highest even order
         ba = {i: Chain(a_pow[i], b_map) for i in range(0, top + 1, 2)}  # ba[i][m] = B^m A^i q
         for order in range(0, top + 1, 2):
             total = WeylElement.weighted_sum(
                 (comb(order, m), ba[order - m][m]) for m in range(0, order + 1, 2)
             )
-            if total != WeylElement.weighted_sum([(Fraction(2) ** (order - 1), side[order]) for side in (q_h, h_q)]):
-                return f"binomial cross sum fails at order {order}"
-        return ""
+            sides = WeylElement.weighted_sum([(Fraction(2) ** (order - 1), side[order]) for side in (q_h, h_q)])
+            yield f"binomial cross sum at order {order}", total, sides
 
-    return run_check("superoperators", {"max_k": max_k}, check)
+    return run_check("superoperators", {"max_k": max_k}, lambda: _diff(forms()))
 
 
 # -- pure binomial sums ------------------------------------------------------
@@ -235,7 +231,7 @@ def _closed_forms(n: int) -> VerificationReport:
 # suites are the rows at f = p^n/n!, g = q^m/m!, whose derivatives are again
 # scaled monomials, so the records on one diagonal n - m read the same
 # brackets: a grid sweep builds each once, in one table for all its records.
-# Beside it is one weight table, (row, k) -> c^k (-w_k)/k!.  Both die with
+# Beside it is one weight table, (row, k) -> c^k w_k/k!.  Both die with
 # their owner (a sweep, a function record or a direct verify_* call), and an
 # entry looks its bracket or weight source up by name when it is first built,
 # so a module global patched before a sweep reaches every row.
@@ -280,9 +276,9 @@ def _c_weight(k: int, w: Fraction | int) -> CPoly:
 
 
 def _weights() -> Callable[[str, int], CPoly]:
-    """(row, k) -> c^k (-w_k)/k!, the negated weight of _IDENTITIES row
-    ``row`` at k: one table per owner, each entry evaluated on first use."""
-    return cache(lambda row, k: _c_weight(k, -_IDENTITIES[row][3](k)))
+    """(row, k) -> c^k w_k/k!, the weight of _IDENTITIES row ``row`` at k,
+    with its own sign: one table per owner, each entry evaluated on first use."""
+    return cache(lambda row, k: _c_weight(k, _IDENTITIES[row][3](k)))
 
 
 def _brackets(f_at: Callable[[int], WeylElement], g_at: Callable[[int], WeylElement]):
@@ -303,27 +299,25 @@ def _expand(suite: str, term: Callable, weights: Callable, kmax: int, /, **param
     _IDENTITIES labelled for ``suite`` in order.
 
     ``term(op, k)`` reads op(f^(k), g^(k)) from a bracket table, [F, G] at
-    k = -1, ``weights(row, k)`` reads c^k (-w_k)/k! from a weight table
-    (``_weights``), and kmax is min(deg f, deg g).  The tables grow inside the
-    record, as far as the rows reach: a bad argument becomes an error record
-    and the record's time pays for the entries it adds.  Each entry is built
-    once per sweep for the monomial grids, once per record otherwise.
+    k = -1, ``weights(row, k)`` reads c^k w_k/k! from a weight table
+    (``_weights``), and kmax is min(deg f, deg g).  Each row is one form for
+    ``_diff``: term(lhs, 0) against its right-hand side as one weighted sum,
+    built only once the rows before it have passed.  The tables grow inside
+    the record, as far as the rows reach: a bad argument becomes an error
+    record and the record's time pays for the entries it adds.  Each entry is
+    built once per sweep for the monomial grids, once per record otherwise.
     """
 
-    def check() -> str:
+    def forms():
         for row, (lhs, op, first, _, lead, labels) in _IDENTITIES.items():
             if suite not in labels:
                 continue
-            # lhs - rhs in one sum: the right-hand side's weights enter negated
-            pairs = [(1, term(lhs, 0)), *((weights(row, k), term(op, k)) for k in range(first, kmax + 1))]
+            pairs = [(weights(row, k), term(op, k)) for k in range(first, kmax + 1)]
             if lead:
-                pairs.append((-lead, term("[]", -1).div_c(1)))
-            d = WeylElement.weighted_sum(pairs)
-            if d:
-                return f"{labels[suite]}: lhs - rhs = {d}"
-        return ""
+                pairs.append((lead, term("[]", -1).div_c(1)))
+            yield labels[suite], term(lhs, 0), WeylElement.weighted_sum(pairs)
 
-    return run_check(suite, params, check)
+    return run_check(suite, params, lambda: _diff(forms()))
 
 
 def _monomial_grid(suite: str) -> Callable[[int, int], VerificationReport]:
@@ -521,11 +515,11 @@ def verify_figueira(h0: WeylElement, x: WeylElement) -> VerificationReport:
         rhs = WeylElement.weighted_sum([(I, h1), (I, hadamard_conjugate(x, h1))])
         direct = hadamard_conjugate(x, WeylElement.weighted_sum([(1, h0), (I, h1)]), t=Fraction(1, 2))
         umbral = WeylElement.weighted_sum(series(euler_at_half))
-        return _diff(
+        return _diff((
             ("two correction-term constructions", h1, i_alt),
             ("pseudo-symmetry relation", lhs, rhs),
             ("half-step conjugate vs umbral sum", direct, umbral),
-        )
+        ))
 
     return run_check("figueira", {"h0": str(h0), "x": str(x)}, check)
 

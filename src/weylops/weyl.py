@@ -223,17 +223,15 @@ def nested_anticommutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement
     return Chain(WeylElement.of(x), lambda w: anticommutator(w, y))[n]
 
 
-def shifted_nested_anticomm(a: CPolyLike, n: int, tower: Chain | None = None) -> WeylElement:
+def shifted_nested_anticomm(a: CPolyLike, n: int) -> WeylElement:
     """The symbolic binomial  ({q,H} + a)_n = sum_k C(n,k) a^(n-k) {q,H}_k.
 
     Convention {q,H}_0 = q.  For a central a this equals {q, H + a/2}_n,
-    which is what makes the symmetrized power identities tractable.
-    ``tower`` is a chain of {q,H}_k that the caller keeps, grown here to
-    level n; without it a fresh chain brackets n times.  The powers a^(n-k)
-    come from a chain of this call's own, one product per power.
+    which is what makes the symmetrized power identities tractable.  The
+    brackets {q,H}_k and the powers a^(n-k) come from two chains of this
+    call's own: n brackets and one product per power.
     """
-    if tower is None:
-        tower = Chain(q_op(), lambda w: anticommutator(w, hamiltonian()))
+    tower = Chain(q_op(), lambda w: anticommutator(w, hamiltonian()))
     a = CPoly.of(a)
     a_pow = Chain(CPoly.of(1), lambda w: w * a)
     return WeylElement.weighted_sum((a_pow[n - k] * comb(n, k), x) for k, x in enumerate(tower.upto(n)))

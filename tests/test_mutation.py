@@ -59,17 +59,22 @@ kappa_5 fails the sequences record.
 
 CPoly and GaussianRational scale by an int or a Fraction without lifting it:
 a CPoly product that scales by a Fraction's numerator only must fail the
-bender shifted-argument and centered forms.  A failing bender record names
-how many terms differ and the first one, with both sides' coefficients.
+bender shifted-argument and centered forms.  bender's plus/minus average is
+one sum over the levels k = n mod 2, weighted 2 C(n,k) u^(n-k): a C(n,k) off
+by one for 0 < k < n must fail it from n = 3 on.
 
 bender and superoperators are decided with c formal, so they must not lean
 on ``subst_c``: with it raising they still PASS (only the symbolic bridge,
 which realizes the engine at c = -2i, errs), and with it returning zero a
-perturbed Euler coefficient or a shift specialized to u = 1 still FAILs.
+perturbed Euler coefficient still FAILs.
 
-superoperators has failure branches of its own: the dropped-k1 and
-k-plus-1-factorial rules fail it at (A-B)^2 q, and sign-of-c fails it at
-A^1 q, whose closed form -c p is odd in c (its other identities are even).
+Every symbolic record (bender, figueira, superoperators and the bracket
+expansions of pain, reciprocal, mccoy and functions) is decided by one
+comparison of two sides, and a failing one names its form, how many terms
+differ and the first one, with both sides' coefficients.  The dropped-k1 and
+k-plus-1-factorial rules fail superoperators at (A-B)^2 q, and sign-of-c
+fails it at A^1 q, whose closed form -c p is odd in c (its other identities
+are even).
 
 A bender sweep grows one set of bracket chains for all its records, so a second
 sweep under a patched Euler polynomial or bracket must decide every record
@@ -84,6 +89,7 @@ pain or reciprocal sweep after clean ones decides every record as a fresh
 call does, and a sweep after the patch passes again.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -130,7 +136,7 @@ TRUE_ELEMENT_SUM = weyl.WeylElement.weighted_sum
 
 def test_weights_without_their_power_of_c_fail_records(monkeypatch):
     # each CPoly weight of WeylElement.weighted_sum taken at c = 1: bender's
-    # u^(n-m) and (+-u)^(n-k), and pain's c^k E_k(0)/k!, lose their c^k
+    # u^(n-m) and u^(n-k), and pain's c^k E_k(0)/k!, lose their c^k
     def c_dropped(pairs):
         return TRUE_ELEMENT_SUM((w.subst(1) if isinstance(w, CPoly) else w, x) for w, x in pairs)
 
@@ -202,7 +208,11 @@ def test_a_bracket_that_ignores_its_sign_fails_records(monkeypatch):
     monkeypatch.setattr(weyl, "_product", lambda x, y, s: TRUE_PRODUCT(x, y, abs(s)))
     realization.validate_reordering()
     assert {r.status for r in run_suite("pain", max_n=3, max_m=3)} == {"fail"}
-    assert [(r.status, r.witness) for r in run_suite("superoperators")] == [("fail", "(A+B)^1 q != 2^1 q H^1")]
+    assert [(r.status, r.witness) for r in run_suite("superoperators")] == [(
+        "fail",
+        "(A+B)^1 q vs 2^1 q H^1: lhs - rhs has 3 term(s), first at q^0p^1: lhs (2*c) vs rhs (0); "
+        "lhs - rhs = (2*c) * p + (1) * q p^2 + (1) * q^3",
+    )]
     assert {r.status for r in run_suite("figueira")} == {"error"}
 
 
@@ -551,25 +561,31 @@ def test_number_scaling_by_the_numerator_only_fails_bender(monkeypatch):
     assert labels == ["shifted-argument form", "", *["shifted-argument form", "centered form"] * 2, "shifted-argument form"]
 
 
-def test_shift_specialized_to_u_1_fails_bender(monkeypatch):
-    # ({q,H} +- 1)_n in place of ({q,H} +- u)_n: equal at c = -i only, and the
-    # shift enters the plus/minus average from n = 2 on
-    true_shifted = suites.shifted_nested_anticomm
-    monkeypatch.setattr(
-        suites,
-        "shifted_nested_anticomm",
-        lambda a, n, *tower: true_shifted(CPoly.of(a).subst(MINUS_I), n, *tower),
-    )
+def test_a_plus_minus_weight_off_by_one_fails_bender(monkeypatch):
+    # C(n,k) + 1 for 0 < k < n in the plus/minus average's one sum: it reads
+    # the levels k = n mod 2, so n <= 2 reads no such k and holds, and every
+    # n >= 3 reads k = 1 or k = 2 and fails
+    true_comb = suites.comb
+    monkeypatch.setattr(suites, "comb", lambda n, k: true_comb(n, k) + (0 < k < n))
     reports = run_suite("bender", max_n=6)
-    assert [r.status for r in reports] == ["pass"] * 2 + ["fail"] * 5
-    assert all(r.witness.startswith("plus/minus average: ") for r in reports[2:])
+    assert [r.status for r in reports] == ["pass"] * 3 + ["fail"] * 4
+    assert all(r.witness.startswith("plus/minus average: ") for r in reports[3:])
 
 
 SUPEROPERATOR_WITNESSES = {
-    "dropped-k1": "(A-B)^2 q != (-2)^2 H^2 q",
-    "k-plus-1-factorial": "(A-B)^2 q != (-2)^2 H^2 q",
+    "dropped-k1": (
+        "(A-B)^2 q vs (-2)^2 H^2 q: lhs - rhs has 1 term(s), first at q^1p^0: lhs (6*c^2) vs rhs (2*c^2); "
+        "lhs - rhs = (4*c^2) * q"
+    ),
+    "k-plus-1-factorial": (
+        "(A-B)^2 q vs (-2)^2 H^2 q: lhs - rhs has 1 term(s), first at q^1p^0: lhs (18*c^2) vs rhs (22*c^2); "
+        "lhs - rhs = (-4*c^2) * q"
+    ),
     # the (A+-B)^k q identities are even in c, the closed form A^1 q = -c p is not
-    "sign-of-c": "A^1 q != (-1*c) * p",
+    "sign-of-c": (
+        "A^1 q vs its closed form: lhs - rhs has 1 term(s), first at q^0p^1: lhs (c) vs rhs (-1*c); "
+        "lhs - rhs = (2*c) * p"
+    ),
 }
 
 
@@ -579,6 +595,42 @@ def test_wrong_rule_fails_superoperators(monkeypatch, variant):
     report = suites.verify_superoperators(6)
     assert report.status == "fail"
     assert report.witness == SUPEROPERATOR_WITNESSES[variant]
+
+
+WITNESS_CASES = {  # selector -> (bounds, the patch (owner, name, wrong), the labels its records may fail with)
+    "bender": ({"max_n": 4}, (weyl, "contraction_weights", VARIANTS["dropped-k1"]),
+               {"shifted-argument form", "centered form", "plus/minus average"}),
+    "figueira": ({}, (suites, "bracket_tower", CLOSURE_VARIANTS["short-tower"][1]),
+                 {"pseudo-symmetry relation", "half-step conjugate vs umbral sum"}),
+    "superoperators": ({"max_n": 6}, (weyl, "contraction_weights", VARIANTS["dropped-k1"]),
+                       {"(A-B)^2 q vs (-2)^2 H^2 q"}),
+    "pain": ({"max_n": 3, "max_m": 3}, (suites, "euler_zero", lambda k: Fraction(1, 7)), {"commutator expansion"}),
+    "reciprocal": ({"max_n": 3, "max_m": 3}, (suites, "bernoulli_number", lambda k: Fraction(1, 7)),
+                   {"antiderivative form", "scaled-Bernoulli rewriting"}),
+    "mccoy": ({"max_n": 3, "max_m": 3}, (weyl, "contraction_weights", VARIANTS["dropped-k1"]),
+              {"commutator series", "anticommutator series", "derivative expansion"}),
+    "functions": ({}, (suites, "euler_zero", lambda k: Fraction(1, 7)),
+                  {"commutator via Euler weights", "product via Euler weights"}),
+}
+WITNESS_SHAPE = re.compile(
+    r"(?P<label>[^:]+): lhs - rhs has (?P<count>\d+) term\(s\), first at q\^\d+p\^\d+: "
+    r"lhs \(.+\) vs rhs \(.+\); lhs - rhs = .+"
+)
+
+
+@pytest.mark.parametrize("selector", sorted(WITNESS_CASES))
+def test_every_symbolic_witness_names_its_first_differing_term(monkeypatch, selector):
+    # one verdict for every symbolic record: the form's label, how many
+    # (a, b) terms differ, the first one with both sides' coefficients, and
+    # the difference itself
+    bounds, (owner, name, wrong), labels = WITNESS_CASES[selector]
+    monkeypatch.setattr(owner, name, wrong)
+    failing = [r for r in run_suite(selector, **bounds) if r.status == "fail"]
+    assert failing
+    for r in failing:
+        shape = WITNESS_SHAPE.fullmatch(r.witness)
+        assert shape, r.witness
+        assert shape["label"] in labels and int(shape["count"]) >= 1
 
 
 TRUE_SHIFTED_EULER = suites.shifted_euler

@@ -24,6 +24,7 @@ from weylops import (
     shifted_euler,
     solve_midpoint,
 )
+from weylops import sequences
 
 X = RatPoly.x()
 
@@ -102,6 +103,22 @@ def test_integer_euler_route_matches_the_fraction_references():
         assert type(shifted_euler(n)) is RatPoly and shifted_euler(n) == poly.compose(half_shift)
         assert type(euler_number(n)) is Fraction and euler_number(n) == 2**n * poly(Fraction(1, 2))
         assert euler_at_half(n) == poly(Fraction(1, 2))
+
+
+def test_euler_numbers_build_no_polynomial(monkeypatch):
+    # E_n and E_n(1/2) are read off the integers e_k alone: with every
+    # polynomial builder refusing, both still match the Fraction references
+    zeros = _ref_euler_zeros(40)
+
+    def refuse(*args):
+        raise AssertionError("a polynomial was built")
+
+    for name in ("_appell", "shifted_euler", "euler_polynomial"):
+        monkeypatch.setattr(sequences, name, refuse)
+    for n in range(41):
+        at_half = sum(comb(n, k) * zeros[k] / 2 ** (n - k) for k in range(n + 1))
+        assert type(euler_number(n)) is Fraction and euler_number(n) == 2**n * at_half
+        assert type(euler_at_half(n)) is Fraction and euler_at_half(n) == at_half
 
 
 def test_euler_polynomial_fixtures():

@@ -554,7 +554,7 @@ def test_packed_verdicts_match_ratpoly_verdicts(rows):
     assert (plain, euler) == (lhs == rhs, lhs_e == rhs_e)
 
 
-# weights c^k (-w_k)/k! evaluated by a default sweep: one per row and k, 10
+# weights c^k w_k/k! evaluated by a default sweep: one per row and k, 10
 # for pain's one row, 20 for reciprocal's two and 33 for mccoy (21 over its
 # exp-series grid's two rows, 12 over its function records, each with a
 # table of its own).  Evaluating them in every record takes 385, 770 and 903.
@@ -578,10 +578,11 @@ def test_a_grid_sweep_evaluates_each_weight_once(monkeypatch, suite):
 
 
 def test_a_bender_sweep_takes_each_power_once(monkeypatch):
-    # u^(n-m) read off one chain per sweep, each shift's a^(n-k) off one
-    # chain per call and E_n(x + 1/2) composed with one product per degree:
-    # 455 CPoly and 78 RatPoly products.  Raising each power from scratch
-    # makes 1,379 and 239.
+    # u^(n-m) read off one chain per sweep and scaled once per weight, and
+    # E_n(x) and E_n(x + 1/2) built on integers: 166 CPoly and no RatPoly
+    # products.  Two plus/minus sums over all n + 1 levels, each raising its
+    # shift's powers on a chain of its own, made 455; raising each power from
+    # scratch makes 1,379, and composing E_n(x + 1/2) 78 RatPoly products.
     products = {CPoly: 0, RatPoly: 0}
     for cls in products:
         true_mul = cls.__mul__
@@ -593,7 +594,7 @@ def test_a_bender_sweep_takes_each_power_once(monkeypatch):
         monkeypatch.setattr(cls, "__mul__", counted)
         monkeypatch.setattr(cls, "__rmul__", counted)
     assert all(r.ok for r in run_suite("bender"))
-    assert products[CPoly] <= 460 and products[RatPoly] <= 80, products
+    assert products[CPoly] <= 166 and products[RatPoly] == 0, products
 
 
 def test_a_raising_weight_source_is_a_sequences_error(monkeypatch, capsys):
