@@ -45,7 +45,7 @@ w = nested_anticommutator(q_op(), hamiltonian(), 3)
 realized = element_to_matrix(w, ops)
 direct = ops.tower[3]
 assert realized == direct
-print(f"{{q,H}}_3 realized at c = -2i equals the realization's own, exactly (den {realized._den})")
+print("{q,H}_3 realized at c = -2i equals the realization's own, exactly")
 for l in range(4):
     column = act(direct, {l: ONE})
     print(f"  {{q,H}}_3 f_{l} = " + " + ".join(f"({v}) f_{k}" for k, v in sorted(column.items())))

@@ -1,10 +1,10 @@
 """Structured verification results.
 
 One report per checked instance: which suite, which parameters, pass/fail,
-and on failure a textual witness (the rendered difference element, worst
-numerical error, or equivalent).  Parameter and witness values carrying
-exact rationals are rendered as strings ("-61/64") so serialization never
-loses precision.
+and on failure a textual witness: the first mismatch (a differing form and
+its first differing term, value or column), or the exception raised.  Every
+verdict is exact.  Parameter and witness values carrying exact rationals
+are rendered as strings ("-61/64") so serialization never loses precision.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ _SCALARS = {bool, int, float, str}  # JSON values as they are: _plain returns th
 
 
 def _plain(v: Any) -> Any:
-    # exact values go to strings; containers recurse; everything else is
-    # assumed JSON-representable already
+    # bools, ints and floats stay as they are; lists, tuples and dicts
+    # recurse; everything else, a Fraction included, becomes its str
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, (bool, int, float)):

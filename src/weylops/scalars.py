@@ -21,7 +21,7 @@ imaginary unit, and every product applies i^2 = -1.  The keys are
 so arithmetic runs on plain integers with one gcd at the end, and equality
 is structural.  GaussianRational and CPoly share one product kernel.  CPoly
 and the next two share ``CTerms``, what keys ending in (k, i) allow:
-division by c (``div_c``), setting c to a number and the coefficient views.
+division by c (``div_c``) and the coefficient views.
 The constructor and ``weighted_sum`` sum in one accumulation, whose weights
 are ints or Fractions, and for CTerms and Bands also CPolys or Gaussian
 rationals, whose parts c^k i^i shift each key's k and i (Bands refuse c).
@@ -314,20 +314,6 @@ class CTerms(FlatTerms):
         num = {(*key[:-2], key[-2] - k, key[-1]): n for key, n in self._num.items()}
         return self._flat(num, self._den)
 
-    def _at_c(self, v: ScalarLike):
-        """self at c = v: the sum of v^k times the part of self in c^k, with
-        every k set to 0, and one product per power of v."""
-        at = CPoly.of(v)
-        if at.degree() > 0:
-            raise ValueError(f"c can only be set to a number, not {at}")
-        by_k: dict = {}
-        for key, n in self._num.items():
-            by_k.setdefault(key[-2], {})[(*key[:-2], 0, key[-1])] = n
-        powers = [CPoly.of(1)]
-        for _ in range(max(by_k, default=0)):
-            powers.append(powers[-1] * at)
-        return self.weighted_sum((powers[k], self._flat(num, self._den)) for k, num in by_k.items())
-
     def _grouped(self, split, part) -> dict:
         """A new {head: coefficient} dict on each call, so no caller can
         change self through it; ``split(key)`` is the head and the key in the
@@ -374,11 +360,6 @@ class CPoly(CTerms):
     def degree(self) -> int:
         """Degree in c; -1 for the zero polynomial."""
         return max((k for k, _ in self._num), default=-1)
-
-    def subst(self, v: ScalarLike) -> GaussianRational:
-        """Evaluate at c = v.  A ring homomorphism CPoly -> Q(i)."""
-        at_c = self._at_c(v)  # keys (0, i), as a GaussianRational's
-        return GaussianRational._flat(at_c._num, at_c._den)
 
     def constant_term(self) -> GaussianRational:
         return self.coeffs.get(0, ZERO)

@@ -76,9 +76,6 @@ class RatPoly(FlatTerms):
     def degree(self) -> int:
         return max(self._num, default=-1)
 
-    def coeff(self, k: int) -> Fraction:
-        return Fraction(self._num.get(k, 0), self._den)
-
     def __call__(self, v: Fraction | int) -> Fraction:
         # Horner on integers: at v = a/b, b^d P(v) = sum_k num_k a^k b^(d-k) / den
         if not isinstance(v, (int, Fraction)):

@@ -107,8 +107,19 @@ class WeylElement(CTerms):
         return sorted(self.terms)
 
     def subst_c(self, v) -> "WeylElement":
-        """Specialize the central symbol: c -> v (a ring homomorphism)."""
-        return self._at_c(v)
+        """Specialize the central symbol, c -> v for a number v (a ring
+        homomorphism): the part of self in c^k, with c^k dropped, weighted v^k,
+        one product per power of v; ValueError if v is not a number."""
+        at = CPoly.of(v)
+        if at.degree() > 0:
+            raise ValueError(f"c can only be set to a number, not {at}")
+        by_k: dict = {}
+        for (a, b, k, i), n in self._num.items():
+            by_k.setdefault(k, {})[(a, b, 0, i)] = n
+        powers = [CPoly.of(1)]
+        for _ in range(max(by_k, default=0)):
+            powers.append(powers[-1] * at)
+        return self.weighted_sum((powers[k], self._flat(num, self._den)) for k, num in by_k.items())
 
     def __str__(self):
         return self._render(

@@ -1,10 +1,12 @@
 """Command-line behavior: formats, outputs, config layering, exit codes."""
 
+import importlib
 import json
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +306,16 @@ def test_console_script(command, child_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.count("[PASS ]") == 4
+
+
+def test_console_script_is_declared_as_cli_main():
+    # the declared entry point, checked where the script is not installed
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["weylops"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 # Run in a child: this process has numpy loaded already, as a test reference.

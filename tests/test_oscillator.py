@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import rationals_within
+from reference import RefCPoly, rationals_within
 from weylops import (
     CPoly,
     GaussianRational,
@@ -405,7 +405,7 @@ def _dense_element_to_matrix(w):
     q, p, _ = _reference_ladders()
     out = np.zeros((DIM, DIM), dtype=complex)
     for (a, b), coeff in w.terms.items():
-        g = coeff.subst(MINUS_2I)
+        g = RefCPoly.of_cpoly(coeff).subst(MINUS_2I)
         qa = np.linalg.matrix_power(q, a)
         pb = np.linalg.matrix_power(p, b)
         out += complex(float(g.re), float(g.im)) * (qa @ pb)

@@ -70,12 +70,14 @@ def test_gaussian_ring_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
 
 
-def test_cpoly_subst_examples():
+def test_subst_c_examples():
+    # on constants, and on an element: each coefficient at c = v
     c = CPoly.c_power(1)
-    assert (c * c).subst(MINUS_I) == -1
-    assert CPoly.c_power(1, 4).subst(MINUS_I) == GaussianRational(0, -4)
-    assert CPoly({0: 1, 1: 4, 2: 2}).subst(0) == 1
-    assert CPoly({0: 1, 1: 4, 2: 2}).subst(1) == 7
+    assert scalar(c * c).subst_c(MINUS_I) == -1
+    assert scalar(CPoly.c_power(1, 4)).subst_c(MINUS_I) == GaussianRational(0, -4)
+    assert scalar(CPoly({0: 1, 1: 4, 2: 2})).subst_c(0) == 1
+    assert scalar(CPoly({0: 1, 1: 4, 2: 2})).subst_c(1) == 7
+    assert monomial(1, 2, CPoly({0: 1, 1: 4, 2: 2})).subst_c(1) == monomial(1, 2, 7)
 
 
 def test_cpoly_structure():
@@ -114,9 +116,13 @@ def test_div_c_rejects_a_negative_power(value):
 
 
 @given(cpolys, cpolys, gaussians)
-def test_cpoly_subst_is_ring_homomorphism(u, v, w):
-    assert (u + v).subst(w) == u.subst(w) + v.subst(w)
-    assert (u * v).subst(w) == u.subst(w) * v.subst(w)
+def test_subst_c_is_ring_homomorphism(u, v, w):
+    # on constants, Q(i)[c] -> Q(i); on elements, each coefficient is mapped
+    x, y = scalar(u), scalar(v)
+    assert (x + y).subst_c(w) == x.subst_c(w) + y.subst_c(w)
+    assert (x * y).subst_c(w) == x.subst_c(w) * y.subst_c(w)
+    x, y = monomial(2, 1, u), monomial(1, 0, v)
+    assert (x + y).subst_c(w) == x.subst_c(w) + y.subst_c(w)
 
 
 @given(cpolys, cpolys)
@@ -232,9 +238,10 @@ def test_equality_agrees_with_subtraction():
 def test_i_squared_is_minus_one():
     i = CPoly.of(I)
     assert i * i == -1
-    assert CPoly.c_power(1, I).subst(I) == -1
-    assert CPoly.c_power(3, I).subst(I) == 1  # i * i^3
-    assert (CPoly.c_power(1, I) * CPoly.c_power(1, I)).subst(1) == -1
+    assert scalar(CPoly.c_power(1, I)).subst_c(I) == -1
+    assert scalar(CPoly.c_power(3, I)).subst_c(I) == 1  # i * i^3
+    assert scalar(CPoly.c_power(1, I) * CPoly.c_power(1, I)).subst_c(1) == -1
+    assert monomial(1, 1, CPoly.c_power(1, I)).subst_c(I) == -monomial(1, 1)
 
 
 # -- the flat CPoly against the Fraction-dict one it replaced -----------------
@@ -270,10 +277,12 @@ def test_cpoly_arithmetic_matches_the_reference(a, b, s, n):
 
 
 @given(cmaps, flat_numbers, st.integers(0, 3))
-def test_cpoly_subst_and_div_c_match_the_reference(a, v, k):
+def test_subst_c_and_div_c_match_the_reference(a, v, k):
     x, rx = CPoly(a), RefCPoly(a)
-    assert x.subst(v) == rx.subst(v)
-    assert x.subst(I) == rx.subst(I)
+    for at in (v, I):
+        expected = rx.subst(at).to_gaussian()
+        assert scalar(x).subst_c(at) == expected
+        assert monomial(0, 3, x).subst_c(at) == monomial(0, 3, expected)
     try:
         expected = rx.div_c(k)
     except ArithmeticError:
