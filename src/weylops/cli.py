@@ -3,7 +3,10 @@
 Exit status is 0 when every report passes, 1 when any record fails or
 errors, and 2 for unusable invocations or config files: among them bounds
 that ``run_suite`` refuses (the one place bounds are checked), a sweep that
-runs no checks at all and an --output path that cannot be written.  A JSON
+runs no checks at all and an --output path that cannot be written, each
+reported on stderr as "error: ...".  There is no tolerance to set: --tol
+and a tol config key are unknown.  ``python -m weylops`` runs ``main`` too.
+A JSON
 config file named by --config (or the WEYLOPS_CONFIG environment variable)
 supplies defaults for any flag not given explicitly; the command line checks
 only its schema and hands every bound to ``run_suite`` as it is.

@@ -14,13 +14,15 @@ H = (p^2 + q^2)/2 are realized at c = -2i, with Gaussian-integer entries:
 An operator is a ``Bands``: it maps f_l to sum_j P_j(l) f_(l+j), each P_j a
 polynomial in l, stored flat (see ``scalars.FlatTerms``) under keys
 (j, d, i) for the term i^i l^d of P_j.  One such value describes every
-column at once, so nothing is truncated: a product, and a bracket {x, y}
-as one accumulation of x y + y x (``_product``), reads the left factor's
-entries at l + j, the H-brackets {q,H}_k stay on q's two off-diagonals, and
-the symbolic bridge realizes the engine's {q,H}_n by Horner in q over the
-powers of p.  ``build_operators`` makes the ladders, with four chains
-(``weyl.Chain``) grown from them on demand: the realization's {q,H}_k, the
-powers H^k and p^k, and the engine's {q,H}_k.  Only the caller keeps them:
+column at once, so nothing is truncated and no float or dense matrix is
+formed.  A product, and a bracket {x, y} as one accumulation of x y + y x
+(``_product``), reads the left factor's entries at l + j (a maps P_j(l) at
+shift j to (l+j) P_j(l) at shift j-1) and calls nothing of the engine's
+product, the H-brackets {q,H}_k stay on q's two off-diagonals, and the
+symbolic bridge realizes the engine's {q,H}_n by Horner in q over the
+powers of p.  ``build_operators`` makes the
+ladders, with four chains (``weyl.Chain``) grown from them on demand: the
+realization's {q,H}_k, the powers H^k and p^k, and the engine's {q,H}_k.  Only the caller keeps them:
 a hermite sweep builds one set for all its records and drops it when it
 ends, a direct check builds its own.  A q with an entry off its two
 off-diagonals, an H off its diagonal, or a q or p beyond its three bands is
@@ -107,7 +109,8 @@ def _bands(m: Bands, name: str, shifts: tuple, where: str) -> Bands:
 class OscillatorMatrices:
     """q, p and H as ``Bands``, and the chains grown from them: ``tower``
     {q,H}_k, ``h_powers`` H^k, ``p_powers`` p^k and ``symbolic``, the
-    engine's {q,H}_k.  A new ``OscillatorMatrices(...)`` grows its own chains."""
+    engine's {q,H}_k.  A new ``OscillatorMatrices(...)`` grows its own chains,
+    so a perturbed ladder reaches every check."""
 
     # dim only labels the records; perfbench's tracer reads it
     __slots__ = ("dim", "q_mat", "p_mat", "h_mat", "tower", "h_powers", "p_powers", "symbolic")

@@ -19,19 +19,27 @@ imaginary unit, and every product applies i^2 = -1.  The keys are
     oscillator.Bands        (j, d, i)     i^i l^d in the band at shift j (no c)
 
 so arithmetic runs on plain integers with one gcd at the end, and equality
-is structural.  GaussianRational and CPoly share one product kernel.  CPoly
-and the next two share ``CTerms``, what keys ending in (k, i) allow:
-division by c (``div_c``) and the coefficient views.
+is structural.  ``FlatTerms`` holds once what they all share: the canonical
+form, the one accumulation, powers, equality and hashing.  Each class keeps
+only its product or action and its views.  GaussianRational and CPoly share
+one product kernel.  CPoly and the next two share ``CTerms``, what keys
+ending in (k, i) allow: division by c (``div_c``) and the coefficient
+views, grouped by one loop.
 The constructor and ``weighted_sum`` sum in one accumulation, whose weights
 are ints or Fractions, and for CTerms and Bands also CPolys or Gaussian
 rationals, whose parts c^k i^i shift each key's k and i (Bands refuse c).
+Every sum of the package, ``+`` and ``-`` included, is one ``weighted_sum``:
+the suites' weighted bracket sums, the band sums, ``poly_of_element``,
+``hadamard_conjugate`` and ``subst_c`` too, with no product by a constant.
 Every operator, ``==`` included, lifts its operand by one rule, ``of``: a
 number, or a CPoly or GaussianRational the class can hold, becomes a
 constant (GaussianRational lifts numbers only; a number's constant is built
-as it stands), and an operand ``of`` cannot lift gets NotImplemented.  CPoly
-and GaussianRational scale by an int or a Fraction without a lift.  Only
-int, Fraction and these classes enter the exact algebra: a float or a
-string raises TypeError.  All values are immutable (``__reduce__`` copies).
+as it stands), and an operand ``of`` cannot lift gets NotImplemented, so
+``I * q_op()`` reaches WeylElement and two values with no common class
+compare unequal.  Two values are equal exactly when their difference is
+zero: ``RatPoly.of(1) == ONE``.  CPoly and GaussianRational scale by an int
+or a Fraction without a lift.  Only int, Fraction and these classes enter
+the exact algebra: a float or a string raises TypeError.  All values are immutable (``__reduce__`` copies).
 """
 
 from __future__ import annotations

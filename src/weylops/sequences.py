@@ -36,7 +36,7 @@ class RatPoly(FlatTerms):
 
     Stored flat (see ``scalars.FlatTerms``) under keys deg for x^deg, with no
     c and no i.  ``coeffs`` is the {degree: Fraction} view, a new dict on
-    each read.  Immutable.
+    each read.  It is evaluated at an int or a Fraction only.  Immutable.
     """
 
     __slots__ = ()

@@ -268,7 +268,7 @@ def hadamard_conjugate(x: ElementLike, w: ElementLike, t: Fraction | int = 1) ->
     the t^n/n! weighted sum of ``bracket_tower(x, w)``.
 
     Raises NonTerminatingSeries if ad_x is not nilpotent on w within 64
-    brackets.
+    brackets, and TypeError for a t that is not an int or a Fraction.
     """
     if not isinstance(t, (int, Fraction)):
         raise TypeError(f"not an exact scalar: {t!r}")

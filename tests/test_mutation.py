@@ -32,7 +32,8 @@ off-diagonals, a p with one beyond its three bands or an H with one off its
 diagonal must keep every hermite check that reads that ladder from passing.
 
 Every identity is a weighted sum, formed by ``weighted_sum``: a kernel that
-drops its weights' powers of c must turn bender and pain records FAIL.  The
+drops its weights' powers of c must turn bender and pain records FAIL, not
+ERROR.  The
 one accumulation behind every sum must apply i^2 = -1 as well: one in which
 a weight's i times a key's i adds must fail every figueira record, while
 bender, pain and reciprocal, whose sums it does not change, still pass.
@@ -47,15 +48,15 @@ set built from its two sides' bases independently, so a wrong shifted basis
 ((z+1)^k or E_k(z+1)) or packed Euler columns that drop their common
 denominator D must turn its records FAIL as well.  So must a column set whose
 packed (z+1)^k are all zero: the plain form's left side packs its own
-weights.  A
-Vandermonde table with its (1, 1, 1) entry off by one must fail exactly the
-records that read it, in a sweep run after a clean one as in a direct
-verify_binomial call.
+weights.  A Vandermonde table with its (1, 1, 1) entry off by one must
+fail exactly the records that read it, in a sweep run after a clean one as
+in a direct verify_binomial call.
 
 So must the closure and weight-table sweeps: a bracket tower ad_x^n h0 that
 stops one bracket early in the suite's umbral sums turns every figueira
 record FAIL (hadamard_conjugate still sums weyl's true tower), and a wrong
-kappa_5 fails the sequences record.
+kappa_2, kappa_5 or kappa_11, or a lam(8) off by one, fails the sequences
+record with a witness of its own.
 
 CPoly and GaussianRational scale by an int or a Fraction without lifting it:
 a CPoly product that scales by a Fraction's numerator only must fail the

@@ -1,4 +1,35 @@
-"""Identity suites: spot instances, failure paths, and the sweep runner."""
+"""Identity suites: spot instances, failure paths, and the sweep runner.
+
+Beside the spot checks, this module pins what a default sweep gives and
+what it costs:
+
+* ``test_golden_report_stream`` pins the ``verify all`` record stream, with
+  ``elapsed_ms`` blanked: each selector's record count and digest
+  (``_GOLDEN_SLICES``) and the digest of the whole.
+* ``test_sweep_work_stays_under_its_ceiling`` counts, at the engine's one
+  product kernel, the products (a bracket as two) and term pairs of the
+  bender, superoperators, pain, reciprocal, mccoy, functions and hermite
+  sweeps.  A sweep that went back to rebuilding its brackets per record, to
+  forming each power in ``poly_of_element`` from scratch, or to scaling
+  brackets by scalar elements instead of weighting them in ``weighted_sum``
+  exceeds its ceiling.
+* ``test_binomial_sweep_sums_twice_per_record``: a passing binomial sweep
+  makes no more than the 13 ``RatPoly.weighted_sum`` calls behind E_k(z+1)
+  and 6 column-set builds, since a passing record sums nothing.
+* ``test_each_binomial_base_bounds_the_true_sides``,
+  ``test_a_binomial_base_comes_from_the_bound`` and
+  ``test_packed_verdicts_match_ratpoly_verdicts``: the packed test's base
+  bounds every coefficient of a record's true sides, a smaller base can pack
+  a nonzero polynomial as zero, and packed and ``RatPoly`` verdicts agree on
+  true and perturbed weights.
+* ``test_a_grid_sweep_evaluates_each_weight_once``: pain, reciprocal and
+  mccoy evaluate each weight once per weight table, not per record.
+* ``test_a_bender_sweep_takes_each_power_once``: bender raises no power of
+  u from scratch and makes no ``RatPoly`` product.
+
+Each ceiling's comment gives a default sweep's count today, and the counts of
+the designs that the ceiling rules out.
+"""
 
 import hashlib
 import json

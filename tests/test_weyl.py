@@ -1,4 +1,12 @@
-"""Normal-ordering engine for the relation pq - qp = c."""
+"""Normal-ordering engine for the relation pq - qp = c.
+
+The engine is checked against a stepwise multiplication oracle, against
+products and renderings computed through ``reference.RefCPoly``, and by
+hypothesis properties.  ``test_running_powers_match_the_naive_powers``
+checks ``compose``, ``subst_c`` and ``shifted_nested_anticomm``, which take
+each power from the one before, against forms that raise every power from
+scratch.
+"""
 
 from fractions import Fraction
 from math import comb, factorial
