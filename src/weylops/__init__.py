@@ -15,7 +15,6 @@ hermite sweep imports the oscillator realization; its API
 from .report import reports_to_json
 from .scalars import (
     CPoly,
-    GaussianRational,
     I,
     MINUS_I,
     NonDivisible,

@@ -42,10 +42,10 @@ from itertools import count
 from math import comb
 
 from .report import VerificationReport, _orders, run_check
-from .scalars import FlatTerms, GaussianRational, _lifting
+from .scalars import I, CPoly, FlatTerms, _lifting
 from .weyl import Chain, WeylElement, hamiltonian, nested_anticommutator, q_op
 
-C = GaussianRational(0, -2)  # the value of c at which the ladders satisfy pq - qp = c
+C = -2 * I  # the value of c at which the ladders satisfy pq - qp = c
 DEFAULT_DIM = 64  # the dim a hermite record carries unless it is given one
 
 
@@ -58,6 +58,7 @@ class Bands(FlatTerms):
     __slots__ = ()
     _unit = (0, 0)
     _scalar_key = staticmethod(lambda key: None if key[0] or key[1] else (0, key[2]))
+    __repr__ = object.__repr__  # no __str__: FlatTerms.__repr__ would recurse through it
 
     @staticmethod
     def _key(head: tuple[int, int], k: int, i: int) -> tuple[int, int, int]:
@@ -70,7 +71,7 @@ class Bands(FlatTerms):
         return _product(self, other, 0)
 
     def column(self, l: int) -> dict:
-        """Column l >= 0, the image of f_l, as {row: GaussianRational}: its
+        """Column l >= 0, the image of f_l, as {row: CPoly constant}: its
         nonzero entries, without the rows below f_0."""
         if l < 0:
             raise ValueError(f"no column {l}: the basis starts at f_0")
@@ -79,7 +80,7 @@ class Bands(FlatTerms):
             if l + j >= 0:
                 part = rows.setdefault(l + j, {})
                 part[0, i] = part.get((0, i), 0) + n * l**d
-        col = {row: GaussianRational._canonical(part, self._den) for row, part in rows.items()}
+        col = {row: CPoly._canonical(part, self._den) for row, part in rows.items()}
         return {row: z for row, z in col.items() if z}
 
 

@@ -50,9 +50,6 @@ class XPoly(CTerms):
     def __str__(self):
         return self._render(self.coeffs, lambda k: "" if k == 0 else ("x" if k == 1 else f"x^{k}"))
 
-    def __repr__(self):
-        return f"<XPoly {self}>"
-
 
 def apply_element(w: WeylElement, f: XPoly) -> XPoly:
     """Act with a normal-ordered element:  q^a p^b x^l = c^b l!/(l-b)! x^(l-b+a)."""

@@ -3,7 +3,9 @@
 The identities live over Q(i)[c]: polynomials in the central symbol c with
 Gaussian-rational coefficients.  Normal ordering of products injects powers
 of c, and keeping c formal means an identity checked once holds for every
-numeric specialization of c simultaneously.
+numeric specialization of c simultaneously.  An exact complex number is a
+CPoly constant, ``re + im * I``, read back through ``re``, ``im`` and
+``as_rational``, which refuse a power of c with ValueError.
 
 Every exact value of the package is stored the way FLINT's fmpq_poly stores
 a rational polynomial: one map ``key -> int`` of integer numerators over one
@@ -11,7 +13,6 @@ positive denominator, in lowest terms (``FlatTerms``).  For values over
 Q(i)[c] a key ends in (k, i): the power of c and the power (0 or 1) of the
 imaginary unit, and every product applies i^2 = -1.  The keys are
 
-    GaussianRational        (0, i)        i^i
     CPoly                   (k, i)        c^k i^i
     weyl.WeylElement        (a, b, k, i)  c^k i^i q^a p^b
     realization.XPoly       (deg, k, i)   c^k i^i x^deg
@@ -21,25 +22,24 @@ imaginary unit, and every product applies i^2 = -1.  The keys are
 so arithmetic runs on plain integers with one gcd at the end, and equality
 is structural.  ``FlatTerms`` holds once what they all share: the canonical
 form, the one accumulation, powers, equality and hashing.  Each class keeps
-only its product or action and its views.  GaussianRational and CPoly share
-one product kernel.  CPoly and the next two share ``CTerms``, what keys
-ending in (k, i) allow: division by c (``div_c``) and the coefficient
-views, grouped by one loop.
+only its product or action and its views.  CPoly and the next two share
+``CTerms``, what keys ending in (k, i) allow: division by c (``div_c``) and
+the coefficient views, grouped by one loop.
 The constructor and ``weighted_sum`` sum in one accumulation, whose weights
-are ints or Fractions, and for CTerms and Bands also CPolys or Gaussian
-rationals, whose parts c^k i^i shift each key's k and i (Bands refuse c).
+are ints or Fractions, and for CTerms and Bands also CPolys, whose parts
+c^k i^i shift each key's k and i (Bands refuse c).
 Every sum of the package, ``+`` and ``-`` included, is one ``weighted_sum``:
 the suites' weighted bracket sums, the band sums, ``poly_of_element``,
 ``hadamard_conjugate`` and ``subst_c`` too, with no product by a constant.
 Every operator, ``==`` included, lifts its operand by one rule, ``of``: a
-number, or a CPoly or GaussianRational the class can hold, becomes a
-constant (GaussianRational lifts numbers only; a number's constant is built
-as it stands), and an operand ``of`` cannot lift gets NotImplemented, so
-``I * q_op()`` reaches WeylElement and two values with no common class
-compare unequal.  Two values are equal exactly when their difference is
-zero: ``RatPoly.of(1) == ONE``.  CPoly and GaussianRational scale by an int
-or a Fraction without a lift.  Only int, Fraction and these classes enter
-the exact algebra: a float or a string raises TypeError.  All values are immutable (``__reduce__`` copies).
+number, or a CPoly the class can hold, becomes a constant (a number's
+constant is built as it stands), and an operand ``of`` cannot lift gets
+NotImplemented, so ``I * q_op()`` reaches WeylElement and two values with
+no common class compare unequal.  Two values are equal exactly when their
+difference is zero: ``RatPoly.of(1) == ONE``.  A CPoly scales by an int or
+a Fraction without a lift.  Only int, Fraction and these classes enter the
+exact algebra: a float or a string raises TypeError.  All values are
+immutable (``__reduce__`` copies).
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
 from typing import Iterable, Union
-
-ScalarLike = Union[int, Fraction, "GaussianRational"]
-
 
 class NonDivisible(ArithmeticError):
     """Exact division by a power of c failed: low-order terms are nonzero."""
@@ -71,12 +68,12 @@ def _lifting(op):
     return method
 
 
-CPolyLike = Union[int, Fraction, "GaussianRational", "CPoly"]
+CPolyLike = Union[int, Fraction, "CPoly"]
 
 
 _set = object.__setattr__  # FlatTerms are immutable: only this sets their fields
-# int and Fraction, tested by exact type first: a CPoly or GaussianRational
-# tested against Fraction would run ABCMeta's instance check
+# int and Fraction, tested by exact type first: a CPoly tested against
+# Fraction would run ABCMeta's instance check
 _RATIONAL = (int, Fraction)
 
 
@@ -106,8 +103,8 @@ class FlatTerms:
 
     @classmethod
     def of(cls, x):
-        """x as a value of this class: a number, or a CPoly or GaussianRational
-        the class can hold, becomes a constant; TypeError for anything else."""
+        """x as a value of this class: a number, or a CPoly the class can
+        hold, becomes a constant; TypeError for anything else."""
         if type(x) is int or type(x) is Fraction:  # canonical as it stands
             return cls._flat({cls._key(cls._unit, 0, 0): x.numerator} if x else {}, x.denominator)
         return x if isinstance(x, cls) else cls._accumulate([(x, {cls._key(cls._unit, 0, 0): 1}, 1)])
@@ -139,10 +136,10 @@ class FlatTerms:
     def _accumulate(cls, triples: Iterable[tuple[CPolyLike, dict, int]]):
         """sum of w * num / den over (w, num, den) triples, for the
         constructor and ``weighted_sum`` alike: one lcm, one accumulation, one
-        canonical step.  A weight is an int, a Fraction, a GaussianRational or
-        a CPoly; each part c^k i^i n/d of it raises the power of c of every
-        key of num by k and multiplies its i by i^i.  CTerms take c and i,
-        Bands only i: the others refuse them with TypeError."""
+        canonical step.  A weight is an int, a Fraction or a CPoly; each part
+        c^k i^i n/d of it raises the power of c of every key of num by k and
+        multiplies its i by i^i.  CTerms take c and i, Bands only i: the
+        others refuse them with TypeError."""
         terms = []  # (num, k, i, n, d * den) per part c^k i^i n/d of a weight
         for w, num, den in triples:
             if type(w) is int:  # the common case, without a call
@@ -150,7 +147,7 @@ class FlatTerms:
                     terms.append((num, 0, 0, w, den))
             elif type(w) is Fraction or not isinstance(w, FlatTerms) and isinstance(w, _RATIONAL):
                 terms.append((num, 0, 0, w.numerator, w.denominator * den))
-            elif isinstance(w, (CPoly, GaussianRational)):
+            elif isinstance(w, CPoly):
                 for (k, i), n in w._num.items():
                     if k or i:
                         cls._key(cls._unit, k, i)  # raises where a key cannot hold c^k i^i
@@ -224,82 +221,9 @@ class FlatTerms:
     def __bool__(self):
         return bool(self._num)
 
-
-def _ki_mul(self, other):
-    """The product of two (k, i) stores, CPoly's or GaussianRational's; an int
-    or a Fraction (exact types) scales the numerators and the denominator."""
-    if type(other) is int or type(other) is Fraction:
-        num = {key: m * other.numerator for key, m in self._num.items()}
-        return self._canonical(num, self._den * other.denominator)
-    try:
-        other = self.of(other)
-    except TypeError:
-        return NotImplemented
-    right = list(other._num.items())
-    out: dict[tuple[int, int], int] = {}
-    for (k1, i1), n1 in self._num.items():
-        for (k2, i2), n2 in right:
-            key = (k1 + k2, i1 ^ i2)
-            out[key] = out.get(key, 0) + (-n1 * n2 if i1 & i2 else n1 * n2)
-    return self._canonical(out, self._den * other._den)
-
-
-class GaussianRational(FlatTerms):
-    """Exact complex number a + b*i with rational real and imaginary parts:
-    the degree-0 case of CPoly's store, under keys (0, i), with Fraction
-    views ``re`` and ``im``.  Immutable.
-    """
-
-    __slots__ = ()
-    _scalar_key = staticmethod(lambda key: key)
-    # perfbench's tracer counts these through the class's own __dict__
-    __add__ = __radd__ = FlatTerms.__add__
-    __mul__ = __rmul__ = _ki_mul
-
-    def __new__(cls, re: int | Fraction = 0, im: int | Fraction = 0):
-        return super().__new__(cls, {0: re, 1: im})
-
-    @staticmethod
-    def _key(i: int, k: int, j: int) -> tuple[int, int]:
-        if k or j:
-            raise TypeError("the parts of a GaussianRational must be rational")
-        return (0, i)
-
-    @classmethod
-    def of(cls, x: ScalarLike) -> "GaussianRational":
-        if not isinstance(x, (GaussianRational, int, Fraction)):
-            raise TypeError(f"cannot lift a {type(x).__name__} to a GaussianRational")
-        return super().of(x)
-
-    re = property(lambda self: Fraction(self._num.get((0, 0), 0), self._den))
-    im = property(lambda self: Fraction(self._num.get((0, 1), 0), self._den))
-
-    @property
-    def is_real(self) -> bool:
-        return (0, 1) not in self._num
-
-    def as_rational(self) -> Fraction:
-        if not self.is_real:
-            raise ValueError(f"{self} has a nonzero imaginary part")
-        return self.re
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        imag = f"{abs(self.im)}*i"
-        if not self.re:
-            return imag if self.im > 0 else f"-{imag}"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{imag}"
-
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"{type(self).__name__}({self})"
 
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-MINUS_I = GaussianRational(0, -1)
 
 class CTerms(FlatTerms):
     """FlatTerms over Q(i)[c], whose keys end in (k, i): what CPoly,
@@ -343,36 +267,80 @@ class CTerms(FlatTerms):
 
 class CPoly(CTerms):
     """Sparse polynomial in the commutation symbol c over the Gaussian
-    rationals: the empty-head case of FlatTerms, under keys (k, i).
+    rationals: the empty-head case of FlatTerms, under keys (k, i).  An
+    exact complex number is a constant, with Fraction views ``re`` and
+    ``im`` that refuse a power of c.
 
-    ``CPoly({k: number})``; ``coeffs`` is the {k: GaussianRational} view,
-    a new dict on each read.
+    ``CPoly({k: number})``; ``coeffs`` is the {k: constant} view, a new
+    dict on each read.
     """
 
     __slots__ = ()
     _key = staticmethod(lambda k0, k, i: (k0 + k, i))
     # perfbench's tracer wraps these through the class's own __dict__
     __add__ = __radd__ = FlatTerms.__add__
-    __mul__ = __rmul__ = _ki_mul
+
+    def __mul__(self, other):
+        """The product of two (k, i) stores; an int or a Fraction (exact
+        types) scales the numerators and the denominator without a lift."""
+        if type(other) is int or type(other) is Fraction:
+            num = {key: m * other.numerator for key, m in self._num.items()}
+            return self._canonical(num, self._den * other.denominator)
+        try:
+            other = self.of(other)
+        except TypeError:
+            return NotImplemented
+        right = list(other._num.items())
+        out: dict[tuple[int, int], int] = {}
+        for (k1, i1), n1 in self._num.items():
+            for (k2, i2), n2 in right:
+                key = (k1 + k2, i1 ^ i2)
+                out[key] = out.get(key, 0) + (-n1 * n2 if i1 & i2 else n1 * n2)
+        return self._canonical(out, self._den * other._den)
+
+    __rmul__ = __mul__
 
     @staticmethod
-    def c_power(k: int, coeff: ScalarLike = 1) -> "CPoly":
+    def c_power(k: int, coeff: CPolyLike = 1) -> "CPoly":
         """The monomial coeff * c^k."""
         return CPoly({k: coeff})
 
     @property
-    def coeffs(self) -> dict[int, GaussianRational]:
-        """{k: coefficient of c^k}, without zero coefficients."""
-        return self._grouped(lambda key: (key[0], (0, key[1])), GaussianRational)
+    def coeffs(self) -> dict[int, "CPoly"]:
+        """{k: constant coefficient of c^k}, without zero coefficients."""
+        return self._grouped(lambda key: (key[0], (0, key[1])), CPoly)
 
     def degree(self) -> int:
         """Degree in c; -1 for the zero polynomial."""
         return max((k for k, _ in self._num), default=-1)
 
-    def constant_term(self) -> GaussianRational:
-        return self.coeffs.get(0, ZERO)
+    def _part(self, i: int) -> Fraction:
+        if self.degree() > 0:
+            raise ValueError(f"{self} is not a number: it has a power of c")
+        return Fraction(self._num.get((0, i), 0), self._den)
+
+    re = property(lambda self: self._part(0))
+    im = property(lambda self: self._part(1))
+
+    @property
+    def is_real(self) -> bool:
+        """No coefficient has an imaginary part."""
+        return not any(i for _, i in self._num)
+
+    def as_rational(self) -> Fraction:
+        if not self.is_real:
+            raise ValueError(f"{self} has a nonzero imaginary part")
+        return self.re
 
     def __str__(self):
+        if self.degree() <= 0:  # a number: a+b*i
+            re, im = self.re, self.im
+            if not im:
+                return str(re)
+            imag = f"{abs(im)}*i"
+            if not re:
+                return imag if im > 0 else f"-{imag}"
+            return f"{re}{'+' if im > 0 else '-'}{imag}"
         parts = []
         for k, g in sorted(self.coeffs.items()):
             tok = str(g) if g.is_real else f"({g})"
@@ -381,8 +349,14 @@ class CPoly(CTerms):
             else:
                 mono = "c" if k == 1 else f"c^{k}"
                 parts.append(mono if g == ONE else f"{tok}*{mono}")
-        return " + ".join(parts) or "0"
+        return " + ".join(parts)
 
-    def __repr__(self):
-        return f"CPoly({{{', '.join(f'{k}: {v}' for k, v in sorted(self.coeffs.items()))}}})"
 
+ZERO = CPoly()
+ONE = CPoly.of(1)
+I = CPoly._flat({(0, 1): 1}, 1)
+MINUS_I = -I
+
+# kept only for perfbench's tracer, whose COUNTED table wraps
+# GaussianRational.__mul__/__rmul__/__add__/__radd__: those are CPoly's
+GaussianRational = CPoly

@@ -125,9 +125,6 @@ class RatPoly(FlatTerms):
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
-    def __repr__(self):
-        return f"RatPoly({{{', '.join(f'{k}: {v}' for k, v in sorted(self.coeffs.items()))}}})"
-
 
 def _scaled_euler_zeros(n: int) -> list[int]:
     """[e_0, ..., e_n], e_k = 2^k E_k(0), by the recurrence of the module docstring."""

@@ -596,8 +596,7 @@ def extract_convolution_coefficients(kmax: int) -> list[Fraction]:
         )
         if residual.support() not in ([], [(0, 0)]):
             raise ArithmeticError(f"residual at order {k} is not scalar: {residual}")
-        g = residual.coefficient(0, 0).div_c(k).constant_term()
-        vs.append(g.as_rational() * factorial(k) / 2)
+        vs.append(residual.coefficient(0, 0).div_c(k).as_rational() * factorial(k) / 2)
     return vs
 
 

@@ -52,13 +52,13 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Union
 
-from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, GaussianRational, _lifting
+from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, _lifting
 from .sequences import RatPoly
 
 Key = tuple[int, int]  # (a, b) <-> q^a p^b
 FlatKey = tuple[int, int, int, int]  # (a, b, k, i) <-> c^k i^i q^a p^b
 
-ElementLike = Union[int, Fraction, GaussianRational, CPoly, "WeylElement"]
+ElementLike = Union[int, Fraction, CPoly, "WeylElement"]
 
 
 class NonTerminatingSeries(ArithmeticError):
@@ -109,7 +109,8 @@ class WeylElement(CTerms):
     def subst_c(self, v) -> "WeylElement":
         """Specialize the central symbol, c -> v for a number v (a ring
         homomorphism): the part of self in c^k, with c^k dropped, weighted v^k,
-        one product per power of v; ValueError if v is not a number."""
+        one product per power of v.  TypeError if v is not an exact scalar (a
+        float or a string), ValueError if it has a power of c."""
         at = CPoly.of(v)
         if at.degree() > 0:
             raise ValueError(f"c can only be set to a number, not {at}")
@@ -126,9 +127,6 @@ class WeylElement(CTerms):
             self.terms,
             lambda ab: " ".join(s if e == 1 else f"{s}^{e}" for s, e in zip("qp", ab) if e)
         )
-
-    def __repr__(self):
-        return f"<WeylElement {self}>"
 
 
 def _product(x: WeylElement, y: WeylElement, s: int) -> WeylElement:

@@ -1,14 +1,14 @@
 """Test references that stay independent of the flat coefficient core.
 
-``RefGaussian`` is the Fraction-pair complex number that
-``weylops.GaussianRational`` used to be, and ``RefCPoly`` the Fraction-dict
-polynomial in c over it that ``weylops.CPoly`` used to be.  The parity tests
+``RefGaussian`` is the Fraction-pair complex number that a constant
+``weylops.CPoly`` stands for, and ``RefCPoly`` the Fraction-dict polynomial
+in c over it that ``weylops.CPoly`` used to be.  The parity tests
 compare the flat classes against them, and the engine's and the
 realization's tower references compute their coefficients with them, so none
 of them runs on the code under test.  Values cross over only at the
-boundary: ``RefGaussian.of`` reads a GaussianRational's ``re`` and ``im``,
-``RefCPoly.of_cpoly`` reads a CPoly's ``coeffs`` and ``to_cpoly`` builds
-one.  ``rationals_within`` is the strategy of bounded rationals that the
+boundary: ``RefGaussian.of`` reads a constant CPoly's ``re`` and ``im``,
+``to_gaussian`` builds one as ``re + im * I``, ``RefCPoly.of_cpoly`` reads a
+CPoly's ``coeffs`` and ``to_cpoly`` builds one.  ``rationals_within`` is the strategy of bounded rationals that the
 property tests draw their scalars from.
 """
 
@@ -18,7 +18,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from weylops import CPoly, GaussianRational
+from weylops import CPoly, I
 
 
 class RefGaussian:
@@ -37,14 +37,14 @@ class RefGaussian:
     def of(x):
         if isinstance(x, RefGaussian):
             return x
-        if isinstance(x, GaussianRational):
+        if isinstance(x, CPoly) and x.degree() <= 0:
             return RefGaussian(x.re, x.im)
         if isinstance(x, (int, Fraction)):
             return RefGaussian(x)
         raise TypeError(f"not an exact scalar: {x!r}")
 
-    def to_gaussian(self) -> GaussianRational:
-        return GaussianRational(self.re, self.im)
+    def to_gaussian(self) -> CPoly:
+        return self.re + self.im * I
 
     def __add__(self, other):
         other = RefGaussian.of(other)
@@ -208,8 +208,9 @@ class RefCPoly:
         return self.coeffs.get(0, ZERO)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
+        # a constant prints as the number it is, without parentheses
+        if self.degree() <= 0:
+            return str(self.constant_term())
         parts = []
         for k in sorted(self.coeffs):
             g = self.coeffs[k]

@@ -58,7 +58,7 @@ record FAIL (hadamard_conjugate still sums weyl's true tower), and a wrong
 kappa_2, kappa_5 or kappa_11, or a lam(8) off by one, fails the sequences
 record with a witness of its own.
 
-CPoly and GaussianRational scale by an int or a Fraction without lifting it:
+A CPoly scales by an int or a Fraction without lifting it:
 a CPoly product that scales by a Fraction's numerator only must fail the
 bender shifted-argument and centered forms.  bender's plus/minus average is
 one sum over the levels k = n mod 2, weighted 2 C(n,k) u^(n-k): a C(n,k) off
@@ -96,7 +96,7 @@ from fractions import Fraction
 import pytest
 
 from weylops import oscillator, realization, sequences, suites, weyl
-from weylops.scalars import MINUS_I, CPoly, FlatTerms, GaussianRational
+from weylops.scalars import MINUS_I, CPoly, FlatTerms
 from weylops.sequences import RatPoly, euler_polynomial
 from weylops.suites import run_suite
 
@@ -145,7 +145,7 @@ def test_weights_without_their_power_of_c_fail_records(monkeypatch):
     # lose their c^k
     def c_dropped(pairs):
         return TRUE_ELEMENT_SUM(
-            (sum(w.coeffs.values(), GaussianRational()) if isinstance(w, CPoly) else w, x) for w, x in pairs
+            (sum(w.coeffs.values(), CPoly()) if isinstance(w, CPoly) else w, x) for w, x in pairs
         )
 
     monkeypatch.setattr(weyl.WeylElement, "weighted_sum", staticmethod(c_dropped))
@@ -162,7 +162,7 @@ def _i_squared_is_plus_one(cls, triples):
     in i times a key's i adds where it should subtract."""
     split = []
     for w, num, den in triples:
-        parts = w._num if isinstance(w, (CPoly, GaussianRational)) else {}
+        parts = w._num if isinstance(w, CPoly) else {}
         if any(i for _, i in parts):
             cls._key(cls._unit, 0, 1)  # the true refusal, where a key cannot hold i
             w_r = type(w)._canonical({key: n for key, n in parts.items() if not key[1]}, w._den)
@@ -176,7 +176,7 @@ def _i_squared_is_plus_one(cls, triples):
 
 
 def test_sums_with_i_squared_plus_one_fail_figueira(monkeypatch):
-    # _ki_mul keeps its own i^2 = -1, so only sums see the patch: figueira's
+    # CPoly's product keeps its own i^2 = -1, so only sums see the patch: figueira's
     # umbral sums weight elements that carry i by weights that carry i
     assert {r.status for r in run_suite("figueira")} == {"pass"}
     monkeypatch.setattr(FlatTerms, "_accumulate", classmethod(_i_squared_is_plus_one))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from reference import RefCPoly, rationals_within
 from weylops import (
     CPoly,
-    GaussianRational,
+    I,
     WeylElement,
     hamiltonian,
     monomial,
@@ -44,7 +44,7 @@ from weylops.report import reports_to_json
 from weylops.suites import run_suite
 
 DIM = 32
-MINUS_2I = GaussianRational(0, -2)
+MINUS_2I = -2 * I
 
 
 def _dense(bands, dim=DIM):
@@ -176,7 +176,7 @@ def test_commutation_relation_in_the_interior():
     # pq - qp = c at c = -2i on every column; the truncated dense matrices
     # agree away from their corner
     ops = build_operators(DIM)
-    assert ops.p_mat * ops.q_mat - ops.q_mat * ops.p_mat == Bands.of(GaussianRational(0, -2))
+    assert ops.p_mat * ops.q_mat - ops.q_mat * ops.p_mat == Bands.of(MINUS_2I)
     q, p, _ = _reference_ladders()
     interior = (p @ q - q @ p)[: DIM - 1, : DIM - 1]
     assert np.allclose(interior, -2j * np.eye(DIM - 1), atol=1e-12)
@@ -277,8 +277,8 @@ def test_a_failing_witness_does_not_depend_on_the_scale():
 def test_a_column_reads_each_entry_exactly():
     # the rows of column l are l + j for each band j, without those below f_0
     ops = build_operators(DIM)
-    assert ops.q_mat.column(0) == {1: GaussianRational(0, -1)}
-    assert ops.q_mat.column(3) == {2: GaussianRational(0, 3), 4: GaussianRational(0, -1)}
+    assert ops.q_mat.column(0) == {1: -I}
+    assert ops.q_mat.column(3) == {2: 3 * I, 4: -I}
     assert ops.h_mat.column(5) == {5: 11}
     assert Bands.of(Fraction(1, 3)).column(7) == {7: Fraction(1, 3)}
     assert Bands().column(0) == {}
@@ -392,7 +392,7 @@ def test_order_120_at_dim_256_passes_exactly(check):
 # -- parity with dense truncated products, numpy as the float reference ------
 
 rationals = rationals_within(30, 6)
-gaussians = st.builds(GaussianRational, rationals, rationals)
+gaussians = st.builds(lambda re, im: re + im * I, rationals, rationals)
 coeffs = st.builds(CPoly, st.dictionaries(st.integers(0, 3), gaussians, max_size=3))
 elements = st.builds(
     WeylElement,

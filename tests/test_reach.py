@@ -31,11 +31,7 @@ PACKAGE = ROOT / "src" / "weylops"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 ALLOWED = {
-    "scalars.GaussianRational.__repr__": "debugging",
-    "scalars.CPoly.__repr__": "debugging",
-    "sequences.RatPoly.__repr__": "debugging",
-    "weyl.WeylElement.__repr__": "debugging",
-    "realization.XPoly.__repr__": "debugging",
+    "scalars.FlatTerms.__repr__": "debugging",
     "scalars.FlatTerms.__setattr__": "immutability: refuses every write",
     "scalars.FlatTerms.__hash__": "the __eq__/__hash__ contract: equal values hash alike",
     "scalars.CTerms._scalar_key": "the __eq__/__hash__ contract: FlatTerms.__hash__ reads it",

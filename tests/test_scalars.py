@@ -1,5 +1,5 @@
-"""Exact scalars: GaussianRational and the flat CPoly against their
-Fraction-pair and Fraction-dict references."""
+"""Exact scalars: Gaussian rationals, the constants of CPoly, and the flat
+CPoly against their Fraction-pair and Fraction-dict references."""
 
 import copy
 import operator
@@ -13,7 +13,6 @@ from reference import RefCPoly, RefGaussian, is_canonical, rationals_within
 
 from weylops import (
     CPoly,
-    GaussianRational,
     I,
     MINUS_I,
     NonDivisible,
@@ -28,7 +27,7 @@ from weylops.scalars import FlatTerms
 from weylops.weyl import hadamard_conjugate, hamiltonian, monomial, p_op, q_op, scalar
 
 rationals = rationals_within(10**6, 10**4)
-gaussians = st.builds(GaussianRational, rationals, rationals)
+gaussians = st.builds(lambda re, im: re + im * I, rationals, rationals)
 cpolys = st.builds(
     CPoly,
     st.dictionaries(st.integers(0, 5), gaussians, max_size=4),
@@ -38,23 +37,50 @@ cpolys = st.builds(
 def test_rational_examples():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert Fraction(-17, 8) * -1 == Fraction(17, 8)
-    assert str(GaussianRational(Fraction(-17, 8))) == "-17/8"
-    assert str(GaussianRational(Fraction(6, 2))) == "3"
+    assert str(CPoly.of(Fraction(-17, 8))) == "-17/8"
+    assert str(CPoly.of(Fraction(6, 2))) == "3"
 
 
 def test_gaussian_examples():
     assert I * I == -1
-    assert GaussianRational(1, 2) * GaussianRational(3, -1) == GaussianRational(5, 5)
+    assert (1 + 2 * I) * (3 - I) == 5 + 5 * I
     assert MINUS_I == -I
     assert ONE - 1 == ZERO
 
 
 def test_gaussian_real_accessors():
-    assert GaussianRational(Fraction(7, 2)).is_real
-    assert GaussianRational(Fraction(7, 2)).as_rational() == Fraction(7, 2)
+    assert CPoly.of(Fraction(7, 2)).is_real
+    assert CPoly.of(Fraction(7, 2)).as_rational() == Fraction(7, 2)
     assert not I.is_real
     with pytest.raises(ValueError):
         I.as_rational()
+
+
+@pytest.mark.parametrize("value", [CPoly.c_power(1), 1 + CPoly.c_power(1)], ids=["c", "1+c"])
+def test_a_power_of_c_is_no_number(value):
+    # re, im and as_rational read a constant; a power of c is refused, not dropped
+    for read in (lambda v: v.re, lambda v: v.im, lambda v: v.as_rational()):
+        with pytest.raises(ValueError, match="power of c"):
+            read(value)
+    assert value.is_real
+
+
+def test_a_complex_constant_prints_as_its_number():
+    # the number without parentheses, alone or as an element's coefficient;
+    # beside a power of c it keeps them
+    assert str(I) == str(CPoly.of(I)) == "1*i"
+    assert str(q_op() * I) == "(1*i) * q"
+    assert str(Fraction(-1, 2) - 3 * I) == "-1/2-3*i" and str(MINUS_I) == "-1*i"
+    assert str(CPoly({0: I, 1: 1})) == "(1*i) + c" and str(CPoly()) == "0"
+
+
+def test_one_repr_for_the_flat_core():
+    # the class name around the rendering; Bands has no rendering
+    assert repr(Fraction(1, 2) + I) == "CPoly(1/2+1*i)"
+    assert repr(q_op() * I) == "WeylElement((1*i) * q)"
+    assert repr(XPoly.monomial(2)) == "XPoly((1) * x^2)"
+    assert repr(RatPoly({0: Fraction(1, 2), 3: -4})) == f"RatPoly({RatPoly({0: Fraction(1, 2), 3: -4})})"
+    assert repr(Bands.of(1)).startswith("<weylops.oscillator.Bands object")
 
 
 def test_gaussian_is_immutable():
@@ -74,7 +100,7 @@ def test_subst_c_examples():
     # on constants, and on an element: each coefficient at c = v
     c = CPoly.c_power(1)
     assert scalar(c * c).subst_c(MINUS_I) == -1
-    assert scalar(CPoly.c_power(1, 4)).subst_c(MINUS_I) == GaussianRational(0, -4)
+    assert scalar(CPoly.c_power(1, 4)).subst_c(MINUS_I) == -4 * I
     assert scalar(CPoly({0: 1, 1: 4, 2: 2})).subst_c(0) == 1
     assert scalar(CPoly({0: 1, 1: 4, 2: 2})).subst_c(1) == 7
     assert monomial(1, 2, CPoly({0: 1, 1: 4, 2: 2})).subst_c(1) == monomial(1, 2, 7)
@@ -84,8 +110,8 @@ def test_cpoly_structure():
     assert CPoly().degree() == -1
     assert CPoly.c_power(3).degree() == 3
     assert CPoly({2: 0}).degree() == -1  # zero coefficients are dropped
-    assert CPoly.c_power(2, Fraction(1, 2)).constant_term() == ZERO
-    assert CPoly({0: 5}).constant_term() == 5
+    assert 0 not in CPoly.c_power(2, Fraction(1, 2)).coeffs
+    assert CPoly({0: 5}).coeffs == {0: 5}
     assert not CPoly()
     with pytest.raises(ValueError):
         CPoly({-1: 1})
@@ -133,7 +159,8 @@ def test_cpoly_ring(u, v):
 
 
 def test_an_operand_a_class_cannot_lift_goes_to_the_other_side():
-    # each operator answers NotImplemented, so Python asks the reflected one
+    # each operator answers NotImplemented, so Python asks the reflected one;
+    # i and c are both CPolys, so I + c and I - c need no fallback
     c = CPoly.c_power(1)
     assert I * q_op() == q_op() * I == monomial(1, 0, I)
     assert I + c == c + I == CPoly({0: I, 1: 1})
@@ -161,9 +188,9 @@ def test_a_scalar_on_the_left_falls_back_without_rendering_the_element(monkeypat
 
 
 # one value of each class that holds exact scalars, and how to build one
-# from a coefficient
+# from a coefficient; a Gaussian rational is a CPoly constant, built by the lift
 _VALUE_CLASSES = {
-    "GaussianRational": (GaussianRational, I),
+    "GaussianRational": (CPoly.of, I),
     "CPoly": (lambda v: CPoly({0: v}), CPoly.c_power(1)),
     "WeylElement": (lambda v: WeylElement({(0, 0): v}), q_op()),
     "XPoly": (lambda v: XPoly({0: v}), XPoly.monomial(1)),
@@ -207,12 +234,12 @@ def test_only_exact_scalars_are_evaluation_points(bad):
 def _constants() -> list:
     # 0, 1, -1/2, i and 1/2 + i as int or Fraction and as a constant of each
     # class that can hold it (a RatPoly holds no i)
-    numbers = [0, 1, Fraction(-1, 2), I, GaussianRational(Fraction(1, 2), 1)]
-    out = [v for v in numbers if not isinstance(v, GaussianRational)]
+    numbers = [0, 1, Fraction(-1, 2), I, Fraction(1, 2) + I]
+    out = [v for v in numbers if not isinstance(v, CPoly)]
     for v in numbers:
-        for _, value in _VALUE_CLASSES.values():
+        for cls in dict.fromkeys(type(value) for _, value in _VALUE_CLASSES.values()):
             try:
-                out.append(type(value).of(v))
+                out.append(cls.of(v))
             except TypeError:
                 pass
     return out
@@ -222,7 +249,7 @@ def test_equality_agrees_with_subtraction():
     # == lifts what - lifts: two values are equal exactly when their
     # difference is defined and zero, and equal values hash alike
     values = _constants()
-    assert len(values) == 26
+    assert len(values) == 21
     for a in values:
         for b in values:
             try:
@@ -249,7 +276,7 @@ def test_i_squared_is_minus_one():
 # rationals drawn as n/d from integers, which is cheaper than st.fractions
 flat_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 flat_numbers = st.one_of(
-    st.integers(-60, 60), flat_rationals, st.builds(GaussianRational, flat_rationals, flat_rationals)
+    st.integers(-60, 60), flat_rationals, st.builds(lambda re, im: re + im * I, flat_rationals, flat_rationals)
 )
 cmaps = st.dictionaries(st.integers(0, 4), flat_numbers, max_size=4)
 
@@ -260,7 +287,7 @@ def _agree(flat: CPoly, ref: RefCPoly) -> None:
     assert flat.coeffs == ref.coeffs
     assert str(flat) == str(ref)
     assert flat.degree() == ref.degree()
-    assert flat.constant_term() == ref.constant_term()
+    assert flat.coeffs.get(0, ZERO) == ref.constant_term()
 
 
 @given(cmaps, cmaps, flat_numbers, st.integers(0, 3))
@@ -304,20 +331,20 @@ def test_cpoly_equality_hash_and_parsing_match_the_reference(a, b, s):
     assert CPoly(x.coeffs) == x and hash(CPoly(x.coeffs)) == hash(x)
     # a constant hashes like the number it equals, as the reference does
     if x.degree() <= 0:
-        assert hash(x) == hash(RefCPoly(a)) == hash(x.constant_term())
+        assert hash(x) == hash(RefCPoly(a)) == hash(x.coeffs.get(0, ZERO))
     for const in (CPoly.of(s), x - x + s):
-        assert const == s and hash(const) == hash(GaussianRational.of(s))
+        assert const == s and hash(const) == hash(RefGaussian.of(s))
     assert str(x) == str(RefCPoly(a))
 
 
-# -- GaussianRational on the flat core against the Fraction pair it replaced ---
+# -- Gaussian-rational constants against the Fraction pair --------------------
 
 flat_pairs = st.tuples(flat_rationals, flat_rationals)
 plain_numbers = st.one_of(st.integers(-60, 60), flat_rationals)
 
 
-def _agree_gaussian(flat: GaussianRational, ref: RefGaussian) -> None:
-    assert type(flat) is GaussianRational and is_canonical(flat)
+def _agree_gaussian(flat: CPoly, ref: RefGaussian) -> None:
+    assert type(flat) is CPoly and flat.degree() <= 0 and is_canonical(flat)
     assert (flat.re, flat.im) == (ref.re, ref.im)
     assert flat == ref.to_gaussian() and hash(flat) == hash(ref)
     assert str(flat) == str(ref)
@@ -331,7 +358,7 @@ def _agree_gaussian(flat: GaussianRational, ref: RefGaussian) -> None:
 
 @given(flat_pairs, flat_pairs, plain_numbers)
 def test_gaussian_matches_the_reference(a, b, s):
-    x, y, rx, ry = GaussianRational(*a), GaussianRational(*b), RefGaussian(*a), RefGaussian(*b)
+    x, y, rx, ry = a[0] + a[1] * I, b[0] + b[1] * I, RefGaussian(*a), RefGaussian(*b)
     cases = [
         (x, rx), (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx),
         (x + s, rx + s), (x - s, rx - s), (x * s, rx * s),
@@ -347,7 +374,7 @@ def test_gaussian_matches_the_reference(a, b, s):
         assert hash(x) == hash(s)
 
 
-# -- numbers scale CPoly and GaussianRational without a lift -------------------
+# -- numbers scale a CPoly without a lift -------------------------------------
 
 
 def test_numbers_scale_scalars_without_a_lift(monkeypatch):
@@ -356,15 +383,14 @@ def test_numbers_scale_scalars_without_a_lift(monkeypatch):
     # test_gaussian_matches_the_reference draw such factors against the
     # references); a float still raises, a bool is still lifted, and an
     # element still gets the product
-    x, g = CPoly({0: Fraction(1, 3), 2: I}), GaussianRational(Fraction(1, 2), 3)
+    x, g = CPoly({0: Fraction(1, 3), 2: I}), Fraction(1, 2) + 3 * I
     expected = [CPoly({0: 1, 2: 3 * I}), CPoly({0: Fraction(1, 6), 2: Fraction(1, 2) * I}), CPoly()]
     monkeypatch.setattr(FlatTerms, "_accumulate", classmethod(lambda cls, triples: 1 / 0))
-    for cls in (CPoly, GaussianRational):
-        monkeypatch.setattr(cls, "of", staticmethod(lambda v: 1 / 0))
+    monkeypatch.setattr(CPoly, "of", staticmethod(lambda v: 1 / 0))
     products = [x * 3, Fraction(1, 2) * x, x * 0, g * 2, Fraction(-2, 3) * g]
     monkeypatch.undo()
     assert products[:3] == expected
-    assert products[3:] == [GaussianRational(1, 6), GaussianRational(Fraction(-1, 3), -2)]
+    assert products[3:] == [1 + 6 * I, Fraction(-1, 3) - 2 * I]
     for value in (x, g):
         with pytest.raises(TypeError, match="unsupported operand"):
             value * 0.5
@@ -397,7 +423,7 @@ def _copies(value) -> list:
     "value",
     [
         CPoly({0: Fraction(1, 3), 2: I}),
-        GaussianRational(Fraction(-1, 2), 3),
+        Fraction(-1, 2) + 3 * I,
         hamiltonian() * q_op() + CPoly.c_power(2, I),
         RatPoly({0: Fraction(1, 2), 3: -4}),
         XPoly({0: CPoly.c_power(1, I), 2: Fraction(2, 5)}),

@@ -19,7 +19,6 @@ from reference import RefCPoly, is_canonical, rationals_within
 from weylops import weyl
 from weylops import (
     CPoly,
-    GaussianRational,
     I,
     MINUS_I,
     NonTerminatingSeries,
@@ -46,7 +45,7 @@ C = CPoly.c_power(1)
 
 
 rationals = rationals_within(50, 8)
-gaussians = st.builds(GaussianRational, rationals, rationals)
+gaussians = st.builds(lambda re, im: re + im * I, rationals, rationals)
 coeffs = st.builds(CPoly, st.dictionaries(st.integers(0, 3), gaussians, max_size=3))
 term_maps = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=3)
 elements = st.builds(WeylElement, term_maps)
@@ -317,8 +316,8 @@ def test_writing_into_a_view_leaves_its_value_alone():
     r.coeffs[3] = Fraction(7)
     assert str(r) == "1" and r.coeffs == {0: 1}
     c = CPoly({1: 2})
-    c.coeffs[0] = GaussianRational(3)
-    assert str(c) == "2*c" and c.constant_term() == 0
+    c.coeffs[0] = CPoly.of(3)
+    assert str(c) == "2*c" and 0 not in c.coeffs
     x = XPoly.monomial(2)
     x.coeffs[5] = CPoly.of(1)
     assert str(x) == "(1) * x^2" and list(x.coeffs) == [2]
@@ -328,15 +327,15 @@ def test_writing_into_a_view_leaves_its_value_alone():
 def test_flat_form_is_canonical(x, y, u, v):
     # int numerators, none zero, gcd 1 with the denominator, an i bit in
     # {0, 1}: for elements, their CPoly coefficient views, CPolys and
-    # GaussianRationals; a constant at c = number is an element
+    # their constant coefficients; a constant at c = number is an element
     for w in (x, x * y, x + y, x - y, -x, x.subst_c(MINUS_I), x.subst_c(I), (C * x).div_c(),
               scalar(u).subst_c(I), scalar(u).subst_c(MINUS_I)):
         assert is_canonical(w)
         assert all(is_canonical(cp) for cp in w.terms.values())
     for cp in (u, u * v, u + v, u - v, -u, u**2, (C * u).div_c()):
         assert is_canonical(cp)
-    # GaussianRational values: the coefficient view
-    for g in (*u.coeffs.values(), u.constant_term()):
+    # the constants of the coefficient view
+    for g in u.coeffs.values():
         assert is_canonical(g)
 
 
@@ -356,7 +355,7 @@ xpolys = st.builds(XPoly, st.dictionaries(st.integers(0, 4), coeffs, max_size=3)
 @settings(max_examples=40)
 @given(st.lists(st.tuples(weights, elements), max_size=4), st.lists(st.tuples(weights, xpolys), max_size=4))
 def test_weighted_sum_matches_scalar_products(element_pairs, poly_pairs):
-    # int, Fraction, GaussianRational and CPoly weights, with parts in i and c:
+    # int, Fraction and CPoly weights, constants or not, with parts in i and c:
     # against engine products with scalar elements, and against XPolys whose
     # coefficients are multiplied as CPolys
     flat = WeylElement.weighted_sum(element_pairs)
@@ -367,10 +366,14 @@ def test_weighted_sum_matches_scalar_products(element_pairs, poly_pairs):
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2"])
-@pytest.mark.parametrize("cls", [WeylElement, XPoly, RatPoly, CPoly, GaussianRational])
-def test_weighted_sum_refuses_inexact_weights(cls, bad):
+@pytest.mark.parametrize(
+    "value", [q_op(), XPoly.monomial(1), RatPoly.x(), C, I],
+    ids=["WeylElement", "XPoly", "RatPoly", "CPoly", "GaussianRational"],
+)
+def test_weighted_sum_refuses_inexact_weights(value, bad):
+    # GaussianRational: a CPoly constant, which carries i
     with pytest.raises(TypeError):
-        cls.weighted_sum([(bad, cls.of(1))])
+        type(value).weighted_sum([(bad, value)])
 
 
 def test_ratpoly_weighted_sum_refuses_c_and_i():
@@ -386,15 +389,23 @@ def test_subst_c_evaluates_each_coefficient(w, v):
     assert w.subst_c(v) == expected
 
 
+def test_subst_c_refuses_what_is_not_a_number():
+    # an inexact scalar is no scalar at all; a power of c is no number
+    for bad in ("x", 1.5):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            q_op().subst_c(bad)
+    with pytest.raises(ValueError, match="c can only be set to a number"):
+        q_op().subst_c(C)
+
+
 @given(st.one_of(st.integers(-50, 50), rationals, gaussians, coeffs))
 def test_equal_values_hash_alike(x):
-    # the same value as int, Fraction, GaussianRational, CPoly, RatPoly,
-    # WeylElement and XPoly, wherever that type can hold it
+    # the same value as int, Fraction, CPoly, RatPoly, WeylElement and XPoly,
+    # wherever that type can hold it
     cp = CPoly.of(x)
     forms = [x, cp, scalar(x), XPoly({0: x})]
-    if cp.degree() <= 0:
-        g = cp.constant_term()
-        forms += [g, g.re, RatPoly.of(g.re)] if not g.im else [g]
+    if cp.degree() <= 0 and cp.is_real:
+        forms += [cp.re, RatPoly.of(cp.re)]
     assert all(f == x for f in forms if not isinstance(f, RatPoly))
     for u in forms:
         for v in forms:
@@ -415,7 +426,7 @@ def test_running_powers_match_the_naive_powers(outer, inner, a, v, n):
     # one before; the forms that raise every power from scratch agree
     f, g = RatPoly(outer), RatPoly(inner)
     assert f.compose(g) == RatPoly.weighted_sum((w, g**k) for k, w in f.coeffs.items())
-    assert scalar(a).subst_c(v) == sum((w * v**k for k, w in a.coeffs.items()), GaussianRational())
+    assert scalar(a).subst_c(v) == sum((w * v**k for k, w in a.coeffs.items()), CPoly())
     tower = [q_op()]
     for _ in range(n):
         tower.append(anticommutator(tower[-1], hamiltonian()))
