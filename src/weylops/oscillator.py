@@ -21,7 +21,7 @@ shift j to (l+j) P_j(l) at shift j-1) and calls nothing of the engine's
 product, the H-brackets {q,H}_k stay on q's two off-diagonals, and the
 symbolic bridge realizes the engine's {q,H}_n by Horner in q over the
 powers of p.  ``build_operators`` makes the
-ladders, with four chains (``weyl.Chain``) grown from them on demand: the
+ladders, with four chains (``scalars.Chain``) grown from them on demand: the
 realization's {q,H}_k, the powers H^k and p^k, and the engine's {q,H}_k.  Only the caller keeps them:
 a hermite sweep builds one set for all its records and drops it when it
 ends, a direct check builds its own.  A q with an entry off its two
@@ -42,8 +42,8 @@ from itertools import count
 from math import comb
 
 from .report import VerificationReport, _orders, run_check
-from .scalars import I, CPoly, FlatTerms, _lifting
-from .weyl import Chain, WeylElement, hamiltonian, nested_anticommutator, q_op
+from .scalars import I, Chain, CPoly, FlatTerms, _lifting
+from .weyl import WeylElement, hamiltonian, nested_anticommutator, q_op
 
 C = -2 * I  # the value of c at which the ladders satisfy pq - qp = c
 DEFAULT_DIM = 64  # the dim a hermite record carries unless it is given one
@@ -52,11 +52,12 @@ DEFAULT_DIM = 64  # the dim a hermite record carries unless it is given one
 class Bands(FlatTerms):
     """The operator f_l -> sum_j P_j(l) f_(l+j), under keys (j, d, i) for the
     term i^i l^d of P_j; a constant is a multiple of the identity.  No c.
-    The constructor takes shifts j >= 0 only: a lowering band comes from
-    ``_canonical`` or from arithmetic.  Immutable."""
+    The constructor takes {(j, d): number or Q(i) constant}, with a shift j
+    of either sign and a power d >= 0.  Immutable."""
 
     __slots__ = ()
     _unit = (0, 0)
+    _signed = 1
     _scalar_key = staticmethod(lambda key: None if key[0] or key[1] else (0, key[2]))
     __repr__ = object.__repr__  # no __str__: FlatTerms.__repr__ would recurse through it
 
@@ -118,10 +119,9 @@ class OscillatorMatrices:
 
     def __init__(self, dim: int, q_mat: Bands, p_mat: Bands, h_mat: Bands):
         self.dim, self.q_mat, self.p_mat, self.h_mat = dim, q_mat, p_mat, h_mat
-        one = Bands.of(1)  # the steps hold the ladders, not self, so no cycle keeps self alive
+        # the steps hold the ladders, not self, so no cycle keeps self alive
         self.tower = Chain(q_mat, lambda x: _product(x, h_mat, 1))
-        self.h_powers = Chain(one, lambda x: h_mat * x)
-        self.p_powers = Chain(one, lambda x: p_mat * x)
+        self.h_powers, self.p_powers = h_mat._powers(), p_mat._powers()
         self.symbolic = Chain(q_op(), lambda w: nested_anticommutator(w, hamiltonian(), 1))
 
 
@@ -132,10 +132,10 @@ def build_operators(dim: int) -> OscillatorMatrices:
     pins the records that carry it."""
     if dim < 4:
         raise ValueError("need dim >= 4")
-    q = {(-1, 1, 1): 1, (1, 0, 1): -1}  # i l f_(l-1) - i f_(l+1)
-    p = {(-1, 1, 0): 1, (1, 0, 0): 1}  # l f_(l-1) + f_(l+1)
-    h = {(0, 1, 0): 2, (0, 0, 0): 1}  # (2l + 1) f_l
-    return OscillatorMatrices(dim, *(Bands._canonical(m, 1) for m in (q, p, h)))
+    q = Bands({(-1, 1): I, (1, 0): -I})  # i l f_(l-1) - i f_(l+1)
+    p = Bands({(-1, 1): 1, (1, 0): 1})  # l f_(l-1) + f_(l+1)
+    h = Bands({(0, 1): 2, (0, 0): 1})  # (2l + 1) f_l
+    return OscillatorMatrices(dim, q, p, h)
 
 
 def _operators(n: int, dim: int, ops: OscillatorMatrices | None) -> OscillatorMatrices:

@@ -40,6 +40,13 @@ difference is zero: ``RatPoly.of(1) == ONE``.  A CPoly scales by an int or
 a Fraction without a lift.  Only int, Fraction and these classes enter the
 exact algebra: a float or a string raises TypeError.  All values are
 immutable (``__reduce__`` copies).
+
+Every tower x, step(x), step(step(x)), ... in the package is a ``Chain``,
+which keeps each level while its owner lives: a call, a record or a sweep,
+so no level outlives the sweep that built it.  The powers of a value are
+one chain, ``x._powers()``, one left product x * w per power: a ``Bands``
+product expands its left factor's powers of l, so a right step would cost
+twice as much.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 class NonDivisible(ArithmeticError):
     """Exact division by a power of c failed: low-order terms are nonzero."""
@@ -66,6 +73,31 @@ def _lifting(op):
         return op(self, other)
 
     return method
+
+
+class Chain:
+    """x, step(x), step(step(x)), ...: level k is built on first use and
+    kept, so a reader of many levels steps each one once.  A chain lives as
+    long as its owner (a call, a record or a sweep); a step that looks the
+    engine's names up when it runs lets a patched module global reach it."""
+
+    __slots__ = ("_levels", "_step")
+    __iter__ = None  # no last level to stop at: read levels by index or ``upto``
+
+    def __init__(self, x, step: Callable):
+        self._levels, self._step = [x], step
+
+    def __getitem__(self, k: int):
+        if k < 0:
+            raise ValueError("negative nesting depth")
+        while len(self._levels) <= k:
+            self._levels.append(self._step(self._levels[-1]))
+        return self._levels[k]
+
+    def upto(self, n: int) -> list:
+        """Levels 0..n."""
+        self[n]
+        return self._levels[: n + 1]
 
 
 CPolyLike = Union[int, Fraction, "CPoly"]
@@ -91,12 +123,13 @@ class FlatTerms:
 
     __slots__ = ("_num", "_den")
     _unit = 0  # the head of a constant, for ``of``
+    _signed = 0  # how many leading head entries may be negative (a Bands shift)
     __reduce__ = lambda self: (type(self)._flat, (self._num, self._den))  # copy and pickle without setattr
 
     def __new__(cls, terms: dict | None = None):
         units = []  # (value, {unit key: 1}, 1) per head: the value weights its key
         for h, v in (terms or {}).items():
-            if (min(h) if isinstance(h, tuple) else h) < 0:
+            if (min(h[cls._signed:]) if isinstance(h, tuple) else h) < 0:
                 raise ValueError(f"negative exponent in {h}")
             units.append((v, {cls._key(h, 0, 0): 1}, 1))
         return cls._accumulate(units)
@@ -198,10 +231,11 @@ class FlatTerms:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = self.of(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return self._powers()[n]
+
+    def _powers(self) -> Chain:
+        """The chain 1, x, x^2, ..., each power x times the one before."""
+        return Chain(self.of(1), lambda w: self * w)
 
     @_lifting
     def __eq__(self, other):

@@ -89,9 +89,7 @@ class RatPoly(FlatTerms):
 
     def compose(self, inner: "RatPoly") -> "RatPoly":
         """Substitute ``inner`` for the variable: one product per degree."""
-        inner, powers = RatPoly.of(inner), [RatPoly.of(1)]
-        for _ in range(self.degree()):
-            powers.append(powers[-1] * inner)
+        powers = RatPoly.of(inner)._powers()
         return RatPoly.weighted_sum((a, powers[k]) for k, a in self.coeffs.items())
 
     def derivative(self) -> "RatPoly":

@@ -22,7 +22,7 @@ holds with c formal as it stands.  Only the matrix realization sets c to a
 number, so a fault in that substitution cannot hide a fault in a symbolic
 record.
 
-Both suites build their brackets and powers of H as chains (``weyl.Chain``),
+Both suites build their brackets and powers of H as chains (``scalars.Chain``),
 each level once per sweep: a sweep makes its chains when it starts and they
 die when it returns, as a direct verify_* call's die with the call, so
 nothing one sweep built reaches the next.  The hermite sweep does the same
@@ -44,7 +44,7 @@ from operator import mul
 from typing import Callable, Iterable
 
 from .report import VerificationReport, _orders, run_check
-from .scalars import CPoly, I
+from .scalars import Chain, CPoly, I
 from .sequences import (
     RatPoly,
     bernoulli_number,
@@ -56,7 +56,6 @@ from .sequences import (
     shifted_euler,
 )
 from .weyl import (
-    Chain,
     WeylElement,
     anticommutator,
     bracket_tower,
@@ -95,7 +94,7 @@ def _bender_chains() -> tuple[Chain, ...]:
         Chain(q, lambda w: nested_anticommutator(w, h, 1)),
         Chain(q, lambda w: nested_anticommutator(w, centered_h, 1)),
         Chain(level(q, q), lambda lv: level(lv[0] * h, h * lv[1])),
-        Chain(CPoly.of(1), lambda w: w * u),
+        u._powers(),
     )
 
 
@@ -334,13 +333,11 @@ def _monomial_grid(suite: str) -> Callable[[int, int], VerificationReport]:
 def _functions(suite: str, f: RatPoly, g: RatPoly, tag: dict | None) -> VerificationReport:
     """The record of ``suite`` at f(p) and g(q), over tables of its own."""
 
-    def at(h: RatPoly, x: WeylElement, k: int) -> WeylElement:
-        d = h.antiderivative() if k < 0 else h
-        for _ in range(k):
-            d = d.derivative()
-        return poly_of_element(d, x)
+    def at(h: RatPoly, x: WeylElement) -> Callable[[int], WeylElement]:  # k -> h^(k)(x), the antiderivative at k = -1
+        derivatives = Chain(h, lambda d: d.derivative())
+        return lambda k: poly_of_element(h.antiderivative() if k < 0 else derivatives[k], x)
 
-    table = _brackets(partial(at, f, p_op()), partial(at, g, q_op()))
+    table = _brackets(at(f, p_op()), at(g, q_op()))
     kmax, params = min(f.degree(), g.degree()), dict(f=str(f), g=str(g), **(tag or {}))
     return _expand(suite, lambda op, k: table(op, k, k), _weights(), kmax, **params)
 
@@ -509,7 +506,8 @@ def verify_figueira(h0: WeylElement, x: WeylElement) -> VerificationReport:
         h0 - e^x h0 e^-x = i (h1 + e^x h1 e^-x),
 
     and the half-step conjugate e^(x/2) (h0 + i h1) e^(-x/2) must equal the
-    umbral sum  sum_n E_n(1/2)/n! ad_x^n h0.  All of it exact in c.
+    umbral sum  sum_n E_n(1/2)/n! ad_x^n h0.  All of it exact in c.  Every
+    series in ad_x^n h0, e^x h0 e^-x too, reads one tower of h0's brackets.
     """
 
     def check() -> str:
@@ -519,7 +517,7 @@ def verify_figueira(h0: WeylElement, x: WeylElement) -> VerificationReport:
             return [(weight(n) / factorial(n), t) for n, t in enumerate(tower)]
         h1 = WeylElement.weighted_sum((I * w, t) for w, t in series(kappa))
         i_alt = WeylElement.weighted_sum([(I, h0)] + [(-I * w, t) for w, t in series(euler_zero)])
-        lhs = h0 - hadamard_conjugate(x, h0)
+        lhs = h0 - WeylElement.weighted_sum(series(lambda n: Fraction(1)))  # e^x h0 e^-x
         rhs = WeylElement.weighted_sum([(I, h1), (I, hadamard_conjugate(x, h1))])
         direct = hadamard_conjugate(x, WeylElement.weighted_sum([(1, h0), (I, h1)]), t=Fraction(1, 2))
         umbral = WeylElement.weighted_sum(series(euler_at_half))

@@ -36,13 +36,8 @@ Bracket conventions:
 ``bracket_tower(x, w)`` lists ad_x^n w = [x, [x, ... [x, w]]] for n = 0, 1, ...
 until a bracket vanishes, and ``hadamard_conjugate(x, w, t)`` is its t^n/n!
 weighted sum, the Hadamard series e^(tx) w e^(-tx), exact whenever ad_x is
-nilpotent on w; otherwise both raise NonTerminatingSeries.
-
-Every tower x, step(x), step(step(x)), ... in the package is a ``Chain``,
-which builds each level on first use and keeps it while the chain lives.
-The builders above make one per call, which dies with the call; a sweep
-(``suites``, and ``oscillator`` for hermite) makes its own when it starts
-and drops them when it ends, so no level outlives the sweep that built it.
+nilpotent on w; otherwise both raise NonTerminatingSeries.  Each builder
+grows its brackets as a ``scalars.Chain`` of its own call.
 """
 
 from __future__ import annotations
@@ -50,9 +45,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Union
+from typing import Union
 
-from .scalars import CPoly, CPolyLike, CTerms, FlatTerms, _lifting
+from .scalars import Chain, CPoly, CPolyLike, CTerms, FlatTerms, _lifting
 from .sequences import RatPoly
 
 Key = tuple[int, int]  # (a, b) <-> q^a p^b
@@ -95,10 +90,7 @@ class WeylElement(CTerms):
     def __mul__(self, other):
         return _product(self, other, 0)
 
-    @_lifting
-    def __rmul__(self, other):
-        # scalars commute with everything, so reuse __mul__
-        return other * self
+    __rmul__ = __mul__  # ``of`` lifts only numbers and CPolys, which are central
 
     def coefficient(self, a: int, b: int) -> CPoly:
         return self.terms.get((a, b), CPoly())
@@ -117,9 +109,7 @@ class WeylElement(CTerms):
         by_k: dict = {}
         for (a, b, k, i), n in self._num.items():
             by_k.setdefault(k, {})[(a, b, 0, i)] = n
-        powers = [CPoly.of(1)]
-        for _ in range(max(by_k, default=0)):
-            powers.append(powers[-1] * at)
+        powers = at._powers()
         return self.weighted_sum((powers[k], self._flat(num, self._den)) for k, num in by_k.items())
 
     def __str__(self):
@@ -197,31 +187,6 @@ def anticommutator(x: ElementLike, y: ElementLike) -> WeylElement:
     return _product(WeylElement.of(x), WeylElement.of(y), 1)
 
 
-class Chain:
-    """x, step(x), step(step(x)), ...: level k is built on first use and
-    kept, so a reader of many levels steps each one once.  A chain lives as
-    long as its owner (a call, a record or a sweep); a step that looks the
-    engine's names up when it runs lets a patched module global reach it."""
-
-    __slots__ = ("_levels", "_step")
-    __iter__ = None  # no last level to stop at: read levels by index or ``upto``
-
-    def __init__(self, x, step: Callable):
-        self._levels, self._step = [x], step
-
-    def __getitem__(self, k: int):
-        if k < 0:
-            raise ValueError("negative nesting depth")
-        while len(self._levels) <= k:
-            self._levels.append(self._step(self._levels[-1]))
-        return self._levels[k]
-
-    def upto(self, n: int) -> list:
-        """Levels 0..n."""
-        self[n]
-        return self._levels[: n + 1]
-
-
 def nested_commutator(x: ElementLike, y: ElementLike, n: int) -> WeylElement:
     """[x, y]_n = [[x, y]_(n-1), y] with [x, y]_0 = x."""
     return Chain(WeylElement.of(x), lambda w: commutator(w, y))[n]
@@ -241,8 +206,7 @@ def shifted_nested_anticomm(a: CPolyLike, n: int) -> WeylElement:
     call's own: n brackets and one product per power.
     """
     tower = Chain(q_op(), lambda w: anticommutator(w, hamiltonian()))
-    a = CPoly.of(a)
-    a_pow = Chain(CPoly.of(1), lambda w: w * a)
+    a_pow = CPoly.of(a)._powers()
     return WeylElement.weighted_sum((a_pow[n - k] * comb(n, k), x) for k, x in enumerate(tower.upto(n)))
 
 
@@ -276,7 +240,6 @@ def hadamard_conjugate(x: ElementLike, w: ElementLike, t: Fraction | int = 1) ->
 
 def poly_of_element(poly: RatPoly, w: ElementLike) -> WeylElement:
     """Evaluate a rational polynomial at an algebra element: one product per degree."""
-    w = WeylElement.of(w)
-    powers = Chain(WeylElement.of(1), lambda v: v * w)
+    powers = WeylElement.of(w)._powers()
     return WeylElement.weighted_sum((a, powers[k]) for k, a in poly.coeffs.items())
 

@@ -96,7 +96,7 @@ from fractions import Fraction
 import pytest
 
 from weylops import oscillator, realization, sequences, suites, weyl
-from weylops.scalars import MINUS_I, CPoly, FlatTerms
+from weylops.scalars import MINUS_I, CPoly, FlatTerms, I
 from weylops.sequences import RatPoly, euler_polynomial
 from weylops.suites import run_suite
 
@@ -244,7 +244,7 @@ def _perturbed_build(monkeypatch, name, *entries, weight=1):
 
     def perturbed(dim):
         ops = true_build(dim)
-        added = oscillator.Bands._canonical(dict.fromkeys(entries, weight.numerator), weight.denominator)
+        added = oscillator.Bands({(j, d): weight * I**i for j, d, i in entries})
         ladders = {n: getattr(ops, n) for n in ("q_mat", "p_mat", "h_mat")}
         ladders[name] += added
         return oscillator.OscillatorMatrices(ops.dim, **ladders)

@@ -96,7 +96,7 @@ def test_matrices_and_their_chains_are_read_only():
 
 def test_replaced_matrices_have_their_own_views():
     ops = build_operators(DIM)
-    assert ops.tower[1] == Bands._canonical({(-1, 2, 1): 4, (1, 0, 1): -4, (1, 1, 1): -4}, 1)  # i (4l^2, -4l - 4)
+    assert ops.tower[1] == Bands({(-1, 2): 4 * I, (1, 0): -4 * I, (1, 1): -4 * I})  # i (4l^2, -4l - 4)
     h = ops.h_mat + Bands({(0, 2): 1})  # H f_l = (l^2 + 2l + 1) f_l
     replaced = OscillatorMatrices(ops.dim, ops.q_mat, ops.p_mat, h)
     assert replaced.tower[1] != ops.tower[1]
@@ -108,7 +108,7 @@ def test_element_to_matrix_refuses_an_off_band_ladder():
     # a p with entries off its three bands would realize an operator that is
     # not the p the checks were given
     ops = build_operators(DIM)
-    p = ops.p_mat + Bands._canonical({(5, 0, 0): 1, (-7, 1, 0): 3}, 1)
+    p = ops.p_mat + Bands({(5, 0): 1, (-7, 1): 3})
     with pytest.raises(ValueError, match="p has a nonzero entry beyond its three bands"):
         element_to_matrix(p_op(), OscillatorMatrices(ops.dim, ops.q_mat, p, ops.h_mat))
 
@@ -200,18 +200,20 @@ def test_bands_have_no_c():
         Bands.weighted_sum([(CPoly.c_power(2), build_operators(DIM).q_mat)])
 
 
-def test_a_lowering_band_comes_from_canonical_form_or_arithmetic():
-    # the constructor takes exponents, as every FlatTerms does, so a negative
-    # shift is refused there; the ladders are built in canonical form, and
-    # products and sums reach every shift
+def test_a_lowering_band_comes_from_the_constructor():
+    # a shift j may be negative, a power d of l may not: the ladders are
+    # written as the module docstring writes them, and products and sums
+    # reach every shift
     with pytest.raises(ValueError, match="negative exponent"):
-        Bands({(-1, 0): 1})
-    lower = Bands._canonical({(-1, 1, 0): 1}, 1)  # a f_l = l f_(l-1)
+        Bands({(0, -1): 1})
+    assert Bands({(-1, 1): I, (1, 0): -I}) == build_operators(4).q_mat  # q = i (a - a+)
+    lower = Bands({(-1, 1): 1})  # a f_l = l f_(l-1)
+    assert lower == Bands._canonical({(-1, 1, 0): 1}, 1)
     raise_ = Bands({(1, 0): 1})  # a+ f_l = f_(l+1)
     ops = build_operators(DIM)
     assert lower + raise_ == ops.p_mat
     assert lower * raise_ == Bands({(0, 1): 1, (0, 0): 1})  # a a+ f_l = (l + 1) f_l
-    assert lower * lower == Bands._canonical({(-2, 2, 0): 1, (-2, 1, 0): -1}, 1)  # l (l - 1) f_(l-2)
+    assert lower * lower == Bands({(-2, 2): 1, (-2, 1): -1})  # l (l - 1) f_(l-2)
 
 
 def test_realization_never_calls_the_engine(monkeypatch):
@@ -260,7 +262,7 @@ def test_the_witness_names_the_first_differing_entry_exactly():
     # sends the scan on to the first column where it does not
     vanishing = Bands({(0, 2): 1}) - Bands({(0, 1): 1})  # l (l - 1) f_l
     assert _verdict(q + vanishing, q) == "differs at l=2, row 2: 2 != 0"
-    lowering = Bands._canonical({(-3, 0, 0): 5}, 1)  # 5 f_(l-3)
+    lowering = Bands({(-3, 0): 5})  # 5 f_(l-3)
     assert _verdict(q, q + lowering) == "differs at l=3, row 0: 0 != 5"
 
 

@@ -36,7 +36,6 @@ ALLOWED = {
     "scalars.FlatTerms.__hash__": "the __eq__/__hash__ contract: equal values hash alike",
     "scalars.CTerms._scalar_key": "the __eq__/__hash__ contract: FlatTerms.__hash__ reads it",
     "scalars.FlatTerms.__rsub__": "reflected operator of the number API: number - value",
-    "weyl.WeylElement.__rmul__": "reflected operator of the number API: scalar * element",
     "weyl.nested_commutator": "pinned by the benchmark tracer's SPANNED table",
     "weyl.left_nested_commutator": "pinned by the benchmark tracer's SPANNED table",
 }

@@ -162,6 +162,8 @@ def test_an_operand_a_class_cannot_lift_goes_to_the_other_side():
     # each operator answers NotImplemented, so Python asks the reflected one;
     # i and c are both CPolys, so I + c and I - c need no fallback
     c = CPoly.c_power(1)
+    assert 3 * q_op() == q_op() * 3 == monomial(1, 0, 3)
+    assert Fraction(1, 2) * q_op() == q_op() * Fraction(1, 2) == monomial(1, 0, Fraction(1, 2))
     assert I * q_op() == q_op() * I == monomial(1, 0, I)
     assert I + c == c + I == CPoly({0: I, 1: 1})
     assert I - c == -(c - I)
@@ -427,7 +429,7 @@ def _copies(value) -> list:
         hamiltonian() * q_op() + CPoly.c_power(2, I),
         RatPoly({0: Fraction(1, 2), 3: -4}),
         XPoly({0: CPoly.c_power(1, I), 2: Fraction(2, 5)}),
-        Bands._canonical({(-1, 1, 1): 3, (1, 0, 0): -2}, 7),
+        Bands({(-1, 1): Fraction(3, 7) * I, (1, 0): Fraction(-2, 7)}),
     ],
     ids=["CPoly", "GaussianRational", "WeylElement", "RatPoly", "XPoly", "Bands"],
 )

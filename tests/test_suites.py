@@ -446,7 +446,8 @@ def test_golden_report_stream():
 # reading one table per sweep (1,012 / 1,012 for pain, 2,266 / 2,266 for
 # reciprocal, 1,137 / 1,302 for mccoy) exceeds them, and so do functions
 # records that form each power of p or q from scratch in poly_of_element
-# instead of reading one chain (432 / 1,047)
+# instead of reading one chain (432 / 1,047), and figueira records that
+# built e^x h0 e^-x from a second tower of h0's brackets (82 / 118)
 WORK_CEILINGS = {
     "bender": (75, 6_900),
     "superoperators": (155, 3_250),
@@ -455,6 +456,7 @@ WORK_CEILINGS = {
     "mccoy": (720, 890),
     "functions": (320, 940),
     "hermite": (20, 520),
+    "figueira": (62, 95),
 }
 
 
@@ -477,6 +479,23 @@ def test_sweep_work_stays_under_its_ceiling(monkeypatch, suite):
     assert all(r.ok for r in reports)
     products, pairs = WORK_CEILINGS[suite]
     assert work[0] <= products and work[1] <= pairs, work
+
+
+def test_a_functions_record_takes_each_derivative_once(monkeypatch):
+    # f^(k) and g^(k) are read off one chain per polynomial, so each takes
+    # kmax = 4 derivatives, one per order; deriving every order from f anew
+    # would take kmax (kmax + 1) / 2 each
+    f, g = RatPoly({k: k + 1 for k in range(6)}), RatPoly({k: 1 - k for k in range(5)})
+    true_derivative = RatPoly.derivative
+    degrees = []
+
+    def counted(self):
+        degrees.append(self.degree())
+        return true_derivative(self)
+
+    monkeypatch.setattr(RatPoly, "derivative", counted)
+    assert verify_function_identities(f, g).ok
+    assert sorted(degrees) == [1, 2, 2, 3, 3, 4, 4, 5]
 
 
 def test_binomial_sweep_sums_twice_per_record(monkeypatch):

@@ -213,6 +213,49 @@ def test_poly_of_element_makes_one_product_per_degree(monkeypatch):
     assert len(calls) == 12
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_every_power_ladder_makes_one_product_per_power(monkeypatch, n):
+    # each reads x._powers(), whose step is one product x * w: counted at the
+    # engine's kernel and at the CPoly and RatPoly products, a CPoly scaled
+    # by an int aside, reaching x^n takes n of them
+    h, a, x1 = hamiltonian(), CPoly({0: 2, 1: I}), RatPoly({0: 1, 1: 1})
+    poly = RatPoly({n: 1, 0: 3})
+    element = WeylElement({(1, 0): CPoly.c_power(n), (0, 1): 1})
+    at = 2 + I
+    calls = dict.fromkeys(("engine", "CPoly", "RatPoly"), 0)
+    true_product, true_cpoly, true_ratpoly = weyl._product, CPoly.__mul__, RatPoly.__mul__
+
+    def product(x, y, s):
+        calls["engine"] += 1
+        return true_product(x, y, s)
+
+    def cpoly(self, other):
+        calls["CPoly"] += isinstance(other, CPoly)
+        return true_cpoly(self, other)
+
+    def ratpoly(self, other):
+        calls["RatPoly"] += 1
+        return true_ratpoly(self, other)
+
+    monkeypatch.setattr(weyl, "_product", product)
+    monkeypatch.setattr(CPoly, "__mul__", cpoly)
+    monkeypatch.setattr(RatPoly, "__mul__", ratpoly)
+    cases = {
+        "WeylElement.__pow__": (lambda: h**n, {"engine": n}),
+        "CPoly.__pow__": (lambda: a**n, {"CPoly": n}),
+        "RatPoly.__pow__": (lambda: x1**n, {"RatPoly": n}),
+        "compose": (lambda: poly.compose(x1), {"RatPoly": n}),
+        "poly_of_element": (lambda: poly_of_element(poly, h), {"engine": n}),
+        "subst_c": (lambda: element.subst_c(at), {"CPoly": n}),
+        # and one kernel call per bracket {w, H}
+        "shifted_nested_anticomm": (lambda: shifted_nested_anticomm(a, n), {"engine": n, "CPoly": n}),
+    }
+    for name, (call, expected) in cases.items():
+        calls.update(dict.fromkeys(calls, 0))
+        call()
+        assert calls == {**dict.fromkeys(calls, 0), **expected}, name
+
+
 def test_structure_and_guards():
     h = hamiltonian()
     assert h**0 == scalar(1)
