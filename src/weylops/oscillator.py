@@ -122,7 +122,8 @@ class OscillatorMatrices:
         # the steps hold the ladders, not self, so no cycle keeps self alive
         self.tower = Chain(q_mat, lambda x: _product(x, h_mat, 1))
         self.h_powers, self.p_powers = h_mat._powers(), p_mat._powers()
-        self.symbolic = Chain(q_op(), lambda w: nested_anticommutator(w, hamiltonian(), 1))
+        q, h = q_op(), hamiltonian()  # one H for every step
+        self.symbolic = Chain(q, lambda w: nested_anticommutator(w, h, 1))
 
 
 def build_operators(dim: int) -> OscillatorMatrices:

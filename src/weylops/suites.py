@@ -414,12 +414,6 @@ def random_poly_pair(rng: random.Random) -> tuple[RatPoly, RatPoly]:
 _Z_PLUS_1 = RatPoly({0: 1, 1: 1})
 
 
-@lru_cache(maxsize=None)
-def _z1_power(k: int) -> RatPoly:
-    return _z1_power(k - 1) * _Z_PLUS_1 if k else RatPoly.of(1)
-
-
-@lru_cache(maxsize=None)
 def _euler_of_shifted(k: int) -> RatPoly:
     return euler_polynomial(k).compose(_Z_PLUS_1)
 
@@ -440,30 +434,30 @@ def _columns(K: int, bits: int) -> tuple:
     """(base, D, z^k, (z+1)^k, E_k(z), E_k(z+1)): the columns for k <= K times D, their common
     denominator, at z = 2^base, base the bound bits + |N| + 1, |N| the bit length of their summed
     D/den ||num||_1.  Over weights below 2^bits each form's D (lhs - rhs) then has coefficients below
-    2^base, so its lowest nonzero one is no multiple of it: it packs to 0 only if it is 0."""
-    rows = [(RatPoly({k: 1}), _z1_power(k), euler_polynomial(k), _euler_of_shifted(k)) for k in range(K + 1)]
+    2^base, so its lowest nonzero one is no multiple of it: it packs to 0 only if it is 0.  A sweep
+    or call holds one set, sized from its bounds (_column_set), and its (z+1)^k come off one chain."""
+    rows = [(RatPoly({k: 1}), z1, euler_polynomial(k), _euler_of_shifted(k)) for k, z1 in enumerate(_Z_PLUS_1._powers().upto(K))]
     D = lcm(*(p._den for row in rows for p in row))
     base = bits + sum(D // p._den * sum(map(abs, p._num.values())) for row in rows for p in row).bit_length() + 1
     return (base, D, *([_pack(p, D, base) for p in col] for col in zip(*rows)))
 
 
-def _packed(K: int) -> Callable[[int], tuple]:
-    """bits -> _columns(K, 2^e), e = bits.bit_length(): one set per e; K at least every record's min(m, n)."""
-    sets = cache(lambda e: _columns(K, 1 << e))
-    return lambda bits: sets(bits.bit_length())
+def _column_set(m: int, n: int, l: int) -> Callable[[], tuple]:
+    """The one column set of a sweep or call with bounds (m, n, l), built on first read; 2^(2m+l) bounds every weight."""
+    return cache(lambda: _columns(min(m, n), 2 * m + l + 1))
 
 
-def _binomial(table: Callable, packed: Callable, m: int, n: int, l: int) -> VerificationReport:
-    """verify_binomial over a Vandermonde table and a column set (_packed), grown inside the check."""
+def _binomial(table: Callable, columns: Callable, m: int, n: int, l: int) -> VerificationReport:
+    """verify_binomial over a Vandermonde table and the one column set of its sweep or call, sized from its bounds."""
 
     def check() -> str:
         _orders(m=m, n=n, l=l)
         ks = range(min(m, n) + 1)
         lw = [comb(m, k) * comb(m - k + l, n - k) for k in ks]
         rw = [comb(m, k) * comb(l, n - k) for k in ks]
-        _, _, zs, z1s, es, e1s = packed(max(map(abs, lw + rw)).bit_length())
+        _, _, zs, z1s, es, e1s = columns()
         if sum(map(mul, lw, zs)) != sum(map(mul, rw, z1s)):  # only a failing form sums its sides
-            return f"plain version: ({RatPoly(dict(enumerate(lw)))}) != ({RatPoly.weighted_sum(zip(rw, map(_z1_power, ks)))})"
+            return f"plain version: ({RatPoly(dict(enumerate(lw)))}) != ({RatPoly(dict(enumerate(rw))).compose(_Z_PLUS_1)})"
         for j in ks:
             got, target = table(m - j, n - j, l), comb(m - j + l, n - j)
             if got != target:
@@ -484,11 +478,11 @@ def verify_binomial(m: int, n: int, l: int) -> VerificationReport:
 
     the Euler variant with z^k -> E_k(z), (z+1)^k -> E_k(z+1), and the column-wise Vandermonde
     convolution that links the two sides.  Each form is one integer test at z = 2^B (Kronecker
-    substitution: L. Kronecker, 1882; D. Harvey, J. Symbolic Comput. 44(10), 2009; see _columns),
-    O(k) big-integer multiply-adds where summing the sides takes O(k^2) dictionary updates, over a
-    Vandermonde table and a column set per call or sweep.  Only a failing form sums its sides.
+    substitution: L. Kronecker, 1882; D. Harvey, J. Symbolic Comput. 44(10), 2009; see _columns):
+    O(k) big-integer multiply-adds, not O(k^2) dictionary updates, over a Vandermonde table and one
+    column set per call or sweep, sized from its bounds.  Only a failing form sums its sides.
     """
-    return _binomial(_vandermonde(), _packed(min(m, n)), m, n, l)
+    return _binomial(_vandermonde(), _column_set(m, n, l), m, n, l)
 
 
 # -- similarity-transform closure ---------------------------------------------
@@ -644,7 +638,7 @@ _SWEEPS: dict[str, Callable[..., list[VerificationReport]]] = {
         *_random_cases(verify_function_identities, seed),
     ],
     "binomial": lambda max_n=12, max_m=12, max_l=12, **_: (
-        _grid(partial(_binomial, _vandermonde(), _packed(min(max_m, max_n))), max_m, max_n, max_l)
+        _grid(partial(_binomial, _vandermonde(), _column_set(max_m, max_n, max_l)), max_m, max_n, max_l)
     ),
     "figueira": lambda **_: [verify_figueira(h0, x) for h0, x in standard_conjugation_fixtures()],
     "sequences": lambda max_n=16, **_: [sequence_tables(max_n)],

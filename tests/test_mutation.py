@@ -43,10 +43,12 @@ of x y + y x: a kernel that drops the second order must fail every hermite
 record from n = 1 on but the main identity at n = 1, where both sides are
 2 q H, and the main identity at n = 0, whose right side {q, 1} = 2q it halves.
 
-The binomial sweep decides each form by one packed-integer test over a column
-set built from its two sides' bases independently, so a wrong shifted basis
-((z+1)^k or E_k(z+1)) or packed Euler columns that drop their common
-denominator D must turn its records FAIL as well.  So must a column set whose
+The binomial sweep decides each form by one packed-integer test over one
+column set per sweep or call, sized from its bounds and built from its two
+sides' bases independently, so a wrong shifted basis ((z+1)^k or E_k(z+1))
+or packed Euler columns that drop their common denominator D must turn its
+records FAIL as well; z^k packed for (z+1)^k fails every record with
+min(m, n) >= 1 whose weights are not all 0.  So must a column set whose
 packed (z+1)^k are all zero: the plain form's left side packs its own
 weights.  A Vandermonde table with its (1, 1, 1) entry off by one must
 fail exactly the records that read it, in a sweep run after a clean one as
@@ -97,7 +99,7 @@ import pytest
 
 from weylops import oscillator, realization, sequences, suites, weyl
 from weylops.scalars import MINUS_I, CPoly, FlatTerms, I
-from weylops.sequences import RatPoly, euler_polynomial
+from weylops.sequences import euler_polynomial
 from weylops.suites import run_suite
 
 TRUE_WEIGHTS = weyl.contraction_weights
@@ -399,9 +401,15 @@ def _zero_shifted_powers(*args):
     return (base, d, zs, [0] * len(z1s), *euler)
 
 
+def _unshifted_powers(*args):
+    # the column set with z^k packed in place of (z+1)^k, the Euler columns untouched
+    base, d, zs, _, *euler = TRUE_COLUMNS(*args)
+    return (base, d, zs, zs, *euler)
+
+
 BINOMIAL_VARIANTS = {
-    # z^k in place of (z+1)^k
-    "unshifted-power": (suites, "_z1_power", lambda k: RatPoly({k: 1}), "plain version"),
+    # z^k in place of (z+1)^k in the plain columns
+    "unshifted-power": (suites, "_columns", _unshifted_powers, "plain version"),
     # E_k(z) in place of E_k(z+1)
     "unshifted-euler": (suites, "_euler_of_shifted", euler_polynomial, "Euler version"),
     # every column packed as its numerators, without D/den: the plain
@@ -415,13 +423,12 @@ BINOMIAL_VARIANTS = {
 
 @pytest.fixture
 def fresh_caches():
-    """Cached polynomials built under a patch must not outlive it."""
-    caches = (suites._z1_power, suites._euler_of_shifted, sequences.euler_polynomial)
-    for f in caches:
-        f.cache_clear()
+    """Cached polynomials built under a patch must not outlive it.  A column set
+    lives only as long as its sweep or call, so only the Euler polynomials'
+    process-wide cache is cleared."""
+    sequences.euler_polynomial.cache_clear()
     yield
-    for f in caches:
-        f.cache_clear()
+    sequences.euler_polynomial.cache_clear()
 
 
 def _binomial_failures() -> list:
@@ -441,6 +448,15 @@ def test_binomial_mutant_fails_records(monkeypatch, fresh_caches, variant):
     failing = _binomial_failures()
     assert failing
     assert all(r.witness.startswith(f"{label}: (") for r in failing)
+
+
+def test_unshifted_powers_fail_every_record_with_a_power(monkeypatch, fresh_caches):
+    # with z^k for (z+1)^k the plain sides differ at z^0 once m, n >= 1 and
+    # n <= m + l: C(m+l, n) against C(l, n).  At min(m, n) = 0 each side is
+    # one equal weight, and at n > m + l every weight is 0
+    monkeypatch.setattr(suites, "_columns", _unshifted_powers)
+    failing = {(r.params["m"], r.params["n"], r.params["l"]) for r in _binomial_failures()}
+    assert failing == {(m, n, l) for m in range(1, 4) for n in range(1, 4) for l in range(4) if n <= m + l}
 
 
 TRUE_VANDERMONDE = suites._vandermonde

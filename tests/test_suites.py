@@ -14,14 +14,15 @@ what it costs:
   brackets by scalar elements instead of weighting them in ``weighted_sum``
   exceeds its ceiling.
 * ``test_binomial_sweep_sums_twice_per_record``: a passing binomial sweep
-  makes no more than the 13 ``RatPoly.weighted_sum`` calls behind E_k(z+1)
-  and 6 column-set builds, since a passing record sums nothing.
+  makes no more than the 13 ``RatPoly.weighted_sum`` calls behind E_k(z+1),
+  since a passing record sums nothing, and builds one column set, sized
+  from the sweep's bounds.
 * ``test_each_binomial_base_bounds_the_true_sides``,
   ``test_a_binomial_base_comes_from_the_bound`` and
-  ``test_packed_verdicts_match_ratpoly_verdicts``: the packed test's base
-  bounds every coefficient of a record's true sides, a smaller base can pack
-  a nonzero polynomial as zero, and packed and ``RatPoly`` verdicts agree on
-  true and perturbed weights.
+  ``test_packed_verdicts_match_ratpoly_verdicts``: the base of a sweep's one
+  column set bounds every coefficient of each record's true sides, a smaller
+  base can pack a nonzero polynomial as zero, and packed and ``RatPoly``
+  verdicts agree on true and perturbed weights.
 * ``test_a_grid_sweep_evaluates_each_weight_once``: pain, reciprocal and
   mccoy evaluate each weight once per weight table, not per record.
 * ``test_a_bender_sweep_takes_each_power_once``: bender raises no power of
@@ -151,6 +152,10 @@ def test_binomial_instances():
     assert verify_binomial(5, 4, 3).ok
     assert verify_binomial(12, 12, 12).ok
     assert verify_binomial(7, 9, 2).ok
+    # the bound's edges: K = 0 with every weight 0 (n > l), l = 0 at m = 12, and K = 0 with l = 12
+    assert verify_binomial(0, 7, 5).ok
+    assert verify_binomial(12, 3, 0).ok
+    assert verify_binomial(0, 0, 12).ok
 
 
 def test_figueira_fixture_values():
@@ -500,13 +505,10 @@ def test_a_functions_record_takes_each_derivative_once(monkeypatch):
 
 def test_binomial_sweep_sums_twice_per_record(monkeypatch):
     # each record decides both forms by packed-integer tests, so a passing
-    # sweep sums only to compose: the 13 sums behind E_k(z+1) on a cold cache
-    # (the ceiling was 4,410 while each record summed two RatPoly sides).  It
-    # builds one column set per power of two of weight bits that its records
-    # reach (bits 0..26, so e = 0..5): 6, where a table keyed on
-    # (min(m, n), weight bits) builds 186
-    for f in (suites._z1_power, suites._euler_of_shifted, sequences.euler_polynomial):
-        f.cache_clear()
+    # sweep sums only to compose: the 13 sums behind E_k(z+1) (the ceiling
+    # was 4,410 while each record summed two RatPoly sides).  It builds one
+    # column set, sized from its bounds, on its first record's first read
+    sequences.euler_polynomial.cache_clear()
     true_sum, true_columns = RatPoly.weighted_sum.__func__, suites._columns
     calls = [0, 0]
 
@@ -522,7 +524,7 @@ def test_binomial_sweep_sums_twice_per_record(monkeypatch):
     monkeypatch.setattr(suites, "_columns", built)
     reports = run_suite("binomial")
     assert len(reports) == 2197 and all(r.ok for r in reports)
-    assert calls[0] <= 13 and calls[1] <= 6, calls
+    assert calls[0] <= 13 and calls[1] == 1, calls
 
 
 def _two_rows(m: int, n: int, l: int) -> tuple[range, list[int], list[int]]:
@@ -542,24 +544,21 @@ def _true_sides(bases: list, ks: range, lw: list[int], rw: list[int]) -> tuple[R
 
 
 def test_each_binomial_base_bounds_the_true_sides(monkeypatch):
-    # every default record packs both forms at a base B with 2^B above every
-    # coefficient of D lhs and D rhs, D the denominator its column set scales by
-    true_packed, used = suites._packed, []
+    # every default record packs both forms at the sweep's one base B, with
+    # 2^B above every coefficient of D lhs and D rhs, D the denominator its
+    # column set scales by
+    true_columns, used = suites._columns, []
 
-    def recording(K):
-        table = true_packed(K)
+    def recording(*args):
+        columns = true_columns(*args)
+        used.append(columns[:2])
+        return columns
 
-        def read(bits):
-            used.append(table(bits)[:2])
-            return table(bits)
-
-        return read
-
-    monkeypatch.setattr(suites, "_packed", recording)
+    monkeypatch.setattr(suites, "_columns", recording)
     reports = run_suite("binomial")
-    assert len(used) == len(reports) == 2197 and all(r.ok for r in reports)
-    largest, bases = 0, _bases()
-    for r, (base, d) in zip(reports, used):
+    assert len(reports) == 2197 and all(r.ok for r in reports)
+    ((base, d),), largest, bases = used, 0, _bases()
+    for r in reports:
         for side in _true_sides(bases, *_two_rows(r.params["m"], r.params["n"], r.params["l"])):
             scaled = [d * v for v in side.coeffs.values()]
             assert all(v.denominator == 1 for v in scaled), (r.params, side)
@@ -590,15 +589,18 @@ def _rows(draw):
     if draw(st.booleans()):
         row = draw(st.sampled_from([lw, rw]))
         row[draw(st.integers(0, len(row) - 1))] += draw(st.sampled_from([-1, 1]))
-    return min(m, n), ks, lw, rw
+    return (m, n, l), ks, lw, rw
 
 
 @given(_rows())
 def test_packed_verdicts_match_ratpoly_verdicts(rows):
     # the record's decision, sum(map(mul, weights, columns)) on either side,
-    # says what the RatPoly sums say, in both forms
-    K, ks, lw, rw = rows
-    _, _, zs, z1s, es, e1s = suites._packed(K)(max(map(abs, lw + rw)).bit_length())
+    # says what the RatPoly sums say, in both forms, over the column set of
+    # (m, n, l)'s own bounds; a weight moved by +1 can reach 2^(2m+l) + 1, so
+    # bits are at least what the moved weights need
+    (m, n, l), ks, lw, rw = rows
+    bits = max(2 * m + l + 1, max(map(abs, lw + rw)).bit_length())
+    _, _, zs, z1s, es, e1s = suites._columns(min(m, n), bits)
     plain, euler = (sum(map(mul, lw, left)) == sum(map(mul, rw, right)) for left, right in ((zs, z1s), (es, e1s)))
     lhs, rhs, lhs_e, rhs_e = _true_sides(_bases(), ks, lw, rw)
     assert (plain, euler) == (lhs == rhs, lhs_e == rhs_e)
