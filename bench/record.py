@@ -13,10 +13,13 @@ and R. Jones, "Rigorous Benchmarking in Reasonable Time", ISMM 2013, and
 A. Georges, D. Buytaert and L. Eeckhout, "Statistically Rigorous Java
 Performance Evaluation", OOPSLA 2007.  Standard library only.
 
-Every child gets this process's environment without ``PYTHONPATH``, so its
-bytecode state is the caller's ``PYTHONDONTWRITEBYTECODE``; perfbench's
-``child_env`` passes it on to the passes.  The record (``--out``, default
-``BENCH_<pr>.json`` at the repository root) holds:
+Before the first pair, ``python -m compileall -q src`` writes bytecode for
+each tree's ``src/``, so every child reads it, whatever the caller's
+``PYTHONDONTWRITEBYTECODE``: that only stops Python writing bytecode, and
+compileall writes it regardless.  Every child gets this process's environment
+without ``PYTHONPATH``; perfbench's ``child_env`` passes it on to the passes.
+The record (``--out``, default ``BENCH_<pr>.json`` at the repository root)
+holds:
 
 - ``pr``, ``commits``: the number it is filed under, and {"parent", "change"}
   as full hashes;
@@ -24,8 +27,9 @@ bytecode state is the caller's ``PYTHONDONTWRITEBYTECODE``; perfbench's
   --format json`` with ``elapsed_ms`` blanked, hashed as
   ``tests/test_suites.py::test_golden_report_stream`` hashes it;
 - ``python``: the interpreter version; ``bytecode``: ``PYTHONDONTWRITEBYTECODE``
-  as the children see it, and per side whether ``src/weylops/__pycache__``
-  existed after the workload runs;
+  as the children see it, per side the number of ``.pyc`` files under
+  ``src/`` once compileall has run (``compiled``), and per side whether
+  ``src/weylops/__pycache__`` existed after the workload runs;
 - ``calibration``: {"before", "after"} the runs, each the minimum of 5 of a
   bare loop of 10^6 ``s += i*i`` in a fresh interpreter (``loop_ms``) and of
   a bare interpreter's start-up, ``python -c pass`` (``startup_ms``);
@@ -126,6 +130,12 @@ def _extract(commit: str, into: Path) -> Path:
     return into
 
 
+def compile_src(tree: Path) -> int:
+    """Write bytecode for tree's src/ with compileall: the number of .pyc files under it then."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, env=_env(), check=True)
+    return sum(1 for _ in (tree / "src").rglob("*.pyc"))
+
+
 def _calibrate() -> dict:
     loop = min(float(subprocess.run([sys.executable, "-c", LOOP], env=_env(), check=True, capture_output=True,
                                     text=True).stdout) for _ in range(5))
@@ -189,6 +199,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         trees = {side: _extract(sha, Path(tmp) / side) for side, sha in commits.items()}
         declared = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        record["bytecode"] = {
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "compiled": {side: compile_src(tree) for side, tree in trees.items()},
+        }
         record["golden"] = {side: _golden(tree) for side, tree in trees.items()}
         record["workloads"] = {}
         for workload in (w["name"] for w in declared["workloads"]):
@@ -200,10 +214,8 @@ def main(argv: list[str] | None = None) -> int:
                     runs[side].append(_run_workload(trees[side], workload))
                 print(f"{workload}: pair {i + 1} of {args.pairs}", file=sys.stderr)
             record["workloads"][workload] = {"first": first, **summarize(runs, declared["end_to_end"])}
-        record["bytecode"] = {
-            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-            "src_pycache": {side: (tree / "src" / "weylops" / "__pycache__").is_dir() for side, tree in trees.items()},
-        }
+        record["bytecode"]["src_pycache"] = {side: (tree / "src" / "weylops" / "__pycache__").is_dir()
+                                             for side, tree in trees.items()}
         record["tier1"] = {side: _tier1(tree) for side, tree in trees.items()}
     record["calibration"]["after"] = _calibrate()
     out = args.out or ROOT / f"BENCH_{args.pr}.json"

@@ -16,10 +16,8 @@ from .report import reports_to_json
 from .scalars import (
     CPoly,
     I,
-    MINUS_I,
     NonDivisible,
     ONE,
-    ZERO,
 )
 from .sequences import (
     RatPoly,

@@ -87,4 +87,4 @@ def run_check(suite: str, params: dict[str, Any], fn: Callable[[], str]) -> Veri
         witness = f"{type(exc).__name__}: {exc}"
         status = ERROR
     elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(suite, params, status, witness, round(elapsed, 3))
+    return VerificationReport(suite, params, status, witness, round(elapsed, 4))  # 0.1 us steps

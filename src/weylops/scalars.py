@@ -386,10 +386,8 @@ class CPoly(CTerms):
         return " + ".join(parts)
 
 
-ZERO = CPoly()
 ONE = CPoly.of(1)
 I = CPoly._flat({(0, 1): 1}, 1)
-MINUS_I = -I
 
 # kept only for perfbench's tracer, whose COUNTED table wraps this name's
 # __mul__, __rmul__, __add__ and __radd__: those are CPoly's

@@ -3,7 +3,7 @@
 Each ``verify_*`` function checks one identity family on a concrete instance
 and returns a :class:`VerificationReport`; failures never raise, the report
 carries a witness string describing the first mismatch instead.  ``run_suite``
-sweeps a named family over its default (or configured) parameter ranges and
+sweeps a named family over its default (or given) parameter ranges and
 is what the command line drives; it is also where the bounds of a sweep are
 checked, so a sweep called from Python refuses what the command line refuses.
 
@@ -442,6 +442,15 @@ def _columns(K: int, bits: int) -> tuple:
     return (base, D, *([_pack(p, D, base) for p in col] for col in zip(*rows)))
 
 
+def _unpacked(s: int, base: int, D: int) -> RatPoly:
+    """The polynomial that a packed sum s of _columns' (base, D) stands for: its signed base-2^base digits over D."""
+    num, j, half = {}, 0, 1 << base - 1
+    while s:
+        num[j] = digit = (s + half) % (2 * half) - half
+        s, j = (s - digit) >> base, j + 1
+    return RatPoly._canonical(num, D)
+
+
 def _column_set(m: int, n: int, l: int) -> Callable[[], tuple]:
     """The one column set of a sweep or call with bounds (m, n, l), built on first read; 2^(2m+l) bounds every weight."""
     return cache(lambda: _columns(min(m, n), 2 * m + l + 1))
@@ -455,16 +464,17 @@ def _binomial(table: Callable, columns: Callable, m: int, n: int, l: int) -> Ver
         ks = range(min(m, n) + 1)
         lw = [comb(m, k) * comb(m - k + l, n - k) for k in ks]
         rw = [comb(m, k) * comb(l, n - k) for k in ks]
-        _, _, zs, z1s, es, e1s = columns()
-        if sum(map(mul, lw, zs)) != sum(map(mul, rw, z1s)):  # only a failing form sums its sides
-            return f"plain version: ({RatPoly(dict(enumerate(lw)))}) != ({RatPoly(dict(enumerate(rw))).compose(_Z_PLUS_1)})"
+        base, D, zs, z1s, es, e1s = columns()
+        lhs, rhs = sum(map(mul, lw, zs)), sum(map(mul, rw, z1s))
+        if lhs != rhs:  # a witness unpacks the sides it compared
+            return f"plain version: ({_unpacked(lhs, base, D)}) != ({_unpacked(rhs, base, D)})"
         for j in ks:
             got, target = table(m - j, n - j, l), comb(m - j + l, n - j)
             if got != target:
                 return f"Vandermonde convolution at j={j}: {got} != {target}"
-        if sum(map(mul, lw, es)) != sum(map(mul, rw, e1s)):
-            lhs, rhs = (RatPoly.weighted_sum(zip(w, map(f, ks))) for w, f in ((lw, euler_polynomial), (rw, _euler_of_shifted)))
-            return f"Euler version: ({lhs}) != ({rhs})"
+        lhs, rhs = sum(map(mul, lw, es)), sum(map(mul, rw, e1s))
+        if lhs != rhs:
+            return f"Euler version: ({_unpacked(lhs, base, D)}) != ({_unpacked(rhs, base, D)})"
         return ""
 
     # both forms always run: "euler_version" stays because gate.json and the golden stream pin it
@@ -480,7 +490,8 @@ def verify_binomial(m: int, n: int, l: int) -> VerificationReport:
     convolution that links the two sides.  Each form is one integer test at z = 2^B (Kronecker
     substitution: L. Kronecker, 1882; D. Harvey, J. Symbolic Comput. 44(10), 2009; see _columns):
     O(k) big-integer multiply-adds, not O(k^2) dictionary updates, over a Vandermonde table and one
-    column set per call or sweep, sized from its bounds.  Only a failing form sums its sides.
+    column set per call or sweep, sized from its bounds.  A failing form's witness unpacks the two
+    packed sums it compared (_unpacked), so a fault in the columns shows in the sides it prints.
     """
     return _binomial(_vandermonde(), _column_set(m, n, l), m, n, l)
 

@@ -1,6 +1,7 @@
 """bench/record.py reads perfbench's result lines and reduces them to medians,
-quartiles and per-pair wins.  These tests feed it canned lines; none runs
-the benchmark."""
+quartiles and per-pair wins, and compiles each tree's src/ before the first
+pair.  These tests feed it canned lines and a one-module tree; none runs the
+benchmark."""
 
 import importlib.util
 import json
@@ -67,3 +68,16 @@ def test_summarize_pairs_runs_in_order_and_counts_failures():
         "parent": {"attempted": 3 * 4412, "failed": 0, "runs_without_result": 0},
         "change": {"attempted": 2 * 4412, "failed": 2, "runs_without_result": 1},
     }
+
+
+def test_compile_src_writes_bytecode_the_environment_would_not(tmp_path, monkeypatch):
+    # the trees are compiled before the first pair: children read bytecode
+    # even where PYTHONDONTWRITEBYTECODE keeps them from writing it
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text("x = 2\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert record.compile_src(tmp_path) == 1
+    assert list((tmp_path / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))
+    assert not (tmp_path / "tests" / "__pycache__").exists()

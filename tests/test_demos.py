@@ -18,7 +18,6 @@ def test_all_demos_are_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(demo, tmp_path, child_env):
-    child_env.pop("WEYLOPS_CONFIG", None)
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=child_env, capture_output=True, text=True, timeout=300
     )

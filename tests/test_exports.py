@@ -1,6 +1,7 @@
 """Every name the package exports has a caller outside the tests.
 
-A caller is a name or attribute reference, parsed with ``ast``, in a
+A caller is a name that is read (an assignment is no caller of the name it
+binds) or an attribute reference, parsed with ``ast``, in a
 ``weylops`` module other than ``__init__.py``, a demo or a benchmark file
 (``perfbench/`` without its tests), or a string entry of the tracer's
 ``SPANNED`` table, which wraps the named function by its dotted path.
@@ -30,7 +31,7 @@ def _caller_files() -> list[Path]:
 def _referenced(tree: ast.AST) -> set[str]:
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)

@@ -50,7 +50,9 @@ or packed Euler columns that drop their common denominator D must turn its
 records FAIL as well; z^k packed for (z+1)^k fails every record with
 min(m, n) >= 1 whose weights are not all 0.  So must a column set whose
 packed (z+1)^k are all zero: the plain form's left side packs its own
-weights.  A Vandermonde table with its (1, 1, 1) entry off by one must
+weights.  A failing record's witness prints the sides its packed sums
+stand for, so under z^k for (z+1)^k the two sides differ.  A Vandermonde
+table with its (1, 1, 1) entry off by one must
 fail exactly the records that read it, in a sweep run after a clean one as
 in a direct verify_binomial call.
 
@@ -98,9 +100,9 @@ from fractions import Fraction
 import pytest
 
 from weylops import oscillator, realization, sequences, suites, weyl
-from weylops.scalars import MINUS_I, CPoly, FlatTerms, I
+from weylops.scalars import CPoly, FlatTerms, I
 from weylops.sequences import euler_polynomial
-from weylops.suites import run_suite
+from weylops.suites import run_suite, verify_binomial
 
 TRUE_WEIGHTS = weyl.contraction_weights
 
@@ -232,7 +234,7 @@ def test_bridge_at_c_minus_i_fails(monkeypatch):
     # the integer ladders satisfy pq - qp = -2i; an element realized at the
     # c = -i of the normalized basis is another operator from n = 1 on, and
     # at n = 0 ({q,H}_0 = q) there is no c to set
-    monkeypatch.setattr(oscillator, "C", MINUS_I)
+    monkeypatch.setattr(oscillator, "C", -I)
     assert oscillator.check_symbolic_bridge(0, 64).ok
     for n in range(1, 5):
         assert oscillator.check_symbolic_bridge(n, 64).status == "fail"
@@ -457,6 +459,14 @@ def test_unshifted_powers_fail_every_record_with_a_power(monkeypatch, fresh_cach
     monkeypatch.setattr(suites, "_columns", _unshifted_powers)
     failing = {(r.params["m"], r.params["n"], r.params["l"]) for r in _binomial_failures()}
     assert failing == {(m, n, l) for m in range(1, 4) for n in range(1, 4) for l in range(4) if n <= m + l}
+
+
+def test_a_binomial_witness_shows_the_packed_sides(monkeypatch, fresh_caches):
+    # a witness unpacks the sums the check compared: with z^k packed for
+    # (z+1)^k its right side is 2z + z^2, not the true (z+1)-sum, which is
+    # the left side 3 + 4z + z^2 again
+    monkeypatch.setattr(suites, "_columns", _unshifted_powers)
+    assert verify_binomial(2, 2, 1).witness == "plain version: (x^2 + 4*x + 3) != (x^2 + 2*x)"
 
 
 TRUE_VANDERMONDE = suites._vandermonde

@@ -38,6 +38,7 @@ ALLOWED = {
     "scalars.FlatTerms.__rsub__": "reflected operator of the number API: number - value",
     "weyl.nested_commutator": "pinned by the benchmark tracer's SPANNED table",
     "weyl.left_nested_commutator": "pinned by the benchmark tracer's SPANNED table",
+    "suites._unpacked": "a failing binomial form's witness: no shipped run fails",
 }
 
 # argv: the package directory, then the demos; prints [file, first line]
@@ -100,7 +101,6 @@ def _functions() -> dict[tuple[str, int], str]:
 
 
 def test_every_function_is_reached_or_allowed(tmp_path, child_env):
-    child_env.pop("WEYLOPS_CONFIG", None)
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(PACKAGE), *map(str, DEMOS)],
         cwd=tmp_path, env=child_env, capture_output=True, text=True, timeout=300,

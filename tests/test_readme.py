@@ -3,8 +3,7 @@ name what the tree holds.
 
 The ```python blocks run in order in one namespace, as a reader pastes them.
 Every ``weylops …`` line of the Command line block is parsed by the CLI's
-own parser, and the config example there is read by the CLI's own loader,
-from a file.  The Demos list names exactly the scripts in ``demos/``.  The
+own parser.  The Demos list names exactly the scripts in ``demos/``.  The
 Design map has one paragraph per module of the package, each led by the
 module's name in bold (``__main__`` aside: it only calls ``cli.main``), and
 each of those modules has a docstring, since that is where its design lives.
@@ -13,7 +12,6 @@ each of those modules has a docstring, since that is where its design lives.
 import ast
 import contextlib
 import io
-import json
 import re
 import shlex
 from pathlib import Path
@@ -57,13 +55,6 @@ def test_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: weylops {shlex.join(argv)}")
-
-
-def test_config_example_loads(tmp_path):
-    (example,) = _blocks(_section("Command line"), "json")
-    path = tmp_path / "config.json"
-    path.write_text(example, encoding="utf-8")
-    assert cli._load_config(str(path)) == json.loads(example)
 
 
 def test_demo_list_names_every_demo():

@@ -22,7 +22,8 @@ what it costs:
   ``test_packed_verdicts_match_ratpoly_verdicts``: the base of a sweep's one
   column set bounds every coefficient of each record's true sides, a smaller
   base can pack a nonzero polynomial as zero, and packed and ``RatPoly``
-  verdicts agree on true and perturbed weights.
+  verdicts agree on true and perturbed weights, each packed sum unpacking to
+  its ``RatPoly`` sum.
 * ``test_a_grid_sweep_evaluates_each_weight_once``: pain, reciprocal and
   mccoy evaluate each weight once per weight table, not per record.
 * ``test_a_bender_sweep_takes_each_power_once``: bender raises no power of
@@ -46,7 +47,6 @@ from hypothesis import strategies as st
 from weylops import (
     CPoly,
     I,
-    MINUS_I,
     RatPoly,
     XPoly,
     anticommutator,
@@ -168,7 +168,7 @@ def test_figueira_fixture_values():
         (scalar(kappa(n) / factorial(n)) * tower[n] for n in range(1, len(tower) - 1)),
         scalar(0),
     )
-    assert h1 == monomial(0, 1, CPoly.c_power(1, MINUS_I))
+    assert h1 == monomial(0, 1, CPoly.c_power(1, -I))
     closure = hadamard_conjugate(x, h0 + scalar(I) * h1, t=Fraction(1, 2))
     assert closure == p_op(2) - scalar(CPoly.c_power(2, Fraction(1, 4)))
 
@@ -178,7 +178,7 @@ def test_figueira_quadratic_fixture():
     h0, x = hamiltonian(), q_op()
     tower = [h0, commutator(x, h0), commutator(x, commutator(x, h0))]
     h1 = scalar(I) * scalar(kappa(1)) * tower[1]
-    assert h1 == monomial(0, 1, CPoly.c_power(1, MINUS_I * Fraction(1, 2)))
+    assert h1 == monomial(0, 1, CPoly.c_power(1, -I * Fraction(1, 2)))
     closure = hadamard_conjugate(x, h0 + scalar(I) * h1, t=Fraction(1, 2))
     assert closure == h0 - scalar(CPoly.c_power(2, Fraction(1, 8)))
 
@@ -235,7 +235,7 @@ def check_calls(monkeypatch):
 
 
 # the bad bounds of tests/test_cli.py::test_bad_bounds_exit_2, two on "all",
-# and bounds that are a bool or not an int, which the CLI's config loader refuses
+# and bounds that are a bool or not an int, which only a Python caller can pass
 _BAD_BOUNDS = [
     ("bender", {"max_n": -1}),
     ("pain", {"max_m": -1}),
@@ -359,6 +359,17 @@ def test_failing_check_is_reported_not_raised(monkeypatch, weight, selectors):
         failed = [r for r in run_suite(name, max_n=2, max_m=2) if not r.ok]
         assert failed, name
         assert all(r.status == "fail" and "lhs - rhs" in r.witness for r in failed)
+
+
+def test_elapsed_ms_has_steps_of_a_tenth_of_a_microsecond(monkeypatch):
+    # a binomial record takes 6-9 us, so 1 us steps would be over a tenth of it
+    from types import SimpleNamespace
+
+    from weylops import report
+
+    clock = iter([1.0, 1.0 + 6.54321e-6])
+    monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    assert run_check("demo", {}, lambda: "").elapsed_ms == 0.0065
 
 
 def test_error_check_is_reported_not_raised():
@@ -597,13 +608,15 @@ def test_packed_verdicts_match_ratpoly_verdicts(rows):
     # the record's decision, sum(map(mul, weights, columns)) on either side,
     # says what the RatPoly sums say, in both forms, over the column set of
     # (m, n, l)'s own bounds; a weight moved by +1 can reach 2^(2m+l) + 1, so
-    # bits are at least what the moved weights need
+    # bits are at least what the moved weights need.  Each packed sum unpacks
+    # to its RatPoly sum, the side that a witness prints
     (m, n, l), ks, lw, rw = rows
     bits = max(2 * m + l + 1, max(map(abs, lw + rw)).bit_length())
-    _, _, zs, z1s, es, e1s = suites._columns(min(m, n), bits)
-    plain, euler = (sum(map(mul, lw, left)) == sum(map(mul, rw, right)) for left, right in ((zs, z1s), (es, e1s)))
-    lhs, rhs, lhs_e, rhs_e = _true_sides(_bases(), ks, lw, rw)
-    assert (plain, euler) == (lhs == rhs, lhs_e == rhs_e)
+    base, d, zs, z1s, es, e1s = suites._columns(min(m, n), bits)
+    sums = [sum(map(mul, w, column)) for w, column in ((lw, zs), (rw, z1s), (lw, es), (rw, e1s))]
+    lhs, rhs, lhs_e, rhs_e = sides = _true_sides(_bases(), ks, lw, rw)
+    assert (sums[0] == sums[1], sums[2] == sums[3]) == (lhs == rhs, lhs_e == rhs_e)
+    assert tuple(suites._unpacked(s, base, d) for s in sums) == sides
 
 
 # weights c^k w_k/k! evaluated by a default sweep: one per row and k, 10

@@ -20,7 +20,6 @@ from weylops import weyl
 from weylops import (
     CPoly,
     I,
-    MINUS_I,
     NonTerminatingSeries,
     RatPoly,
     WeylElement,
@@ -165,11 +164,11 @@ def test_shifted_resummation_brackets_only_up_to_n(monkeypatch):
 def test_quadratic_brackets_at_minus_i():
     h = hamiltonian()
     assert commutator(q_op(), h) == monomial(0, 1, CPoly.c_power(1, -1))
-    assert commutator(q_op(), h).subst_c(MINUS_I) == scalar(I) * p_op()
-    assert commutator(p_op(), h).subst_c(MINUS_I) == scalar(MINUS_I) * q_op()
+    assert commutator(q_op(), h).subst_c(-I) == scalar(I) * p_op()
+    assert commutator(p_op(), h).subst_c(-I) == scalar(-I) * q_op()
     # period-2 recurrence of the nested commutator
-    assert nested_commutator(q_op(), h, 2).subst_c(MINUS_I) == q_op()
-    assert nested_commutator(q_op(), h, 8).subst_c(MINUS_I) == q_op()
+    assert nested_commutator(q_op(), h, 2).subst_c(-I) == q_op()
+    assert nested_commutator(q_op(), h, 8).subst_c(-I) == q_op()
 
 
 def test_hadamard_conjugation():
@@ -322,7 +321,7 @@ def test_subst_evaluates_products_consistently(x, y, v):
     # subst_c only evaluates coefficients; reordering inside a product inserts
     # fresh powers of c, so the product of specialized factors needs one more
     # substitution to land in the same algebra
-    for value in (v, MINUS_I):
+    for value in (v, -I):
         lhs = (x * y).subst_c(value)
         rhs = (x.subst_c(value) * y.subst_c(value)).subst_c(value)
         assert lhs == rhs
@@ -371,8 +370,8 @@ def test_flat_form_is_canonical(x, y, u, v):
     # int numerators, none zero, gcd 1 with the denominator, an i bit in
     # {0, 1}: for elements, their CPoly coefficient views, CPolys and
     # their constant coefficients; a constant at c = number is an element
-    for w in (x, x * y, x + y, x - y, -x, x.subst_c(MINUS_I), x.subst_c(I), (C * x).div_c(),
-              scalar(u).subst_c(I), scalar(u).subst_c(MINUS_I)):
+    for w in (x, x * y, x + y, x - y, -x, x.subst_c(-I), x.subst_c(I), (C * x).div_c(),
+              scalar(u).subst_c(I), scalar(u).subst_c(-I)):
         assert is_canonical(w)
         assert all(is_canonical(cp) for cp in w.terms.values())
     for cp in (u, u * v, u + v, u - v, -u, u**2, (C * u).div_c()):
