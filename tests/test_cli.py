@@ -203,6 +203,11 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
     assert exc.value.code == 2
+    # argparse checks each flag's type and choices, as the config loader did a file's
+    for argv in (["verify", "bender", "--max-n", "three"], ["tables", "--format", "yaml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_module_entry_point(child_env):
