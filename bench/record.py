@@ -38,8 +38,12 @@ holds:
   result line) and ``metrics``: per end-to-end metric of ``BENCHMARK.json``,
   its unit, its better direction, each side's median, p25, p75 (linear
   between closest ranks, as perfbench's ``percentile``) and values in pair
-  order, and ``wins``: the pairs in which the change reads better, ties and
-  pairs missing a side counting for neither;
+  order, ``wins``: the pairs in which the change reads better, ties and
+  pairs missing a side counting for neither, and ``verdict``: ``better``
+  when the change wins at least 9 in 10 of the pairs and its median beats
+  the parent's by more than the parent's interquartile range (p75 - p25),
+  ``worse`` when it loses that many pairs and its median trails by as much,
+  and ``unresolved`` otherwise;
 - ``tier1``: per side, one run of the tier-1 tests: ``wall_s``,
   ``peak_rss_mb`` (``wait4``'s maximum resident set of the pytest process)
   and pytest's summary line.
@@ -90,6 +94,21 @@ def wins(parent: list, change: list, better: str) -> int:
     return sum(1 for a, b in zip(parent, change) if a is not None and b is not None and sign * (b - a) > 0)
 
 
+def verdict(parent: list, change: list, better: str) -> str:
+    """better, worse or unresolved: the change wins (loses) at least 9 in 10 of the pairs, one side's values
+    against the other's in pair order, and its median beats (trails) the parent's by more than the parent's
+    interquartile range."""
+    a, b = spread([v for v in parent if v is not None]), spread([v for v in change if v is not None])
+    if a["median"] is None or b["median"] is None:
+        return "unresolved"
+    gain, iqr = (a["median"] - b["median"]) * (1 if better == "lower" else -1), a["p75"] - a["p25"]
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and gain > iqr:
+        return "better"
+    if 10 * wins(change, parent, better) >= 9 * len(parent) and -gain > iqr:
+        return "worse"
+    return "unresolved"
+
+
 def summarize(runs: dict[str, list], end_to_end: list[dict]) -> dict:
     """One workload's record from its runs, per side a result (parse_result) or None per pair."""
     operations = {
@@ -111,6 +130,7 @@ def summarize(runs: dict[str, list], end_to_end: list[dict]) -> dict:
             **{side: spread([v for v in vs if v is not None]) for side, vs in values.items()},
             "wins": wins(values["parent"], values["change"], better),
             "pairs": len(values["parent"]),
+            "verdict": verdict(values["parent"], values["change"], better),
         }
     return {"operations": operations, "metrics": metrics}
 

@@ -40,7 +40,6 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import product
 from math import comb, factorial, lcm
-from operator import mul
 from typing import Callable, Iterable
 
 from .report import VerificationReport, _orders, run_check
@@ -435,25 +434,43 @@ def _columns(K: int, bits: int) -> tuple:
     denominator, at z = 2^base, base the bound bits + |N| + 1, |N| the bit length of their summed
     D/den ||num||_1.  Over weights below 2^bits each form's D (lhs - rhs) then has coefficients below
     2^base, so its lowest nonzero one is no multiple of it: it packs to 0 only if it is 0.  A sweep
-    or call holds one set, sized from its bounds (_column_set), and its (z+1)^k come off one chain."""
+    or call fuses one set (_fused), sized from its bounds (_column_set), and its (z+1)^k come off one chain."""
     rows = [(RatPoly({k: 1}), z1, euler_polynomial(k), _euler_of_shifted(k)) for k, z1 in enumerate(_Z_PLUS_1._powers().upto(K))]
     D = lcm(*(p._den for row in rows for p in row))
     base = bits + sum(D // p._den * sum(map(abs, p._num.values())) for row in rows for p in row).bit_length() + 1
     return (base, D, *([_pack(p, D, base) for p in col] for col in zip(*rows)))
 
 
+def _digit(s: int, base: int) -> tuple[int, int]:
+    """s's lowest signed base-2^base digit d, in [-2^(base-1), 2^(base-1)), and the rest (s - d) / 2^base."""
+    half = 1 << base - 1
+    digit = (s + half) % (2 * half) - half
+    return digit, (s - digit) >> base
+
+
 def _unpacked(s: int, base: int, D: int) -> RatPoly:
     """The polynomial that a packed sum s of _columns' (base, D) stands for: its signed base-2^base digits over D."""
-    num, j, half = {}, 0, 1 << base - 1
+    num, j = {}, 0
     while s:
-        num[j] = digit = (s + half) % (2 * half) - half
-        s, j = (s - digit) >> base, j + 1
+        num[j], s = _digit(s, base)
+        j += 1
     return RatPoly._canonical(num, D)
 
 
+def _fused(K: int, bits: int) -> tuple:
+    """(base, D, S, left, right): _columns(K, bits) fused, column k on the left z^k + E_k(z) 2^S and on the right
+    (z+1)^k + E_k(z+1) 2^S.  Over weights below 2^bits every weighted plain side stays below 2^(S-1) in absolute
+    value, so a weighted sum of fused columns is 0 only if both its halves are, and _digit at S splits it into
+    its plain and Euler sums."""
+    base, D, zs, z1s, es, e1s = _columns(K, bits)
+    S = bits + sum(map(abs, [*zs, *z1s])).bit_length() + 1
+    return base, D, S, [p + (e << S) for p, e in zip(zs, es)], [p + (e << S) for p, e in zip(z1s, e1s)]
+
+
 def _column_set(m: int, n: int, l: int) -> Callable[[], tuple]:
-    """The one column set of a sweep or call with bounds (m, n, l), built on first read; 2^(2m+l) bounds every weight."""
-    return cache(lambda: _columns(min(m, n), 2 * m + l + 1))
+    """The one fused column set (_fused) of a sweep or call with bounds (m, n, l), built on first read; 2^(2m+l)
+    bounds every weight, so one test of two fused sums decides a record's plain and Euler forms at once."""
+    return cache(lambda: _fused(min(m, n), 2 * m + l + 1))
 
 
 def _binomial(table: Callable, columns: Callable, m: int, n: int, l: int) -> VerificationReport:
@@ -461,21 +478,23 @@ def _binomial(table: Callable, columns: Callable, m: int, n: int, l: int) -> Ver
 
     def check() -> str:
         _orders(m=m, n=n, l=l)
-        ks = range(min(m, n) + 1)
-        lw = [comb(m, k) * comb(m - k + l, n - k) for k in ks]
-        rw = [comb(m, k) * comb(l, n - k) for k in ks]
-        base, D, zs, z1s, es, e1s = columns()
-        lhs, rhs = sum(map(mul, lw, zs)), sum(map(mul, rw, z1s))
-        if lhs != rhs:  # a witness unpacks the sides it compared
-            return f"plain version: ({_unpacked(lhs, base, D)}) != ({_unpacked(rhs, base, D)})"
-        for j in ks:
-            got, target = table(m - j, n - j, l), comb(m - j + l, n - j)
-            if got != target:
-                return f"Vandermonde convolution at j={j}: {got} != {target}"
-        lhs, rhs = sum(map(mul, lw, es)), sum(map(mul, rw, e1s))
-        if lhs != rhs:
-            return f"Euler version: ({_unpacked(lhs, base, D)}) != ({_unpacked(rhs, base, D)})"
-        return ""
+        base, D, S, left, right = columns()
+        lhs = rhs = 0
+        c, vandermonde = 1, ""  # c = C(m, k)
+        for k in range(min(m, n) + 1):
+            t = comb(m - k + l, n - k)  # the left weight's second factor and column k's Vandermonde target
+            lhs += c * t * left[k]
+            rhs += c * comb(l, n - k) * right[k]
+            if not vandermonde and table(m - k, n - k, l) != t:
+                vandermonde = f"Vandermonde convolution at j={k}: {table(m - k, n - k, l)} != {t}"
+            c = c * (m - k) // (k + 1)
+        if lhs == rhs:
+            return vandermonde
+        # split only sides that differ; a witness unpacks the halves it compared
+        (plain, euler), (plain1, euler1) = _digit(lhs, S), _digit(rhs, S)
+        if plain != plain1:
+            return f"plain version: ({_unpacked(plain, base, D)}) != ({_unpacked(plain1, base, D)})"
+        return vandermonde or f"Euler version: ({_unpacked(euler, base, D)}) != ({_unpacked(euler1, base, D)})"
 
     # both forms always run: "euler_version" stays because gate.json and the golden stream pin it
     return run_check("binomial", {"m": m, "n": n, "l": l, "euler_version": True}, check)
@@ -487,11 +506,12 @@ def verify_binomial(m: int, n: int, l: int) -> VerificationReport:
         sum_k C(m,k) C(m-k+l, n-k) z^k  =  sum_k C(m,k) C(l, n-k) (z+1)^k
 
     the Euler variant with z^k -> E_k(z), (z+1)^k -> E_k(z+1), and the column-wise Vandermonde
-    convolution that links the two sides.  Each form is one integer test at z = 2^B (Kronecker
-    substitution: L. Kronecker, 1882; D. Harvey, J. Symbolic Comput. 44(10), 2009; see _columns):
-    O(k) big-integer multiply-adds, not O(k^2) dictionary updates, over a Vandermonde table and one
-    column set per call or sweep, sized from its bounds.  A failing form's witness unpacks the two
-    packed sums it compared (_unpacked), so a fault in the columns shows in the sides it prints.
+    convolution that links the two sides.  One loop over k decides all three: the convolution against
+    a Vandermonde table, both forms by one integer test at z = 2^B (Kronecker substitution: L. Kronecker,
+    1882; D. Harvey, J. Symbolic Comput. 44(10), 2009; see _columns), each column carrying its Euler
+    polynomial 2^S above its power (_fused), one column set per call or sweep, sized from its bounds.
+    Only sides that differ are split, so the witness names the first failing check of plain version,
+    Vandermonde convolution and Euler version, and unpacks the sums it compared (_unpacked).
     """
     return _binomial(_vandermonde(), _column_set(m, n, l), m, n, l)
 

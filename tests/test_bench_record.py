@@ -1,6 +1,6 @@
 """bench/record.py reads perfbench's result lines and reduces them to medians,
-quartiles and per-pair wins, and compiles each tree's src/ before the first
-pair.  These tests feed it canned lines and a one-module tree; none runs the
+quartiles, per-pair wins and a verdict per metric, and compiles each tree's
+src/ before the first pair.  These tests feed it canned lines and a one-module tree; none runs the
 benchmark."""
 
 import importlib.util
@@ -56,6 +56,24 @@ def test_wins_count_strictly_better_pairs():
     assert record.wins(parent, change, "higher") == 1
 
 
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # median 1.0, quartiles 0.9825 and 1.0175
+
+
+@pytest.mark.parametrize("change, better, expected", [
+    ([v - 0.10 for v in PARENT], "lower", "better"),  # 10 of 10 wins, 0.10 beyond an IQR of 0.035
+    ([v - 0.10 for v in PARENT[:9]] + [1.05], "lower", "better"),  # 9 of 10 is enough
+    ([v - 0.10 for v in PARENT[:8]] + [1.05, 1.05], "lower", "unresolved"),  # 8 of 10 is not
+    ([v - 0.03 for v in PARENT], "lower", "unresolved"),  # every pair won, the median gap inside the IQR
+    ([v + 0.10 for v in PARENT], "lower", "worse"),  # the mirror of better
+    ([v + 0.10 for v in PARENT], "higher", "better"),
+    ([v - 0.10 for v in PARENT[:9]] + [None], "lower", "better"),  # a missing pair counts as no win
+    ([v - 0.10 for v in PARENT[:8]] + [None, None], "lower", "unresolved"),
+    ([None] * 10, "lower", "unresolved"),
+])
+def test_a_verdict_needs_nine_wins_in_ten_and_a_median_beyond_the_parents_iqr(change, better, expected):
+    assert record.verdict(PARENT, change, better) == expected
+
+
 def test_summarize_pairs_runs_in_order_and_counts_failures():
     parent = [record.parse_result(_stdout(w, 0.007)) for w in (0.110, 0.108, 0.109)]
     change = [record.parse_result(_stdout(0.105, 0.006)), None, record.parse_result(_stdout(0.111, 0.007, failed=2))]
@@ -63,6 +81,7 @@ def test_summarize_pairs_runs_in_order_and_counts_failures():
     wall = summary["metrics"]["wall_s"]
     assert wall["parent"]["values"] == [0.110, 0.108, 0.109] and wall["change"]["values"] == [0.105, 0.111]
     assert (wall["wins"], wall["pairs"], wall["unit"], wall["better"]) == (1, 3, "s", "lower")
+    assert wall["verdict"] == summary["metrics"]["record_ms_p50"]["verdict"] == "unresolved"
     assert summary["metrics"]["record_ms_p50"]["wins"] == 1
     assert summary["operations"] == {
         "parent": {"attempted": 3 * 4412, "failed": 0, "runs_without_result": 0},

@@ -54,7 +54,9 @@ weights.  A failing record's witness prints the sides its packed sums
 stand for, so under z^k for (z+1)^k the two sides differ.  A Vandermonde
 table with its (1, 1, 1) entry off by one must
 fail exactly the records that read it, in a sweep run after a clean one as
-in a direct verify_binomial call.
+in a direct verify_binomial call.  One fused test decides both forms, but a
+record's witness still names the first failing check of plain version,
+Vandermonde convolution and Euler version, in that order.
 
 So must the closure and weight-table sweeps: a bracket tower ad_x^n h0 that
 stops one bracket early in the suite's umbral sums turns every figueira
@@ -487,6 +489,27 @@ def test_a_binomial_sweep_leaves_no_table_behind(monkeypatch, fresh_caches):
     assert [r.witness for r in failing] == [f"Vandermonde convolution at j={j}: 3 != 2" for j in range(3)]
     direct = suites.verify_binomial(2, 2, 1)
     assert (direct.status, direct.witness) == ("fail", failing[1].witness)
+
+
+def test_a_vandermonde_fault_outranks_an_euler_fault(monkeypatch, fresh_caches):
+    # one fused test decides both forms, yet a record's witness names the
+    # first failing check of plain version, Vandermonde convolution, Euler
+    # version: with the (1, 1, 1) entry off by one and E_k(z) packed for
+    # E_k(z+1), the three records that read that entry report the table, and
+    # with z^k packed for (z+1)^k as well they report the plain form
+    def off_by_one():
+        table = TRUE_VANDERMONDE()
+        return lambda a, b, l: table(a, b, l) + ((a, b, l) == (1, 1, 1))
+
+    monkeypatch.setattr(suites, "_vandermonde", off_by_one)
+    monkeypatch.setattr(suites, "_euler_of_shifted", euler_polynomial)
+    failing = {(r.params["m"], r.params["n"], r.params["l"]): r.witness for r in _binomial_failures()}
+    diagonal = [(1, 1, 1), (2, 2, 1), (3, 3, 1)]
+    assert [failing.pop(key) for key in diagonal] == [f"Vandermonde convolution at j={j}: 3 != 2" for j in range(3)]
+    assert failing and all(w.startswith("Euler version: (") for w in failing.values())
+    monkeypatch.setattr(suites, "_columns", _unshifted_powers)
+    failing = {(r.params["m"], r.params["n"], r.params["l"]): r.witness for r in _binomial_failures()}
+    assert all(failing[key].startswith("plain version: (") for key in diagonal)
 
 
 TRUE_TOWER = weyl.bracket_tower

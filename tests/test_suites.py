@@ -20,10 +20,12 @@ what it costs:
 * ``test_each_binomial_base_bounds_the_true_sides``,
   ``test_a_binomial_base_comes_from_the_bound`` and
   ``test_packed_verdicts_match_ratpoly_verdicts``: the base of a sweep's one
-  column set bounds every coefficient of each record's true sides, a smaller
-  base can pack a nonzero polynomial as zero, and packed and ``RatPoly``
-  verdicts agree on true and perturbed weights, each packed sum unpacking to
-  its ``RatPoly`` sum.
+  column set bounds every coefficient of each record's true sides, and its
+  fused columns carry the Euler half at 2^S, above every packed plain side;
+  a smaller base can pack a nonzero polynomial as zero; packed, fused and
+  ``RatPoly`` verdicts agree on true and perturbed weights, each packed sum
+  unpacking to its ``RatPoly`` sum and each fused sum splitting into its
+  plain and Euler ones.
 * ``test_a_grid_sweep_evaluates_each_weight_once``: pain, reciprocal and
   mccoy evaluate each weight once per weight table, not per record.
 * ``test_a_bender_sweep_takes_each_power_once``: bender raises no power of
@@ -362,7 +364,7 @@ def test_failing_check_is_reported_not_raised(monkeypatch, weight, selectors):
 
 
 def test_elapsed_ms_has_steps_of_a_tenth_of_a_microsecond(monkeypatch):
-    # a binomial record takes 6-9 us, so 1 us steps would be over a tenth of it
+    # a binomial record takes 4-6 us, so 1 us steps would be a fifth of it
     from types import SimpleNamespace
 
     from weylops import report
@@ -557,26 +559,39 @@ def _true_sides(bases: list, ks: range, lw: list[int], rw: list[int]) -> tuple[R
 def test_each_binomial_base_bounds_the_true_sides(monkeypatch):
     # every default record packs both forms at the sweep's one base B, with
     # 2^B above every coefficient of D lhs and D rhs, D the denominator its
-    # column set scales by
+    # column set scales by.  Its fused columns carry the Euler half at 2^S,
+    # with every packed plain lhs and rhs below 2^(S-1) in absolute value, so
+    # a fused sum splits into its two halves
     true_columns, used = suites._columns, []
 
     def recording(*args):
         columns = true_columns(*args)
-        used.append(columns[:2])
+        used.append(columns)
         return columns
 
     monkeypatch.setattr(suites, "_columns", recording)
     reports = run_suite("binomial")
     assert len(reports) == 2197 and all(r.ok for r in reports)
-    ((base, d),), largest, bases = used, 0, _bases()
+    ((base, d, zs, z1s, es, e1s),), largest, bases = used, 0, _bases()
+    fused_base, fused_d, S, left, right = suites._column_set(12, 12, 12)()
+    assert (fused_base, fused_d) == (base, d)
+    assert left == [p + (e << S) for p, e in zip(zs, es)] and right == [p + (e << S) for p, e in zip(z1s, e1s)]
+    widest = 0
     for r in reports:
-        for side in _true_sides(bases, *_two_rows(r.params["m"], r.params["n"], r.params["l"])):
+        ks, lw, rw = _two_rows(r.params["m"], r.params["n"], r.params["l"])
+        for side in _true_sides(bases, ks, lw, rw):
             scaled = [d * v for v in side.coeffs.values()]
             assert all(v.denominator == 1 for v in scaled), (r.params, side)
             top = max((abs(int(v)) for v in scaled), default=0)
             assert top.bit_length() < base, (r.params, base)
             largest = max(largest, top)
+        for plain in (sum(map(mul, lw, zs)), sum(map(mul, rw, z1s))):
+            assert abs(plain) < 2 ** (S - 1), (r.params, S)
+            widest = max(widest, abs(plain).bit_length())
     assert largest == 517_316_800 < 2**29
+    # the widest packed plain side, 676 bits, against S - 1 = 37 + 677 bits:
+    # the weight bound plus the columns' summed magnitude
+    assert widest == 676 < S - 1 == 714
 
 
 def test_a_binomial_base_comes_from_the_bound():
@@ -617,6 +632,14 @@ def test_packed_verdicts_match_ratpoly_verdicts(rows):
     lhs, rhs, lhs_e, rhs_e = sides = _true_sides(_bases(), ks, lw, rw)
     assert (sums[0] == sums[1], sums[2] == sums[3]) == (lhs == rhs, lhs_e == rhs_e)
     assert tuple(suites._unpacked(s, base, d) for s in sums) == sides
+    # the record's one test: two fused sums, equal only if both forms hold,
+    # each splitting at 2^S into its plain and Euler halves
+    fused_base, fused_d, S, left, right = suites._fused(min(m, n), bits)
+    assert (fused_base, fused_d) == (base, d)
+    fused = [sum(map(mul, lw, left)), sum(map(mul, rw, right))]
+    assert (fused[0] == fused[1]) == (lhs == rhs and lhs_e == rhs_e)
+    halves = [suites._unpacked(half, base, d) for s in fused for half in suites._digit(s, S)]
+    assert halves == [lhs, lhs_e, rhs, rhs_e]
 
 
 # weights c^k w_k/k! evaluated by a default sweep: one per row and k, 10
