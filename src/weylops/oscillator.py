@@ -17,10 +17,12 @@ polynomial in l, stored flat (see ``scalars.FlatTerms``) under keys
 column at once, so nothing is truncated and no float or dense matrix is
 formed.  A product, and a bracket {x, y} as one accumulation of x y + y x
 (``_product``), reads the left factor's entries at l + j (a maps P_j(l) at
-shift j to (l+j) P_j(l) at shift j-1) and calls nothing of the engine's
-product, the H-brackets {q,H}_k stay on q's two off-diagonals, and the
-symbolic bridge realizes the engine's {q,H}_n by Horner in q over the
-powers of p.  ``build_operators`` makes the
+shift j to (l+j) P_j(l) at shift j-1).  Each left term is expanded once
+per shift j of the right factor, and at j = 0, where (l + 0)^e is l^e, not
+at all, so a diagonal factor such as H costs no Taylor terms.  The product
+calls nothing of the engine's, the H-brackets {q,H}_k stay on q's two
+off-diagonals, and the symbolic bridge realizes the engine's {q,H}_n by
+Horner in q over the powers of p.  ``build_operators`` makes the
 ladders, with four chains (``scalars.Chain``) grown from them on demand: the
 realization's {q,H}_k, the powers H^k and p^k, and the engine's {q,H}_k.  Only the caller keeps them:
 a hermite sweep builds one set for all its records and drops it when it
@@ -87,17 +89,24 @@ class Bands(FlatTerms):
 
 def _product(x: Bands, y: Bands, s: int) -> Bands:
     """x y + s (y x), s in {0, 1}, in one accumulation: ``Bands.__mul__`` is
-    s = 0 and the bracket {x, y} s = 1; x's entries are read at l + j."""
+    s = 0 and the bracket {x, y} s = 1; x's entries are read at l + j.  The
+    right factor's terms are grouped by shift j, so each left term m l^e is
+    expanded once per shift, as sum_r C(e,r) j^(e-r) l^r, and at j = 0 only
+    its r = e term is formed: a diagonal factor costs no Taylor terms."""
     out: dict = {}
     for left, right in ((x._num, y._num), (y._num, x._num))[: 1 + s]:
-        right = list(right.items())
+        shifts: dict = {}
+        for (j, d, i), n in right.items():
+            shifts.setdefault(j, []).append((d, i, n))
         for (j0, e, k), m in left.items():
-            for r in range(e + 1):  # (l + j)^e = sum_r C(e,r) j^(e-r) l^r
-                w, p = m * comb(e, r), e - r
-                for (j, d, i), n in right:
-                    v = w * n * j**p if p else w * n
-                    key = (j + j0, d + r, i ^ k)
-                    out[key] = out.get(key, 0) + (-v if i & k else v)  # i^2 = -1
+            for j, terms in shifts.items():
+                h = j + j0
+                for r in range(e + 1) if j else (e,):
+                    w = m * comb(e, r) * j ** (e - r)  # 0**0 == 1
+                    for d, i, n in terms:
+                        v = w * n
+                        key = (h, d + r, i ^ k)
+                        out[key] = out.get(key, 0) + (-v if i & k else v)  # i^2 = -1
     return Bands._canonical(out, x._den * y._den)
 
 

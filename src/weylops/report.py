@@ -18,6 +18,7 @@ PASS = "pass"
 FAIL = "fail"
 ERROR = "error"
 _ENCODER = json.JSONEncoder(sort_keys=True)  # no indent, so json encodes in C
+_quote = json.encoder.encode_basestring_ascii  # a str as _ENCODER writes it, quotes included
 _SCALARS = {bool, int, float, str}  # JSON values as they are: _plain returns them unchanged
 
 
@@ -46,26 +47,42 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return self.status == PASS
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "suite": self.suite,
-            "params": {str(k): v if type(v) in _SCALARS else _plain(v) for k, v in self.params.items()},
-            "status": self.status,
-            "witness": self.witness,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
     def render(self) -> str:
-        args = ", ".join(f"{k}={_plain(v)}" for k, v in self.params.items())
+        args = ", ".join(f"{k}={v if type(v) in _SCALARS else _plain(v)}" for k, v in self.params.items())
         line = f"[{self.status.upper():5s}] {self.suite}({args})"
         if self.witness:
             line += f"  -- {self.witness}"
         return line
 
 
+def _json(v: Any) -> str:
+    """v as _ENCODER writes ``_plain(v)``: a str, an int, a bool or a finite
+    float directly, anything else through the encoder."""
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is int or t is float and v - v == 0:  # NaN and +-inf take the encoder's spelling
+        return repr(v)
+    if t is bool:
+        return "true" if v else "false"
+    return _ENCODER.encode(_plain(v))
+
+
 def reports_to_json(reports: list[VerificationReport]) -> str:
-    """The records as a JSON list, one per line between "[" and "]" lines; "[]" if none."""
-    lines = [_ENCODER.encode(r.to_dict()) for r in reports]
+    """The records as a JSON list, one per line between "[" and "]" lines; "[]" if none.
+
+    A line is what ``_ENCODER`` writes for the record as a dict with its five
+    fields, the params under ``str`` keys: every dict's keys sorted, every
+    value ``_plain``.  It is formatted here, because the encoder's own work on
+    such small dicts costs more than the line."""
+    lines = []
+    for suite, params, status, witness, elapsed_ms in reports:
+        params = {str(k): v for k, v in params.items()}
+        fields = ", ".join([f"{_quote(k)}: {_json(params[k])}" for k in sorted(params)])
+        lines.append(
+            f'{{"elapsed_ms": {_json(elapsed_ms)}, "params": {{{fields}}}, "status": {_json(status)}, '
+            f'"suite": {_json(suite)}, "witness": {_json(witness)}}}'
+        )
     return "[\n" + ",\n".join(lines) + "\n]" if lines else "[]"
 
 

@@ -9,9 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weylops import reports_to_json
 from weylops.cli import main
+from weylops.report import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +58,71 @@ def test_verify_json_keeps_rationals_exact(capsys):
     (record,) = json.loads(out)
     assert record["params"]["kappa"][9] == "31/2"
     assert record["params"]["lambda"][4] == "5"
+
+
+def _reference_plain(v):
+    # the writer's value rule as a dict holds it: Fractions and other
+    # non-JSON values become their str, containers recurse
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, (bool, int, float)):
+        return v
+    if isinstance(v, (list, tuple)):
+        return [_reference_plain(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _reference_plain(x) for k, x in v.items()}
+    return str(v)
+
+
+def _reference_dict(r):
+    # a record as the JSON writer's line holds it, for json.dumps to encode
+    return {
+        "suite": r.suite,
+        "params": {str(k): _reference_plain(v) for k, v in r.params.items()},
+        "status": r.status,
+        "witness": r.witness,
+        "elapsed_ms": r.elapsed_ms,
+    }
+
+
+def _reference_render(r):
+    args = ", ".join(f"{k}={_reference_plain(v)}" for k, v in r.params.items())
+    line = f"[{r.status.upper():5s}] {r.suite}({args})"
+    return line + f"  -- {r.witness}" if r.witness else line
+
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+_texts = st.text(st.sampled_from('az "\\\n\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001f600') | st.characters(), max_size=8)
+_floats = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-9])
+_scalars = st.booleans() | st.integers(-(10**40), 10**40) | _floats | _texts | st.fractions()
+_values = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_texts | st.integers(-3, 3), kids, max_size=3),
+    max_leaves=8,
+)
+_reports = st.builds(
+    VerificationReport,
+    suite=_texts,
+    params=st.dictionaries(_texts | st.integers(-3, 3), _values, max_size=5),
+    status=st.sampled_from(["pass", "fail", "error"]),
+    witness=_texts,
+    elapsed_ms=_floats,
+)
+
+
+@given(st.lists(_reports, max_size=3))
+def test_each_json_line_is_the_encoders_line(reports):
+    # reports_to_json formats each line itself; it must be json.dumps of the
+    # record's dict, with every key sorted, byte for byte
+    expected = [json.dumps(_reference_dict(r), sort_keys=True) for r in reports]
+    assert reports_to_json(reports) == ("[\n" + ",\n".join(expected) + "\n]" if reports else "[]")
+
+
+@given(_reports)
+def test_render_writes_each_param_as_its_plain_value(report):
+    assert report.render() == _reference_render(report)
 
 
 def test_output_goes_to_file(capsys, tmp_path):

@@ -445,3 +445,34 @@ def test_elementwise_tower_matches_dense_brackets(weights):
     expected = sum(wk * x for wk, x in zip(weights, _dense_tower(len(weights) - 1)))
     assert _close(got, expected)
     assert np.count_nonzero(expected) == np.count_nonzero(got)
+
+
+_coeffs = st.builds(lambda re, im: re + im * I, st.fractions(-4, 4, max_denominator=3), st.integers(-3, 3))
+_bands = st.builds(
+    lambda terms, d, z: Bands({**terms, (0, d): z}),  # a shift-0 term in every factor
+    st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 6)), _coeffs, max_size=5),
+    st.integers(0, 6),
+    _coeffs,
+)
+
+
+def _composed(x, y, l):
+    # column l of x y, entry by entry: x applied to each row of y's column l;
+    # no Taylor expansion, only the columns' exact entries
+    col: dict = {}
+    for row, z in y.column(l).items():
+        for out, w in x.column(row).items():
+            col[out] = col.get(out, 0) + z * w
+    return {row: z for row, z in col.items() if z}
+
+
+@given(_bands, _bands)
+def test_band_products_compose_column_by_column(x, y):
+    # columns l >= 3 only: every shift is >= -3, so y f_l lands on rows >= 0,
+    # where x's columns are read as the basis reads them
+    for l in range(3, 13):
+        assert (x * y).column(l) == _composed(x, y, l)
+        bracket = _composed(x, y, l)
+        for row, z in _composed(y, x, l).items():
+            bracket[row] = bracket.get(row, 0) + z
+        assert oscillator._product(x, y, 1).column(l) == {row: z for row, z in bracket.items() if z}
