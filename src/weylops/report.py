@@ -70,11 +70,9 @@ def _json(v: Any) -> str:
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
     """The records as a JSON list, one per line between "[" and "]" lines; "[]" if none.
-
-    A line is what ``_ENCODER`` writes for the record as a dict with its five
-    fields, the params under ``str`` keys: every dict's keys sorted, every
-    value ``_plain``.  It is formatted here, because the encoder's own work on
-    such small dicts costs more than the line."""
+    A line is what ``_ENCODER`` writes for the record's five fields as a dict,
+    the params under ``str`` keys with ``_plain`` values, formatted here: the
+    encoder's own work on such small sorted dicts costs more than the line."""
     lines = []
     for suite, params, status, witness, elapsed_ms in reports:
         params = {str(k): v for k, v in params.items()}
