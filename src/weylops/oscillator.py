@@ -18,9 +18,9 @@ column at once, so nothing is truncated and no float or dense matrix is
 formed.  A product, and a bracket {x, y} as one accumulation of x y + y x
 (``_product``), reads the left factor's entries at l + j (a maps P_j(l) at
 shift j to (l+j) P_j(l) at shift j-1).  Each left term is expanded once
-per shift j of the right factor, and at j = 0, where (l + 0)^e is l^e, not
-at all, so a diagonal factor such as H costs no Taylor terms.  The product
-calls nothing of the engine's, the H-brackets {q,H}_k stay on q's two
+for the right factor's terms off shift 0, and not at all for those at shift
+0, where (l + 0)^e is l^e, so a diagonal factor such as H costs no Taylor
+terms.  The product calls nothing of the engine's, the H-brackets {q,H}_k stay on q's two
 off-diagonals, and the symbolic bridge realizes the engine's {q,H}_n by
 Horner in q over the powers of p.  ``build_operators`` makes the
 ladders, with four chains (``scalars.Chain``) grown from them on demand: the
@@ -89,24 +89,26 @@ class Bands(FlatTerms):
 
 def _product(x: Bands, y: Bands, s: int) -> Bands:
     """x y + s (y x), s in {0, 1}, in one accumulation: ``Bands.__mul__`` is
-    s = 0 and the bracket {x, y} s = 1; x's entries are read at l + j.  The
-    right factor's terms are grouped by shift j, so each left term m l^e is
-    expanded once per shift, as sum_r C(e,r) j^(e-r) l^r, and at j = 0 only
-    its r = e term is formed: a diagonal factor costs no Taylor terms."""
+    s = 0 and the bracket {x, y} s = 1; x's entries are read at l + j.  A
+    left term m l^e meets the right terms at shift 0 as it is, (l + 0)^e
+    being l^e, and the others through its Taylor terms, each formed once for
+    all of them: a diagonal factor such as H costs no Taylor terms."""
     out: dict = {}
     for left, right in ((x._num, y._num), (y._num, x._num))[: 1 + s]:
-        shifts: dict = {}
-        for (j, d, i), n in right.items():
-            shifts.setdefault(j, []).append((d, i, n))
+        still, moving = [], []  # the right terms at shift 0, and the others
+        for term in right.items():
+            (moving if term[0][0] else still).append(term)
         for (j0, e, k), m in left.items():
-            for j, terms in shifts.items():
-                h = j + j0
-                for r in range(e + 1) if j else (e,):
-                    w = m * comb(e, r) * j ** (e - r)  # 0**0 == 1
-                    for d, i, n in terms:
-                        v = w * n
-                        key = (h, d + r, i ^ k)
-                        out[key] = out.get(key, 0) + (-v if i & k else v)  # i^2 = -1
+            for (_, d, i), n in still:
+                v = m * n
+                key = (j0, d + e, i ^ k)
+                out[key] = out.get(key, 0) + (-v if i & k else v)  # i^2 = -1
+            for r in range(e + 1) if moving else ():  # (l + j)^e = sum_r C(e,r) j^(e-r) l^r
+                w, p = m * comb(e, r), e - r
+                for (j, d, i), n in moving:
+                    v = w * n * j**p if p else w * n
+                    key = (j + j0, d + r, i ^ k)
+                    out[key] = out.get(key, 0) + (-v if i & k else v)
     return Bands._canonical(out, x._den * y._den)
 
 
