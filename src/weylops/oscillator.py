@@ -17,12 +17,12 @@ polynomial in l, stored flat (see ``scalars.FlatTerms``) under keys
 column at once, so nothing is truncated and no float or dense matrix is
 formed.  A product, and a bracket {x, y} as one accumulation of x y + y x
 (``_product``), reads the left factor's entries at l + j (a maps P_j(l) at
-shift j to (l+j) P_j(l) at shift j-1).  Each left term is expanded once
-for the right factor's terms off shift 0, and not at all for those at shift
-0, where (l + 0)^e is l^e, so a diagonal factor such as H costs no Taylor
-terms.  The product calls nothing of the engine's, the H-brackets {q,H}_k stay on q's two
-off-diagonals, and the symbolic bridge realizes the engine's {q,H}_n by
-Horner in q over the powers of p.  ``build_operators`` makes the
+shift j to (l+j) P_j(l) at shift j-1).  A left term is expanded in Taylor
+terms once for all the right factor's terms off shift 0, and not at all for
+those at shift 0, where (l + 0)^e is l^e: a diagonal factor such as H costs
+no Taylor terms.  The product calls nothing of the engine's, the H-brackets
+{q,H}_k stay on q's two off-diagonals, and the symbolic bridge realizes the
+engine's {q,H}_n by Horner in q over the powers of p.  ``build_operators`` makes the
 ladders, with four chains (``scalars.Chain``) grown from them on demand: the
 realization's {q,H}_k, the powers H^k and p^k, and the engine's {q,H}_k.  Only the caller keeps them:
 a hermite sweep builds one set for all its records and drops it when it
