@@ -10,6 +10,7 @@ x-dependent piece cancels and a constant shift is all that survives.  The
 weights kappa_n are the same sequence tabulated in weight_tables.py.
 """
 
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -41,8 +42,13 @@ for h0, x, label in [
     print(f"  correction h1 = {h1}")
 
     closed = hadamard_conjugate(x, WeylElement.weighted_sum([(1, h0), (I, h1)]), t=Fraction(1, 2))
-    print(f"  e^(x/2) (h0 + i h1) e^(-x/2) = {closed}\n")
+    print(f"  e^(x/2) (h0 + i h1) e^(-x/2) = {closed}")
+    shift = closed - h0
+    assert shift.support() in ([], [(0, 0)])
+    print(f"  closed - h0 = {shift}, a constant\n")
 
 print("every packaged fixture, with the pseudo-symmetry and umbral checks on top:")
-for h0, x in standard_conjugation_fixtures():
-    print(f"  {verify_figueira(h0, x).render()}")
+reports = [verify_figueira(h0, x) for h0, x in standard_conjugation_fixtures()]
+print(*(f"  {r.render()}" for r in reports), sep="\n")
+if not all(r.ok for r in reports):
+    sys.exit(1)

@@ -8,7 +8,7 @@ concrete action on monomials.  The engine's reordering rule never enters:
 
 from fractions import Fraction
 
-from weylops import XPoly, apply_element, monomial, p_op, q_op, validate_reordering
+from weylops import CPoly, XPoly, apply_element, monomial, p_op, q_op, validate_reordering
 
 p, q = p_op(), q_op()
 
@@ -18,6 +18,7 @@ pq = apply_element(p, apply_element(q, f))
 qp = apply_element(q, apply_element(p, f))
 print(f"p(q x^3) = {pq}")
 print(f"q(p x^3) = {qp}")
+assert pq - qp == XPoly({3: CPoly.c_power(1)})
 print(f"difference = {pq - qp}   (c times x^3, as required)\n")
 
 # scaled-power brackets on x^5, each product composed from the factors'

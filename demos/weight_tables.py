@@ -4,34 +4,27 @@ Four sequences keep showing up when operator brackets are expanded:
 E_n(0), the Euler polynomial values at zero; the Bernoulli numbers B_n;
 the odd-weight sequence kappa_n used by conjugation closures; and the
 integer sequence lambda_n = 2^n E_n(1/2).  This script prints them side
-by side and demonstrates the relations that tie them together.
+by side, as ``weylops tables`` does, and demonstrates the relations that
+tie them together.
 """
 
+import sys
 from fractions import Fraction
 
 from weylops import (
-    bernoulli_number,
     euler_polynomial,
-    euler_zero,
     extract_convolution_coefficients,
     kappa,
-    lam,
     sequence_tables,
     shifted_euler,
     solve_midpoint,
+    verify_binomial,
 )
+from weylops.cli import main
 
-N = 12
-
-print(f"weight sequences up to n = {N}\n")
-header = f"{'n':>3}  {'E_n(0)':>10}  {'B_n':>10}  {'kappa_n':>10}  {'lambda_n':>12}"
-print(header)
-print("-" * len(header))
-for n in range(N + 1):
-    print(
-        f"{n:>3}  {str(euler_zero(n)):>10}  {str(bernoulli_number(n)):>10}"
-        f"  {str(kappa(n)):>10}  {str(lam(n)):>12}"
-    )
+print("weight sequences up to n = 12, as `weylops tables --max-n 12` prints them:\n")
+if main(["tables", "--max-n", "12"]):
+    sys.exit(1)
 
 print("\nEuler polynomials and their midpoint shift:")
 for n in range(5):
@@ -56,8 +49,12 @@ assert vs == [1] + [kappa(k) for k in range(1, 13)]
 print("weights extracted from [p^k/k!, q^k/k!] are kappa_k for k <= 12")
 
 # the binomial bridge lambda_n = 1 - sum_m 2^m C(n,m) kappa_m, plus parity
-# and low-order value checks, all live in one report
-report = sequence_tables(16)
-print(f"\nsequence_tables(16): {report.render()}")
-print(f"kappa_9  = {report.params['kappa'][9]}")
-print(f"lambda_16 = {report.params['lambda'][16]}")
+# and low-order value checks, all live in one report; the Euler polynomials'
+# binomial convolutions in another
+tables, binomial = sequence_tables(16), verify_binomial(12, 12, 12)
+print(f"\nsequence_tables(16): {tables.render()}")
+print(f"kappa_9  = {tables.params['kappa'][9]}")
+print(f"lambda_16 = {tables.params['lambda'][16]}")
+print(f"verify_binomial(12, 12, 12): {binomial.render()}")
+if not (tables.ok and binomial.ok):
+    sys.exit(1)
