@@ -4,8 +4,8 @@ claim it prints is false, and reads only public names of the package.
 The demos run in process through ``runpy``.  Under one gate of
 ``test_mutation.py`` each must stop with an ``AssertionError`` or a nonzero
 ``SystemExit``: the reordering rule without its k = 1 term wherever the demo
-reads the engine, and for the closure demo sums in which i^2 = +1, since its
-records pass under every wrong reordering rule.
+reads the engine, and for the closure demo sums in which i^2 = +1, since it
+passes under every wrong reordering rule.
 """
 
 import ast
